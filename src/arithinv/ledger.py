@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -269,123 +268,150 @@ class MinimaResult:
     minima: tuple  # lambda_1 <= ... <= lambda_m
     witnesses: tuple  # independent integer coefficient vectors
     exact: bool
-    box: int
-    needed_box: int
+    radius: float  # squared-norm bound the enumeration covered, >= lambda_m^2
+    nodes: int  # Fincke-Pohst tree nodes visited
 
 
-def _rank_increases(rows, candidate):
-    mat = [list(r) for r in rows] + [[Fraction(int(x)) for x in candidate]]
-    n, m = len(mat), len(mat[0])
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if piv is None:
+def _greedy_independent(pairs, m):
+    """The first m independent vectors of the ordered pairs, with sqrt values.
+
+    Each kept vector is stored reduced against the earlier ones, as an
+    integer row that vanishes at their pivot columns, so a candidate is
+    independent exactly when its reduction is nonzero.
+    """
+    chosen, minima, echelon = [], [], []
+    for value, vec in pairs:
+        row = list(vec)
+        for pivot, basis in echelon:
+            if row[pivot]:
+                row = [basis[pivot] * a - row[pivot] * b for a, b in zip(row, basis)]
+        pivot = next((i for i, a in enumerate(row) if a), None)
+        if pivot is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        for r in range(rank + 1, n):
-            if mat[r][col] != 0:
-                f = mat[r][col] * inv
-                for c in range(col, m):
-                    mat[r][c] -= f * mat[rank][c]
-        rank += 1
-    return rank == n
+        common = math.gcd(*row)
+        echelon.append((pivot, [a // common for a in row]))
+        chosen.append(vec)
+        minima.append(math.sqrt(max(value, 0.0)))
+        if len(chosen) == m:
+            break
+    return minima, chosen
 
 
-_MAX_BOX = {1: 10**6, 2: 1024, 3: 128, 4: 40}
+# Relative slack on the enumeration bound; it absorbs the rounding of the
+# reduced Gram matrix and of the partial sums, so no vector of value
+# <= lambda_m^2 is lost at the boundary.
+_RADIUS_SLACK = 1e-9
 
 
-def _enumerate_candidates(q_mat, box, keep):
-    """Smallest `keep` form values over [-box, box]^m \\ {0}, chunked.
+def _gram_schmidt(g, n):
+    """mu and |b*|^2 of the first n basis vectors of the Gram matrix g.
 
-    Returns a deterministic list of (value, vector) pairs sorted by
-    value then vector.
+    Equivalently Q(x) = sum_j bstar[j] (x_j + sum_{i>j} mu[i][j] x_i)^2,
+    the square-completed form that Fincke-Pohst enumerates.
+    """
+    mu = [[0.0] * n for _ in range(n)]
+    bstar = [0.0] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (
+                g[i][j] - sum(mu[j][t] * mu[i][t] * bstar[t] for t in range(j))
+            ) / bstar[j]
+        bstar[i] = g[i][i] - sum(mu[i][t] ** 2 * bstar[t] for t in range(i))
+    return mu, bstar
+
+
+def _lll(q_mat):
+    """Rows of an integer unimodular U such that U Q U^T is LLL-reduced.
+
+    The Lovasz constant is 0.99.  The Gram matrix of the current basis is
+    recomputed from Q and the exact integer U at every step, so rounding
+    never accumulates.
     """
     import numpy as np
 
     m = q_mat.shape[0]
-    axis = np.arange(-box, box + 1)
-    if m > 1:
-        tail_grids = np.meshgrid(*([axis] * (m - 1)), indexing="ij")
-        tail = np.stack([g.ravel() for g in tail_grids], axis=1)
-    else:
-        tail = np.zeros((1, 0), dtype=int)
-    best_vals = np.empty(0)
-    best_vecs = np.empty((0, m), dtype=int)
-    for x0 in axis:
-        vectors = np.concatenate(
-            [np.full((tail.shape[0], 1), x0, dtype=int), tail], axis=1
-        )
-        if x0 == 0:
-            vectors = vectors[np.any(vectors != 0, axis=1)]
-            if vectors.shape[0] == 0:
-                continue
-        values = np.einsum("ni,ij,nj->n", vectors, q_mat, vectors)
-        best_vals = np.concatenate([best_vals, values])
-        best_vecs = np.concatenate([best_vecs, vectors])
-        if best_vals.shape[0] > keep:
-            part = np.argpartition(best_vals, keep - 1)[:keep]
-            best_vals, best_vecs = best_vals[part], best_vecs[part]
-    pairs = [
-        (float(v), tuple(int(x) for x in c)) for v, c in zip(best_vals, best_vecs)
-    ]
-    pairs.sort()
-    return pairs
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    k = 1
+    while k < m:
+        uf = np.array(u, dtype=float)
+        mu, bstar = _gram_schmidt((uf @ q_mat @ uf.T).tolist(), k + 1)
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                for t in range(j):
+                    mu[k][t] -= q * mu[j][t]
+                mu[k][j] -= q
+        if bstar[k] >= (0.99 - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            u[k - 1], u[k] = u[k], u[k - 1]
+            k = max(k - 1, 1)
+    return u
 
 
-def _greedy_independent(pairs, m):
-    chosen, minima, rows = [], [], []
-    for value, vec in pairs:
-        if _rank_increases(rows, vec):
-            rows.append([Fraction(x) for x in vec])
-            chosen.append(vec)
-            minima.append(math.sqrt(max(value, 0.0)))
-            if len(chosen) == m:
-                break
-    return minima, chosen
+def _fincke_pohst(mu, bstar, bound):
+    """Every nonzero x with Q(x) <= bound, and the tree nodes visited."""
+    m = len(bstar)
+    x = [0] * m
+    found = []
+    nodes = 0
+
+    def descend(i, rest):
+        nonlocal nodes
+        center = -sum(mu[t][i] * x[t] for t in range(i + 1, m))
+        span = math.sqrt(max(rest, 0.0) / bstar[i])
+        for xi in range(math.ceil(center - span), math.floor(center + span) + 1):
+            nodes += 1
+            x[i] = xi
+            left = rest - bstar[i] * (xi - center) ** 2
+            if i:
+                descend(i - 1, left)
+            elif any(x):
+                found.append(tuple(x))
+        x[i] = 0
+
+    descend(m - 1, bound)
+    return found, nodes
 
 
-def successive_minima(gram, box=20):
-    """Exhaustive successive minima of a positive definite Gram matrix.
+def successive_minima(gram):
+    """Exact successive minima of a positive definite Gram matrix.
 
-    Enumerates integer vectors with coordinates in [-box, box].  The
-    search is certified exact when box >= ceil(sqrt(lambda_m^2 *
-    max_i (Q^-1)_ii)); if the starting box falls short it is enlarged up
-    to a dimension-dependent cap, after which the result is flagged
-    box-limited.
+    The basis is first LLL-reduced (Lenstra-Lenstra-Lovasz, Math. Ann.
+    261, 1982) with an exact integer transform U.  The m reduced basis
+    vectors are independent, so lambda_m^2 <= R, the largest diagonal
+    entry of the reduced Gram matrix.  Fincke-Pohst enumeration (Math.
+    Comp. 44, 1985; Cohen, GTM 138, sections 2.6-2.7) then lists every
+    nonzero vector of value <= R (1 + 1e-9).  Each is mapped back through
+    U and valued on the original Gram matrix; sorted by value then vector,
+    the first m independent ones are the witnesses.  The enumeration bound
+    alone certifies the result, in any rank; LLL only makes it cheap, and
+    the minima and witnesses do not depend on U.
     """
     import numpy as np
 
     m = len(gram)
     if m == 0:
-        return MinimaResult((), (), True, box, 0)
+        return MinimaResult((), (), True, 0.0, 0)
     q_mat = np.asarray(gram, dtype=float)
     if np.min(np.linalg.eigvalsh(q_mat)) <= 0:
         raise DependentPoints("Gram matrix is not positive definite")
-    inv_diag_max = float(np.max(np.diag(np.linalg.inv(q_mat))))
-    cap = _MAX_BOX.get(m, 12)
-    while True:
-        keep = 64 * m
-        total = (2 * box + 1) ** m - 1
-        while True:
-            pairs = _enumerate_candidates(q_mat, box, keep)
-            minima, chosen = _greedy_independent(pairs, m)
-            if len(chosen) == m or keep >= total:
-                break
-            keep = min(4 * keep, total)
-        needed = (
-            math.ceil(math.sqrt(minima[-1] ** 2 * inv_diag_max))
-            if len(chosen) == m
-            else box + 1
-        )
-        if len(chosen) == m and box >= needed:
-            return MinimaResult(tuple(minima), tuple(chosen), True, box, needed)
-        if needed > cap or box >= cap:
-            return MinimaResult(tuple(minima), tuple(chosen), False, box, needed)
-        box = min(max(needed, box + 1), cap)
+    u = np.array(_lll(q_mat), dtype=int)
+    reduced = (u @ q_mat @ u.T).tolist()
+    mu, bstar = _gram_schmidt(reduced, m)
+    radius = max(reduced[i][i] for i in range(m)) * (1 + _RADIUS_SLACK)
+    coefficients, nodes = _fincke_pohst(mu, bstar, radius)
+    vectors = np.array(coefficients, dtype=int) @ u
+    values = np.einsum("ni,ij,nj->n", vectors, q_mat, vectors)
+    pairs = sorted(
+        (float(v), tuple(int(x) for x in vec)) for v, vec in zip(values, vectors)
+    )
+    minima, chosen = _greedy_independent(pairs, m)
+    return MinimaResult(tuple(minima), tuple(chosen), True, radius, nodes)
 
 
-def check_regulator_theorem(cs, box=20):
+def check_regulator_theorem(cs):
     """Minkowski product bound plus the implied regulator constant.
 
     (a) the product of the quadratic-form minima lambda_i^2 is at most
@@ -396,14 +422,11 @@ def check_regulator_theorem(cs, box=20):
     if cs.rank == 0 or not cs.gram:
         return []
     m = cs.rank
-    result = successive_minima(cs.gram, box)
+    result = successive_minima(cs.gram)
     product = 1.0
     for lam in result.minima:
         product *= lam * lam
-    note = "minima %s%s" % (
-        "/".join("%.6g" % x for x in result.minima),
-        "" if result.exact else " (box-limited at %d)" % result.box,
-    )
+    note = "minima %s" % "/".join("%.6g" % x for x in result.minima)
     minkowski = _judge(
         "minkowski_minima", cs.label, m ** (m / 2) * cs.regulator, product, note
     )

@@ -198,21 +198,22 @@ def test_criterion_10_unconditional_inequalities(cstats):
                  "37a margin %.4f; c5(1,0) = %.6g" % (len(cstats), margin_37a, c5))
 
 
-def test_criterion_11_minkowski_minima(cstats):
+def test_criterion_11_minkowski_minima(cstats, brute_minima):
     by = {c.label: c for c in cstats}
     for label in ("37a", "389a", "5077a"):
         cs = by[label]
         rows = ledger.check_regulator_theorem(cs)
         assert rows and rows[0].verdict == "pass"
         res = ledger.successive_minima(cs.gram)
-        assert res.exact and res.box >= res.needed_box
+        assert res.exact
+        expected = brute_minima(cs.gram, res.minima[-1])
+        assert res.minima == pytest.approx(expected, rel=1e-12)
 
     import numpy
 
     rng = random.Random(424242)
-    done = 0
-    while done < 50:
-        m = rng.randint(1, 4)
+    for index in range(70):
+        m = rng.randint(1, 4) if index < 50 else rng.randint(5, 8)
         diag = numpy.diag([float(rng.randint(1, 9)) for _ in range(m)])
         u = numpy.eye(m)
         for _ in range(m):
@@ -223,17 +224,18 @@ def test_criterion_11_minkowski_minima(cstats):
                 u = u @ shear
         gram = (u.T @ diag @ u).tolist()
         res = ledger.successive_minima(gram)
-        if not res.exact:
-            continue
-        assert res.box >= res.needed_box
+        assert res.exact
+        if m <= 3:
+            expected = brute_minima(gram, res.minima[-1])
+            assert res.minima == pytest.approx(expected, rel=1e-12)
         prod_sq = 1.0
         for lam in res.minima:
             prod_sq *= lam * lam
         det = float(numpy.linalg.det(numpy.array(gram)))
         assert prod_sq <= m ** (m / 2) * det + 1e-9
-        done += 1
-    announce(11, "Minkowski minima bound holds on 37a/389a/5077a and 50 "
-                 "random positive definite Gram matrices, exact boxes certified")
+    announce(11, "Minkowski minima bound holds on 37a/389a/5077a and 70 "
+                 "random positive definite Gram matrices of rank 1-8, all "
+                 "exact; ranks <= 3 match a brute-force enumeration")
 
 
 def test_criterion_12_rank_zero_family(cstats):

@@ -3,6 +3,8 @@ import random
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithinv import ledger
 
@@ -218,13 +220,13 @@ class TestSuccessiveMinima:
     def test_rank0_skipped(self, cstats):
         assert ledger.check_regulator_theorem(stats_by_label(cstats)["Ep5"]) == []
 
-    def test_random_positive_definite(self):
-        # unimodular congruences of integer diagonal matrices; samples are
-        # regenerated when the lattice is too skewed for an exact box
+    def test_random_positive_definite(self, brute_minima):
+        # unimodular congruences of integer diagonal matrices, 50 of ranks
+        # 1-4 and 20 of ranks 5-8; every sample must be exact, and ranks
+        # <= 3 are checked against a brute-force enumeration
         rng = random.Random(20260809)
-        done = 0
-        while done < 50:
-            m = rng.randint(1, 4)
+        for index in range(70):
+            m = rng.randint(1, 4) if index < 50 else rng.randint(5, 8)
             diag = numpy.diag([float(rng.randint(1, 9)) for _ in range(m)])
             u = numpy.eye(m)
             for _ in range(m):
@@ -236,19 +238,69 @@ class TestSuccessiveMinima:
                 u = u @ shear
             gram = u.T @ diag @ u
             res = ledger.successive_minima(gram.tolist())
-            if not res.exact:
-                continue
-            assert res.box >= res.needed_box  # the certificate is honored
+            assert res.exact
+            assert res.radius >= res.minima[-1] ** 2
+            if m <= 3:
+                expected = brute_minima(gram, res.minima[-1])
+                assert res.minima == pytest.approx(expected, rel=1e-12)
             prod_sq = 1.0
             for lam in res.minima:
                 prod_sq *= lam * lam
             det = float(numpy.linalg.det(gram))
             assert prod_sq <= m ** (m / 2) * det * (1 + 1e-9)
-            done += 1
 
     def test_not_positive_definite(self):
         with pytest.raises(ledger.DependentPoints):
             ledger.successive_minima([[1.0, 2.0], [2.0, 1.0]])
+
+
+@st.composite
+def lattice_and_unimodular(draw):
+    """scale * B B^T for an integer lower-triangular B, and an integer U of det +-1."""
+    m = draw(st.integers(1, 8))
+    lower = numpy.array(
+        [
+            [draw(st.integers(1, 4)) if i == j else draw(st.integers(-3, 3)) if j < i else 0 for j in range(m)]
+            for i in range(m)
+        ],
+        dtype=float,
+    )
+    gram = draw(st.floats(0.25, 4.0)) * (lower @ lower.T)
+    u = numpy.eye(m, dtype=int)[draw(st.permutations(range(m)))]
+    for _ in range(draw(st.integers(0, 2 * m))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if i != j:
+            u[:, i] += draw(st.integers(-2, 2)) * u[:, j]
+    return gram, u
+
+
+class TestMinimaLaws:
+    @settings(max_examples=40)
+    @given(lattice_and_unimodular())
+    def test_unimodular_invariance(self, case):
+        gram, u = case
+        base = ledger.successive_minima(gram.tolist())
+        moved = ledger.successive_minima((u.T @ gram @ u).tolist())
+        assert moved.minima == pytest.approx(base.minima, rel=1e-9)
+
+    @settings(max_examples=40)
+    @given(lattice_and_unimodular())
+    def test_witness_norms_are_the_minima(self, case):
+        gram = case[0]
+        res = ledger.successive_minima(gram.tolist())
+        witnesses = numpy.array(res.witnesses)
+        assert numpy.linalg.matrix_rank(witnesses) == len(gram)
+        norms = numpy.sqrt(numpy.einsum("ni,ij,nj->n", witnesses, gram, witnesses))
+        assert list(norms) == pytest.approx(list(res.minima), rel=1e-9)
+
+    @settings(max_examples=40)
+    @given(lattice_and_unimodular())
+    def test_minkowski_product_bound(self, case):
+        gram = case[0]
+        m = len(gram)
+        res = ledger.successive_minima(gram.tolist())
+        product = math.prod(lam * lam for lam in res.minima)
+        assert product <= m ** (m / 2) * numpy.linalg.det(gram) * (1 + 1e-9)
 
 
 class TestAnalyticEstimates:
