@@ -9,6 +9,7 @@ and never fail.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -268,38 +269,13 @@ class MinimaResult:
     minima: tuple  # lambda_1 <= ... <= lambda_m
     witnesses: tuple  # independent integer coefficient vectors
     exact: bool
-    radius: float  # squared-norm bound the enumeration covered, >= lambda_m^2
+    radius: float  # largest squared-norm bound a step enumerated, >= lambda_m^2
     nodes: int  # Fincke-Pohst tree nodes visited
 
 
-def _greedy_independent(pairs, m):
-    """The first m independent vectors of the ordered pairs, with sqrt values.
-
-    Each kept vector is stored reduced against the earlier ones, as an
-    integer row that vanishes at their pivot columns, so a candidate is
-    independent exactly when its reduction is nonzero.
-    """
-    chosen, minima, echelon = [], [], []
-    for value, vec in pairs:
-        row = list(vec)
-        for pivot, basis in echelon:
-            if row[pivot]:
-                row = [basis[pivot] * a - row[pivot] * b for a, b in zip(row, basis)]
-        pivot = next((i for i, a in enumerate(row) if a), None)
-        if pivot is None:
-            continue
-        common = math.gcd(*row)
-        echelon.append((pivot, [a // common for a in row]))
-        chosen.append(vec)
-        minima.append(math.sqrt(max(value, 0.0)))
-        if len(chosen) == m:
-            break
-    return minima, chosen
-
-
-# Relative slack on the enumeration bound; it absorbs the rounding of the
-# reduced Gram matrix and of the partial sums, so no vector of value
-# <= lambda_m^2 is lost at the boundary.
+# Relative slack on every enumeration bound; it absorbs the rounding of
+# the Gram matrix of a basis and of the partial sums, so no vector of
+# least value is lost at the boundary.
 _RADIUS_SLACK = 1e-9
 
 
@@ -320,17 +296,20 @@ def _gram_schmidt(g, n):
     return mu, bstar
 
 
-def _lll(q_mat):
-    """Rows of an integer unimodular U such that U Q U^T is LLL-reduced.
+def _lll(q_mat, u, cut=0):
+    """LLL-reduce the basis whose vectors are the rows of the unimodular u.
 
-    The Lovasz constant is 0.99.  The Gram matrix of the current basis is
-    recomputed from Q and the exact integer U at every step, so rounding
-    never accumulates.
+    Returns new integer rows of the same lattice with the Gram matrix
+    u Q u^T LLL-reduced (Lovasz constant 0.99), except that rows cut - 1
+    and cut are never swapped: the first cut rows keep their span, and
+    the rest are reduced in projection orthogonal to it.  The Gram matrix
+    is recomputed from Q and the exact integer rows at every step, so
+    rounding never accumulates.
     """
     import numpy as np
 
-    m = q_mat.shape[0]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    u = [list(row) for row in u]
+    m = len(u)
     k = 1
     while k < m:
         uf = np.array(u, dtype=float)
@@ -342,7 +321,7 @@ def _lll(q_mat):
                 for t in range(j):
                     mu[k][t] -= q * mu[j][t]
                 mu[k][j] -= q
-        if bstar[k] >= (0.99 - mu[k][k - 1] ** 2) * bstar[k - 1]:
+        if k == cut or bstar[k] >= (0.99 - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:
             u[k - 1], u[k] = u[k], u[k - 1]
@@ -350,44 +329,113 @@ def _lll(q_mat):
     return u
 
 
-def _fincke_pohst(mu, bstar, bound):
-    """Every nonzero x with Q(x) <= bound, and the tree nodes visited."""
+def _saturated_basis(vectors):
+    """Rows of a unimodular integer matrix N whose first k rows span the
+    integer points of the real span of the k independent vectors.
+
+    Integer column operations bring the vectors C to [H | 0] with H lower
+    triangular, and N records them so that C = [H | 0] N throughout; then
+    C = H N[:k], and rows of a unimodular matrix span a saturated lattice.
+    """
+    c = [list(v) for v in vectors]
+    m = len(c[0])
+    n = [[int(i == j) for j in range(m)] for i in range(m)]
+    for r in range(len(c)):
+        while True:
+            p = min((j for j in range(r, m) if c[r][j]), key=lambda j: abs(c[r][j]))
+            for row in c:
+                row[r], row[p] = row[p], row[r]
+            n[r], n[p] = n[p], n[r]
+            if not any(c[r][r + 1 :]):
+                break
+            for j in range(r + 1, m):
+                q = c[r][j] // c[r][r]
+                if q:
+                    for row in c:
+                        row[j] -= q * row[r]
+                    n[r] = [a + q * b for a, b in zip(n[r], n[j])]
+    return n
+
+
+def _nearest_first(center):
+    """The integers in order of distance from center."""
+    up = math.ceil(center)
+    down = up - 1
+    while True:
+        if up - center <= center - down:
+            yield up
+            up += 1
+        else:
+            yield down
+            down -= 1
+
+
+def _shortest_outside(mu, bstar, cut, bound):
+    """Least-value coefficient vectors with a nonzero coordinate >= cut.
+
+    Fincke-Pohst with the Schnorr-Euchner order: every coordinate runs
+    outward from its center, and the bound shrinks to the least value
+    found, so vectors far above the answer are never listed.  Of y and -y
+    only the one whose highest nonzero coordinate is positive is visited.
+    Returns the (value, y) pairs within the relative slack of the least
+    value, none if rounding lost every vector of value <= bound, and the
+    tree nodes visited.
+    """
     m = len(bstar)
-    x = [0] * m
+    y = [0] * m
     found = []
+    best = bound
     nodes = 0
 
-    def descend(i, rest):
-        nonlocal nodes
-        center = -sum(mu[t][i] * x[t] for t in range(i + 1, m))
-        span = math.sqrt(max(rest, 0.0) / bstar[i])
-        for xi in range(math.ceil(center - span), math.floor(center + span) + 1):
+    def descend(i, used, top):
+        # top: every coordinate above i is zero, so the center is 0
+        nonlocal best, nodes
+        center = -sum(mu[t][i] * y[t] for t in range(i + 1, m))
+        if top and i >= cut:
+            steps = itertools.count(int(i == cut))
+        else:
+            steps = _nearest_first(center)
+        for yi in steps:
+            value = used + bstar[i] * (yi - center) ** 2
+            if value > best * (1 + _RADIUS_SLACK):
+                break
             nodes += 1
-            x[i] = xi
-            left = rest - bstar[i] * (xi - center) ** 2
+            y[i] = yi
             if i:
-                descend(i - 1, left)
-            elif any(x):
-                found.append(tuple(x))
-        x[i] = 0
+                descend(i - 1, value, top and yi == 0)
+            else:
+                found.append((value, tuple(y)))
+                best = min(best, value)
+        y[i] = 0
 
-    descend(m - 1, bound)
-    return found, nodes
+    descend(m - 1, 0.0, True)
+    limit = best * (1 + _RADIUS_SLACK)
+    return [(v, vec) for v, vec in found if v <= limit], nodes
 
 
 def successive_minima(gram):
     """Exact successive minima of a positive definite Gram matrix.
 
-    The basis is first LLL-reduced (Lenstra-Lenstra-Lovasz, Math. Ann.
-    261, 1982) with an exact integer transform U.  The m reduced basis
-    vectors are independent, so lambda_m^2 <= R, the largest diagonal
-    entry of the reduced Gram matrix.  Fincke-Pohst enumeration (Math.
-    Comp. 44, 1985; Cohen, GTM 138, sections 2.6-2.7) then lists every
-    nonzero vector of value <= R (1 + 1e-9).  Each is mapped back through
-    U and valued on the original Gram matrix; sorted by value then vector,
-    the first m independent ones are the witnesses.  The enumeration bound
-    alone certifies the result, in any rank; LLL only makes it cheap, and
-    the minima and witnesses do not depend on U.
+    The basis is LLL-reduced (Lenstra-Lenstra-Lovasz, Math. Ann. 261,
+    1982) with exact integer transforms, and the minima are found one at
+    a time.  The k-th witness is the least vector, by value and then by
+    vector, outside the span of the k - 1 before it; these are the
+    witnesses a greedy pass over all vectors sorted that way would pick.
+    To find it, the basis is changed so that its first k - 1 vectors span
+    the integer points of that span (`_saturated_basis`), each block is
+    LLL-reduced without mixing the two, and Fincke-Pohst enumeration
+    (Math. Comp. 44, 1985; Cohen, GTM 138, sections 2.6-2.7) prunes every
+    subtree whose later coordinates are all zero.  Its bound starts at the
+    least value of a basis vector outside the span and shrinks to the
+    best value found, so the enumeration never lists a vector inside the
+    span, however widely the minima are spread.  Each candidate is
+    valued on the original Gram matrix.  The bound alone certifies the
+    result; LLL only makes it cheap.
+
+    `exact` is false only if rounding lost every candidate of some step;
+    that step then takes the basis vector its bound came from, which is
+    outside the span, so every product of the minima stays an upper
+    bound for the true one.
     """
     import numpy as np
 
@@ -397,18 +445,30 @@ def successive_minima(gram):
     q_mat = np.asarray(gram, dtype=float)
     if np.min(np.linalg.eigvalsh(q_mat)) <= 0:
         raise DependentPoints("Gram matrix is not positive definite")
-    u = np.array(_lll(q_mat), dtype=int)
-    reduced = (u @ q_mat @ u.T).tolist()
-    mu, bstar = _gram_schmidt(reduced, m)
-    radius = max(reduced[i][i] for i in range(m)) * (1 + _RADIUS_SLACK)
-    coefficients, nodes = _fincke_pohst(mu, bstar, radius)
-    vectors = np.array(coefficients, dtype=int) @ u
-    values = np.einsum("ni,ij,nj->n", vectors, q_mat, vectors)
-    pairs = sorted(
-        (float(v), tuple(int(x) for x in vec)) for v, vec in zip(values, vectors)
-    )
-    minima, chosen = _greedy_independent(pairs, m)
-    return MinimaResult(tuple(minima), tuple(chosen), True, radius, nodes)
+    basis = _lll(q_mat, [[int(i == j) for j in range(m)] for i in range(m)])
+    minima, witnesses = [], []
+    exact, radius, nodes = True, 0.0, 0
+    for k in range(m):
+        if k:
+            basis = _lll(q_mat, _saturated_basis(witnesses), cut=k)
+        rows = np.array(basis, dtype=int)
+        g = (rows.astype(float) @ q_mat @ rows.T.astype(float)).tolist()
+        mu, bstar = _gram_schmidt(g, m)
+        bound, first = min((g[i][i], i) for i in range(k, m))
+        radius = max(radius, bound * (1 + _RADIUS_SLACK))
+        found, visited = _shortest_outside(mu, bstar, k, bound)
+        nodes += visited
+        exact = exact and bool(found)
+        coefficients = [vec for _, vec in found] or [[int(i == first) for i in range(m)]]
+        vectors = np.array(coefficients, dtype=int) @ rows
+        vectors = np.concatenate([vectors, -vectors])
+        values = np.einsum("ni,ij,nj->n", vectors, q_mat, vectors)
+        value, vec = min(
+            (float(v), tuple(int(x) for x in row)) for v, row in zip(values, vectors)
+        )
+        minima.append(math.sqrt(max(value, 0.0)))
+        witnesses.append(vec)
+    return MinimaResult(tuple(minima), tuple(witnesses), exact, radius, nodes)
 
 
 def check_regulator_theorem(cs):

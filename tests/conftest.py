@@ -1,6 +1,3 @@
-import math
-
-import numpy
 import pytest
 from hypothesis import settings
 
@@ -25,36 +22,3 @@ def fstats(bundled):
 @pytest.fixture(scope="session")
 def cstats(bundled):
     return corpus.curve_stats(bundled)
-
-
-def brute_force_minima(gram, lam_max):
-    """Successive minima by listing every vector of a box that must hold them.
-
-    A vector x of value <= lam^2 has |x_i| <= sqrt(lam^2 (G^-1)_ii), so the
-    box built from lam_max holds every vector the minima can use if
-    lam_max >= lambda_m; if lam_max is too small, the box yields fewer or
-    larger minima and a comparison fails.
-    """
-    g = numpy.array(gram, dtype=float)
-    m = len(g)
-    reach = lam_max**2 * (1 + 1e-9) * float(numpy.max(numpy.diag(numpy.linalg.inv(g))))
-    box = math.ceil(math.sqrt(reach))
-    axis = numpy.arange(-box, box + 1)
-    grid = numpy.meshgrid(*([axis] * m), indexing="ij")
-    vectors = numpy.stack([c.ravel() for c in grid], axis=1)
-    vectors = vectors[numpy.any(vectors != 0, axis=1)]
-    values = numpy.einsum("ni,ij,nj->n", vectors, g, vectors)
-    minima, chosen = [], []
-    for index in numpy.argsort(values, kind="stable"):
-        trial = chosen + [vectors[index]]
-        if numpy.linalg.matrix_rank(numpy.array(trial)) == len(trial):
-            chosen = trial
-            minima.append(math.sqrt(values[index]))
-            if len(chosen) == m:
-                break
-    return minima
-
-
-@pytest.fixture(scope="session")
-def brute_minima():
-    return brute_force_minima

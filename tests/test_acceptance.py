@@ -13,6 +13,7 @@ import mpmath
 import pytest
 
 from arithinv import analytic, arith, corpus, ellcurve, ledger, numfield
+from test_ledger import brute_force_minima
 
 
 def announce(num, text):
@@ -198,7 +199,7 @@ def test_criterion_10_unconditional_inequalities(cstats):
                  "37a margin %.4f; c5(1,0) = %.6g" % (len(cstats), margin_37a, c5))
 
 
-def test_criterion_11_minkowski_minima(cstats, brute_minima):
+def test_criterion_11_minkowski_minima(cstats):
     by = {c.label: c for c in cstats}
     for label in ("37a", "389a", "5077a"):
         cs = by[label]
@@ -206,7 +207,7 @@ def test_criterion_11_minkowski_minima(cstats, brute_minima):
         assert rows and rows[0].verdict == "pass"
         res = ledger.successive_minima(cs.gram)
         assert res.exact
-        expected = brute_minima(cs.gram, res.minima[-1])
+        expected = brute_force_minima(cs.gram, res.minima[-1])
         assert res.minima == pytest.approx(expected, rel=1e-12)
 
     import numpy
@@ -226,7 +227,7 @@ def test_criterion_11_minkowski_minima(cstats, brute_minima):
         res = ledger.successive_minima(gram)
         assert res.exact
         if m <= 3:
-            expected = brute_minima(gram, res.minima[-1])
+            expected = brute_force_minima(gram, res.minima[-1])
             assert res.minima == pytest.approx(expected, rel=1e-12)
         prod_sq = 1.0
         for lam in res.minima:

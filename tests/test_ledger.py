@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy
 import pytest
@@ -188,6 +189,34 @@ class TestCurveChecks:
         assert "no dense point" in row.note
 
 
+def brute_force_minima(gram, lam_max):
+    """Successive minima by listing every vector of a box that must hold them.
+
+    A vector x of value <= lam^2 has |x_i| <= sqrt(lam^2 (G^-1)_ii), so the
+    box built from lam_max holds every vector the minima can use if
+    lam_max >= lambda_m; if lam_max is too small, the box yields fewer or
+    larger minima and a comparison fails.
+    """
+    g = numpy.array(gram, dtype=float)
+    m = len(g)
+    reach = lam_max**2 * (1 + 1e-9) * float(numpy.max(numpy.diag(numpy.linalg.inv(g))))
+    box = math.ceil(math.sqrt(reach))
+    axis = numpy.arange(-box, box + 1)
+    grid = numpy.meshgrid(*([axis] * m), indexing="ij")
+    vectors = numpy.stack([c.ravel() for c in grid], axis=1)
+    vectors = vectors[numpy.any(vectors != 0, axis=1)]
+    values = numpy.einsum("ni,ij,nj->n", vectors, g, vectors)
+    minima, chosen = [], []
+    for index in numpy.argsort(values, kind="stable"):
+        trial = chosen + [vectors[index]]
+        if numpy.linalg.matrix_rank(numpy.array(trial)) == len(trial):
+            chosen = trial
+            minima.append(math.sqrt(values[index]))
+            if len(chosen) == m:
+                break
+    return minima
+
+
 class TestSuccessiveMinima:
     def test_one_dim(self):
         res = ledger.successive_minima([[4.0]])
@@ -220,7 +249,7 @@ class TestSuccessiveMinima:
     def test_rank0_skipped(self, cstats):
         assert ledger.check_regulator_theorem(stats_by_label(cstats)["Ep5"]) == []
 
-    def test_random_positive_definite(self, brute_minima):
+    def test_random_positive_definite(self):
         # unimodular congruences of integer diagonal matrices, 50 of ranks
         # 1-4 and 20 of ranks 5-8; every sample must be exact, and ranks
         # <= 3 are checked against a brute-force enumeration
@@ -241,13 +270,51 @@ class TestSuccessiveMinima:
             assert res.exact
             assert res.radius >= res.minima[-1] ** 2
             if m <= 3:
-                expected = brute_minima(gram, res.minima[-1])
+                expected = brute_force_minima(gram, res.minima[-1])
                 assert res.minima == pytest.approx(expected, rel=1e-12)
             prod_sq = 1.0
             for lam in res.minima:
                 prod_sq *= lam * lam
             det = float(numpy.linalg.det(gram))
             assert prod_sq <= m ** (m / 2) * det * (1 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "diag",
+        [(1, 1, 1, 1, 1e4), (1, 1, 1, 1e6), (0.05, 0.05, 0.05, 500.0), (1e-8, 1)],
+    )
+    def test_spread_minima(self, diag):
+        # one long generator beside short ones: no vector in the span of the
+        # short witnesses may be listed while the long one is sought, so the
+        # node count stays tiny; a search over the ball of radius lambda_m
+        # visits about 5e8 nodes on the first case
+        start = time.perf_counter()
+        res = ledger.successive_minima(numpy.diag(diag).tolist())
+        assert time.perf_counter() - start < 2.0
+        assert res.exact
+        assert res.minima == pytest.approx(sorted(math.sqrt(d) for d in diag), rel=1e-12)
+        assert res.nodes <= 20 * len(diag) ** 2
+
+    def test_near_singular(self):
+        # every multiple k b0 of the short vector has value <= 1 here
+        res = ledger.successive_minima([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+        assert res.exact
+        assert res.minima == pytest.approx([1e-5, 1.0], rel=1e-4)
+        assert res.nodes <= 20
+
+    def test_lost_candidates_are_not_exact(self, monkeypatch):
+        # if rounding loses every candidate of a step, the step takes a basis
+        # vector outside the span: the result is flagged, and its minima are
+        # still norms of independent vectors, never below the true minima
+        gram = [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 5.0]]
+        true = ledger.successive_minima(gram)
+        monkeypatch.setattr(ledger, "_shortest_outside", lambda mu, bstar, cut, bound: ([], 1))
+        res = ledger.successive_minima(gram)
+        assert not res.exact
+        assert numpy.linalg.matrix_rank(numpy.array(res.witnesses)) == 3
+        for lam, vec in zip(res.minima, res.witnesses):
+            assert lam * lam == pytest.approx(float(numpy.array(vec) @ numpy.array(gram) @ numpy.array(vec)))
+        for lam, least in zip(sorted(res.minima), true.minima):
+            assert lam >= least * (1 - 1e-12)
 
     def test_not_positive_definite(self):
         with pytest.raises(ledger.DependentPoints):
