@@ -324,12 +324,6 @@ class Factorization:
             n *= p**e
         return n
 
-    def as_dict(self):
-        return dict(self.factors)
-
-    def primes(self):
-        return [p for p, _ in self.factors]
-
 
 def factorize(n, trial_limit=TRIAL_LIMIT, rho_budget=RHO_BUDGET):
     """Factor a nonzero integer: trial division then Pollard rho."""

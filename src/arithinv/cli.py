@@ -108,7 +108,9 @@ RENDERERS = {"text": render_text, "csv": render_csv, "json": render_json}
 def cmd_field(args):
     corp = corpus.load_corpus(args.corpus)
     record = corpus.build_field_record(corp, args.label)
-    stats = {f.label: f for f in corpus.field_stats(corp)}[args.label]
+    sub = record.subfield_label
+    subrecord = corpus.build_field_record(corp, sub) if sub else None
+    stats = corpus.field_record_stats(record, subrecord)
     K = record.field
     lines = [
         "field %s" % args.label,
@@ -121,36 +123,31 @@ def cmd_field(args):
         "  regulator       %s" % _fmt(stats.regulator),
         "  CM              %s" % ("yes" if stats.is_cm else "no"),
     ]
-    if record.subfield_label:
-        lines.append("  subfield        %s (r0 = %s)" % (record.subfield_label, record.r0))
+    if sub:
+        lines.append("  subfield        %s (r0 = %s)" % (sub, record.r0))
     print("\n".join(lines))
     return 0
 
 
 def cmd_curve(args):
     corp = corpus.load_corpus(args.corpus)
-    s = corpus.curve_stats_one(corp, args.label)
-    _, _, mm, _, _ = corpus.build_curve_data(corp, args.label)
-    reduction = ellcurve.reduction_data(mm.curve)
+    inv = corpus.curve_stats_one(corp, args.label)
+    mm, s, tau = inv.model, inv.stats, inv.periods.tau
     rows = [
         "curve %s" % args.label,
         "  minimal model   a = [%s]  (u = %s)"
         % (", ".join(str(a) for a in mm.curve.a_invariants), mm.u),
         "  delta_min       %d" % s.delta_min,
     ]
-    for pr in reduction.primes:
+    for pr in inv.reduction.primes:
         rows.append(
             "  bad prime %-6d %s, %s, v(delta) = %d"
             % (pr.p, pr.kind, "stable" if pr.stable else "unstable", pr.v_delta)
         )
-    from . import analytic
-
-    periods = analytic.agm_periods(mm.curve)
     rows += [
         "  N0 / Nst / Nuns %d / %d / %d" % (s.n0, s.n_stable, s.n_unstable),
         "  semistable      %s" % ("yes" if s.semistable else "no"),
-        "  tau (reduced)   %s + %si"
-        % (_fmt(float(periods.tau.re)), _fmt(float(periods.tau.im))),
+        "  tau (reduced)   %s + %si" % (_fmt(float(tau.re)), _fmt(float(tau.im))),
         "  rho             %s" % _fmt(s.tau_im**-0.5),
         "  h_F+            %s" % _fmt(s.h_faltings),
         "  rank            %d" % s.rank,

@@ -23,7 +23,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import ellcurve, ledger, numfield
+from . import analytic, ellcurve, ledger, numfield
 from .errors import (
     DanglingSubfieldRef,
     DuplicateLabel,
@@ -184,8 +184,8 @@ def build_field_record(corpus, label):
     return numfield.FieldRecord(K, units, rec.get("subfield"), r0)
 
 
-def build_curve_data(corpus, label, tol=1e-9):
-    """Minimal model, reduction data, periods, heights for a curve record."""
+def build_curve_data(corpus, label):
+    """The record, its curve, minimal model, rank and generators on that model."""
     rec = corpus.curves.get(label)
     if rec is None:
         raise UnknownLabel("no curve labelled '%s'" % label)
@@ -209,50 +209,51 @@ def build_curve_data(corpus, label, tol=1e-9):
     return rec, curve, mm, rank, gens_min
 
 
-def _field_is_cm(field_records, label):
-    frec = field_records[label]
-    if frec.field.r1 != 0:
-        return False
-    sub = frec.subfield_label
-    if sub is None or sub not in field_records:
-        return False
-    sf = field_records[sub].field
-    return sf.r2 == 0 and frec.field.degree == 2 * sf.degree
+def field_record_stats(record, subrecord):
+    """FieldStats of a field record; subrecord is its declared subfield's or None."""
+    K = record.field
+    return ledger.FieldStats(
+        label=K.label,
+        degree=K.degree,
+        r1=K.r1,
+        r2=K.r2,
+        disc=K.disc,
+        w=K.w,
+        regulator=numfield.field_regulator(record),
+        r0=record.r0,
+        subfield_label=record.subfield_label,
+        is_cm=subrecord is not None and numfield.is_cm_shape(K, subrecord.field),
+    )
 
 
 def field_stats(corpus):
     """FieldStats rows for every field record, in corpus order."""
-    records = {lbl: build_field_record(corpus, lbl) for lbl in corpus.fields}
-    out = []
-    for label, frec in records.items():
-        out.append(
-            ledger.FieldStats(
-                label=label,
-                degree=frec.field.degree,
-                r1=frec.field.r1,
-                r2=frec.field.r2,
-                disc=frec.field.disc,
-                w=frec.field.w,
-                regulator=numfield.field_regulator(frec),
-                r0=frec.r0,
-                subfield_label=frec.subfield_label,
-                is_cm=_field_is_cm(records, label),
-            )
-        )
-    return out
+    records = {label: build_field_record(corpus, label) for label in corpus.fields}
+    return [
+        field_record_stats(rec, records.get(rec.subfield_label))
+        for rec in records.values()
+    ]
+
+
+@dataclass(frozen=True)
+class CurveInvariants:
+    """Everything computed for one curve record, each invariant once."""
+
+    model: ellcurve.MinimalModel
+    reduction: ellcurve.ReductionData
+    periods: analytic.PeriodData
+    stats: ledger.CurveStats
 
 
 def curve_stats_one(corpus, label, tol=1e-9):
-    """CurveStats for a single curve record."""
-    from . import analytic
-
-    _, _, mm, rank, gens_min = build_curve_data(corpus, label, tol)
+    """CurveInvariants of a single curve record."""
+    _, _, mm, rank, gens_min = build_curve_data(corpus, label)
     reduction = ellcurve.reduction_data(mm.curve)
     periods = analytic.agm_periods(mm.curve)
-    h_plus = ellcurve.faltings_height_plus(mm.curve)
+    h_plus = ellcurve.faltings_height_plus(mm, periods)
     mw = ellcurve.mw_regulator(mm.curve, list(gens_min), rank, tol)
     gen_heights = tuple(mw.gram[i][i] for i in range(rank))
-    return ledger.CurveStats(
+    stats = ledger.CurveStats(
         label=label,
         a_invariants=tuple(mm.curve.a_invariants),
         delta_min=int(mm.curve.delta),
@@ -267,8 +268,9 @@ def curve_stats_one(corpus, label, tol=1e-9):
         gram=mw.gram,
         regulator=mw.regulator,
     )
+    return CurveInvariants(mm, reduction, periods, stats)
 
 
 def curve_stats(corpus, tol=1e-9):
     """CurveStats rows for every curve record, in corpus order."""
-    return [curve_stats_one(corpus, label, tol) for label in corpus.curves]
+    return [curve_stats_one(corpus, label, tol).stats for label in corpus.curves]

@@ -581,17 +581,6 @@ def canonical_height_doubling(curve, point, tol=1e-6, work_limit=4e6):
     return value, c / 4**k
 
 
-def pairing(curve, p, q, tol=DEFAULT_TOL):
-    """Height pairing <P,Q> = (HEIGHT_SCALE/2)(hhat_x(P+Q) - hhat_x(P) - hhat_x(Q))."""
-    _require_on_curve(curve, p)
-    _require_on_curve(curve, q)
-    if p.is_infinity or q.is_infinity:
-        return 0.0
-    scale = float(HEIGHT_SCALE) / 2
-    hsum = canonical_height(curve, add(curve, p, q), tol)
-    return scale * (hsum - canonical_height(curve, p, tol) - canonical_height(curve, q, tol))
-
-
 @dataclass(frozen=True)
 class MordellWeilBasis:
     points: tuple
@@ -643,14 +632,12 @@ def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
 # the nonnegative differential height
 
 
-def faltings_height_plus(curve):
+def faltings_height_plus(mm, periods):
     """(1/12)(log |delta_min| - log(|delta(tau)| (2 Im tau)^6)) over Q.
 
-    Works on the global minimal model; the archimedean term comes from
-    the AGM period lattice.  Always >= 0.
+    mm is the global minimal model and periods its AGM period lattice
+    (``analytic.agm_periods(mm.curve)``).  Always >= 0.
     """
-    mm = minimal_model(curve)
-    periods = analytic.agm_periods(mm.curve)
     with prec.working(20):
         value = (
             mpmath.log(abs(int(mm.curve.delta)))

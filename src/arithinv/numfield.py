@@ -175,15 +175,6 @@ def element_charpoly(field, coeffs):
     return arith.charpoly(mult_matrix(field, coeffs))
 
 
-def is_algebraic_integer(field, coeffs):
-    return all(c.denominator == 1 for c in element_charpoly(field, coeffs))
-
-
-def embed(field, coeffs, place):
-    c = _as_coeffs(field, coeffs)
-    return arith.poly_eval(c, place.value)
-
-
 def log_embedding(field, coeffs):
     """The weighted log map: log|s(alpha)| per real place, twice that per pair."""
     c = _as_coeffs(field, coeffs)
@@ -300,6 +291,11 @@ class CmVerdict:
     ratio: float | None
 
 
+def is_cm_shape(K, K0):
+    """K totally imaginary, K0 totally real and [K:K0] = 2 by degrees."""
+    return K.r1 == 0 and K0.r2 == 0 and K.degree == 2 * K0.degree
+
+
 def verify_cm(record, subrecord):
     """Check the CM shape of K over its declared maximal totally real subfield.
 
@@ -309,14 +305,13 @@ def verify_cm(record, subrecord):
     """
     K = record.field
     K0 = subrecord.field
-    totally_imaginary = K.r1 == 0
-    totally_real_sub = K0.r2 == 0
-    if not (totally_imaginary and totally_real_sub):
+    if not is_cm_shape(K, K0):
+        if K.r1 == 0 and K0.r2 == 0:
+            raise DegreeMismatch(
+                "CM claim needs [K:K0] = 2, got degrees %d over %d"
+                % (K.degree, K0.degree)
+            )
         return CmVerdict(False, None, None)
-    if K.degree != 2 * K0.degree:
-        raise DegreeMismatch(
-            "CM claim needs [K:K0] = 2, got degrees %d over %d" % (K.degree, K0.degree)
-        )
     ratio = field_regulator(record) / field_regulator(subrecord)
     s = math.log2(ratio)
     s_int = round(s)

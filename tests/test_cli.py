@@ -210,10 +210,51 @@ class TestFractionalGens:
         )
         c = corpus.parse_corpus(text)
         assert corpus.parse_corpus(corpus.emit_corpus(c.records)).records == c.records
-        stats = corpus.curve_stats_one(c, "37a-shift")
+        stats = corpus.curve_stats_one(c, "37a-shift").stats
         assert stats.rank == 1
         # height of 5P: 25 * h(P)
         assert stats.gen_heights[0] == pytest.approx(25 * 0.0766671123, abs=1e-6)
+
+
+class TestOnePass:
+    def test_field_query_ignores_bad_field_elsewhere(self, tmp_path, capsys):
+        # Q(sqrt 211) fails its unit check at the default precision; a
+        # query for another field must not build it
+        path = tmp_path / "corpus.txt"
+        bad = "\nfield Qr211\npoly = -211 0 1\n"
+        path.write_text(corpus.bundled_corpus_text() + bad)
+        assert cli.main(["field", "Q_sqrt2"]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["field", "Q_sqrt2", "--corpus", str(path)]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "argv", [["curve", "37a"], ["verify"]], ids=["curve", "verify"]
+    )
+    def test_each_curve_invariant_once_per_curve(self, argv, monkeypatch, capsys):
+        from arithinv import analytic, ellcurve
+
+        counts = {}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(analytic, "agm_periods")
+        counting(ellcurve, "minimal_model")
+        counting(ellcurve, "reduction_data")
+        assert cli.main(argv) == 0
+        curves = 1 if argv[0] == "curve" else len(corpus.load_corpus().curves)
+        assert counts == {
+            "agm_periods": curves,
+            "minimal_model": curves,
+            "reduction_data": curves,
+        }
 
 
 class TestUnknownCheckToken:
