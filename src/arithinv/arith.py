@@ -234,20 +234,22 @@ def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
 # primes and factorization
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_small_primes = None
+_sieved = (1, [])  # (limit, every prime <= limit)
 
 
 def _sieve_primes(limit):
-    global _small_primes
-    if _small_primes is None:
+    """Every prime <= limit (and perhaps more); the cached sieve grows on demand."""
+    global _sieved
+    if limit > _sieved[0]:
+        limit = max(limit, 2 * _sieved[0])
         sieve = bytearray(b"\x01") * (limit + 1)
         sieve[:2] = b"\x00\x00"
         for p in range(2, math.isqrt(limit) + 1):
             if sieve[p]:
                 start = p * p
                 sieve[start :: p] = b"\x00" * ((limit - start) // p + 1)
-        _small_primes = [i for i, v in enumerate(sieve) if v]
-    return _small_primes
+        _sieved = (limit, [i for i, v in enumerate(sieve) if v])
+    return _sieved[1]
 
 
 def is_prime(n):
@@ -345,7 +347,7 @@ def factorize(n, trial_limit=TRIAL_LIMIT, rho_budget=RHO_BUDGET):
             record(v)
             continue
         found = False
-        for p in _sieve_primes(TRIAL_LIMIT):
+        for p in _sieve_primes(min(trial_limit, math.isqrt(v))):
             if p > trial_limit or p * p > v:
                 break
             if v % p == 0:

@@ -164,11 +164,19 @@ def scalar_mul(curve, n, point):
 
 
 def is_torsion(curve, point):
-    """Exact torsion test: some multiple nP = O with n <= 12 (Mazur bound)."""
+    """Exact torsion test: some multiple nP = O with n <= 12 (Mazur bound).
+
+    On an integral model every torsion point has 4x integral (Silverman,
+    AEC VII.3.4), and multiples of a torsion point are torsion, so the
+    loop stops at the first multiple with 4x not in Z.
+    """
     if point.is_infinity:
         return True
+    integral = curve.is_integral
     q = point
     for _ in range(TORSION_ORDER_BOUND):
+        if integral and (4 * q.x).denominator != 1:
+            return False
         q = add(curve, q, point)
         if q.is_infinity:
             return True
@@ -564,9 +572,10 @@ def canonical_height_doubling(curve, point, tol=1e-6, work_limit=4e6):
             affordable = int(math.log(work_limit / max(size, 1.0)) / math.log(4))
             n = k + max(affordable, 0)
             continue
-        aa, bb = a * a, b * b
-        fa = aa * aa - b4 * aa * bb - 2 * b6 * a * b * bb - b8 * bb * bb
-        gb = 4 * aa * a * b + b2 * aa * bb + 2 * b4 * a * b * bb + b6 * bb * bb
+        # F(a, b) and G(a, b) from the shared a^2, ab, b^2: four big products
+        aa, ab, bb = a * a, a * b, b * b
+        fa = aa * aa - bb * (b4 * aa + 2 * b6 * ab + b8 * bb)
+        gb = 4 * aa * ab + bb * (b2 * aa + 2 * b4 * ab + b6 * bb)
         if gb == 0:
             raise NoConvergence("doubling hit two-torsion")
         for p in hd.junk_primes:

@@ -206,12 +206,14 @@ def unit_system(field, units_coeffs):
         c = tuple(_as_coeffs(field, coeffs))
         cp = element_charpoly(field, c)
         if any(x.denominator != 1 for x in cp):
-            raise InvariantError("supplied unit is not an algebraic integer: %s" % (c,))
+            raise InvariantError(
+                "%s: supplied unit is not an algebraic integer: %s" % (field.label, c)
+            )
         if abs(norm(field, c)) != 1:
-            raise InvariantError("supplied element is not a unit: %s" % (c,))
+            raise InvariantError("%s: supplied element is not a unit: %s" % (field.label, c))
         row = log_embedding(field, c)
         if abs(float(mpmath.fsum(row))) > 1e-9:
-            raise InvariantError("unit log row does not sum to 0: %s" % (c,))
+            raise InvariantError("%s: unit log row does not sum to 0: %s" % (field.label, c))
         units.append(c)
         rows.append(tuple(row))
     return UnitSystem(tuple(units), tuple(rows))
@@ -237,7 +239,9 @@ def regulator(field, units):
     n = field.r1 + field.r2
     got = len(units.units) if units is not None else 0
     if got != r:
-        raise WrongUnitCount("expected %d independent units, got %d" % (r, got))
+        raise WrongUnitCount(
+            "%s: expected %d independent units, got %d" % (field.label, r, got)
+        )
     if r == 0:
         return 1.0
     with prec.working(20):
@@ -248,13 +252,14 @@ def regulator(field, units):
         det_m = abs(mpmath.det(minor))
         if abs(det_b - det_m) > 1e-10:
             raise InvariantError(
-                "regulator determinant forms disagree: %s vs %s" % (det_b, det_m)
+                "%s: regulator determinant forms disagree: %s vs %s"
+                % (field.label, det_b, det_m)
             )
         hadamard = 1.0
         for row in rows:
             hadamard *= math.sqrt(sum(float(x) ** 2 for x in row))
         if float(det_b) < 1e-12 * max(1.0, hadamard):
-            raise DependentUnits("unit log rows are numerically dependent")
+            raise DependentUnits("%s: unit log rows are numerically dependent" % field.label)
         return float(det_b)
 
 

@@ -250,6 +250,35 @@ class TestFactorBudget:
         assert f.factors == ((1000003, 1), (1000033, 1))
 
 
+class TestLazySieve:
+    def test_sieve_grows_past_a_small_cached_bound(self, monkeypatch):
+        monkeypatch.setattr(arith, "_sieved", (1, []))
+        assert arith.factorize(91).factors == ((7, 1), (13, 1))
+        assert arith._sieved[0] < 100  # sized to isqrt(91), not to TRIAL_LIMIT
+        assert arith.factorize(999983 * 999979).factors == ((999979, 1), (999983, 1))
+        assert arith.factorize(2 * 999983**2).factors == ((2, 1), (999983, 2))
+        assert arith.factorize(-(999979**3)).factors == ((999979, 3),)
+
+    def test_factorizations_match_a_full_sieve(self, monkeypatch):
+        # sizes spread from 10^2 to 10^13, so the lazy sieve grows in steps
+        rng = random.Random(5)
+        ns = [rng.randrange(2, 10 ** rng.randint(2, 13)) for _ in range(200)]
+        ns += [p * q for p, q in ((999983, 999979), (65537, 999961), (3, 999983))]
+        monkeypatch.setattr(arith, "_sieved", (1, []))
+        arith._sieve_primes(arith.TRIAL_LIMIT)
+        full = [arith.factorize(n) for n in ns]
+        monkeypatch.setattr(arith, "_sieved", (1, []))
+        assert [arith.factorize(n) for n in ns] == full
+        assert arith._sieved[0] >= 999979
+
+    def test_sieve_is_exact_at_each_bound(self, monkeypatch):
+        monkeypatch.setattr(arith, "_sieved", (1, []))
+        for limit in (10, 97, 1000, 5000):
+            primes = arith._sieve_primes(limit)
+            want = [n for n in range(limit + 1) if arith.is_prime(n)]
+            assert [p for p in primes if p <= limit] == want
+
+
 class TestPellHalfCaseOracle:
     def test_m13_brute_force_pm4(self):
         # maximal-order units of Q(sqrt 13) solve u^2 - 13 v^2 = +-4;

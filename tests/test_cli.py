@@ -228,6 +228,13 @@ class TestOnePass:
         assert cli.main(["field", "Q_sqrt2", "--corpus", str(path)]) == 0
         assert capsys.readouterr().out == want
 
+    def test_unit_error_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "corpus.txt"
+        path.write_text(corpus.bundled_corpus_text() + "\nfield Qr211\npoly = -211 0 1\n")
+        assert cli.main(["verify", "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Qr211" in err and "unit log row does not sum to 0" in err
+
     @pytest.mark.parametrize(
         "argv", [["curve", "37a"], ["verify"]], ids=["curve", "verify"]
     )

@@ -1,10 +1,15 @@
+import functools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arithinv import analytic
+from arithinv import analytic, corpus
 from arithinv import ellcurve as ec
 from arithinv.errors import DependentPoints, PointNotOnCurve, SingularCurve
 
@@ -13,7 +18,9 @@ E389 = ec.weierstrass_curve(0, 1, 1, -2, 0)
 E5077 = ec.weierstrass_curve(0, 0, 1, -7, 6)
 EJ0 = ec.weierstrass_curve(0, 0, 0, 0, 1)  # y^2 = x^3 + 1
 EJ1728 = ec.weierstrass_curve(0, 0, 0, 1, 0)  # y^2 = x^3 + x
+E15 = ec.weierstrass_curve(1, 4, 0, 1, 0)  # y^2 + xy = x^3 + 4x^2 + x
 P37 = ec.Point.of(0, 0)
+ORACLE_PINS = Path(__file__).resolve().parent / "data" / "oracle_pins.json"
 
 
 def h_plus(curve):
@@ -80,6 +87,75 @@ class TestGroupLaw:
     def test_torsion_detection(self):
         assert ec.is_torsion(EJ0, ec.Point.of(2, 3))  # order 6
         assert not ec.is_torsion(E37, P37)
+
+
+def mazur_reference(curve, point):
+    """Plain torsion test: some nP = O with n <= 12."""
+    q = point
+    for _ in range(12):
+        if q.is_infinity:
+            return True
+        q = ec.add(curve, q, point)
+    return q.is_infinity
+
+
+EJ0_TORSION = [(-1, 0), (0, 1), (0, -1), (2, 3), (2, -3)]  # Z/6
+E15_TORSION = [  # Z/2 x Z/4
+    (0, 0), (-4, 2), (Fraction(-1, 4), Fraction(1, 8)), (-1, -1), (-1, 2), (1, -3), (1, 2)
+]
+
+
+class TestTorsion:
+    def test_two_torsion_with_nonintegral_x(self):
+        # 4x is integral on an integral model, x need not be
+        assert E15.delta == 225 and E15.is_integral
+        p = ec.Point.of(Fraction(-1, 4), Fraction(1, 8))
+        assert ec.scalar_mul(E15, 2, p).is_infinity
+        assert ec.is_torsion(E15, p)
+
+    def test_torsion_points_agree_with_reference(self):
+        for curve, pts in ((EJ0, EJ0_TORSION), (E15, E15_TORSION)):
+            for x, y in pts:
+                p = ec.Point.of(x, y)
+                assert ec.is_torsion(curve, p) == mazur_reference(curve, p) is True
+
+    @pytest.mark.parametrize(
+        "curve, gen, kmax",
+        [(E37, P37, 30), (E389, ec.Point.of(1, 0), 8), (E5077, ec.Point.of(0, 2), 6)],
+        ids=["37a", "389a", "5077a"],
+    )
+    def test_multiples_agree_with_reference(self, curve, gen, kmax):
+        # the reference forms 12 multiples of kP, whose coordinates grow
+        # like (12k)^2 hhat(P); kmax keeps it under a second per curve
+        q = gen
+        for _ in range(kmax):
+            for p in (q, ec.negate(curve, q)):
+                assert ec.is_torsion(curve, p) == mazur_reference(curve, p) is False
+            q = ec.add(curve, q, gen)
+
+    def test_large_point_needs_no_addition(self, monkeypatch):
+        q = ec.scalar_mul(E37, 45, P37)
+        calls = []
+        real_add = ec.add
+
+        def counting_add(curve, p, r):
+            calls.append(1)
+            return real_add(curve, p, r)
+
+        monkeypatch.setattr(ec, "add", counting_add)
+        assert not ec.is_torsion(E37, q)
+        assert calls == []
+
+    def test_nonintegral_model_keeps_the_full_loop(self):
+        # u = 4 turns (-1, 0) into (-1/16, 0), where 4x is not integral
+        for u in (2, 4):
+            curve = ec.transform_curve(EJ0, u, 0, 0, 0)
+            assert not curve.is_integral
+            for x, y in EJ0_TORSION:
+                p = ec.transform_point(ec.Point.of(x, y), u, 0, 0, 0)
+                assert ec.on_curve(curve, p) and ec.is_torsion(curve, p)
+            gen = ec.transform_point(ec.Point.of(2, 3), u, 0, 0, 0)
+            assert ec.scalar_mul(curve, 6, gen).is_infinity
 
 
 class TestMinimalModel:
@@ -342,3 +418,49 @@ class TestHeightPrecisionStability:
         finally:
             prec.set_precision(before)
             ec._height_cache.clear()
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_generators():
+    """(minimal curve, generator, hhat) for every bundled generator."""
+    bundled = corpus.load_corpus()
+    out = []
+    for label in sorted(bundled.curves):
+        _, _, mm, _, gens = corpus.build_curve_data(bundled, label)
+        out += [(mm.curve, g, ec.canonical_height(mm.curve, g)) for g in gens]
+    return tuple(out)
+
+
+class TestHeightLaws:
+    @settings(max_examples=25)
+    @given(st.integers(0, 5), st.integers(-100, 100))
+    def test_quadratic(self, which, n):
+        curve, gen, h = bundled_generators()[which]
+        hn = ec.canonical_height(curve, ec.scalar_mul(curve, n, gen))
+        assert abs(hn - n * n * h) <= (n * n + 1) * ec.DEFAULT_TOL
+
+    @settings(max_examples=25)
+    @given(
+        st.integers(0, 5),
+        st.integers(1, 4),
+        st.integers(-5, 5),
+        st.integers(-5, 5),
+        st.integers(-5, 5),
+    )
+    def test_model_change_invariance(self, which, k, r, s, t):
+        # u = 1/k multiplies a_i by k^i, so the new model stays integral
+        curve, gen, h = bundled_generators()[which]
+        u = Fraction(1, k)
+        moved = ec.transform_curve(curve, u, r, s, t)
+        assert moved.is_integral
+        hm = ec.canonical_height(moved, ec.transform_point(gen, u, r, s, t))
+        assert abs(hm - h) <= 2 * ec.DEFAULT_TOL
+
+
+def test_oracle_pinned():
+    """canonical_height_doubling reproduces its pinned (value, bound) reprs."""
+    for row in json.loads(ORACLE_PINS.read_text(encoding="utf-8")):
+        curve = ec.weierstrass_curve(*[Fraction(a) for a in row["curve"]])
+        point = ec.Point(*[Fraction(c) for c in row["point"]])
+        value, bound = ec.canonical_height_doubling(curve, point, float(row["tol"]))
+        assert (repr(value), repr(bound)) == (row["value"], row["bound"]), row["point"]
