@@ -196,6 +196,7 @@ class PeriodData:
     omega1: mpf  # real period
     omega2: mpc  # second basis period, Im(omega2/omega1) > 0
     tau: ReducedTau
+    roots: tuple  # arith.ComplexApprox roots of 4x^3 + b2 x^2 + 2 b4 x + b6
 
 
 def _conjugate_pair_agm(w):
@@ -240,4 +241,4 @@ def agm_periods(curve):
         raise AgmNoConvergence(
             "period lattice does not reproduce the algebraic j-invariant"
         )
-    return PeriodData(omega1, omega2, tau)
+    return PeriodData(omega1, omega2, tau, tuple(roots))

@@ -14,9 +14,11 @@ Two independent height paths are kept deliberately separate:
   series in the real embedding plus one exact p-adic valuation series
   per bad prime; the decomposition follows from the product formula
   applied to the duplication map x(2P) = F(x)/G(x);
-* the oracle path doubles the point with exact integer coordinate
-  pairs and rescales, with the explicit error bound C(E)/4^n, C(E)
-  derived from resultant certificates of the same F, G.
+* the oracle path is Silverman's algorithm (Math. Comp. 51, 1988) on
+  the global minimal model: a q-series at the elliptic logarithm (Sec. 4,
+  from the AGM period lattice) plus the closed forms of his Thm 5.2 in
+  the valuations of delta, psi_2 and psi_3 at each bad prime, with an
+  explicit series-tail and rounding bound.
 """
 
 from __future__ import annotations
@@ -110,9 +112,11 @@ INFINITY = Point()
 def on_curve(curve, point):
     if point.is_infinity:
         return True
-    x, y = point.x, point.y
-    lhs = y * y + curve.a1 * x * y + curve.a3 * y
-    rhs = x**3 + curve.a2 * x * x + curve.a4 * x + curve.a6
+    # the equation times D^3 F^2 for x = X/D, y = Y/F: no big gcds
+    X, D = point.x.numerator, point.x.denominator
+    Y, F = point.y.numerator, point.y.denominator
+    lhs = D * D * Y * (Y * D + curve.a1 * X * F + curve.a3 * D * F)
+    rhs = F * F * (X**3 + D * (curve.a2 * X * X + D * (curve.a4 * X + curve.a6 * D)))
     return lhs == rhs
 
 
@@ -128,9 +132,14 @@ def negate(curve, point):
 
 
 def add(curve, p, q):
-    """Exact chord-tangent addition."""
+    """Exact chord-tangent addition of two points checked to lie on the curve."""
     _require_on_curve(curve, p)
     _require_on_curve(curve, q)
+    return _add(curve, p, q)
+
+
+def _add(curve, p, q):
+    # unchecked: exact chord-tangent sums of points on the curve stay on it
     if p.is_infinity:
         return q
     if q.is_infinity:
@@ -151,14 +160,15 @@ def add(curve, p, q):
 
 
 def scalar_mul(curve, n, point):
+    _require_on_curve(curve, point)
     if n < 0:
-        return scalar_mul(curve, -n, negate(curve, point))
+        n, point = -n, negate(curve, point)
     acc = INFINITY
     base = point
     while n:
         if n & 1:
-            acc = add(curve, acc, base)
-        base = add(curve, base, base)
+            acc = _add(curve, acc, base)
+        base = _add(curve, base, base)
         n >>= 1
     return acc
 
@@ -170,6 +180,7 @@ def is_torsion(curve, point):
     AEC VII.3.4), and multiples of a torsion point are torsion, so the
     loop stops at the first multiple with 4x not in Z.
     """
+    _require_on_curve(curve, point)
     if point.is_infinity:
         return True
     integral = curve.is_integral
@@ -177,7 +188,7 @@ def is_torsion(curve, point):
     for _ in range(TORSION_ORDER_BOUND):
         if integral and (4 * q.x).denominator != 1:
             return False
-        q = add(curve, q, point)
+        q = _add(curve, q, point)
         if q.is_infinity:
             return True
     return False
@@ -387,17 +398,11 @@ def _coeff_l1(coeffs):
     return sum(abs(c) for c in coeffs)
 
 
-def _log_bigint(n):
-    if n <= 0:
-        raise ValueError("positive integer expected")
-    if n.bit_length() <= 512:
-        return math.log(n)
-    shift = n.bit_length() - 64
-    return math.log(n >> shift) + shift * math.log(2)
-
-
 class _HeightData:
-    """Per-curve certificates for both height paths (cached)."""
+    """Per-curve certificates of the primary height path (cached).
+
+    doubling_constant is C(E) with |hhat_x(P) - 4^-n h_x(2^n P)| <= C(E)/4^n.
+    """
 
     def __init__(self, curve):
         if not curve.is_integral:
@@ -421,11 +426,8 @@ class _HeightData:
         for p, _ in arith.factorize(int(curve.delta)).factors:
             vb = max(_vp(self.res1, p) or 0, _vp(self.res2, p) or 0)
             self.bad.append((p, vb))
-        self.mu_bound_total = self.mu_bound_inf + sum(
-            vb * math.log(p) for p, vb in self.bad
-        )
-        self.oracle_constant = self.mu_bound_total / 3.0  # |hhat - 4^-n h_n| <= C/4^n
-        self.junk_primes = [p for p, _ in arith.factorize(self.res1).factors]
+        mu_bound_total = self.mu_bound_inf + sum(vb * math.log(p) for p, vb in self.bad)
+        self.doubling_constant = mu_bound_total / 3.0
 
 
 _height_cache = {}
@@ -508,8 +510,7 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
     valuation series; good denominator primes contribute log of the
     coprime denominator part directly.
     """
-    _require_on_curve(curve, point)
-    if point.is_infinity or is_torsion(curve, point):
+    if point.is_infinity or is_torsion(curve, point):  # is_torsion checks the point
         return 0.0
     hd = _height_data(curve)
     x0 = point.x
@@ -545,49 +546,138 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
         return float(total)
 
 
-def canonical_height_doubling(curve, point, tol=1e-6, work_limit=4e6):
-    """Independent oracle: 4^(-n) h_x(2^n P) with certified error bound.
+def _bad_local_height(curve, point, row):
+    """Silverman (1988) Thm 5.2: lambda_p(P) / log p on a model minimal at p.
 
-    Returns (value, error_bound).  Coordinates are kept as exact coprime
-    integer pairs; only primes dividing the duplication resultant can
-    enter the common factor, so reduction stays cheap.  The doubling
-    count n targets C(E)/4^n <= tol but is capped so the final
-    coordinates stay below work_limit nats; the returned error bound is
-    always the honest C(E)/4^n for the n actually used.
+    On the integral model x = X/e^2 and y = Y/e^3 in lowest terms.  If p
+    divides e, P reduces to O and lambda_p = v_p(e^2)/2.  Otherwise e is
+    a p-unit, so A, B and C are the valuations of the integer forms below.
+    """
+    p = row.p
+    X, D = point.x.numerator, point.x.denominator
+    if D % p == 0:
+        return Fraction(_vp(D, p), 2)
+    Y, e = point.y.numerator, point.y.denominator // D
+
+    def v(n):
+        return math.inf if n == 0 else _vp(n, p)
+
+    a1, a2, a3, a4 = (int(c) for c in curve.a_invariants[:4])
+    a = v(3 * X * X + 2 * a2 * X * D + a4 * D * D - a1 * Y * e)
+    b = v(2 * Y + a1 * X * e + a3 * e * D)
+    if a <= 0 or b <= 0:
+        return Fraction(0)
+    if row.kind == "multiplicative":
+        n = row.v_delta
+        m = min(b, Fraction(n, 2))
+        return -m * (n - m) / (2 * n)
+    b2, b4, b6, b8 = (int(c) for c in (curve.b2, curve.b4, curve.b6, curve.b8))
+    c = v(3 * X**4 + D * (b2 * X**3 + D * (3 * b4 * X * X + D * (3 * b6 * X + b8 * D))))
+    if c >= 3 * b:
+        return Fraction(-b, 3)
+    return Fraction(-c, 8)
+
+
+def _archimedean_local_height(curve, periods, point, tol):
+    """Silverman (1988) Sec. 4: lambda_inf(P) and an error bound.
+
+    The elliptic logarithm z is Carlson's R_F on the identity component;
+    a point on the egg is first moved there by adding the 2-torsion
+    point T3 (z(P) = z(P + T3) + omega2/2).  The q-series runs in the
+    reduced basis of the period lattice, with t = Im z / Im tau folded
+    into [0, 1/2] (lambda is even and periodic), so every factor
+    |q^n u^{+-1}| is at most |q|^(n - 1/2) <= exp(-pi sqrt 3 (n - 1/2)).
+    """
+    roots = periods.roots
+    root_err = max(r.err for r in roots)
+    with prec.working(20):
+        pi = mpmath.pi
+        eta = mpf(2) ** -prec.bits()  # inputs carry at least prec.bits() + 10 bits
+        x = mpf(point.x.numerator) / point.x.denominator
+        if curve.delta > 0:
+            e3, e2, e1 = [r.real for r in roots]
+        else:
+            e1, e2, e3 = [r.value for r in roots]
+        args = [x - e1, x - e2, x - e3]
+        # relative error of each argument of R_F, also after the egg move
+        rho = 4 * (eta * (abs(x) + abs(e1) + abs(e3)) + 2 * root_err) / min(abs(a) for a in args)
+        if rho > mpf(2) ** (-prec.bits() // 2):
+            raise NoConvergence("point too close to a two-torsion x-coordinate")
+        shift = 0
+        if curve.delta > 0 and x < e1:  # the egg: x(P + T3) - e_i without cancellation
+            a1, a2, a3 = args
+            args = [(e3 - e1) * a2 / a3, (e3 - e2) * a1 / a3, (e3 - e1) * (e3 - e2) / a3]
+            shift = periods.omega2 / 2
+        z = mpmath.elliprf(*args) + shift
+        # first order: sum |a_i dR_F/da_i| <= kappa |R_F| (kappa = 1/2 for
+        # positive arguments; a conjugate pair a, conj(a) adds |a| / |Im a|)
+        kappa = mpf(1) / 2 if curve.delta > 0 else 1 + abs(args[1]) / abs(mpmath.im(args[1]))
+        dz = kappa * rho * abs(z - shift) + eta * abs(shift)
+
+        (_, _), (c, d) = periods.tau.transform
+        w1 = c * periods.omega2 + d * periods.omega1
+        tau = periods.tau.value
+        zt = z / w1
+        zt -= mpmath.floor(mpmath.im(zt) / mpmath.im(tau)) * tau
+        if mpmath.im(zt) > mpmath.im(tau) / 2:
+            zt = tau - zt
+        zt -= mpmath.nint(mpmath.re(zt))
+        t = mpmath.im(zt) / mpmath.im(tau)
+
+        # the factors n > N have |log|1 - w|| <= |w|/(1 - |w|) with
+        # |w| <= r^(n - 1/2), r = |q|; their sum is at most tail(N)
+        r = mpmath.exp(-2 * pi * mpmath.im(tau))
+        n_terms, tail = 0, 2 * mpmath.sqrt(r) / ((1 - r) * (1 - mpmath.sqrt(r)))
+        while tail > tol / 8:
+            n_terms += 1
+            tail *= r
+        q = mpmath.exp(2j * pi * tau)
+        u = mpmath.exp(2j * pi * zt)
+        one_minus_u = -mpmath.expm1(2j * pi * zt)
+        terms = [pi * mpmath.im(tau) * (t * t - t + mpf(1) / 6), -mpmath.log(abs(one_minus_u))]
+        qn = q
+        for _ in range(n_terms):
+            terms.append(-mpmath.log(abs((1 - qn * u) * (1 - qn / u))))
+            qn *= q
+        value = mpmath.fsum(terms)
+        # rounding, and the input errors through |d lambda / d zt| <= 2 pi (1/|1 - u| + 1)
+        slope = 2 * pi * (1 / abs(one_minus_u) + 1)
+        rounding = eta * (len(terms) + mpmath.fsum(abs(v) for v in terms) + pi * mpmath.im(tau))
+        rounding += slope * (eta * (abs(zt) + abs(tau)) + dz / abs(w1))
+        return value, float(tail + rounding)
+
+
+def canonical_height_doubling(curve, point, tol=1e-6):
+    """Independent oracle: hhat_x(P) as Silverman's sum of local heights.
+
+    Returns (value, error_bound) with error_bound <= tol.  The point
+    moves to the global minimal model; there hhat_x(P) = 2 (lambda_inf +
+    sum_p lambda_p log p + (1/2) log d + (1/12) log |delta_min|), with
+    the archimedean q-series of Silverman (Math. Comp. 51, 1988, Sec. 4)
+    at the elliptic logarithm, the closed forms of his Thm 5.2 at each
+    bad prime, and d the part of the denominator of x prime to delta.
+    The name recalls the definition hhat_x = lim 4^-n h_x(2^n P) that
+    the result approximates; no point is doubled.
     """
     _require_on_curve(curve, point)
-    if point.is_infinity or is_torsion(curve, point):
+    if point.is_infinity:
         return 0.0, 0.0
-    hd = _height_data(curve)
-    c = hd.oracle_constant
-    n = min(16, max(3, math.ceil(math.log(max(c, 1e-12) / tol) / math.log(4))))
-    b8, b6, b4, b2 = int(curve.b8), int(curve.b6), int(curve.b4), int(curve.b2)
-    a, b = point.x.numerator, point.x.denominator
-    k = 0
-    while k < n:
-        # shrink the target once reaching it would blow the work limit;
-        # after a few doublings the projection tracks 4^k hhat closely
-        size = _log_bigint(max(abs(a), b, 2))
-        if size * 4.0 ** (n - k) > work_limit:
-            affordable = int(math.log(work_limit / max(size, 1.0)) / math.log(4))
-            n = k + max(affordable, 0)
-            continue
-        # F(a, b) and G(a, b) from the shared a^2, ab, b^2: four big products
-        aa, ab, bb = a * a, a * b, b * b
-        fa = aa * aa - bb * (b4 * aa + 2 * b6 * ab + b8 * bb)
-        gb = 4 * aa * ab + bb * (b2 * aa + 2 * b4 * ab + b6 * bb)
-        if gb == 0:
-            raise NoConvergence("doubling hit two-torsion")
-        for p in hd.junk_primes:
-            while fa % p == 0 and gb % p == 0:
-                fa //= p
-                gb //= p
-        if gb < 0:
-            fa, gb = -fa, -gb
-        a, b = fa, gb
-        k += 1
-    value = _log_bigint(max(abs(a), b)) / 4**k
-    return value, c / 4**k
+    mm = minimal_model(curve)
+    model, q = mm.curve, mm.to_minimal(point)
+    if is_torsion(model, q):
+        return 0.0, 0.0
+    lam_inf, bound = _archimedean_local_height(model, analytic.agm_periods(model), q, tol)
+    bad = reduction_data(model).primes
+    den = _strip_primes(q.x.denominator, [row.p for row in bad])
+    with prec.working(20):
+        total = lam_inf + mpmath.log(abs(int(model.delta))) / 12 + mpmath.log(den) / 2
+        for row in bad:
+            total += _bad_local_height(model, q, row) * mpmath.log(row.p)
+        value = float(2 * total)
+    bound = 2 * bound + math.ulp(value) / 2  # rounding the sum to a float
+    if not bound <= tol:
+        raise NoConvergence("oracle error bound %.3g exceeds tol %.3g" % (bound, tol))
+    return value, bound
 
 
 @dataclass(frozen=True)
@@ -621,7 +711,7 @@ def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
     for i in range(m):
         gram[i][i] = scale * heights[i]
         for k in range(i + 1, m):
-            hsum = canonical_height(curve, add(curve, points[i], points[k]), tol)
+            hsum = canonical_height(curve, _add(curve, points[i], points[k]), tol)
             val = (scale / 2) * (hsum - heights[i] - heights[k])
             gram[i][k] = gram[k][i] = val
     mat = numpy.array(gram, dtype=float)

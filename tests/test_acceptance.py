@@ -90,9 +90,9 @@ def test_criterion_5_canonical_height_paths():
     assert err <= 1e-6
     assert abs(primary - oracle) <= 2e-6
     hand = math.log(480106) / 256  # h_x(16 P) / 4^4
-    c_bound = ellcurve._height_data(e37).oracle_constant / 256
+    c_bound = ellcurve._height_data(e37).doubling_constant / 256
     assert abs(primary - hand) <= c_bound
-    announce(5, "37a height: local decomposition %.9f vs doubling oracle %.9f "
+    announce(5, "37a height: local decomposition %.9f vs Silverman's local heights %.9f "
                 "(within 2e-6), hand value log(480106)/256 within C/256" % (primary, oracle))
 
 
