@@ -64,7 +64,8 @@ def _frac_rem(a, b):
     return a
 
 
-def sturm_chain(coeffs):
+def _sturm(coeffs):
+    """(squarefree, number of distinct real roots) from one Sturm chain."""
     chain = [poly_normalize([Fraction(c) for c in coeffs])]
     chain.append(poly_normalize([Fraction(c) for c in poly_deriv(chain[0])]))
     while poly_degree(chain[-1]) > 0:
@@ -72,18 +73,6 @@ def sturm_chain(coeffs):
         if not r:
             break
         chain.append([-c for c in r])
-    return chain
-
-
-def is_squarefree_poly(coeffs):
-    """gcd(p, p') is constant, i.e. the Sturm chain ends in a nonzero constant."""
-    chain = sturm_chain(coeffs)
-    return bool(chain[-1]) and poly_degree(chain[-1]) == 0
-
-
-def count_real_roots(coeffs):
-    """Number of distinct real roots of a squarefree integer polynomial (Sturm)."""
-    chain = sturm_chain(coeffs)
 
     def variations(signs):
         signs = [s for s in signs if s != 0]
@@ -91,18 +80,25 @@ def count_real_roots(coeffs):
 
     at_plus = [1 if p[-1] > 0 else -1 for p in chain if p]
     at_minus = [(1 if p[-1] > 0 else -1) * (-1) ** poly_degree(p) for p in chain if p]
-    return variations(at_minus) - variations(at_plus)
+    squarefree = bool(chain[-1]) and poly_degree(chain[-1]) == 0
+    return squarefree, variations(at_minus) - variations(at_plus)
 
 
-def cauchy_root_bound(coeffs):
-    """All complex roots lie in |z| <= 1 + max |a_i / a_n|."""
-    c = poly_normalize(coeffs)
-    lead = abs(c[-1])
-    return 1.0 + max(abs(a) / lead for a in c[:-1]) if len(c) > 1 else 1.0
+def is_squarefree_poly(coeffs):
+    """gcd(p, p') is constant, i.e. the Sturm chain ends in a nonzero constant."""
+    return _sturm(coeffs)[0]
+
+
+def count_real_roots(coeffs):
+    """Number of distinct real roots of a squarefree integer polynomial (Sturm)."""
+    return _sturm(coeffs)[1]
 
 
 # ---------------------------------------------------------------------------
-# certified root finding
+# certified root finding: mpmath's Durand-Kerner seeds every root, real
+# seeds are Newton-polished on the real axis (the exact Sturm count says
+# how many are real), conjugate pairs are made exact, and each root gets a
+# radius deg |p(z)| / |p'(z)| that also covers Horner's rounding error.
 
 
 @dataclass(frozen=True)
@@ -122,43 +118,30 @@ class ComplexApprox:
 
 
 def _root_error_bound(coeffs, dcoeffs, z, degree):
-    # Some root of p lies within deg * |p(z)/p'(z)| of z.
-    pv = poly_eval(coeffs, z)
-    dv = poly_eval(dcoeffs, z)
-    if dv == 0:
-        return float("inf")
-    return float(degree * abs(pv) / abs(dv))
-
-
-def _durand_kerner(coeffs, iterations):
-    n = poly_degree(coeffs)
-    lead = coeffs[-1]
-    monic = [mpc(c) / lead for c in coeffs]
-    radius = cauchy_root_bound(coeffs)
-    z = [
-        mpc(radius * 0.8) * mpmath.exp(mpc(0, 2 * mpmath.pi * k / n + 0.4))
-        for k in range(n)
-    ]
-    target = mpf(2) ** (-(mpmath.mp.prec - 8))
-    for _ in range(iterations):
-        delta = mpf(0)
-        for i in range(n):
-            den = mpc(1)
-            for j in range(n):
-                if j != i:
-                    den *= z[i] - z[j]
-            if den == 0:
-                den = mpc(target)
-            step = poly_eval(monic, z[i]) / den
-            z[i] -= step
-            delta = max(delta, abs(step))
-        if delta < target:
-            return z
-    return None
+    # Some root of p lies within deg |p(z)| / |p'(z)| of z.  Horner's
+    # computed value is off by at most c (n + 1) u sum |a_i| |z|^i (Higham,
+    # Accuracy and Stability of Numerical Algorithms, Sec. 5.1; c = 8 covers
+    # complex arithmetic), so that term is added to |p(z)| and taken from
+    # |p'(z)|.  The float is rounded up.
+    u = mpf(2) ** -mpmath.mp.prec
+    az = abs(z)
+    p_err = 8 * (degree + 1) * u * poly_eval([abs(c) for c in coeffs], az)
+    d_err = 8 * degree * u * poly_eval([abs(c) for c in dcoeffs], az)
+    den = abs(poly_eval(dcoeffs, z)) - d_err
+    if den <= 0:
+        return math.inf
+    return math.nextafter(float(degree * (abs(poly_eval(coeffs, z)) + p_err) / den), math.inf)
 
 
 def poly_roots(coeffs, tol):
     """All complex roots of a squarefree integer polynomial, certified.
+
+    Seed: ``mpmath.polyroots`` (Durand-Kerner) with guard bits of 20 plus
+    the largest coefficient's bit length, so its absolute stopping rule is
+    relative to the largest root the Cauchy bound allows.  Polish and
+    certify: the exact Sturm count splits the seeds into real roots, which
+    are Newton-polished, and conjugate pairs, which are made exact; every
+    radius bounds the distance to a root including rounding.
 
     Real roots come first (ascending), then conjugate pairs sorted by
     real part, each pair as (Im > 0 representative, its conjugate).
@@ -168,29 +151,16 @@ def poly_roots(coeffs, tol):
     n = poly_degree(coeffs)
     if n < 1:
         raise NoConvergence("degree must be >= 1")
-    if not is_squarefree_poly(coeffs):
+    squarefree, n_real = _sturm(coeffs)
+    if not squarefree:
         raise NotSquarefree("polynomial has repeated roots")
-    dcoeffs = poly_deriv(coeffs)
-
-    if n == 1:
-        with prec.working(40):
-            root = mpf(-coeffs[0]) / coeffs[1]
-            err = _root_error_bound(coeffs, dcoeffs, root, 1)
-        return [ComplexApprox(root, mpf(0), min(err, 1e-30))]
-
-    n_real = count_real_roots(coeffs)
-    extra = 80
-    for _attempt in range(4):
-        with prec.working(extra):
-            z = _durand_kerner(coeffs, 400)
-            if z is None:
-                extra *= 2
-                continue
-            roots = _certify_roots(coeffs, dcoeffs, z, n, n_real, tol)
-            if roots is not None:
-                return roots
-        extra *= 2
-    raise NoConvergence("root iteration budget exhausted")
+    guard = 20 + max(abs(c).bit_length() for c in coeffs)
+    with prec.working(80):
+        try:
+            z = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=guard, cleanup=False)
+        except mpmath.libmp.NoConvergence:
+            raise NoConvergence("root seeds: mpmath.polyroots did not converge") from None
+        return _certify_roots(coeffs, poly_deriv(coeffs), z, n, n_real, tol)
 
 
 def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
@@ -208,7 +178,7 @@ def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
             x = x - poly_eval(coeffs, x) / dv
         err = _root_error_bound(coeffs, dcoeffs, x, n)
         if not err <= tol:
-            return None
+            raise NoConvergence("root certificate: real root radius %.3g > tol" % err)
         out.append(ComplexApprox(x, mpf(0), err))
 
     upper = sorted(
@@ -217,14 +187,14 @@ def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
     )
     lower = [z[i] for i in cplx_idx if mpmath.im(z[i]) <= 0]
     if 2 * len(upper) != len(cplx_idx):
-        return None
+        raise NoConvergence("root certificate: non-real seeds are not conjugate pairs")
     for w in upper:
         mate = min(lower, key=lambda v: abs(mpmath.conj(v) - w))
         lower.remove(mate)
         forced = (w + mpmath.conj(mate)) / 2  # exact conjugate pair
         err = _root_error_bound(coeffs, dcoeffs, forced, n)
         if not err <= tol:
-            return None
+            raise NoConvergence("root certificate: complex root radius %.3g > tol" % err)
         out.append(ComplexApprox(mpmath.re(forced), mpmath.im(forced), err))
         out.append(ComplexApprox(mpmath.re(forced), -mpmath.im(forced), err))
     return out

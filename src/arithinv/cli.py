@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from . import __version__, corpus, ellcurve, ledger, numfield, prec
+from . import __version__, analytic, corpus, ellcurve, ledger, numfield, prec
 from .errors import InvariantError
 
 HEIGHT_NOTE = "heights attached to the cubic polarization: <P,P> = (3/2) * hhat_x(P)"
@@ -148,7 +148,7 @@ def cmd_curve(args):
         "  N0 / Nst / Nuns %d / %d / %d" % (s.n0, s.n_stable, s.n_unstable),
         "  semistable      %s" % ("yes" if s.semistable else "no"),
         "  tau (reduced)   %s + %si" % (_fmt(float(tau.re)), _fmt(float(tau.im))),
-        "  rho             %s" % _fmt(s.tau_im**-0.5),
+        "  rho             %s" % _fmt(analytic.injectivity_diameter(tau)),
         "  h_F+            %s" % _fmt(s.h_faltings),
         "  rank            %d" % s.rank,
         "  regulator       %s" % _fmt(s.regulator),

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from arithinv import arith
 from arithinv.errors import NotSquarefree
@@ -23,6 +25,58 @@ def bisect_root(coeffs, lo, hi, iters=80):
             hi = mid
         lo, hi = Fraction(lo), Fraction(hi)
     return Fraction(lo + hi, 2)
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def assert_encloses_reference(coeffs, roots):
+    # every root of a 300-bit mpmath.polyroots reference (accurate to about
+    # 2^-290 absolute) lies in the disc of exactly one returned root
+    with mpmath.workprec(300):
+        ref = mpmath.polyroots(coeffs[::-1], maxsteps=1000, extraprec=300)
+        slack = mpmath.mpf(2) ** -280
+        for w in ref:
+            assert sum(1 for r in roots if abs(w - r.value) <= r.err + slack) == 1, w
+
+
+def to_fraction(x):
+    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+
+
+@st.composite
+def squarefree_polys(draw):
+    """Squarefree integer polynomials of degree 1-6, 4/20/60-bit coefficients."""
+    n = draw(st.integers(1, 6))
+    bound = 2 ** draw(st.sampled_from([4, 20, 60]))
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    coeffs.append(draw(st.integers(-bound, bound).filter(bool)))
+    assume(arith.is_squarefree_poly(coeffs))
+    return coeffs
+
+
+@given(squarefree_polys())
+def test_poly_roots_law(coeffs):
+    tol = 1e-18
+    n = len(coeffs) - 1
+    roots = arith.poly_roots(coeffs, tol)
+    assert len(roots) == n
+    n_real = arith.count_real_roots(coeffs)
+    assert all(r.imag == 0 for r in roots[:n_real])
+    assert all(r.imag != 0 for r in roots[n_real:])
+    for w, v in zip(roots[n_real::2], roots[n_real + 1 :: 2]):
+        assert w.imag > 0 and (v.real, v.imag) == (w.real, mpmath.fneg(w.imag, exact=True))
+    assert all(r.err <= tol for r in roots)
+    for r in roots[:n_real]:
+        # a real root in [x - err, x + err]: p changes sign there, exactly
+        x, err = to_fraction(r.real), Fraction(r.err)
+        assert arith.poly_eval(coeffs, x - err) * arith.poly_eval(coeffs, x + err) <= 0
+    assert_encloses_reference(coeffs, roots)
 
 
 class TestPolyRoots:
@@ -74,6 +128,20 @@ class TestPolyRoots:
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefree):
             arith.poly_roots([2, -3, 0, 1], 1e-9)  # (x-1)^2 (x+2)
+        for a in (0, 1, -3):  # (x^3 - x - 1)(x - a)^2
+            with pytest.raises(NotSquarefree):
+                arith.poly_roots(poly_mul(poly_mul([-1, -1, 0, 1], [-a, 1]), [-a, 1]), 1e-9)
+
+    @pytest.mark.parametrize(
+        "a4, a6", [(-100000000, 1), (-3, 1000000000000000007)], ids=["big_a4", "big_c6"]
+    )
+    def test_two_division_cubic_of_large_curve(self, a4, a6):
+        # 4x^3 + b2 x^2 + 2 b4 x + b6 with b2 = 0, b4 = 2 a4, b6 = 4 a6
+        cubic = [4 * a6, 4 * a4, 0, 4]
+        roots = arith.poly_roots(cubic, 1e-18)
+        assert len(roots) == 3
+        assert sum(1 for r in roots if r.imag == 0) == arith.count_real_roots(cubic)
+        assert_encloses_reference(cubic, roots)
 
     def test_sturm_counts(self):
         assert arith.count_real_roots([-2, 0, 1]) == 2

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,29 @@ class TestCli:
         path.write_text("curve x\nrank = 0\n")
         assert cli.main(["verify", "--corpus", str(path)]) == 2
         assert "missing key" in capsys.readouterr().err
+
+
+HARD_CURVES = Path(__file__).resolve().parent / "data" / "hard_curves.txt"
+
+
+class TestHardCurves:
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "big_a4",
+            "big_c6",
+            "j0_add23",
+            "j1728_add23",
+            "nonint_37a",
+            "scaled_389a",
+            "big_gen_37a",
+            "r4_234446a",
+        ],
+    )
+    def test_curve_query_succeeds(self, label, capsys):
+        assert cli.main(["curve", label, "--corpus", str(HARD_CURVES)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "h_F+" in l)
+        assert float(line.split()[-1]) >= 0
 
 
 class TestPrecisionFlag:
