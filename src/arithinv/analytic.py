@@ -101,9 +101,13 @@ def reduce_to_fundamental_domain(tau):
 
 
 def delta_q_series(tau):
-    """Modular discriminant q prod (1-q^n)^24 for any Im tau > 0.
+    """Modular discriminant for any Im tau > 0, by Euler's pentagonal series.
 
-    Truncated once the remaining log-tail is below 1e-19 relative.
+    delta = q (sum_k (-1)^k q^(k(3k-1)/2))^24 over all integers k (Cohen,
+    A Course in Computational Algebraic Number Theory, Sec. 7.4).  The
+    terms left after the smallest unsummed exponent e are bounded by
+    tail = 2|q|^e / (1 - |q|); summing stops once 24 tail < 1e-19 (|partial
+    sum| - tail), which bounds the relative error of the 24th power.
     """
     z = _as_value(tau)
     if not mpmath.im(z) > 0:
@@ -111,16 +115,22 @@ def delta_q_series(tau):
     with prec.working(30):
         q = mpmath.exp(2j * mpmath.pi * z)
         absq = abs(q)
-        product = mpc(1)
-        qn = q
-        for _ in range(200000):
-            product *= (1 - qn) ** 24
-            qn *= q
-            if 24 * abs(qn) / (1 - absq) < mpf("1e-19"):
+        q3 = q**3
+        total = mpc(1)
+        lo, hi = q, q**2  # q^(k(3k-1)/2) and q^(k(3k+1)/2), from k = 1
+        step_lo, step_hi = q**4, q**5  # q^(3k+1) and q^(3k+2)
+        for k in range(1, 200001):
+            total += (lo + hi) if k % 2 == 0 else -(lo + hi)
+            lo *= step_lo
+            hi *= step_hi
+            step_lo *= q3
+            step_hi *= q3
+            tail = 2 * abs(lo) / (1 - absq)
+            if 24 * tail < mpf("1e-19") * (abs(total) - tail):
                 break
         else:
             raise AgmNoConvergence("q-series truncation did not converge")
-        return q * product
+        return q * total**24
 
 
 def modular_discriminant(tau):
@@ -138,13 +148,13 @@ def eisenstein_e4(tau):
         absq = abs(q)
         total = mpc(1)
         qn = q
-        n = 1
-        while True:
+        for n in range(1, 200001):
             total += 240 * n**3 * qn / (1 - qn)
-            n += 1
             qn *= q
-            if 240 * n**3 * abs(qn) / (1 - absq) < mpf("1e-19"):
+            if 240 * (n + 1) ** 3 * abs(qn) / (1 - absq) < mpf("1e-19"):
                 break
+        else:
+            raise AgmNoConvergence("E4 q-series truncation did not converge")
         return total
 
 

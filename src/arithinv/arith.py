@@ -8,7 +8,9 @@ precision configured in :mod:`arithinv.prec`.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,10 +97,12 @@ def count_real_roots(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# certified root finding: mpmath's Durand-Kerner seeds every root, real
-# seeds are Newton-polished on the real axis (the exact Sturm count says
-# how many are real), conjugate pairs are made exact, and each root gets a
-# radius deg |p(z)| / |p'(z)| that also covers Horner's rounding error.
+# certified root finding: companion-matrix eigenvalues seed every root,
+# mpmath's Durand-Kerner polishes them, real roots are Newton-polished on
+# the real axis (the exact Sturm count says how many are real), conjugate
+# pairs are made exact, and each root gets a radius deg |p(z)| / |p'(z)|
+# that also covers Horner's rounding error.  The discs must be pairwise
+# disjoint, so the n discs hold n distinct roots.
 
 
 @dataclass(frozen=True)
@@ -133,15 +137,50 @@ def _root_error_bound(coeffs, dcoeffs, z, degree):
     return math.nextafter(float(degree * (abs(poly_eval(coeffs, z)) + p_err) / den), math.inf)
 
 
+def _companion_seeds(coeffs):
+    # Double-precision roots of p(2^s y) / (a_n 2^(s n)), scaled back by 2^s
+    # in mpmath.  By Fujiwara's bound every root has |x| <= 2^s, so the
+    # rescaled polynomial has leading coefficient 1 and every other one of
+    # size <= 1/2: nothing overflows and no large root is lost.  A near-double
+    # root comes out as two seeds about sqrt(eps) apart, often a conjugate
+    # pair straddling two real roots (or two reals straddling a pair), from
+    # which Durand-Kerner never converges.  So a seed within 2^-20 relative
+    # of an earlier one moves by 2^-20 of its size in a direction generic
+    # for each index, and the iteration's repulsion separates the cluster.
+    import numpy
+
+    n = len(coeffs) - 1
+    top = abs(coeffs[-1]).bit_length() - 1  # |a_n| >= 2^top
+    s = 1 + max(
+        (-((top - abs(coeffs[n - i]).bit_length()) // i) for i in range(1, n + 1) if coeffs[n - i]),
+        default=0,
+    )
+    scaled = []
+    for k in range(n, -1, -1):  # highest power first; each value has size <= 1
+        e = s * (n - k)
+        scaled.append(coeffs[k] / (coeffs[-1] << e) if e >= 0 else (coeffs[k] << -e) / coeffs[-1])
+    ys = list(numpy.roots(scaled))
+    for k in range(1, n):
+        if any(abs(ys[k] - y) <= 2.0**-20 * max(abs(ys[k]), abs(y)) for y in ys[:k]):
+            ys[k] += 2.0**-20 * max(abs(ys[k]), 2.0**-20) * (0.4 + 0.9j) ** k
+    return [
+        mpc(mpmath.ldexp(mpf(float(y.real)), s), mpmath.ldexp(mpf(float(y.imag)), s))
+        for y in ys
+    ]
+
+
 def poly_roots(coeffs, tol):
     """All complex roots of a squarefree integer polynomial, certified.
 
-    Seed: ``mpmath.polyroots`` (Durand-Kerner) with guard bits of 20 plus
-    the largest coefficient's bit length, so its absolute stopping rule is
-    relative to the largest root the Cauchy bound allows.  Polish and
-    certify: the exact Sturm count splits the seeds into real roots, which
-    are Newton-polished, and conjugate pairs, which are made exact; every
-    radius bounds the distance to a root including rounding.
+    Seed: the companion-matrix eigenvalues (``numpy.roots``) of the
+    polynomial rescaled by Fujiwara's root bound.  Polish: Durand-Kerner
+    (``mpmath.polyroots``) from those seeds, with guard bits of 20 plus the
+    largest coefficient's bit length, so its absolute stopping rule is
+    relative to the largest root the Cauchy bound allows.  Certify: the
+    exact Sturm count splits the roots into real ones, which are
+    Newton-polished, and conjugate pairs, which are made exact; every
+    radius bounds the distance to a root including rounding, and the n
+    discs are pairwise disjoint, so they hold n distinct roots.
 
     Real roots come first (ascending), then conjugate pairs sorted by
     real part, each pair as (Im > 0 representative, its conjugate).
@@ -156,10 +195,13 @@ def poly_roots(coeffs, tol):
         raise NotSquarefree("polynomial has repeated roots")
     guard = 20 + max(abs(c).bit_length() for c in coeffs)
     with prec.working(80):
+        seeds = _companion_seeds(coeffs)
         try:
-            z = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=guard, cleanup=False)
+            z = mpmath.polyroots(
+                coeffs[::-1], maxsteps=400, extraprec=guard, cleanup=False, roots_init=seeds
+            )
         except mpmath.libmp.NoConvergence:
-            raise NoConvergence("root seeds: mpmath.polyroots did not converge") from None
+            raise NoConvergence("root polish: mpmath.polyroots did not converge") from None
         return _certify_roots(coeffs, poly_deriv(coeffs), z, n, n_real, tol)
 
 
@@ -197,6 +239,9 @@ def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
             raise NoConvergence("root certificate: complex root radius %.3g > tol" % err)
         out.append(ComplexApprox(mpmath.re(forced), mpmath.im(forced), err))
         out.append(ComplexApprox(mpmath.re(forced), -mpmath.im(forced), err))
+    for a, b in itertools.combinations(out, 2):
+        if not abs(a.value - b.value) > a.err + b.err:
+            raise NoConvergence("root certificate: two root discs overlap")
     return out
 
 
@@ -204,21 +249,21 @@ def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
 # primes and factorization
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_sieved = (1, [])  # (limit, every prime <= limit)
+_sieved = (1, array("l"))  # (limit, every prime <= limit)
 
 
 def _sieve_primes(limit):
     """Every prime <= limit (and perhaps more); the cached sieve grows on demand."""
     global _sieved
     if limit > _sieved[0]:
-        limit = max(limit, 2 * _sieved[0])
+        _sieved = (1, array("l"))  # free the old table before the new one is built
         sieve = bytearray(b"\x01") * (limit + 1)
         sieve[:2] = b"\x00\x00"
         for p in range(2, math.isqrt(limit) + 1):
             if sieve[p]:
                 start = p * p
                 sieve[start :: p] = b"\x00" * ((limit - start) // p + 1)
-        _sieved = (limit, [i for i, v in enumerate(sieve) if v])
+        _sieved = (limit, array("l", itertools.compress(range(limit + 1), sieve)))
     return _sieved[1]
 
 
@@ -297,44 +342,53 @@ class Factorization:
         return n
 
 
-def factorize(n, trial_limit=TRIAL_LIMIT, rho_budget=RHO_BUDGET):
-    """Factor a nonzero integer: trial division then Pollard rho."""
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    factors = {}
+def _trial_divide(v, trial_limit, record):
+    """Divide out of v, in increasing order, each prime p <= min(trial_limit,
+    isqrt(cofactor)); return the cofactor, stopping early at 1 or a prime.
 
-    def record(p, e=1):
-        factors[p] = factors.get(p, 0) + e
-
-    stack = [n]
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if is_prime(v):
-            record(v)
-            continue
-        found = False
-        for p in _sieve_primes(min(trial_limit, math.isqrt(v))):
-            if p > trial_limit or p * p > v:
-                break
+    The walk alone sizes the cached sieve: once it has tried every cached
+    prime, the sieve doubles, but never past that bound.
+    """
+    tried = 0
+    while v > 1 and not is_prime(v):
+        bound = min(trial_limit, math.isqrt(v))
+        primes = _sieved[1]
+        for p in itertools.islice(primes, tried, None):
+            if p > bound:
+                return v
+            tried += 1
             if v % p == 0:
                 e = 0
                 while v % p == 0:
                     v //= p
                     e += 1
                 record(p, e)
-                stack.append(v)
-                found = True
                 break
-        if found:
-            continue
+        else:
+            if _sieved[0] >= bound:
+                return v
+            del primes  # hold one prime table at a time
+            _sieve_primes(min(bound, 2 * _sieved[0]))
+    return v
+
+
+def factorize(n, trial_limit=TRIAL_LIMIT, rho_budget=RHO_BUDGET):
+    """Factor a nonzero integer: trial division then Pollard rho."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    sign = -1 if n < 0 else 1
+    factors = {}
+
+    def record(p, e=1):
+        factors[p] = factors.get(p, 0) + e
+
+    stack = [_trial_divide(abs(n), trial_limit, record)]
+    while stack:
+        v = stack.pop()
         if v == 1:
             continue
         if v < trial_limit * trial_limit or is_prime(v):
-            record(v)  # no factor below sqrt(v), so v is prime
+            record(v)  # a composite v here has every prime factor > trial_limit
             continue
         g = _brent_rho(v, rho_budget)
         if g is None:

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arithinv import analytic
 from arithinv.errors import NotUpperHalfPlane, TauNotReduced
@@ -151,6 +153,22 @@ class TestModularDiscriminant:
         )
         assert float(total) == pytest.approx(0.004343, abs=1e-6)
         assert float(total) <= 0.005
+
+
+@given(st.floats(-2, 2), st.floats(0.3, 4))
+def test_delta_matches_the_product_law(re, im):
+    # the pentagonal series against a 300-bit direct product q prod (1 - q^n)^24,
+    # inside the fundamental domain and outside it (Im tau down to 0.3)
+    z = mpmath.mpc(re, im)
+    got = analytic.delta_q_series(z)
+    with mpmath.workprec(300):
+        q = mpmath.exp(2j * mpmath.pi * z)
+        product, qn = mpmath.mpc(1), q
+        while abs(qn) > mpmath.mpf(2) ** -320:
+            product *= (1 - qn) ** 24
+            qn *= q
+        ref = q * product
+        assert abs(got - ref) <= 1e-18 * abs(ref)
 
 
 class TestJInvariant:

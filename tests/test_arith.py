@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from arithinv import arith
-from arithinv.errors import NotSquarefree
+from arithinv.errors import NoConvergence, NotSquarefree
 
 
 def bisect_root(coeffs, lo, hi, iters=80):
@@ -142,6 +142,41 @@ class TestPolyRoots:
         assert len(roots) == 3
         assert sum(1 for r in roots if r.imag == 0) == arith.count_real_roots(cubic)
         assert_encloses_reference(cubic, roots)
+
+    E = 10**18
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ([E * E - 1, -2 * E, 1], [E - 1, E + 1]),
+            (poly_mul(poly_mul([-E, 1], [-E - 1, 1]), [3, 1]), [-3, E, E + 1]),
+            ([E * E + 1, -2 * E, 1], [E + 1j, E - 1j]),
+            ([-1, 0, 2**2000], [2**-1000, -(2**-1000)]),
+        ],
+        ids=["pair_1e18", "triple_1e18", "conjugates_1e18", "tiny_2000_bits"],
+    )
+    def test_clustered_and_extreme_roots(self, coeffs, expected):
+        # near-double roots give seeds that agree to double precision, and a
+        # 2000-bit leading coefficient puts both roots at 2^-1000
+        roots = arith.poly_roots(coeffs, 1e-9)
+        assert len(roots) == len(expected)
+        with mpmath.workprec(2100):
+            for want in expected:
+                want = mpmath.mpc(want)
+                assert sum(1 for r in roots if abs(r.value - want) <= r.err) == 1
+
+    def test_huge_cubic_is_a_named_failure(self):
+        rng = random.Random(1)
+        cubic = [rng.getrandbits(2000) | 1 for _ in range(3)] + [1]
+        with pytest.raises(NoConvergence):
+            arith.poly_roots(cubic, 1e-18)
+
+    def test_two_seeds_on_one_root_do_not_certify(self):
+        # both real seeds sit on sqrt(2); each disc alone is a valid certificate
+        with mpmath.workprec(160):
+            r = mpmath.sqrt(2)
+            with pytest.raises(NoConvergence, match="overlap"):
+                arith._certify_roots([-2, 0, 1], [0, 2], [r, r], 2, 2, 1e-12)
 
     def test_sturm_counts(self):
         assert arith.count_real_roots([-2, 0, 1]) == 2
@@ -338,6 +373,18 @@ class TestLazySieve:
         monkeypatch.setattr(arith, "_sieved", (1, []))
         assert [arith.factorize(n) for n in ns] == full
         assert arith._sieved[0] >= 999979
+
+    def test_sieve_follows_the_cofactor(self, monkeypatch):
+        # the largest prime of 432 * 239^4 is 239, though isqrt of it exceeds 10^6
+        monkeypatch.setattr(arith, "_sieved", (1, []))
+        assert arith.factorize(-432 * 239**4).factors == ((2, 4), (3, 3), (239, 4))
+        assert arith._sieved[0] <= 2**17
+
+    def test_sieve_never_grows_past_trial_limit(self, monkeypatch):
+        monkeypatch.setattr(arith, "_sieved", (1, []))
+        arith._sieve_primes(600000)
+        assert arith.factorize(999983 * 999979).factors == ((999979, 1), (999983, 1))
+        assert arith._sieved[0] <= arith.TRIAL_LIMIT
 
     def test_sieve_is_exact_at_each_bound(self, monkeypatch):
         monkeypatch.setattr(arith, "_sieved", (1, []))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,3 +301,12 @@ class TestMissingCorpusFile:
     def test_missing_file_exit_2(self, capsys):
         assert cli.main(["verify", "--corpus", "/does/not/exist"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported where it is used, so start-up does not pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, arithinv.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
