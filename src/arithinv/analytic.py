@@ -142,20 +142,34 @@ def modular_discriminant(tau):
 
 
 def eisenstein_e4(tau):
-    z = _as_value(tau)
-    with prec.working(30):
-        q = mpmath.exp(2j * mpmath.pi * z)
-        absq = abs(q)
-        total = mpc(1)
-        qn = q
-        for n in range(1, 200001):
-            total += 240 * n**3 * qn / (1 - qn)
-            qn *= q
-            if 240 * (n + 1) ** 3 * abs(qn) / (1 - absq) < mpf("1e-19"):
+    """E4 = 1 + 240 sum_n sigma_3(n) q^n, summed by Horner.
+
+    The term count N is fixed first: since sigma_3(n) < zeta(3) n^3 < 1.21
+    n^3 and the terms n^3 r^n (r = |q|) fall by at least the ratio rho =
+    ((N + 2)/(N + 1))^3 r beyond N, the tail is at most 240 * 1.21 (N +
+    1)^3 r^(N + 1) / (1 - rho), and N is the least count that puts it below
+    1e-19.  The sigma_3 values come from a divisor sieve up to N.
+    """
+    log_r = -2 * math.pi * float(mpmath.im(_as_value(tau)))  # log |q|; never underflows
+    for count in range(1, 200001):
+        rho_log = 3 * math.log((count + 2) / (count + 1)) + log_r
+        if rho_log < 0:
+            tail = math.log(240 * 1.21) + 3 * math.log(count + 1) + (count + 1) * log_r
+            if tail - math.log1p(-math.exp(rho_log)) < math.log(1e-19):
                 break
-        else:
-            raise AgmNoConvergence("E4 q-series truncation did not converge")
-        return total
+    else:
+        raise AgmNoConvergence("E4 q-series truncation did not converge")
+    sigma3 = [0] * (count + 1)
+    for d in range(1, count + 1):
+        cube = d**3
+        for multiple in range(d, count + 1, d):
+            sigma3[multiple] += cube
+    with prec.working(30):
+        q = mpmath.exp(2j * mpmath.pi * _as_value(tau))
+        total = mpc(0)
+        for n in range(count, 0, -1):
+            total = (total + sigma3[n]) * q
+        return 1 + 240 * total
 
 
 def j_invariant_series(tau):

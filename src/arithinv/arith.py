@@ -8,6 +8,7 @@ precision configured in :mod:`arithinv.prec`.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from array import array
@@ -97,7 +98,7 @@ def count_real_roots(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# certified root finding: companion-matrix eigenvalues seed every root,
+# certified root finding: double-precision Durand-Kerner seeds every root,
 # mpmath's Durand-Kerner polishes them, real roots are Newton-polished on
 # the real axis (the exact Sturm count says how many are real), conjugate
 # pairs are made exact, and each root gets a radius deg |p(z)| / |p'(z)|
@@ -137,18 +138,18 @@ def _root_error_bound(coeffs, dcoeffs, z, degree):
     return math.nextafter(float(degree * (abs(poly_eval(coeffs, z)) + p_err) / den), math.inf)
 
 
-def _companion_seeds(coeffs):
+def _double_seeds(coeffs):
     # Double-precision roots of p(2^s y) / (a_n 2^(s n)), scaled back by 2^s
-    # in mpmath.  By Fujiwara's bound every root has |x| <= 2^s, so the
-    # rescaled polynomial has leading coefficient 1 and every other one of
-    # size <= 1/2: nothing overflows and no large root is lost.  A near-double
-    # root comes out as two seeds about sqrt(eps) apart, often a conjugate
-    # pair straddling two real roots (or two reals straddling a pair), from
-    # which Durand-Kerner never converges.  So a seed within 2^-20 relative
-    # of an earlier one moves by 2^-20 of its size in a direction generic
-    # for each index, and the iteration's repulsion separates the cluster.
-    import numpy
-
+    # in mpmath.  By Fujiwara's bound every root has |x| < 2^s, so the
+    # rescaled polynomial is monic with every other coefficient of size
+    # < 1/2 and all its roots in the unit disc: nothing overflows, no large
+    # root is lost, and Durand-Kerner (Weierstrass) steps in Python complex
+    # run until every step is below 2^-50 of its root.  A near-double root
+    # comes out as two seeds about sqrt(eps) apart, often a conjugate pair
+    # straddling two real roots (or two reals straddling a pair), from which
+    # the polish never converges.  So a seed within 2^-20 relative of an
+    # earlier one moves by 2^-20 of its size in a direction generic for each
+    # index, and the iteration's repulsion separates the cluster.
     n = len(coeffs) - 1
     top = abs(coeffs[-1]).bit_length() - 1  # |a_n| >= 2^top
     s = 1 + max(
@@ -159,24 +160,57 @@ def _companion_seeds(coeffs):
     for k in range(n, -1, -1):  # highest power first; each value has size <= 1
         e = s * (n - k)
         scaled.append(coeffs[k] / (coeffs[-1] << e) if e >= 0 else (coeffs[k] << -e) / coeffs[-1])
-    ys = list(numpy.roots(scaled))
+    # Start on circles whose radii are the slopes of the Newton polygon,
+    # the upper convex hull of (k, log |a_k|), so roots of every size have
+    # seeds near them (Bini, Numer. Algorithms 13, 1996); a zero constant
+    # term is a simple root at 0.  The angles are generic, so no two seeds
+    # are conjugate.
+    hull = []
+    for k, c in enumerate(coeffs):
+        if c:
+            log_c = math.log(abs(c))
+            while len(hull) > 1:
+                (k0, log0), (k1, log1) = hull[-2:]
+                if (k1 - k0) * (log_c - log0) < (log1 - log0) * (k - k0):
+                    break
+                hull.pop()
+            hull.append((k, log_c))
+    ys = [0j] * hull[0][0]
+    for (k0, log0), (k1, log1) in zip(hull, hull[1:]):
+        radius = math.exp(min((log0 - log1) / (k1 - k0) - s * math.log(2), 0.0))
+        for j in range(k1 - k0):
+            ys.append(radius * cmath.exp(1j * ((2 * math.pi * j + 1.9) / (k1 - k0) + 0.4 * k0)))
+    for _ in range(100):  # sweeps; the mpmath polish goes on from any seeds
+        converged = True
+        for k, y in enumerate(ys):
+            num = den = 1.0
+            for c in scaled[1:]:
+                num = num * y + c
+            for j, other in enumerate(ys):
+                if j != k:
+                    den *= y - other
+            step = num / den if abs(den) > 2.0**-1000 else 2.0**-20
+            y -= step
+            if abs(y) > 1:  # back to the disc, which no root leaves
+                y /= abs(y)
+            ys[k] = y
+            converged = converged and abs(step) <= 2.0**-50 * abs(y)
+        if converged:
+            break
     for k in range(1, n):
         if any(abs(ys[k] - y) <= 2.0**-20 * max(abs(ys[k]), abs(y)) for y in ys[:k]):
             ys[k] += 2.0**-20 * max(abs(ys[k]), 2.0**-20) * (0.4 + 0.9j) ** k
-    return [
-        mpc(mpmath.ldexp(mpf(float(y.real)), s), mpmath.ldexp(mpf(float(y.imag)), s))
-        for y in ys
-    ]
+    return [mpc(mpmath.ldexp(mpf(y.real), s), mpmath.ldexp(mpf(y.imag), s)) for y in ys]
 
 
 def poly_roots(coeffs, tol):
     """All complex roots of a squarefree integer polynomial, certified.
 
-    Seed: the companion-matrix eigenvalues (``numpy.roots``) of the
-    polynomial rescaled by Fujiwara's root bound.  Polish: Durand-Kerner
-    (``mpmath.polyroots``) from those seeds, with guard bits of 20 plus the
-    largest coefficient's bit length, so its absolute stopping rule is
-    relative to the largest root the Cauchy bound allows.  Certify: the
+    Seed: Durand-Kerner in double precision on the polynomial rescaled by
+    Fujiwara's root bound, which puts every root in the unit disc.  Polish:
+    Durand-Kerner (``mpmath.polyroots``) from those seeds, with guard bits of
+    20 plus the largest coefficient's bit length, so its absolute stopping
+    rule is relative to the largest root the Cauchy bound allows.  Certify: the
     exact Sturm count splits the roots into real ones, which are
     Newton-polished, and conjugate pairs, which are made exact; every
     radius bounds the distance to a root including rounding, and the n
@@ -195,7 +229,7 @@ def poly_roots(coeffs, tol):
         raise NotSquarefree("polynomial has repeated roots")
     guard = 20 + max(abs(c).bit_length() for c in coeffs)
     with prec.working(80):
-        seeds = _companion_seeds(coeffs)
+        seeds = _double_seeds(coeffs)
         try:
             z = mpmath.polyroots(
                 coeffs[::-1], maxsteps=400, extraprec=guard, cleanup=False, roots_init=seeds
@@ -211,13 +245,17 @@ def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
     real_idx, cplx_idx = order[:n_real], order[n_real:]
 
     out = []
+    ulp = mpf(2) ** -mpmath.mp.prec
     for i in sorted(real_idx, key=lambda i: mpmath.re(z[i])):
         x = mpmath.re(z[i])
-        for _ in range(6):  # Newton polish on the real axis
+        for _ in range(6):  # Newton polish on the real axis, to one ulp
             dv = poly_eval(dcoeffs, x)
             if dv == 0:
                 break
-            x = x - poly_eval(coeffs, x) / dv
+            step = poly_eval(coeffs, x) / dv
+            x -= step
+            if abs(step) <= ulp * abs(x):
+                break
         err = _root_error_bound(coeffs, dcoeffs, x, n)
         if not err <= tol:
             raise NoConvergence("root certificate: real root radius %.3g > tol" % err)
@@ -476,27 +514,58 @@ def pell_fundamental_solution(m):
 # exact linear algebra over Fractions
 
 
-def frac_det(rows):
-    """Exact determinant by fraction Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
+def _bareiss(rows, exchange):
+    """Leading principal minors of d * rows, for the least integer d that
+    makes every entry an integer, by fraction-free (Bareiss) elimination.
+
+    Entries may be ints, Fractions or floats, each taken exactly as stored
+    (a float is a dyadic rational, so d is a power of 2 for them).  Returns
+    (d, sign, minors).  With exchange, a zero pivot is swapped for a later
+    row, sign records the swaps, and the minors are those of the permuted
+    matrix; without, or when no row is left to swap in, elimination stops
+    at the zero pivot, which ends the list.
+    """
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    d = math.lcm(*(den for row in ratios for _, den in row))
+    a = [[num * (d // den) for num, den in row] for row in ratios]
     n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
+    sign, prev, minors = 1, 1, []
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None) if exchange else None
+            if swap is None:
+                minors.append(0)
+                break
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+        minors.append(pivot)
+    return d, sign, minors
+
+
+def frac_det(rows):
+    """Exact determinant, by Bareiss elimination with row exchanges."""
+    d, sign, minors = _bareiss(rows, exchange=True)
+    return Fraction(sign * minors[-1], d ** len(minors)) if minors else Fraction(1)
+
+
+def ldl_pivots(rows):
+    """Exact pivots d_1, d_2, ... of A = L D L^T for a symmetric matrix A.
+
+    Every entry counts exactly as stored, so for a Gram matrix of floats
+    this decides positive definiteness of the matrix the caller holds: it
+    is positive definite iff every pivot is positive, and the product of
+    the pivots is its determinant.  The k-th pivot is the ratio of the
+    k-th and (k-1)-th leading principal minors.  The list ends early at a
+    zero pivot, where no LDL^T factorization exists.
+    """
+    d, _, minors = _bareiss(rows, exchange=False)
+    return [Fraction(b, a * d) for a, b in zip([1] + minors, minors)]
 
 
 def frac_solve(rows, rhs):

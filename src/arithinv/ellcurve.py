@@ -690,12 +690,12 @@ class MordellWeilBasis:
 def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
     """Gram determinant of the supplied points under the height pairing.
 
-    Empty input gives the empty-determinant convention 1.  A determinant
+    Empty input gives the empty-determinant convention 1.  The LDL^T
+    pivots of the Gram matrix as stored decide, exactly, that it is
+    positive semidefinite and give its determinant; a determinant
     collapsing below 1e-8 of the diagonal scale means the points are
     dependent.
     """
-    import numpy
-
     if len(points) != claimed_rank:
         raise InvariantError(
             "expected %d points, got %d" % (claimed_rank, len(points))
@@ -714,16 +714,15 @@ def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
             hsum = canonical_height(curve, _add(curve, points[i], points[k]), tol)
             val = (scale / 2) * (hsum - heights[i] - heights[k])
             gram[i][k] = gram[k][i] = val
-    mat = numpy.array(gram, dtype=float)
-    det = float(abs(numpy.linalg.det(mat)))
+    pivots = arith.ldl_pivots(gram)
+    if min(pivots) < 0:
+        raise DependentPoints("pairing Gram matrix is not positive semidefinite")
+    det = float(math.prod(pivots))
     diag_scale = 1.0
     for i in range(m):
         diag_scale *= max(gram[i][i], 1e-30)
     if det < 1e-8 * diag_scale:
         raise DependentPoints("supplied points are not independent")
-    eigs = numpy.linalg.eigvalsh(mat)
-    if min(eigs) < -1e-9:
-        raise DependentPoints("pairing Gram matrix is not positive semidefinite")
     return MordellWeilBasis(tuple(points), tuple(tuple(row) for row in gram), det)
 
 

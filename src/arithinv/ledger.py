@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
 import mpmath
 
-from . import analytic, prec
+from . import analytic, arith, prec
 from .errors import DependentPoints, NotASubfield
 
 PASS_EPS = 1e-9
@@ -279,54 +280,87 @@ class MinimaResult:
 _RADIUS_SLACK = 1e-9
 
 
-def _gram_schmidt(g, n):
-    """mu and |b*|^2 of the first n basis vectors of the Gram matrix g.
+def _orthogonalize(g, mu, bstar, i):
+    """Row i of mu and |b_i*|^2 from the Gram matrix g and the rows before i.
 
-    Equivalently Q(x) = sum_j bstar[j] (x_j + sum_{i>j} mu[i][j] x_i)^2,
+    Over all rows, Q(x) = sum_j bstar[j] (x_j + sum_{i>j} mu[i][j] x_i)^2,
     the square-completed form that Fincke-Pohst enumerates.
     """
-    mu = [[0.0] * n for _ in range(n)]
-    bstar = [0.0] * n
-    for i in range(n):
-        for j in range(i):
-            mu[i][j] = (
-                g[i][j] - sum(mu[j][t] * mu[i][t] * bstar[t] for t in range(j))
-            ) / bstar[j]
-        bstar[i] = g[i][i] - sum(mu[i][t] ** 2 * bstar[t] for t in range(i))
-    return mu, bstar
+    row = mu[i]
+    for j in range(i):
+        row[j] = (g[i][j] - sum(mu[j][t] * row[t] * bstar[t] for t in range(j))) / bstar[j]
+    bstar[i] = g[i][i] - sum(row[t] ** 2 * bstar[t] for t in range(i))
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
+def _apply(q_mat, row):
+    """Q x for an integer row x."""
+    return [_dot(q_row, row) for q_row in q_mat]
+
+
+def _form_value(q_mat, vec):
+    """x^T Q x for an integer vector x."""
+    m = len(vec)
+    return sum(vec[i] * q_mat[i][j] * vec[j] for i in range(m) for j in range(m))
 
 
 def _lll(q_mat, u, cut=0):
     """LLL-reduce the basis whose vectors are the rows of the unimodular u.
 
-    Returns new integer rows of the same lattice with the Gram matrix
-    u Q u^T LLL-reduced (Lovasz constant 0.99), except that rows cut - 1
-    and cut are never swapped: the first cut rows keep their span, and
-    the rest are reduced in projection orthogonal to it.  The Gram matrix
-    is recomputed from Q and the exact integer rows at every step, so
-    rounding never accumulates.
+    Returns new integer rows of the same lattice, their Gram matrix
+    u Q u^T, and its mu and |b*|^2 (`_orthogonalize`).  The basis is
+    LLL-reduced (Lovasz constant 0.99), except that rows cut - 1 and cut
+    are never swapped: the first cut rows keep their span, and the rest
+    are reduced in projection orthogonal to it.  Q u_i is kept for each
+    row, entry (i, j) of the Gram matrix is Q u_i . u_j, a size reduction
+    recomputes row and column k from the new exact row, and a swap
+    permutes rows and columns; so every entry is a fresh dot product of
+    exact rows, and rounding never accumulates.  The Gram-Schmidt rows
+    below the first changed row are kept, since they depend on nothing
+    after them.
     """
-    import numpy as np
-
     u = [list(row) for row in u]
     m = len(u)
+    qu = [_apply(q_mat, row) for row in u]
+    g = [[_dot(qu[i], u[j]) for j in range(m)] for i in range(m)]
+    mu = [[0.0] * m for _ in range(m)]
+    bstar = [0.0] * m
+    fresh = 0  # rows of mu and bstar that match g
     k = 1
     while k < m:
-        uf = np.array(u, dtype=float)
-        mu, bstar = _gram_schmidt((uf @ q_mat @ uf.T).tolist(), k + 1)
+        for i in range(fresh, k + 1):
+            _orthogonalize(g, mu, bstar, i)
+        fresh = k + 1
+        row = u[k]
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
-                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                row = [a - q * b for a, b in zip(row, u[j])]
                 for t in range(j):
                     mu[k][t] -= q * mu[j][t]
                 mu[k][j] -= q
+        if row is not u[k]:
+            u[k] = row
+            qu[k] = _apply(q_mat, row)
+            g[k] = [_dot(qu[k], v) for v in u]
+            for i in range(m):
+                g[i][k] = _dot(qu[i], row)
+            fresh = k
         if k == cut or bstar[k] >= (0.99 - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:
-            u[k - 1], u[k] = u[k], u[k - 1]
+            for seq in (u, qu, g):
+                seq[k - 1], seq[k] = seq[k], seq[k - 1]
+            for g_row in g:
+                g_row[k - 1], g_row[k] = g_row[k], g_row[k - 1]
+            fresh = k - 1
             k = max(k - 1, 1)
-    return u
+    for i in range(fresh, m):
+        _orthogonalize(g, mu, bstar, i)
+    return u, g, mu, bstar
 
 
 def _saturated_basis(vectors):
@@ -437,35 +471,30 @@ def successive_minima(gram):
     outside the span, so every product of the minima stays an upper
     bound for the true one.
     """
-    import numpy as np
-
     m = len(gram)
     if m == 0:
         return MinimaResult((), (), True, 0.0, 0)
-    q_mat = np.asarray(gram, dtype=float)
-    if np.min(np.linalg.eigvalsh(q_mat)) <= 0:
+    q_mat = [[float(x) for x in row] for row in gram]
+    if not all(pivot > 0 for pivot in arith.ldl_pivots(q_mat)):
         raise DependentPoints("Gram matrix is not positive definite")
-    basis = _lll(q_mat, [[int(i == j) for j in range(m)] for i in range(m)])
+    basis, g, mu, bstar = _lll(q_mat, [[int(i == j) for j in range(m)] for i in range(m)])
     minima, witnesses = [], []
     exact, radius, nodes = True, 0.0, 0
     for k in range(m):
         if k:
-            basis = _lll(q_mat, _saturated_basis(witnesses), cut=k)
-        rows = np.array(basis, dtype=int)
-        g = (rows.astype(float) @ q_mat @ rows.T.astype(float)).tolist()
-        mu, bstar = _gram_schmidt(g, m)
+            basis, g, mu, bstar = _lll(q_mat, _saturated_basis(witnesses), cut=k)
         bound, first = min((g[i][i], i) for i in range(k, m))
         radius = max(radius, bound * (1 + _RADIUS_SLACK))
         found, visited = _shortest_outside(mu, bstar, k, bound)
         nodes += visited
         exact = exact and bool(found)
         coefficients = [vec for _, vec in found] or [[int(i == first) for i in range(m)]]
-        vectors = np.array(coefficients, dtype=int) @ rows
-        vectors = np.concatenate([vectors, -vectors])
-        values = np.einsum("ni,ij,nj->n", vectors, q_mat, vectors)
-        value, vec = min(
-            (float(v), tuple(int(x) for x in row)) for v, row in zip(values, vectors)
-        )
+        candidates = []
+        for c in coefficients:
+            vec = [sum(ci * row[t] for ci, row in zip(c, basis)) for t in range(m)]
+            value = _form_value(q_mat, vec)
+            candidates += [(value, tuple(vec)), (value, tuple(-x for x in vec))]
+        value, vec = min(candidates)
         minima.append(math.sqrt(max(value, 0.0)))
         witnesses.append(vec)
     return MinimaResult(tuple(minima), tuple(witnesses), exact, radius, nodes)
@@ -484,8 +513,8 @@ def check_regulator_theorem(cs):
     m = cs.rank
     result = successive_minima(cs.gram)
     product = 1.0
-    for lam in result.minima:
-        product *= lam * lam
+    for vec in result.witnesses:
+        product *= _form_value(cs.gram, vec)
     note = "minima %s" % "/".join("%.6g" % x for x in result.minima)
     minkowski = _judge(
         "minkowski_minima", cs.label, m ** (m / 2) * cs.regulator, product, note

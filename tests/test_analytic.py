@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arithinv import analytic
-from arithinv.errors import NotUpperHalfPlane, TauNotReduced
+from arithinv.errors import AgmNoConvergence, NotUpperHalfPlane, TauNotReduced
 
 
 def curve_stub(a1, a2, a3, a4, a6):
@@ -169,6 +170,26 @@ def test_delta_matches_the_product_law(re, im):
             qn *= q
         ref = q * product
         assert abs(got - ref) <= 1e-18 * abs(ref)
+
+
+class TestEisensteinE4:
+    def test_e4_at_i(self):
+        # E4(i) = 3 Gamma(1/4)^8 / (64 pi^6)
+        with mpmath.workprec(200):
+            tau = mpmath.mpc(0, 1)
+            expected = 3 * mpmath.gamma(mpmath.mpf(1) / 4) ** 8 / (64 * mpmath.pi**6)
+        assert abs(analytic.eisenstein_e4(tau) - expected) < 1e-18
+
+    def test_e4_vanishes_at_rho(self):
+        with mpmath.workprec(200):
+            rho = mpmath.expjpi(mpmath.mpf(2) / 3)
+        assert abs(analytic.eisenstein_e4(rho)) < 1e-18
+
+    def test_term_cap_is_a_named_failure(self):
+        start = time.perf_counter()
+        with pytest.raises(AgmNoConvergence):
+            analytic.eisenstein_e4(mpmath.mpc(0.1, 1e-6))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestJInvariant:

@@ -279,6 +279,28 @@ class TestExactLinearAlgebra:
         assert arith.frac_det([[2]]) == 2
         assert arith.frac_det([[1, 2], [2, 4]]) == 0
 
+    def test_det_with_row_exchanges(self):
+        assert arith.frac_det([[0, 1], [1, 0]]) == -1
+        assert arith.frac_det([[0, 1, 2], [1, 0, 3], [4, 5, 0]]) == 22
+        assert arith.frac_det([[Fraction(1, 3), 0.5], [0.25, Fraction(2, 7)]]) == Fraction(2, 21) - Fraction(1, 8)
+
+    def test_ldl_pivots(self):
+        # [[4, 2], [2, 3]] = L diag(4, 2) L^T; the floats count exactly as stored
+        assert arith.ldl_pivots([[4.0, 2.0], [2.0, 3.0]]) == [4, 2]
+        assert arith.ldl_pivots([[0.1]]) == [Fraction(0.1)]
+        assert arith.ldl_pivots([[1, 2], [2, 1]]) == [1, -3]
+        # a zero pivot ends the list: no LDL^T exists past it
+        assert arith.ldl_pivots([[0.0, 1.0], [1.0, 0.0]]) == [0]
+
+    @given(st.lists(st.integers(-9, 9), min_size=9, max_size=9), st.integers(-30, 30))
+    def test_pivots_multiply_to_the_determinant(self, entries, e):
+        rows = [[math.ldexp(entries[3 * i + j] + entries[3 * j + i], e) for j in range(3)] for i in range(3)]
+        pivots = arith.ldl_pivots(rows)
+        if len(pivots) == 3:
+            assert math.prod(pivots) == arith.frac_det(rows)
+        else:
+            assert pivots[-1] == 0
+
     def test_solve(self):
         x = arith.frac_solve([[2, 0], [1, 3]], [4, 7])
         assert x == [Fraction(2), Fraction(5, 3)]

@@ -310,3 +310,21 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_commands_run_without_numpy():
+    # the package does its 2x2 to 8x8 numerics in pure Python: a full
+    # verify, one curve, one field and a rank-5 minima search load no numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = """if True:
+        import contextlib, io, sys
+        from arithinv import cli, ledger
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["verify"]), cli.main(["curve", "37a"]), cli.main(["field", "Q_sqrt2"])]
+        gram = [[2.0 if i == j else 0.5 for j in range(5)] for i in range(5)]
+        ledger.successive_minima(gram)
+        print(codes, "numpy" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0] False"

@@ -1,13 +1,14 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithinv import ledger
+from arithinv import arith, ellcurve, ledger
 
 
 def stats_by_label(rows):
@@ -246,6 +247,12 @@ class TestSuccessiveMinima:
         assert minkowski.margin == pytest.approx(0.0, abs=1e-12)
         assert minkowski.verdict == "pass"
 
+    def test_37a_margin_is_exactly_zero(self, cstats):
+        # in rank 1 the regulator is the one Gram entry, and the product is
+        # the value of the witness +-1, so the two sides are the same float
+        rows = ledger.check_regulator_theorem(stats_by_label(cstats)["37a"])
+        assert rows[0].margin == 0.0
+
     def test_rank0_skipped(self, cstats):
         assert ledger.check_regulator_theorem(stats_by_label(cstats)["Ep5"]) == []
 
@@ -319,6 +326,56 @@ class TestSuccessiveMinima:
     def test_not_positive_definite(self):
         with pytest.raises(ledger.DependentPoints):
             ledger.successive_minima([[1.0, 2.0], [2.0, 1.0]])
+
+
+# Two Gram matrices whose definiteness a float eigenvalue test gets wrong.
+# The stored entries of A have exact determinant -1.2e-7, so A is not
+# positive definite; those of B have exact determinant +7.5e-14, so B is.
+GRAM_A = [
+    [25000.25, -24999.95, -24999.749999999996],
+    [-24999.95, 25000.01, 25000.050000000003],
+    [-24999.749999999996, 25000.050000000003, 25000.250000000007],
+]
+GRAM_B = [
+    [25000.0000001, -25000.0000004, 20000.000000100004],
+    [-25000.0000004, 25000.0000016, -20000.000000400003],
+    [20000.000000100004, -20000.000000400003, 16000.00000010001],
+]
+
+
+class TestExactDefiniteness:
+    def test_indefinite_stored_matrix_is_rejected_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ledger.DependentPoints):
+            ledger.successive_minima(GRAM_A)
+        assert time.perf_counter() - start < 1.0
+
+    def test_nearly_singular_positive_definite_matrix_has_minima(self):
+        res = ledger.successive_minima(GRAM_B)
+        assert res.exact
+        assert arith.frac_det(res.witnesses) != 0
+        for lam, vec in zip(res.minima, res.witnesses):
+            exact = sum(
+                Fraction(vec[i]) * Fraction(GRAM_B[i][j]) * Fraction(vec[j])
+                for i in range(3)
+                for j in range(3)
+            )
+            # float evaluation of x^T B x is off by at most 9 eps sum |x_i B_ij x_j|
+            rounding = 9 * 2.0**-52 * sum(abs(vec[i] * GRAM_B[i][j] * vec[j]) for i in range(3) for j in range(3))
+            assert abs(lam * lam - exact) <= rounding
+
+    def test_mw_regulator_rejects_a_negative_pivot(self, monkeypatch):
+        # a Gram matrix diag(1, -1e-10) passes the determinant test, and its
+        # least eigenvalue lies above a -1e-9 float tolerance
+        scale = float(ellcurve.HEIGHT_SCALE)
+        p, q = ellcurve.Point.of(0, 0), ellcurve.Point.of(1, 0)
+        heights = {p: 1 / scale, q: -1e-10 / scale}
+        monkeypatch.setattr(
+            ellcurve, "canonical_height", lambda curve, pt, tol: heights.get(pt, heights[p] + heights[q])
+        )
+        e389 = ellcurve.weierstrass_curve(0, 1, 1, -2, 0)
+        with pytest.raises(ledger.DependentPoints, match="semidefinite"):
+            ellcurve.mw_regulator(e389, [p, q], 2)
 
 
 @st.composite
