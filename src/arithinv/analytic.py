@@ -49,7 +49,10 @@ class ReducedTau:
 def _as_value(tau):
     if isinstance(tau, (Tau, ReducedTau)):
         return tau.value
-    return mpc(tau)
+    if isinstance(tau, mpc):
+        return tau  # keeps its own precision
+    with prec.working():
+        return mpc(tau)
 
 
 def _matmul(m1, m2):

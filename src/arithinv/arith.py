@@ -669,115 +669,3 @@ def bezout_cofactors(f, g):
     acoef = [int(x) for x in sol[:m]]
     bcoef = [int(x) for x in sol[m:]]
     return acoef, bcoef, int(res)
-
-
-# ---------------------------------------------------------------------------
-# finite-precision p-adic numbers
-
-_PADIC_INF = 10**15
-
-
-class PadicPrecisionLoss(ArithmeticError):
-    """Raised when a p-adic computation cancels past its known digits."""
-
-
-@dataclass(frozen=True)
-class PAdic:
-    """unit * p^val known to `digits` significant p-adic digits.
-
-    ``unit is None`` encodes a value only known to be O(p^val).
-    """
-
-    p: int
-    val: int
-    unit: int | None
-    digits: int
-
-    GUARD = 8
-
-    @classmethod
-    def from_fraction(cls, q, p, digits):
-        q = Fraction(q)
-        if q == 0:
-            return cls(p, _PADIC_INF, None, digits)
-        num, den = q.numerator, q.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        pk = p**digits
-        unit = num % pk * pow(den, -1, pk) % pk
-        return cls(p, v, unit, digits)
-
-    def is_unknown(self):
-        return self.unit is None
-
-    def _strip(self, p, val, s, digits):
-        if s == 0:
-            return PAdic(p, val + digits, None, digits)
-        t = 0
-        while s % p == 0:
-            s //= p
-            t += 1
-        digits -= t
-        if digits < self.GUARD:
-            raise PadicPrecisionLoss()
-        return PAdic(p, val + t, s % p**digits, digits)
-
-    def __add__(self, other):
-        p = self.p
-        a, b = (self, other) if self.val <= other.val else (other, self)
-        if a.unit is None:
-            return PAdic(p, a.val, None, min(a.digits, b.digits))
-        if b.unit is None:
-            gap = b.val - a.val
-            if gap >= a.digits:
-                return PAdic(p, a.val, a.unit, a.digits)
-            if gap == 0:
-                return PAdic(p, a.val, None, min(a.digits, b.digits))
-            digits = min(a.digits, gap)
-            if digits < self.GUARD:
-                raise PadicPrecisionLoss()
-            return PAdic(p, a.val, a.unit % p**digits, digits)
-        digits = min(a.digits, b.digits)
-        gap = b.val - a.val
-        pk = p**digits
-        s = (a.unit + (b.unit * pow(p, gap, pk) if gap < digits else 0)) % pk
-        return self._strip(p, a.val, s, digits)
-
-    def __neg__(self):
-        if self.unit is None:
-            return self
-        return PAdic(self.p, self.val, (-self.unit) % self.p**self.digits, self.digits)
-
-    def __mul__(self, other):
-        p = self.p
-        val = min(self.val + other.val, _PADIC_INF)
-        digits = min(self.digits, other.digits)
-        if self.unit is None or other.unit is None:
-            return PAdic(p, val, None, digits)
-        return PAdic(p, val, self.unit * other.unit % p**digits, digits)
-
-    def __truediv__(self, other):
-        if other.unit is None:
-            raise PadicPrecisionLoss()  # denominator valuation not pinned down
-        p = self.p
-        digits = min(self.digits, other.digits)
-        inv = pow(other.unit, -1, p**digits)
-        if self.unit is None:
-            return PAdic(p, self.val - other.val, None, digits)
-        return PAdic(
-            p, self.val - other.val, self.unit * inv % p**digits, digits
-        )
-
-
-def padic_poly_eval(coeffs, x):
-    """Horner evaluation of an integer polynomial at a PAdic point."""
-    p, digits = x.p, x.digits
-    acc = PAdic.from_fraction(0, p, digits)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + PAdic.from_fraction(c, p, digits)
-    return acc

@@ -13,7 +13,10 @@ Two independent height paths are kept deliberately separate:
 * the primary path decomposes hhat_x place by place -- an archimedean
   series in the real embedding plus one exact p-adic valuation series
   per bad prime; the decomposition follows from the product formula
-  applied to the duplication map x(2P) = F(x)/G(x);
+  applied to the duplication map x(2P) = F(x)/G(x).  The p-adic series
+  doubles x = X/Z projectively on integers mod p^K, where the resultant
+  of F and G bounds the digits each step can strip, so K is fixed in
+  advance;
 * the oracle path is Silverman's algorithm (Math. Comp. 51, 1988) on
   the global minimal model: a q-series at the elliptic logarithm (Sec. 4,
   from the AGM period lattice) plus the closed forms of his Thm 5.2 in
@@ -463,36 +466,42 @@ def _arch_series(hd, x0, terms):
     return total
 
 
-def _exact_min_val(a, b):
-    if a.unit is not None and b.unit is not None:
-        return min(a.val, b.val)
-    if a.unit is not None and a.val <= b.val:
-        return a.val
-    if b.unit is not None and b.val <= a.val:
-        return b.val
-    raise arith.PadicPrecisionLoss()
+def _orbit_valuations(hd, x0, p, terms):
+    """Yield m_n, the power of p stripped at each step of the duplication orbit.
 
-
-def _padic_series(hd, x0, p, terms, digits):
-    """Exact truncated local series: returns Fraction coefficient of log p."""
-    x = arith.PAdic.from_fraction(x0, p, digits)
-    ell = max(0, -x.val) if x.unit is not None else 0
-    acc = Fraction(0)
-    weight = Fraction(1, 4)
+    With x_n = X/Z for p-coprime integers X and Z, x_(n+1) = F_h/G_h for
+    the quartic forms F_h = Z^4 F(X/Z) and G_h = Z^4 G(X/Z), and m_n =
+    min(v_p F_h, v_p G_h).  Forms A, B with A F_h + B G_h = Res(F, G) X^7,
+    and another pair with Res(F, G) Z^7, give m_n <= v_p(Res(F, G)) = R.
+    Carried mod p^(terms R + 1), X and Z keep more than R known digits at
+    every step, so each m_n is exact.
+    """
+    mod = p ** (terms * _vp(hd.res1, p) + 1)
+    X, Z = x0.numerator % mod, x0.denominator % mod
     for _ in range(terms):
-        fv = arith.padic_poly_eval(hd.F, x)
-        gv = arith.padic_poly_eval(hd.G, x)
-        vmin = _exact_min_val(fv, gv)
-        if x.unit is not None:
-            vx_neg = min(0, x.val)
-        elif x.val > 0:
-            vx_neg = 0
-        else:
-            raise arith.PadicPrecisionLoss()
-        acc += weight * (-vmin + 4 * vx_neg)
+        monomials = [X**i * Z ** (4 - i) for i in range(5)]  # G has no x^4 term
+        f = sum(c * w for c, w in zip(hd.F, monomials)) % mod
+        g = sum(c * w for c, w in zip(hd.G, monomials)) % mod
+        m = 0
+        while f % p == 0 and g % p == 0:
+            f, g, m = f // p, g // p, m + 1
+        mod //= p**m
+        X, Z = f, g
+        yield m
+
+
+def _padic_series(hd, x0, p, terms):
+    """Exact truncated local series: returns Fraction coefficient of log p.
+
+    The summand -min(v F(x_n), v G(x_n)) + 4 min(0, v x_n) of the affine
+    series is -m_n, since the 4 v_p(Z) terms cancel.
+    """
+    coeff = Fraction(_vp(x0.denominator, p))
+    weight = Fraction(1, 4)
+    for m in _orbit_valuations(hd, x0, p, terms):
+        coeff -= weight * m
         weight /= 4
-        x = fv / gv
-    return Fraction(ell) + acc
+    return coeff
 
 
 def _strip_primes(n, primes):
@@ -507,8 +516,9 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
 
     Torsion points (detected exactly) return 0.  The archimedean series
     runs in the real embedding; each bad prime contributes an exact
-    valuation series; good denominator primes contribute log of the
-    coprime denominator part directly.
+    valuation series along the projective duplication orbit mod p^K;
+    good denominator primes contribute log of the coprime denominator
+    part directly.
     """
     if point.is_infinity or is_torsion(curve, point):  # is_torsion checks the point
         return 0.0
@@ -531,17 +541,7 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
                 continue
             bound_p = max(vb, 1) * math.log(p)
             terms_p = max(5, math.ceil(math.log(bound_p / (3 * tail_each)) / math.log(4)))
-            digits = 128
-            while True:
-                try:
-                    coeff = _padic_series(hd, x0, p, terms_p, digits)
-                    break
-                except arith.PadicPrecisionLoss:
-                    digits *= 2
-                    if digits > 1 << 14:
-                        raise NoConvergence(
-                            "p-adic height series lost precision at p=%d" % p
-                        )
+            coeff = _padic_series(hd, x0, p, terms_p)
             total += (mpf(coeff.numerator) / coeff.denominator) * mpmath.log(p)
         return float(total)
 

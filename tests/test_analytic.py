@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithinv import analytic
+from arithinv import analytic, prec
 from arithinv.errors import AgmNoConvergence, NotUpperHalfPlane, TauNotReduced
 
 
@@ -123,6 +123,27 @@ class TestModularDiscriminant:
     def test_requires_reduced(self):
         with pytest.raises(TauNotReduced):
             analytic.modular_discriminant(mpmath.mpc(0.0, 0.5))
+
+    def test_tau_keeps_its_precision(self):
+        # a 200-bit tau must not be rounded to 53 bits on the way in
+        before = prec.bits()
+        try:
+            prec.set_precision(200)
+            with mpmath.workprec(200):
+                tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.sqrt(2))
+            got = analytic.delta_q_series(tau)
+            assert got != analytic.delta_q_series(complex(tau))
+            with mpmath.workprec(300):
+                tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.sqrt(2))
+                q = mpmath.exp(2j * mpmath.pi * tau)
+                product, qn = mpmath.mpc(1), q
+                while abs(qn) > mpmath.mpf(2) ** -320:
+                    product *= (1 - qn) ** 24
+                    qn *= q
+                ref = q * product
+                assert abs(got - ref) < 1e-40 * abs(ref)
+        finally:
+            prec.set_precision(before)
 
     def test_orbit_invariance_sampled(self):
         rng = random.Random(17)

@@ -331,37 +331,6 @@ class TestExactLinearAlgebra:
         assert prod[0] == r and all(c == 0 for c in prod[1:])
 
 
-class TestPAdic:
-    def test_roundtrip_valuations(self):
-        x = arith.PAdic.from_fraction(Fraction(18, 5), 3, 20)
-        assert x.val == 2
-        y = arith.PAdic.from_fraction(Fraction(1, 9), 3, 20)
-        assert y.val == -2
-        assert (x * y).val == 0
-
-    def test_add_cancellation(self):
-        p = 5
-        a = arith.PAdic.from_fraction(Fraction(26), p, 10)
-        b = arith.PAdic.from_fraction(Fraction(-1), p, 10)
-        s = a + b  # 25 = 5^2
-        assert s.val == 2 and s.unit == 1
-
-    def test_poly_eval(self):
-        # F(x) = x^2 + 1 at x = 7, p = 5: value 50 = 2 * 5^2
-        x = arith.PAdic.from_fraction(7, 5, 12)
-        v = arith.padic_poly_eval([1, 0, 1], x)
-        assert v.val == 2 and v.unit % 5 == 2
-
-    def test_unknown_propagation(self):
-        p = 7
-        z = arith.PAdic(p, 20, None, 12)  # O(p^20)
-        w = arith.PAdic.from_fraction(3, p, 12)
-        assert (z + w).val == 0 and (z + w).unit == 3
-        assert (z * w).val == 20 and (z * w).unit is None
-        with pytest.raises(arith.PadicPrecisionLoss):
-            _ = w + arith.PAdic(p, 2, None, 12)  # only 2 digits would remain
-
-
 class TestFactorBudget:
     def test_rho_budget_exceeded(self):
         # a semiprime with both factors above the trial range

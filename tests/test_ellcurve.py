@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithinv import analytic, corpus
+from arithinv import analytic, arith, corpus
 from arithinv import ellcurve as ec
 from arithinv.errors import DependentPoints, PointNotOnCurve, SingularCurve
 
@@ -21,6 +21,7 @@ EJ1728 = ec.weierstrass_curve(0, 0, 0, 1, 0)  # y^2 = x^3 + x
 E15 = ec.weierstrass_curve(1, 4, 0, 1, 0)  # y^2 + xy = x^3 + 4x^2 + x
 P37 = ec.Point.of(0, 0)
 ORACLE_PINS = Path(__file__).resolve().parent / "data" / "oracle_pins.json"
+HEIGHT_PINS = Path(__file__).resolve().parent / "data" / "height_pins.json"
 
 
 def h_plus(curve):
@@ -498,6 +499,57 @@ class TestHeightLaws:
         assert moved.is_integral
         hm = ec.canonical_height(moved, ec.transform_point(gen, u, r, s, t))
         assert abs(hm - h) <= 2 * ec.DEFAULT_TOL
+
+
+def load_height_pins():
+    return json.loads(HEIGHT_PINS.read_text(encoding="utf-8"))
+
+
+# base points for the p-adic series laws: the six bundled generators,
+# (3, 5) on y^2 = x^3 - 2, (-1, 0) on y^2 + xy = x^3 - x and the three
+# singular-reduction points of TestOracle
+SERIES_POINTS = (
+    [(E37, (0, 0)), (E389, (0, 0)), (E389, (1, 0))]
+    + [(E5077, g) for g in ((-2, 3), (-1, 3), (0, 2))]
+    + [
+        (ec.weierstrass_curve(0, 0, 0, 0, -2), (3, 5)),
+        (ec.weierstrass_curve(1, 0, 0, -1, 0), (-1, 0)),
+        (ec.weierstrass_curve(-1, 3, 0, 28, 100), (0, 10)),
+        (ec.weierstrass_curve(0, 0, 0, -108, 513), (-12, 9)),
+        (ec.weierstrass_curve(0, 0, 0, -198, -5103), (24, 63)),
+    ]
+)
+
+
+class TestPadicSeries:
+    def test_heights_are_pinned_to_the_bit(self):
+        # float.hex values of the earlier PAdic-class implementation
+        for row in load_height_pins()["heights"]:
+            curve = ec.weierstrass_curve(*[Fraction(a) for a in row["curve"]])
+            point = ec.Point(*[Fraction(c) for c in row["point"]])
+            assert float.hex(ec.canonical_height(curve, point)) == row["hex"], row["name"]
+
+    def test_coefficients_are_pinned(self):
+        rows = load_height_pins()["series"]
+        for row in rows:
+            hd = ec._height_data(ec.weierstrass_curve(*[Fraction(a) for a in row["curve"]]))
+            got = ec._padic_series(hd, Fraction(row["x"]), row["p"], row["terms"])
+            assert got == Fraction(row["coeff"]), row
+        # 38 P on 37a: the bad prime divides the denominator
+        assert any(r["p"] == 37 and Fraction(r["x"]).denominator % 37 == 0 for r in rows)
+        # 5 P on 37a: a prime with v_p(Res) = 0 divides the denominator
+        assert any(r["p"] == 2 and r["curve"] == ["0", "0", "1", "-1", "0"] and r["x"] == "1/4" for r in rows)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, len(SERIES_POINTS) - 1), st.integers(-40, 40).filter(bool))
+    def test_stripped_powers_within_the_resultant(self, which, k):
+        curve, (x, y) = SERIES_POINTS[which]
+        point = ec.scalar_mul(curve, k, ec.Point.of(x, y))
+        hd = ec._height_data(curve)
+        res = int(arith.resultant(hd.F, hd.G))
+        for p in {2, 3, 5} | {p for p, _ in hd.bad}:
+            bound = ec._vp(res, p)
+            assert all(m <= bound for m in ec._orbit_valuations(hd, point.x, p, 18)), p
 
 
 def test_oracle_pinned():
