@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -286,30 +285,19 @@ def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
 # ---------------------------------------------------------------------------
 # primes and factorization
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_sieved = (1, array("l"))  # (limit, every prime <= limit)
-
-
-def _sieve_primes(limit):
-    """Every prime <= limit (and perhaps more); the cached sieve grows on demand."""
-    global _sieved
-    if limit > _sieved[0]:
-        _sieved = (1, array("l"))  # free the old table before the new one is built
-        sieve = bytearray(b"\x01") * (limit + 1)
-        sieve[:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                start = p * p
-                sieve[start :: p] = b"\x00" * ((limit - start) // p + 1)
-        _sieved = (limit, array("l", itertools.compress(range(limit + 1), sieve)))
-    return _sieved[1]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_TRIAL_PRIMES = tuple(
+    p for p in range(2, 2**10) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
 
 
 def is_prime(n):
-    """Miller-Rabin with a fixed base set; deterministic below 3.3e24."""
+    """Miller-Rabin to the prime bases 2..41: deterministic below
+    psi_13 = 3317044064679887385961981 (Sorenson-Webster, Math. Comp. 86,
+    2017), a probable-prime test above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -364,7 +352,6 @@ def _brent_rho(n, budget):
     return None
 
 
-TRIAL_LIMIT = 10**6
 RHO_BUDGET = 10**7
 
 
@@ -380,53 +367,32 @@ class Factorization:
         return n
 
 
-def _trial_divide(v, trial_limit, record):
-    """Divide out of v, in increasing order, each prime p <= min(trial_limit,
-    isqrt(cofactor)); return the cofactor, stopping early at 1 or a prime.
-
-    The walk alone sizes the cached sieve: once it has tried every cached
-    prime, the sieve doubles, but never past that bound.
-    """
-    tried = 0
-    while v > 1 and not is_prime(v):
-        bound = min(trial_limit, math.isqrt(v))
-        primes = _sieved[1]
-        for p in itertools.islice(primes, tried, None):
-            if p > bound:
-                return v
-            tried += 1
-            if v % p == 0:
-                e = 0
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                record(p, e)
-                break
-        else:
-            if _sieved[0] >= bound:
-                return v
-            del primes  # hold one prime table at a time
-            _sieve_primes(min(bound, 2 * _sieved[0]))
-    return v
-
-
-def factorize(n, trial_limit=TRIAL_LIMIT, rho_budget=RHO_BUDGET):
-    """Factor a nonzero integer: trial division then Pollard rho."""
+def factorize(n, rho_budget=RHO_BUDGET):
+    """Factor a nonzero integer: trial division by the primes below 2^10,
+    stopping once p^2 exceeds the cofactor, then Brent's rho (BIT 20,
+    1980) on each cofactor that is_prime rejects; rho_budget bounds the
+    steps of each rho call."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
     factors = {}
-
-    def record(p, e=1):
-        factors[p] = factors.get(p, 0) + e
-
-    stack = [_trial_divide(abs(n), trial_limit, record)]
+    v = abs(n)
+    for p in _TRIAL_PRIMES:
+        if p * p > v:
+            break
+        if v % p == 0:
+            e = 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            factors[p] = e
+    stack = [v]
     while stack:
         v = stack.pop()
         if v == 1:
             continue
-        if v < trial_limit * trial_limit or is_prime(v):
-            record(v)  # a composite v here has every prime factor > trial_limit
+        if is_prime(v):
+            factors[v] = factors.get(v, 0) + 1
             continue
         g = _brent_rho(v, rho_budget)
         if g is None:

@@ -248,7 +248,7 @@ class CurveInvariants:
 def curve_stats_one(corpus, label, tol=1e-9):
     """CurveInvariants of a single curve record."""
     _, _, mm, rank, gens_min = build_curve_data(corpus, label)
-    reduction = ellcurve.reduction_data(mm.curve)
+    reduction = ellcurve.reduction_data(mm)
     periods = analytic.agm_periods(mm.curve)
     h_plus = ellcurve.faltings_height_plus(mm, periods)
     mw = ellcurve.mw_regulator(mm.curve, list(gens_min), rank, tol)

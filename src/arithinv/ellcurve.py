@@ -234,11 +234,15 @@ def untransform_point(point, u, r, s, t):
 
 @dataclass(frozen=True)
 class MinimalModel:
+    """A global minimal model, the (u, r, s, t) taking the input model to
+    it, and the factorization of its discriminant delta_min."""
+
     curve: WeierstrassCurve
     u: Fraction
     r: Fraction
     s: Fraction
     t: Fraction
+    delta_factors: arith.Factorization
 
     def to_minimal(self, point):
         return transform_point(point, self.u, self.r, self.s, self.t)
@@ -293,7 +297,9 @@ def minimal_model(curve):
     discriminant prime by prime subject to the 2- and 3-adic
     admissibility of the reduced (c4, c6), rebuilds a model, and solves
     for the (u, r, s, t) relating input and output; delta_in = u^12
-    delta_out exactly.
+    delta_out exactly.  The one factorization of the integral model's
+    delta = U^12 delta_min, U = prod p^d_p, gives delta_min's exactly:
+    the exponent of p is e_p - 12 d_p, and primes with exponent 0 drop.
     """
     den = 1
     for a in curve.a_invariants:
@@ -301,8 +307,9 @@ def minimal_model(curve):
     integral = transform_curve(curve, Fraction(1, den), 0, 0, 0)
     c4, c6, delta = int(integral.c4), int(integral.c6), int(integral.delta)
 
+    factored = arith.factorize(delta)
     exps = {}
-    for p, e in arith.factorize(delta).factors:
+    for p, e in factored.factors:
         if e < 12:
             continue
         cands = [e // 12]
@@ -338,7 +345,15 @@ def minimal_model(curve):
     if check.a_invariants != minimal.a_invariants:
         raise InvariantError("minimal model transformation failed to verify")
     assert curve.delta == u_net**12 * minimal.delta
-    return MinimalModel(minimal, u_net, r, s, t)
+    delta_min = arith.Factorization(
+        factored.sign,
+        tuple(
+            (p, e - 12 * exps.get(p, 0))
+            for p, e in factored.factors
+            if e > 12 * exps.get(p, 0)
+        ),
+    )
+    return MinimalModel(minimal, u_net, r, s, t, delta_min)
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +377,17 @@ class ReductionData:
     semistable: bool
 
 
-def reduction_data(curve):
-    """Bad-prime classification of a global minimal model.
+def reduction_data(mm):
+    """Bad-prime classification of the global minimal model of a
+    MinimalModel, read from the delta_min factorization it carries.
 
     kind is multiplicative exactly when v_p(c4) = 0; a bad prime is
     stable when v_p(j) < 0 (bad reduction survives every base change).
     """
-    if not curve.is_integral:
-        raise InvariantError("reduction data needs an integral (minimal) model")
-    c4 = int(curve.c4)
-    delta = int(curve.delta)
+    c4 = int(mm.curve.c4)
     rows = []
     n0 = n_st = n_uns = 1
-    for p, e in arith.factorize(delta).factors:
+    for p, e in mm.delta_factors.factors:
         vc4 = _vp(c4, p)
         multiplicative = vc4 == 0
         vj = None if vc4 is None else 3 * vc4 - e  # v_p(j), j = c4^3 / delta
@@ -667,7 +680,7 @@ def canonical_height_doubling(curve, point, tol=1e-6):
     if is_torsion(model, q):
         return 0.0, 0.0
     lam_inf, bound = _archimedean_local_height(model, analytic.agm_periods(model), q, tol)
-    bad = reduction_data(model).primes
+    bad = reduction_data(mm).primes
     den = _strip_primes(q.x.denominator, [row.p for row in bad])
     with prec.working(20):
         total = lam_inf + mpmath.log(abs(int(model.delta))) / 12 + mpmath.log(den) / 2

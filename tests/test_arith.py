@@ -336,7 +336,7 @@ class TestFactorBudget:
         # a semiprime with both factors above the trial range
         n = 1000003 * 1000033
         with pytest.raises(arith.FactorBudgetExceeded):
-            arith.factorize(n, trial_limit=10**4, rho_budget=2)
+            arith.factorize(n, rho_budget=2)
 
     def test_rho_succeeds_with_budget(self):
         n = 1000003 * 1000033
@@ -344,45 +344,49 @@ class TestFactorBudget:
         assert f.factors == ((1000003, 1), (1000033, 1))
 
 
-class TestLazySieve:
-    def test_sieve_grows_past_a_small_cached_bound(self, monkeypatch):
-        monkeypatch.setattr(arith, "_sieved", (1, []))
+# primes on both sides of the trial bound 2^10, of 10^6 and of 10^12
+KNOWN_PRIMES = (2, 3, 239, 1021, 1031, 65537, 999961, 999979, 999983, 1000003, 1000033)
+LARGE_PRIMES = (999999999989, 1000000000039)
+
+
+class TestFactorizeLaws:
+    def test_prime_factors_past_the_trial_bound(self):
         assert arith.factorize(91).factors == ((7, 1), (13, 1))
-        assert arith._sieved[0] < 100  # sized to isqrt(91), not to TRIAL_LIMIT
         assert arith.factorize(999983 * 999979).factors == ((999979, 1), (999983, 1))
         assert arith.factorize(2 * 999983**2).factors == ((2, 1), (999983, 2))
         assert arith.factorize(-(999979**3)).factors == ((999979, 3),)
+        assert arith.factorize(-432 * 239**4).factors == ((2, 4), (3, 3), (239, 4))
 
-    def test_factorizations_match_a_full_sieve(self, monkeypatch):
-        # sizes spread from 10^2 to 10^13, so the lazy sieve grows in steps
+    def test_seeded_integers_obey_the_defining_laws(self):
+        # sizes spread from 10^2 to 10^13, where is_prime is deterministic
         rng = random.Random(5)
         ns = [rng.randrange(2, 10 ** rng.randint(2, 13)) for _ in range(200)]
         ns += [p * q for p, q in ((999983, 999979), (65537, 999961), (3, 999983))]
-        monkeypatch.setattr(arith, "_sieved", (1, []))
-        arith._sieve_primes(arith.TRIAL_LIMIT)
-        full = [arith.factorize(n) for n in ns]
-        monkeypatch.setattr(arith, "_sieved", (1, []))
-        assert [arith.factorize(n) for n in ns] == full
-        assert arith._sieved[0] >= 999979
+        for n in ns:
+            f = arith.factorize(n)
+            primes = [p for p, _ in f.factors]
+            assert f.recompose() == n
+            assert primes == sorted(set(primes))
+            assert all(e >= 1 for _, e in f.factors)
+            assert all(arith.is_prime(p) for p in primes)
 
-    def test_sieve_follows_the_cofactor(self, monkeypatch):
-        # the largest prime of 432 * 239^4 is 239, though isqrt of it exceeds 10^6
-        monkeypatch.setattr(arith, "_sieved", (1, []))
-        assert arith.factorize(-432 * 239**4).factors == ((2, 4), (3, 3), (239, 4))
-        assert arith._sieved[0] <= 2**17
+    @given(
+        st.lists(st.sampled_from(KNOWN_PRIMES), max_size=6),
+        st.lists(st.sampled_from(LARGE_PRIMES), max_size=1),
+        st.sampled_from([1, -1]),
+    )
+    def test_products_of_known_primes(self, small, large, sign):
+        ps = small + large
+        f = arith.factorize(sign * math.prod(ps))
+        assert f.sign == sign
+        assert f.factors == tuple(sorted((p, ps.count(p)) for p in set(ps)))
 
-    def test_sieve_never_grows_past_trial_limit(self, monkeypatch):
-        monkeypatch.setattr(arith, "_sieved", (1, []))
-        arith._sieve_primes(600000)
-        assert arith.factorize(999983 * 999979).factors == ((999979, 1), (999983, 1))
-        assert arith._sieved[0] <= arith.TRIAL_LIMIT
-
-    def test_sieve_is_exact_at_each_bound(self, monkeypatch):
-        monkeypatch.setattr(arith, "_sieved", (1, []))
-        for limit in (10, 97, 1000, 5000):
-            primes = arith._sieve_primes(limit)
-            want = [n for n in range(limit + 1) if arith.is_prime(n)]
-            assert [p for p in primes if p <= limit] == want
+    def test_psi12_is_composite(self):
+        # psi_12, the least strong pseudoprime to the prime bases 2..37
+        psi12 = 318665857834031151167461
+        assert not arith.is_prime(psi12)
+        f = arith.factorize(2 * psi12)
+        assert f.factors == ((2, 1), (399165290221, 1), (798330580441, 1))
 
 
 class TestPellHalfCaseOracle:

@@ -290,6 +290,22 @@ class TestOnePass:
             "reduction_data": curves,
         }
 
+    def test_curve_factors_its_discriminant_once(self, monkeypatch, capsys):
+        # reduction_data reads the factorization minimal_model already made
+        from arithinv import arith
+
+        calls = []
+        factorize = arith.factorize
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return factorize(n, *args, **kwargs)
+
+        monkeypatch.setattr(arith, "factorize", counting)
+        path = Path(__file__).parent / "data" / "hard_curves.txt"
+        assert cli.main(["curve", "big_a4", "--corpus", str(path)]) == 0
+        assert len(calls) == 1
+
 
 class TestUnknownCheckToken:
     def test_unknown_check_exit_2(self, capsys):

@@ -206,31 +206,40 @@ class TestMinimalModel:
                 mm = ec.minimal_model(scaled)
                 assert mm.curve.delta == base.delta
 
+    def test_carries_its_discriminant_factored(self):
+        # the exponents of the input's delta less 12 d_p, including the
+        # 3-adic case where the Kraus condition keeps v_3(delta_min) = 3
+        kraus = ec.weierstrass_curve(0, 0, 0, 0, -(2**4) * 3**6)
+        for base in (E37, E389, EJ0, EJ1728, kraus):
+            for u in (1, 2, 3, 6, Fraction(1, 6), Fraction(1, 12)):
+                mm = ec.minimal_model(ec.transform_curve(base, u, 1, 0, 1))
+                assert mm.delta_factors == arith.factorize(int(mm.curve.delta))
+
 
 class TestReductionData:
     def test_37a(self):
-        rd = ec.reduction_data(E37)
+        rd = ec.reduction_data(ec.minimal_model(E37))
         assert rd.n0 == 37 and rd.n_stable == 37 and rd.n_unstable == 1
         assert rd.semistable
         (row,) = rd.primes
         assert row.kind == "multiplicative" and row.stable and row.v_delta == 1
 
     def test_j0(self):
-        rd = ec.reduction_data(EJ0)
+        rd = ec.reduction_data(ec.minimal_model(EJ0))
         assert {r.p for r in rd.primes} == {2, 3}
         assert all(r.kind == "additive" and not r.stable for r in rd.primes)
         assert rd.n0 == 6 and rd.n_unstable == 6 and rd.n_stable == 1
         assert not rd.semistable
 
     def test_j1728(self):
-        rd = ec.reduction_data(EJ1728)
+        rd = ec.reduction_data(ec.minimal_model(EJ1728))
         assert [r.p for r in rd.primes] == [2]
         assert rd.primes[0].kind == "additive" and not rd.primes[0].stable
         assert rd.n0 == 2
 
     def test_product_identity(self):
         for curve in (E37, E389, E5077, EJ0, EJ1728):
-            rd = ec.reduction_data(curve)
+            rd = ec.reduction_data(ec.minimal_model(curve))
             assert rd.n0 == rd.n_stable * rd.n_unstable
             assert rd.semistable == all(r.kind == "multiplicative" for r in rd.primes)
 
@@ -441,7 +450,7 @@ class TestGeneralWeierstrassForm:
         assert abs(hp - ho) <= 1e-7 + err
         h2 = ec.canonical_height(e, ec.scalar_mul(e, 2, p), 1e-10)
         assert abs(h2 - 4 * hp) < 1e-8
-        rd = ec.reduction_data(e)
+        rd = ec.reduction_data(ec.minimal_model(e))
         assert rd.semistable and rd.n0 == 65
         assert h_plus(e) >= math.log(65) / 12
 
@@ -666,7 +675,7 @@ class TestOracle:
         curve = ec.weierstrass_curve(*a)
         pt = ec.Point.of(*point)
         assert ec.minimal_model(curve).u == 1
-        got = {row.p: ec._bad_local_height(curve, pt, row) for row in ec.reduction_data(curve).primes}
+        got = {row.p: ec._bad_local_height(curve, pt, row) for row in ec.reduction_data(ec.minimal_model(curve)).primes}
         assert {p: v for p, v in got.items() if v} == local
         for k in (1, 2, 3):
             assert_paths_agree(curve, ec.scalar_mul(curve, k, pt))
