@@ -4,7 +4,9 @@ discriminant q-series, AGM period lattices, injectivity diameter.
 Only the single archimedean place of Q is ever needed: curves live over
 Q, so their period lattices are rectangular (positive discriminant, two
 real components) or rhombic (negative discriminant, one component), and
-the complex AGM reduces to real iterations after one step.
+the rhombic case reduces to a real AGM after one complex step.  The hot
+loops (the q-series, E4 and the AGM) run on fixed-point integers; mpmath
+supplies exp, pi and log and holds the returned values.
 """
 
 from __future__ import annotations
@@ -103,37 +105,74 @@ def reduce_to_fundamental_domain(tau):
 # q-series
 
 
+def _cmul(ar, ai, br, bi, bits):
+    # product of two fixed-point Gaussian integers, each part rounded down
+    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+
+
+def _fixed_q(z, bits):
+    # q = exp(2 pi i z) in mpmath, as a fixed-point Gaussian integer within
+    # one unit in each part (|q| < 1, so bits + 4 relative bits suffice)
+    with mpmath.workprec(bits + 4):
+        q = mpmath.exp(2j * mpmath.pi * z)
+    return q, arith.to_fixed(q.real, bits), arith.to_fixed(q.imag, bits)
+
+
 def delta_q_series(tau):
     """Modular discriminant for any Im tau > 0, by Euler's pentagonal series.
 
     delta = q (sum_k (-1)^k q^(k(3k-1)/2))^24 over all integers k (Cohen,
-    A Course in Computational Algebraic Number Theory, Sec. 7.4).  The
-    terms left after the smallest unsummed exponent e are bounded by
-    tail = 2|q|^e / (1 - |q|); summing stops once 24 tail < 1e-19 (|partial
-    sum| - tail), which bounds the relative error of the 24th power.
+    A Course in Computational Algebraic Number Theory, Sec. 7.4).  The sum
+    runs on fixed-point Gaussian integers and is multiplied by q in mpmath
+    at the end, so its relative accuracy does not depend on |q|.  It is
+    about prod (1 - q^n), of size about exp(-pi / (12 Im tau)) (the eta
+    function), so the fixed point carries 0.38 / Im tau bits beyond the
+    working precision + 40 against that cancellation.
+
+    Each power q^e is a product tree of e copies of the fixed-point q
+    (within one unit).  A product of two values of modulus < 1 adds their
+    errors and rounds by less than 2 units, so q^e is within 4e units, and
+    the summed powers give the rounding bound err.  The terms left after
+    the smallest unsummed exponent e are bounded by tail = 2|q|^e / (1 -
+    |q|); summing stops once 24 (tail + err) < 1e-19 (|partial sum| - tail
+    - err), which bounds the relative error of the 24th power.
     """
     z = _as_value(tau)
-    if not mpmath.im(z) > 0:
+    y = mpmath.im(z)
+    if not y > 0:
         raise NotUpperHalfPlane("Im tau must be positive")
-    with prec.working(30):
-        q = mpmath.exp(2j * mpmath.pi * z)
-        absq = abs(q)
-        q3 = q**3
-        total = mpc(1)
-        lo, hi = q, q**2  # q^(k(3k-1)/2) and q^(k(3k+1)/2), from k = 1
-        step_lo, step_hi = q**4, q**5  # q^(3k+1) and q^(3k+2)
-        for k in range(1, 200001):
-            total += (lo + hi) if k % 2 == 0 else -(lo + hi)
-            lo *= step_lo
-            hi *= step_hi
-            step_lo *= q3
-            step_hi *= q3
-            tail = 2 * abs(lo) / (1 - absq)
-            if 24 * tail < mpf("1e-19") * (abs(total) - tail):
-                break
+    if y < 1e-4:  # the sum would cancel to below 2^-3800
+        raise AgmNoConvergence("q-series: Im tau below 1e-4")
+    bits = prec.bits() + 40 + math.ceil(0.38 / float(y))
+    q, qr, qi = _fixed_q(z, bits)
+    # 1 / (1 - |q|) <= c / 2^32, with |q| = exp(-2 pi Im tau)
+    c = int(2**32 / -math.expm1(-2 * math.pi * float(y)) * (1 + 2**-40)) + 1
+    q2 = _cmul(qr, qi, qr, qi, bits)
+    q3 = _cmul(*q2, qr, qi, bits)
+    q4 = _cmul(*q2, *q2, bits)
+    # q^(k(3k-1)/2), q^(k(3k+1)/2) and their steps q^(3k+1), q^(3k+2), from k = 1
+    (lr, li), (hr, hi), (slr, sli), (shr, shi) = (qr, qi), q2, q4, _cmul(*q4, qr, qi, bits)
+    tr, ti, err = 1 << bits, 0, 0
+    for k in range(1, 200001):
+        if k % 2:
+            tr, ti = tr - lr - hr, ti - li - hi
         else:
-            raise AgmNoConvergence("q-series truncation did not converge")
-        return q * total**24
+            tr, ti = tr + lr + hr, ti + li + hi
+        err += 12 * k * k  # 4 (k(3k-1)/2 + k(3k+1)/2)
+        lr, li = _cmul(lr, li, slr, sli, bits)
+        hr, hi = _cmul(hr, hi, shr, shi, bits)
+        slr, sli = _cmul(slr, sli, *q3, bits)
+        shr, shi = _cmul(shr, shi, *q3, bits)
+        # (tail + err) 2^32 in units, with the unsummed q^e within 4e units,
+        # against |partial sum| 2^32 from below
+        e = (k + 1) * (3 * k + 2) // 2
+        bound = 2 * (math.isqrt(lr * lr + li * li) + 1 + 4 * e) * c + (err << 32)
+        if 24 * 10**19 * bound < (math.isqrt(tr * tr + ti * ti) << 32) - bound:
+            break
+    else:
+        raise AgmNoConvergence("q-series truncation did not converge")
+    with prec.working(30):
+        return q * arith.from_fixed_pair(tr, ti, bits) ** 24
 
 
 def modular_discriminant(tau):
@@ -145,13 +184,14 @@ def modular_discriminant(tau):
 
 
 def eisenstein_e4(tau):
-    """E4 = 1 + 240 sum_n sigma_3(n) q^n, summed by Horner.
+    """E4 = 1 + 240 sum_n sigma_3(n) q^n, by Horner on fixed-point Gaussian integers.
 
     The term count N is fixed first: since sigma_3(n) < zeta(3) n^3 < 1.21
     n^3 and the terms n^3 r^n (r = |q|) fall by at least the ratio rho =
     ((N + 2)/(N + 1))^3 r beyond N, the tail is at most 240 * 1.21 (N +
     1)^3 r^(N + 1) / (1 - rho), and N is the least count that puts it below
-    1e-19.  The sigma_3 values come from a divisor sieve up to N.
+    1e-19.  The sigma_3 values come from a divisor sieve up to N, and the
+    Horner steps run at the fixed point 2^-(prec.bits() + 40).
     """
     log_r = -2 * math.pi * float(mpmath.im(_as_value(tau)))  # log |q|; never underflows
     for count in range(1, 200001):
@@ -167,12 +207,12 @@ def eisenstein_e4(tau):
         cube = d**3
         for multiple in range(d, count + 1, d):
             sigma3[multiple] += cube
-    with prec.working(30):
-        q = mpmath.exp(2j * mpmath.pi * _as_value(tau))
-        total = mpc(0)
-        for n in range(count, 0, -1):
-            total = (total + sigma3[n]) * q
-        return 1 + 240 * total
+    bits = prec.bits() + 40
+    _, qr, qi = _fixed_q(_as_value(tau), bits)
+    tr = ti = 0
+    for n in range(count, 0, -1):
+        tr, ti = _cmul(tr + (sigma3[n] << bits), ti, qr, qi, bits)
+    return arith.from_fixed_pair((1 << bits) + 240 * tr, 240 * ti, bits)
 
 
 def j_invariant_series(tau):
@@ -204,18 +244,21 @@ def injectivity_diameter(tau):
 
 
 def optimal_agm(a, b):
-    """Complex AGM with the standard branch rule Re(b/a) >= 0 at every step."""
-    a = mpc(a)
-    b = mpc(b)
-    with prec.working(20):
-        eps = mpf(2) ** (-(mpmath.mp.prec - 8))
-        for _ in range(300):
-            if abs(a - b) <= eps * abs(a):
-                return (a + b) / 2
-            a, b = (a + b) / 2, mpmath.sqrt(a * b)
-            if abs(a - b) > abs(a + b):
-                b = -b
-        raise AgmNoConvergence("AGM did not converge")
+    """AGM of two positive reals, on fixed-point integers.
+
+    Both are scaled by one power of 2 that puts the smaller at 2^bits or
+    more, bits = prec.bits() + 20; every iterate lies between the two
+    inputs, so each rounding of (a + b) / 2 and of isqrt(ab) is relative.
+    Stops once |a - b| <= 2^-(prec.bits() + 12) a.
+    """
+    bits = prec.bits() + 20
+    scale = bits + 1 - mpmath.frexp(min(a, b))[1]  # min(a, b) 2^scale >= 2^bits
+    a, b = arith.to_fixed(a, scale), arith.to_fixed(b, scale)
+    for _ in range(300):
+        if abs(a - b) << (prec.bits() + 12) <= a:
+            return arith.from_fixed(a + b, scale + 1)
+        a, b = (a + b) >> 1, math.isqrt(a * b)
+    raise AgmNoConvergence("AGM did not converge")
 
 
 @dataclass(frozen=True)
@@ -224,6 +267,7 @@ class PeriodData:
     omega2: mpc  # second basis period, Im(omega2/omega1) > 0
     tau: ReducedTau
     roots: tuple  # arith.ComplexApprox roots of 4x^3 + b2 x^2 + 2 b4 x + b6
+    delta: mpc  # delta(tau) by delta_q_series, summed once for the j check and h+
 
 
 def _conjugate_pair_agm(w):
@@ -238,7 +282,8 @@ def agm_periods(curve):
     Positive discriminant gives a rectangular lattice from two real
     AGMs; negative discriminant gives a rhombic lattice whose imaginary
     part comes from the reflected (twisted) cubic.  The reduced tau is
-    checked against the algebraic j-invariant to 1e-6 relative.
+    checked against the algebraic j-invariant to 1e-6 relative, through
+    j = E4^3 / delta with the delta(tau) that the result carries.
     """
     b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
     cubic = [b6, 2 * b4, b2, 4]
@@ -261,11 +306,13 @@ def agm_periods(curve):
         omega1 = mpmath.re(omega1)
         tau = reduce_to_fundamental_domain(omega2 / omega1)
 
+    delta = delta_q_series(tau)
+    with prec.working(30):
+        j_here = eisenstein_e4(tau) ** 3 / delta
     j_alg = curve.c4**3 / Fraction(curve.delta)
-    j_here = j_invariant_series(tau)
     scale = max(1.0, abs(float(j_alg)))
     if abs(j_here - mpf(j_alg.numerator) / j_alg.denominator) / scale > 1e-6:
         raise AgmNoConvergence(
             "period lattice does not reproduce the algebraic j-invariant"
         )
-    return PeriodData(omega1, omega2, tau, tuple(roots))
+    return PeriodData(omega1, omega2, tau, tuple(roots), delta)

@@ -2,8 +2,10 @@
 
 Integer polynomials are plain coefficient sequences, constant term
 first, e.g. ``[-2, 0, 1]`` is x^2 - 2.  Exact work runs on ints and
-``fractions.Fraction``; approximate work runs on mpmath at the
-precision configured in :mod:`arithinv.prec`.
+``fractions.Fraction``.  Approximate work runs on fixed-point integers
+where it loops (root polishing here, the q-series and the AGM in
+:mod:`arithinv.analytic`), with precisions derived from
+:mod:`arithinv.prec`; mpmath values enter and leave exactly.
 """
 
 from __future__ import annotations
@@ -97,12 +99,40 @@ def count_real_roots(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# certified root finding: double-precision Durand-Kerner seeds every root,
-# mpmath's Durand-Kerner polishes them, real roots are Newton-polished on
-# the real axis (the exact Sturm count says how many are real), conjugate
-# pairs are made exact, and each root gets a radius deg |p(z)| / |p'(z)|
-# that also covers Horner's rounding error.  The discs must be pairwise
-# disjoint, so the n discs hold n distinct roots.
+# fixed point: an int n stands for n 2^-bits, and a pair (x, y) of ints for
+# the Gaussian (x + iy) 2^-bits.  mpmath values enter and leave exactly.
+
+
+def to_fixed(x, bits):
+    """round(x 2^bits) for a real mpf (or a float), taken exactly."""
+    sign, man, exp, _ = (x if isinstance(x, mpf) else mpf(x))._mpf_
+    shift = exp + bits
+    n = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+    return -n if sign else n
+
+
+def from_fixed(n, bits):
+    """The mpf n 2^-bits, exactly, whatever the working precision."""
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(n, -bits))
+
+
+def from_fixed_pair(x, y, bits):
+    """The mpc (x + iy) 2^-bits, exactly, whatever the working precision."""
+    return mpmath.mp.make_mpc(
+        (mpmath.libmp.from_man_exp(x, -bits), mpmath.libmp.from_man_exp(y, -bits))
+    )
+
+
+# ---------------------------------------------------------------------------
+# certified root finding on Gaussian integers at the fixed point 2^-P, P the
+# working precision + 80 bits + 20 guard bits + the largest coefficient's
+# bit length: double-precision Durand-Kerner seeds every root, Durand-Kerner
+# sweeps polish them, real roots are Newton-polished on the real axis (the
+# exact Sturm count says how many are real), and conjugate pairs are made
+# exact.  p(z) 2^(nP) is an exact integer Horner, so each correction is one
+# rounded Gaussian division, and each radius deg |p(z)| / |p'(z)| is
+# evaluated exactly at the returned dyadic point and rounded up.  The discs
+# must be pairwise disjoint, so the n discs hold n distinct roots.
 
 
 @dataclass(frozen=True)
@@ -121,20 +151,57 @@ class ComplexApprox:
         return "ComplexApprox(%s, %s, err=%.3g)" % (self.real, self.imag, self.err)
 
 
-def _root_error_bound(coeffs, dcoeffs, z, degree):
-    # Some root of p lies within deg |p(z)| / |p'(z)| of z.  Horner's
-    # computed value is off by at most c (n + 1) u sum |a_i| |z|^i (Higham,
-    # Accuracy and Stability of Numerical Algorithms, Sec. 5.1; c = 8 covers
-    # complex arithmetic), so that term is added to |p(z)| and taken from
-    # |p'(z)|.  The float is rounded up.
-    u = mpf(2) ** -mpmath.mp.prec
-    az = abs(z)
-    p_err = 8 * (degree + 1) * u * poly_eval([abs(c) for c in coeffs], az)
-    d_err = 8 * degree * u * poly_eval([abs(c) for c in dcoeffs], az)
-    den = abs(poly_eval(dcoeffs, z)) - d_err
-    if den <= 0:
+def _fixed_point_bits(coeffs):
+    return prec.bits() + 80 + 20 + max(abs(c).bit_length() for c in coeffs)
+
+
+def _to_working(n):
+    # n rounded to prec.bits() + 80 significant bits, the precision of the
+    # returned roots; the rest of the fixed point is guard bits
+    shift = n.bit_length() - prec.bits() - 80
+    return n if shift <= 0 else ((n + (1 << (shift - 1))) >> shift) << shift
+
+
+def _horner_fixed(coeffs, x, y, bits):
+    # p((x + iy) 2^-bits) 2^(n bits), exactly, as a Gaussian integer
+    n = len(coeffs) - 1
+    re, im = coeffs[-1], 0
+    for k in range(n - 1, -1, -1):
+        re, im = re * x - im * y + (coeffs[k] << ((n - k) * bits)), re * y + im * x
+    return re, im
+
+
+def _ratio_up(num, den):
+    # the least float >= num / den for ints num >= 0, den > 0; int / int
+    # is correctly rounded in Python, so at most one step up is needed
+    try:
+        f = num / den
+    except OverflowError:
         return math.inf
-    return math.nextafter(float(degree * (abs(poly_eval(coeffs, z)) + p_err) / den), math.inf)
+    a, b = f.as_integer_ratio()
+    return f if a * den >= num * b else math.nextafter(f, math.inf)
+
+
+def _root_radius(coeffs, dcoeffs, x, y, bits):
+    # deg |p(z)| / |p'(z)| at z = (x + iy) 2^-bits from the exact values,
+    # rounded up: |p(z)| = |V| 2^(-n bits) and |p'(z)| = |V'| 2^(-(n-1) bits)
+    n = len(coeffs) - 1
+    vr, vi = _horner_fixed(coeffs, x, y, bits)
+    dr, di = _horner_fixed(dcoeffs, x, y, bits)
+    den = (dr * dr + di * di) << (2 * bits)
+    if not den:
+        return math.inf
+    return math.nextafter(math.sqrt(_ratio_up(n * n * (vr * vr + vi * vi), den)), math.inf)
+
+
+def _apart(a, b, bits):
+    # the closed discs (x, y, err) do not meet, decided exactly
+    (x, y, e), (u, v, f) = a, b
+    r = math.nextafter(e + f, math.inf)  # >= e + f, which rounds by half a unit
+    if math.isinf(r):
+        return False
+    num, den = r.as_integer_ratio()
+    return ((x - u) ** 2 + (y - v) ** 2) * den * den > (num * num) << (2 * bits)
 
 
 def _double_seeds(coeffs):
@@ -179,7 +246,7 @@ def _double_seeds(coeffs):
         radius = math.exp(min((log0 - log1) / (k1 - k0) - s * math.log(2), 0.0))
         for j in range(k1 - k0):
             ys.append(radius * cmath.exp(1j * ((2 * math.pi * j + 1.9) / (k1 - k0) + 0.4 * k0)))
-    for _ in range(100):  # sweeps; the mpmath polish goes on from any seeds
+    for _ in range(100):  # sweeps; the integer polish goes on from any seeds
         converged = True
         for k, y in enumerate(ys):
             num = den = 1.0
@@ -202,18 +269,46 @@ def _double_seeds(coeffs):
     return [mpc(mpmath.ldexp(mpf(y.real), s), mpmath.ldexp(mpf(y.imag), s)) for y in ys]
 
 
+def _durand_kerner(coeffs, zs, bits):
+    # Gauss-Seidel Weierstrass sweeps on Gaussian integers: the correction
+    # p(z_k) / (a_n prod_j (z_k - z_j)) is V / (a_n D) in units of 2^-bits,
+    # with V = p(z_k) 2^(n bits) and D = prod_j (z_k - z_j) 2^((n-1) bits),
+    # rounded to the nearest Gaussian integer.  Done once no step exceeds
+    # one unit in either part.
+    lead = coeffs[-1]
+    for _ in range(400):
+        converged = True
+        for k, (x, y) in enumerate(zs):
+            wr, wi = lead, 0
+            for j, (u, v) in enumerate(zs):
+                if j != k:
+                    wr, wi = wr * (x - u) - wi * (y - v), wr * (y - v) + wi * (x - u)
+            den = wr * wr + wi * wi
+            if not den:
+                raise NoConvergence("root polish: two approximations met")
+            vr, vi = _horner_fixed(coeffs, x, y, bits)
+            sr = (2 * (vr * wr + vi * wi) + den) // (2 * den)
+            si = (2 * (vi * wr - vr * wi) + den) // (2 * den)
+            zs[k] = (x - sr, y - si)
+            converged = converged and abs(sr) <= 1 and abs(si) <= 1
+        if converged:
+            return zs
+    raise NoConvergence("root polish: Durand-Kerner did not converge")
+
+
 def poly_roots(coeffs, tol):
     """All complex roots of a squarefree integer polynomial, certified.
 
     Seed: Durand-Kerner in double precision on the polynomial rescaled by
     Fujiwara's root bound, which puts every root in the unit disc.  Polish:
-    Durand-Kerner (``mpmath.polyroots``) from those seeds, with guard bits of
-    20 plus the largest coefficient's bit length, so its absolute stopping
-    rule is relative to the largest root the Cauchy bound allows.  Certify: the
-    exact Sturm count splits the roots into real ones, which are
-    Newton-polished, and conjugate pairs, which are made exact; every
-    radius bounds the distance to a root including rounding, and the n
-    discs are pairwise disjoint, so they hold n distinct roots.
+    Durand-Kerner on Gaussian integers at the fixed point 2^-P, where P
+    holds 20 guard bits plus the largest coefficient's bit length above the
+    working precision + 80, so the absolute stopping rule is relative to the
+    largest root the Cauchy bound allows.  Certify: the exact Sturm count
+    splits the roots into real ones, which are Newton-polished, and
+    conjugate pairs, which are made exact; every radius is deg |p| / |p'|
+    evaluated exactly at the returned dyadic point and rounded up, and the
+    n discs are pairwise disjoint, so they hold n distinct roots.
 
     Real roots come first (ascending), then conjugate pairs sorted by
     real part, each pair as (Im > 0 representative, its conjugate).
@@ -226,60 +321,55 @@ def poly_roots(coeffs, tol):
     squarefree, n_real = _sturm(coeffs)
     if not squarefree:
         raise NotSquarefree("polynomial has repeated roots")
-    guard = 20 + max(abs(c).bit_length() for c in coeffs)
-    with prec.working(80):
-        seeds = _double_seeds(coeffs)
-        try:
-            z = mpmath.polyroots(
-                coeffs[::-1], maxsteps=400, extraprec=guard, cleanup=False, roots_init=seeds
-            )
-        except mpmath.libmp.NoConvergence:
-            raise NoConvergence("root polish: mpmath.polyroots did not converge") from None
-        return _certify_roots(coeffs, poly_deriv(coeffs), z, n, n_real, tol)
+    bits = _fixed_point_bits(coeffs)
+    zs = [(to_fixed(w.real, bits), to_fixed(w.imag, bits)) for w in _double_seeds(coeffs)]
+    zs = _durand_kerner(coeffs, zs, bits)
+    z = [from_fixed_pair(x, y, bits) for x, y in zs]
+    return _certify_roots(coeffs, poly_deriv(coeffs), z, n, n_real, tol)
 
 
 def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
-    # Split approximations into real / complex using the exact Sturm count.
-    order = sorted(range(n), key=lambda i: abs(mpmath.im(z[i])))
+    # The approximations go to the fixed point of poly_roots, and the exact
+    # Sturm count splits them into real and complex.  Each root is rounded
+    # to the working precision + 80 bits before its radius is evaluated.
+    bits = _fixed_point_bits(coeffs)
+    pts = [(to_fixed(mpmath.re(w), bits), to_fixed(mpmath.im(w), bits)) for w in z]
+    order = sorted(range(n), key=lambda i: abs(pts[i][1]))
     real_idx, cplx_idx = order[:n_real], order[n_real:]
 
-    out = []
-    ulp = mpf(2) ** -mpmath.mp.prec
-    for i in sorted(real_idx, key=lambda i: mpmath.re(z[i])):
-        x = mpmath.re(z[i])
-        for _ in range(6):  # Newton polish on the real axis, to one ulp
-            dv = poly_eval(dcoeffs, x)
+    discs = []
+    for x in sorted(pts[i][0] for i in real_idx):
+        for _ in range(6):  # Newton polish on the real axis, to one unit
+            dv = _horner_fixed(dcoeffs, x, 0, bits)[0]
             if dv == 0:
                 break
-            step = poly_eval(coeffs, x) / dv
+            step = (2 * _horner_fixed(coeffs, x, 0, bits)[0] + dv) // (2 * dv)
             x -= step
-            if abs(step) <= ulp * abs(x):
+            if abs(step) <= 1:
                 break
-        err = _root_error_bound(coeffs, dcoeffs, x, n)
+        x = _to_working(x)
+        err = _root_radius(coeffs, dcoeffs, x, 0, bits)
         if not err <= tol:
             raise NoConvergence("root certificate: real root radius %.3g > tol" % err)
-        out.append(ComplexApprox(x, mpf(0), err))
+        discs.append((x, 0, err))
 
-    upper = sorted(
-        (z[i] for i in cplx_idx if mpmath.im(z[i]) > 0),
-        key=lambda w: (mpmath.re(w), mpmath.im(w)),
-    )
-    lower = [z[i] for i in cplx_idx if mpmath.im(z[i]) <= 0]
+    upper = sorted(pts[i] for i in cplx_idx if pts[i][1] > 0)
+    lower = [pts[i] for i in cplx_idx if pts[i][1] <= 0]
     if 2 * len(upper) != len(cplx_idx):
         raise NoConvergence("root certificate: non-real seeds are not conjugate pairs")
-    for w in upper:
-        mate = min(lower, key=lambda v: abs(mpmath.conj(v) - w))
+    for x, y in upper:
+        mate = min(lower, key=lambda v: (v[0] - x) ** 2 + (v[1] + y) ** 2)
         lower.remove(mate)
-        forced = (w + mpmath.conj(mate)) / 2  # exact conjugate pair
-        err = _root_error_bound(coeffs, dcoeffs, forced, n)
+        x, y = _to_working((x + mate[0]) >> 1), _to_working((y - mate[1]) >> 1)
+        # the pair (x, y), (x, -y) is exactly conjugate
+        err = _root_radius(coeffs, dcoeffs, x, y, bits)
         if not err <= tol:
             raise NoConvergence("root certificate: complex root radius %.3g > tol" % err)
-        out.append(ComplexApprox(mpmath.re(forced), mpmath.im(forced), err))
-        out.append(ComplexApprox(mpmath.re(forced), -mpmath.im(forced), err))
-    for a, b in itertools.combinations(out, 2):
-        if not abs(a.value - b.value) > a.err + b.err:
+        discs += [(x, y, err), (x, -y, err)]
+    for a, b in itertools.combinations(discs, 2):
+        if not _apart(a, b, bits):
             raise NoConvergence("root certificate: two root discs overlap")
-    return out
+    return [ComplexApprox(from_fixed(x, bits), from_fixed(y, bits), err) for x, y, err in discs]
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,16 @@ class WeierstrassCurve:
 
 
 def weierstrass_curve(a1, a2, a3, a4, a6):
-    """Derived b/c invariants and discriminant from a1..a6 (exact)."""
-    a1, a2, a3, a4, a6 = (Fraction(a) for a in (a1, a2, a3, a4, a6))
+    """Derived b/c invariants and discriminant from a1..a6 (exact).
+
+    With d the lcm of the denominators, a_i d^i is an integer, so every
+    invariant of weight w is formed on integers and divided by d^w once.
+    """
+    a_invs = tuple(Fraction(a) for a in (a1, a2, a3, a4, a6))
+    d = math.lcm(*(a.denominator for a in a_invs))
+    a1, a2, a3, a4, a6 = (
+        a.numerator * (d**w // a.denominator) for a, w in zip(a_invs, (1, 2, 3, 4, 6))
+    )
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -87,7 +95,10 @@ def weierstrass_curve(a1, a2, a3, a4, a6):
     assert 4 * b8 == b2 * b6 - b4 * b4
     assert c4**3 - c6**2 == 1728 * delta
     return WeierstrassCurve(
-        a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, delta, c4**3 / delta
+        *a_invs,
+        *(Fraction(v, d**w) for v, w in ((b2, 2), (b4, 4), (b6, 6), (b8, 8), (c4, 4), (c6, 6))),
+        Fraction(delta, d**12),
+        Fraction(c4**3, delta),
     )
 
 
@@ -747,13 +758,12 @@ def faltings_height_plus(mm, periods):
     """(1/12)(log |delta_min| - log(|delta(tau)| (2 Im tau)^6)) over Q.
 
     mm is the global minimal model and periods its AGM period lattice
-    (``analytic.agm_periods(mm.curve)``).  Always >= 0.
+    (``analytic.agm_periods(mm.curve)``), which carries delta(tau).
+    Always >= 0.
     """
-    with prec.working(20):
-        value = (
-            mpmath.log(abs(int(mm.curve.delta)))
-            - analytic.log_scaled_discriminant(periods.tau)
-        ) / 12
+    with prec.working(30):
+        scaled = abs(periods.delta) * (2 * periods.tau.im) ** 6
+        value = (mpmath.log(abs(int(mm.curve.delta))) - mpmath.log(scaled)) / 12
     return float(value)
 
 

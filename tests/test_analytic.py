@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithinv import analytic, prec
@@ -191,6 +191,36 @@ def test_delta_matches_the_product_law(re, im):
             qn *= q
         ref = q * product
         assert abs(got - ref) <= 1e-18 * abs(ref)
+
+
+@settings(max_examples=25)
+@given(st.floats(-0.5, 0.5), st.floats(0.01, 0.3))
+def test_delta_near_the_real_axis(re, im):
+    # |q| up to 0.94: the pentagonal sum cancels to about exp(-pi / (12 Im)),
+    # so this exercises the rounding bound of the fixed-point sum; against
+    # a 400-bit product q prod (1 - q^n)^24 whose dropped factors have
+    # |q^n| < 2^-100 (together less than 2^-95 relative)
+    z = mpmath.mpc(re, im)
+    got = analytic.delta_q_series(z)
+    with mpmath.workprec(400):
+        q = mpmath.exp(2j * mpmath.pi * z)
+        product, qn = mpmath.mpc(1), q
+        while abs(qn) > mpmath.mpf(2) ** -100:
+            product *= 1 - qn
+            qn *= q
+        ref = q * product**24
+        assert abs(got - ref) <= 1e-18 * abs(ref)
+
+
+@given(st.floats(1e-6, 1e6), st.integers(-200, 200))
+def test_real_agm_matches_mpmath(ratio, exponent):
+    # the fixed-point AGM against mpmath.agm at 300 bits, at any scale
+    a = mpmath.ldexp(mpmath.mpf(1.5), exponent)
+    b = a * ratio
+    got = analytic.optimal_agm(a, b)
+    with mpmath.workprec(300):
+        ref = mpmath.agm(a, b)
+        assert abs(got - ref) <= mpmath.mpf(2) ** -prec.bits() * ref
 
 
 class TestEisensteinE4:

@@ -15,7 +15,9 @@ import io
 import json
 from pathlib import Path
 
-from arithinv import cli, corpus
+import pytest
+
+from arithinv import cli, corpus, prec
 
 DATA = Path(__file__).resolve().parent / "data"
 VERIFY = DATA / "golden_verify.json"
@@ -55,6 +57,21 @@ def test_verify_json_matches_golden():
     assert code == 0
     want = json.loads(VERIFY.read_text(encoding="utf-8"))
     assert _printed(json.loads(text)) == _printed(want)
+
+
+@pytest.mark.parametrize("bits", [120, 200])
+def test_verify_json_matches_golden_at_other_precisions(bits):
+    # every fixed-point precision is derived from prec.bits(), so the rows
+    # must not move when it changes
+    try:
+        code, text = _run(["--precision", str(bits), "verify", "--format", "json"])
+    finally:
+        prec.set_precision(prec.DEFAULT_BITS)
+    assert code == 0
+    got = _printed(json.loads(text))
+    want = _printed(json.loads(VERIFY.read_text(encoding="utf-8")))
+    assert got["header"] == dict(want["header"], precision_bits=bits)
+    assert got["rows"] == want["rows"]
 
 
 def test_queries_match_golden():
