@@ -2,9 +2,13 @@
 
 Integer polynomials are plain coefficient sequences, constant term
 first, e.g. ``[-2, 0, 1]`` is x^2 - 2.  Exact work runs on ints and
-``fractions.Fraction``.  Approximate work runs on fixed-point integers
-where it loops (root polishing here, the q-series and the AGM in
-:mod:`arithinv.analytic`), with precisions derived from
+``fractions.Fraction``; its linear algebra is one Bareiss fraction-free
+elimination (determinants, Bezout cofactors by Cramer's rule and LDL^T
+pivots) and the Faddeev-LeVerrier characteristic polynomial, with no
+resultant: norms and discriminants are determinants of multiplication
+matrices in :mod:`arithinv.numfield`.  Approximate work runs on
+fixed-point integers where it loops (root polishing here, the q-series
+and the AGM in :mod:`arithinv.analytic`), with precisions derived from
 :mod:`arithinv.prec`; mpmath values enter and leave exactly.
 """
 
@@ -86,16 +90,6 @@ def _sturm(coeffs):
     at_minus = [(1 if p[-1] > 0 else -1) * (-1) ** poly_degree(p) for p in chain if p]
     squarefree = bool(chain[-1]) and poly_degree(chain[-1]) == 0
     return squarefree, variations(at_minus) - variations(at_plus)
-
-
-def is_squarefree_poly(coeffs):
-    """gcd(p, p') is constant, i.e. the Sturm chain ends in a nonzero constant."""
-    return _sturm(coeffs)[0]
-
-
-def count_real_roots(coeffs):
-    """Number of distinct real roots of a squarefree integer polynomial (Sturm)."""
-    return _sturm(coeffs)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +317,16 @@ def poly_roots(coeffs, tol):
         raise NotSquarefree("polynomial has repeated roots")
     bits = _fixed_point_bits(coeffs)
     zs = [(to_fixed(w.real, bits), to_fixed(w.imag, bits)) for w in _double_seeds(coeffs)]
-    zs = _durand_kerner(coeffs, zs, bits)
-    z = [from_fixed_pair(x, y, bits) for x, y in zs]
-    return _certify_roots(coeffs, poly_deriv(coeffs), z, n, n_real, tol)
+    return _certify_roots(coeffs, _durand_kerner(coeffs, zs, bits), bits, n_real, tol)
 
 
-def _certify_roots(coeffs, dcoeffs, z, n, n_real, tol):
-    # The approximations go to the fixed point of poly_roots, and the exact
-    # Sturm count splits them into real and complex.  Each root is rounded
-    # to the working precision + 80 bits before its radius is evaluated.
-    bits = _fixed_point_bits(coeffs)
-    pts = [(to_fixed(mpmath.re(w), bits), to_fixed(mpmath.im(w), bits)) for w in z]
-    order = sorted(range(n), key=lambda i: abs(pts[i][1]))
+def _certify_roots(coeffs, pts, bits, n_real, tol):
+    # pts are Gaussian integers at the fixed point 2^-bits of poly_roots, and
+    # the exact Sturm count splits them into real and complex.  Each root is
+    # rounded to the working precision + 80 bits before its radius is
+    # evaluated.
+    dcoeffs = poly_deriv(coeffs)
+    order = sorted(range(len(pts)), key=lambda i: abs(pts[i][1]))
     real_idx, cplx_idx = order[:n_real], order[n_real:]
 
     discs = []
@@ -624,27 +616,6 @@ def ldl_pivots(rows):
     return [Fraction(b, a * d) for a, b in zip([1] + minors, minors)]
 
 
-def frac_solve(rows, rhs):
-    """Solve the square exact system rows * x = rhs over Fractions."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    b = [Fraction(x) for x in rhs]
-    n = len(a)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-                b[r] -= f * b[col]
-    return [b[i] / a[i][i] for i in range(n)]
-
-
 def charpoly(rows):
     """Characteristic polynomial of a square Fraction matrix (Faddeev-LeVerrier).
 
@@ -667,61 +638,30 @@ def charpoly(rows):
     return coeffs
 
 
-def sylvester_matrix(f, g):
-    f = poly_normalize(f)
-    g = poly_normalize(g)
-    n, m = poly_degree(f), poly_degree(g)
-    size = n + m
-    rows = []
-    frev = list(reversed(f))
-    grev = list(reversed(g))
-    for i in range(m):
-        rows.append([0] * i + frev + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + grev + [0] * (size - m - 1 - i))
-    return rows
-
-
-def resultant(f, g):
-    """Res(f, g); for monic f this is the product of g over the roots of f."""
-    f = poly_normalize(f)
-    g = poly_normalize(g)
-    n, m = poly_degree(f), poly_degree(g)
-    if n < 0 or m < 0:
-        return Fraction(0)
-    if m == 0:
-        return Fraction(g[0]) ** n
-    if n == 0:
-        return Fraction(f[0]) ** m
-    return frac_det(sylvester_matrix(f, g))
-
-
 def bezout_cofactors(f, g):
-    """Integer polynomials (A, B) with A*f + B*g = Res(f, g) (f, g coprime).
+    """Integer polynomials (A, B) and r = +-Res(f, g) with A*f + B*g = r.
 
-    deg A < deg g and deg B < deg f; used for uniform lower bounds on
-    max(|f(x)|, |g(x)|).
+    f and g must be coprime.  The coefficients of A*f + B*g in x^0, x^1,
+    ... are a square linear system M in the unknowns A_0..A_{m-1},
+    B_0..B_{n-1}, whose determinant is +-Res(f, g); by Cramer's rule the
+    solution of M x = det(M) e_0 is x_i = det M_i, M_i being M with column
+    i replaced by e_0, so every cofactor is an integer.  deg A < deg g and
+    deg B < deg f; used for uniform lower bounds on max(|f(x)|, |g(x)|).
     """
     f = poly_normalize(f)
     g = poly_normalize(g)
     n, m = poly_degree(f), poly_degree(g)
-    res = resultant(f, g)
+    size = n + m
+    rows = [
+        [f[t - i] if 0 <= t - i <= n else 0 for i in range(m)]
+        + [g[t - j] if 0 <= t - j <= m else 0 for j in range(n)]
+        for t in range(size)
+    ]
+    res = int(frac_det(rows))
     if res == 0:
         raise ValueError("polynomials share a root")
-    size = n + m
-    # unknowns: A_0..A_{m-1}, B_0..B_{n-1}; rows: coefficient of x^t in A f + B g
-    rows = []
-    for t in range(size):
-        row = []
-        for i in range(m):
-            k = t - i
-            row.append(Fraction(f[k]) if 0 <= k <= n else Fraction(0))
-        for j in range(n):
-            k = t - j
-            row.append(Fraction(g[k]) if 0 <= k <= m else Fraction(0))
-        rows.append(row)
-    rhs = [res] + [Fraction(0)] * (size - 1)
-    sol = frac_solve(rows, rhs)
-    acoef = [int(x) for x in sol[:m]]
-    bcoef = [int(x) for x in sol[m:]]
-    return acoef, bcoef, int(res)
+    sol = [
+        int(frac_det([row[:i] + [int(t == 0)] + row[i + 1 :] for t, row in enumerate(rows)]))
+        for i in range(size)
+    ]
+    return sol[:m], sol[m:], res

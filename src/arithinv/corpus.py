@@ -54,20 +54,14 @@ class CorpusRecord:
 @dataclass(frozen=True)
 class Corpus:
     records: tuple
-
-    @property
-    def fields(self):
-        return {r.label: r for r in self.records if r.kind == "field"}
-
-    @property
-    def curves(self):
-        return {r.label: r for r in self.records if r.kind == "curve"}
+    fields: dict = field(compare=False)  # label -> field record, in corpus order
+    curves: dict = field(compare=False)  # label -> curve record, in corpus order
 
 
 def parse_corpus(text):
     """Parse corpus text; raises ParseError with a line number on bad input."""
     records = []
-    seen = {"field": set(), "curve": set()}
+    labels = {"field": {}, "curve": {}}  # kind -> {label: record}
     current = None  # (kind, label, {key: value}, line)
 
     def close(current):
@@ -76,11 +70,9 @@ def parse_corpus(text):
             if key not in body:
                 raise ParseError("record '%s' is missing key '%s'" % (label, key), line)
         order = FIELD_KEYS if kind == "field" else CURVE_KEYS
-        records.append(
-            CorpusRecord(
-                kind, label, tuple((k, body[k]) for k in order if k in body), line
-            )
-        )
+        rec = CorpusRecord(kind, label, tuple((k, body[k]) for k in order if k in body), line)
+        records.append(rec)
+        labels[kind][label] = rec
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -94,9 +86,8 @@ def parse_corpus(text):
             if len(parts) != 2 or parts[0] not in ("field", "curve"):
                 raise ParseError("expected 'field <label>' or 'curve <label>'", lineno)
             kind, label = parts
-            if label in seen[kind]:
+            if label in labels[kind]:
                 raise DuplicateLabel("duplicate %s label '%s'" % (kind, label))
-            seen[kind].add(label)
             current = (kind, label, {}, lineno)
             continue
         if "=" not in line:
@@ -114,16 +105,14 @@ def parse_corpus(text):
     if current is not None:
         close(current)
 
-    corpus = Corpus(tuple(records))
-    fields = corpus.fields
-    for rec in records:
-        if rec.kind == "field" and rec.get("subfield") not in (None,):
-            if rec.get("subfield") not in fields:
+    for rec in labels["field"].values():
+        if rec.get("subfield") not in (None,):
+            if rec.get("subfield") not in labels["field"]:
                 raise DanglingSubfieldRef(
                     "field '%s' references unknown subfield '%s'"
                     % (rec.label, rec.get("subfield"))
                 )
-    return corpus
+    return Corpus(tuple(records), labels["field"], labels["curve"])
 
 
 def emit_corpus(records):

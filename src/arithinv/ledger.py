@@ -105,8 +105,6 @@ class CurveStats:
     gen_heights: tuple  # polarized heights of the supplied generators
     gram: tuple  # pairing Gram rows (empty for rank 0)
     regulator: float
-    degree: int = 1
-    log_disc_base: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +197,18 @@ def report_silverman_friedman(fs):
 
 
 def check_semistable_height_bound(cs):
-    """h+ >= (1/12d) log N0 for semistable curves."""
+    """h+ >= (1/12) log N0 for semistable curves over Q."""
     if not cs.semistable:
         return _report(
             "semistable_height", cs.label, 0.0, 0.0, "skipped: not semistable"
         )
-    rhs = math.log(cs.n0) / (12 * cs.degree)
+    rhs = math.log(cs.n0) / 12
     return _judge("semistable_height", cs.label, cs.h_faltings, rhs)
 
 
 def check_general_height_bound(cs):
-    """h+ >= (1/12^8 d) log N0 with no semistability assumption."""
-    rhs = math.log(cs.n0) / (12**8 * cs.degree)
+    """h+ >= (1/12^8) log N0 over Q, with no semistability assumption."""
+    rhs = math.log(cs.n0) / 12**8
     return _judge("general_height", cs.label, cs.h_faltings, rhs)
 
 
@@ -221,27 +219,24 @@ def check_injectivity_theorem(cs):
     """The explicit height / bad-reduction / injectivity-diameter bounds.
 
     Matrix-lemma instance: 2 h+ + log(pi/(pi-3)) >= sum d_v rho^(-2) / d,
-    which over Q is Im tau.  Main bound: h+ >= log(N0)/(3*12^8 d)
-    + Im tau/(3d) - log(pi/(pi-3))/3.
+    which over Q (d = 1) is Im tau.  Main bound: h+ >= log(N0)/(3*12^8)
+    + Im tau/3 - log(pi/(pi-3))/3.
     """
-    d = cs.degree
     rho_term = cs.tau_im  # rho^(-2) = Im tau at the single real place
     matrix = _judge(
         "injectivity_matrix",
         cs.label,
         2 * cs.h_faltings + LOG_PI_TERM,
-        rho_term / d,
+        rho_term,
     )
-    main_rhs = (
-        math.log(cs.n0) / (3 * 12**8 * d) + rho_term / (3 * d) - LOG_PI_TERM / 3
-    )
+    main_rhs = math.log(cs.n0) / (3 * 12**8) + rho_term / 3 - LOG_PI_TERM / 3
     main = _judge("injectivity_main", cs.label, cs.h_faltings, main_rhs)
     return [main, matrix]
 
 
 def check_rank_bound(cs):
-    """rank <= c5 max(1, h+)."""
-    c5 = CONSTANTS.c5(cs.degree, cs.log_disc_base)
+    """rank <= c5 max(1, h+), with c5 at d = 1 and log|D| = 0 over Q."""
+    c5 = CONSTANTS.c5(1, 0.0)
     return _judge(
         "rank_bound",
         cs.label,

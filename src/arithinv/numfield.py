@@ -4,8 +4,11 @@ Field elements are written in the power basis of the generator theta of
 the defining polynomial, as sequences of d rationals ``c_0..c_{d-1}``
 meaning ``sum c_i theta^i``.  Units are supplied (or, for real
 quadratic fields, found by continued fractions) and then *verified*:
-exact unit norm and integrality via the exact characteristic
-polynomial.
+integrality and unit norm both read off the exact characteristic
+polynomial of the multiplication matrix.  Norms and discriminants are
+Bareiss determinants of multiplication matrices (N(alpha) = det M_alpha,
+disc(p) = +-N(p'(theta))), and a rational root of the defining polynomial
+is found from its certified real roots.
 """
 
 from __future__ import annotations
@@ -53,23 +56,26 @@ class NumberField:
         return (1,) * self.r1 + (2,) * self.r2
 
 
+def _poly_mult_matrix(poly, c):
+    """Matrix of multiplication by sum c_i theta^i on the power basis of
+    Q[x]/(poly), poly monic of degree d = len(c) (column-wise action)."""
+    d = len(c)
+    cols = []
+    cur = [Fraction(x) for x in c]
+    base = [Fraction(x) for x in poly[:-1]]  # theta^d = -base
+    for _ in range(d):
+        cols.append(cur)
+        nxt = [Fraction(0)] + cur[:-1]
+        top = cur[-1]
+        cur = [nxt[i] - top * base[i] for i in range(d)]
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
 def poly_discriminant(poly):
-    """disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p), exact."""
+    """disc(p) = (-1)^(d(d-1)/2) N(p'(theta)) for monic p, exact."""
     d = arith.poly_degree(poly)
-    res = arith.resultant(poly, arith.poly_deriv(poly))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res / Fraction(poly[-1])
-
-
-def _check_no_rational_root(poly):
-    # monic integer polynomial: any rational root is an integer divisor of poly[0]
-    c0 = poly[0]
-    if c0 == 0:
-        raise InvariantError("defining polynomial has root 0")
-    for t in sorted({d for d in range(1, abs(c0) + 1) if c0 % d == 0}):
-        for cand in (t, -t):
-            if arith.poly_eval(poly, cand) == 0:
-                raise InvariantError("defining polynomial is reducible (root %d)" % cand)
+    return sign * arith.frac_det(_poly_mult_matrix(poly, arith.poly_deriv(poly)))
 
 
 def number_field(label, poly, disc=None, w=2):
@@ -78,7 +84,10 @@ def number_field(label, poly, disc=None, w=2):
     The discriminant is computed exactly for degree <= 2 and must be
     supplied otherwise; it is validated against disc(poly) = disc * f^2.
     Irreducibility is only checked through rational roots (the corpus is
-    trusted beyond that).
+    trusted beyond that): a rational root of a monic integer polynomial is
+    an integer, and each certified real root lies within ROOT_TOL < 1/2 of
+    its approximation, so the nearest integer of each real root is the
+    only candidate.
     """
     poly = tuple(arith.poly_normalize(poly))
     d = arith.poly_degree(poly)
@@ -86,14 +95,15 @@ def number_field(label, poly, disc=None, w=2):
         raise InvariantError("defining polynomial must have degree >= 1")
     if poly[-1] != 1:
         raise InvariantError("defining polynomial must be monic")
-    if not arith.is_squarefree_poly(poly):
-        raise NotSquarefree("defining polynomial has repeated roots")
-    if d > 1:
-        _check_no_rational_root(poly)
-
-    roots = arith.poly_roots(poly, ROOT_TOL)
+    roots = arith.poly_roots(poly, ROOT_TOL)  # raises NotSquarefree
     r1 = sum(1 for r in roots if r.imag == 0)
     r2 = (d - r1) // 2
+    if d > 1:
+        # the root of least |t| is named, the positive one first
+        candidates = {int(mpmath.nint(r.real)) for r in roots[:r1]}
+        for t in sorted(candidates, key=lambda t: (abs(t), -t)):
+            if arith.poly_eval(poly, t) == 0:
+                raise InvariantError("defining polynomial is reducible (root %d)" % t)
 
     dpoly = poly_discriminant(poly)
     if dpoly.denominator != 1:
@@ -151,24 +161,13 @@ def _as_coeffs(field, coeffs):
 
 
 def norm(field, coeffs):
-    """N(alpha) as the resultant of the defining polynomial with alpha."""
-    c = arith.poly_normalize(_as_coeffs(field, coeffs))
-    return Fraction(arith.resultant(field.poly, c))
+    """N(alpha) = det M_alpha, by Bareiss elimination."""
+    return arith.frac_det(mult_matrix(field, coeffs))
 
 
 def mult_matrix(field, coeffs):
     """Matrix of multiplication by alpha on the power basis (column-wise action)."""
-    d = field.degree
-    c = _as_coeffs(field, coeffs)
-    cols = []
-    cur = c
-    base = [Fraction(x) for x in field.poly[:-1]]  # theta^d = -base
-    for _ in range(d):
-        cols.append(cur)
-        nxt = [Fraction(0)] + cur[:-1]
-        top = cur[-1]
-        cur = [nxt[i] - top * base[i] for i in range(d)]
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    return _poly_mult_matrix(field.poly, _as_coeffs(field, coeffs))
 
 
 def element_charpoly(field, coeffs):
@@ -209,7 +208,7 @@ def unit_system(field, units_coeffs):
             raise InvariantError(
                 "%s: supplied unit is not an algebraic integer: %s" % (field.label, c)
             )
-        if abs(norm(field, c)) != 1:
+        if abs(cp[0]) != 1:  # N(alpha) = (-1)^d cp(0)
             raise InvariantError("%s: supplied element is not a unit: %s" % (field.label, c))
         row = log_embedding(field, c)
         if abs(float(mpmath.fsum(row))) > 1e-9:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from arithinv import arith
+from arithinv import arith, ellcurve
 from arithinv.errors import NoConvergence, NotSquarefree
 
 
@@ -35,6 +35,16 @@ def poly_mul(f, g):
     return out
 
 
+def assert_bezout_identity(f, g, a, b, r):
+    # A f + B g == r identically, with integer cofactors
+    total = [0] * (len(f) + len(g))
+    for u, v in ((a, f), (b, g)):
+        assert all(isinstance(c, int) for c in u)
+        for k, c in enumerate(poly_mul(u, v)):
+            total[k] += c
+    assert arith.poly_normalize(total) == [r]
+
+
 def assert_encloses_reference(coeffs, roots):
     # every root of a 300-bit mpmath.polyroots reference (accurate to about
     # 2^-290 absolute) lies in the disc of exactly one returned root
@@ -56,7 +66,7 @@ def squarefree_polys(draw):
     bound = 2 ** draw(st.sampled_from([4, 20, 60]))
     coeffs = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
     coeffs.append(draw(st.integers(-bound, bound).filter(bool)))
-    assume(arith.is_squarefree_poly(coeffs))
+    assume(arith._sturm(coeffs)[0])
     return coeffs
 
 
@@ -66,7 +76,7 @@ def test_poly_roots_law(coeffs):
     n = len(coeffs) - 1
     roots = arith.poly_roots(coeffs, tol)
     assert len(roots) == n
-    n_real = arith.count_real_roots(coeffs)
+    n_real = arith._sturm(coeffs)[1]
     assert all(r.imag == 0 for r in roots[:n_real])
     assert all(r.imag != 0 for r in roots[n_real:])
     for w, v in zip(roots[n_real::2], roots[n_real + 1 :: 2]):
@@ -114,7 +124,7 @@ class TestPolyRoots:
             deg = rng.randint(1, 8)
             while True:
                 coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
-                if arith.poly_degree(coeffs) == deg and arith.is_squarefree_poly(coeffs):
+                if arith.poly_degree(coeffs) == deg and arith._sturm(coeffs)[0]:
                     break
             tol = 1e-10
             roots = arith.poly_roots(coeffs, tol)
@@ -140,7 +150,7 @@ class TestPolyRoots:
         cubic = [4 * a6, 4 * a4, 0, 4]
         roots = arith.poly_roots(cubic, 1e-18)
         assert len(roots) == 3
-        assert sum(1 for r in roots if r.imag == 0) == arith.count_real_roots(cubic)
+        assert sum(1 for r in roots if r.imag == 0) == arith._sturm(cubic)[1]
         assert_encloses_reference(cubic, roots)
 
     E = 10**18
@@ -173,16 +183,18 @@ class TestPolyRoots:
 
     def test_two_seeds_on_one_root_do_not_certify(self):
         # both real seeds sit on sqrt(2); each disc alone is a valid certificate
-        with mpmath.workprec(160):
-            r = mpmath.sqrt(2)
-            with pytest.raises(NoConvergence, match="overlap"):
-                arith._certify_roots([-2, 0, 1], [0, 2], [r, r], 2, 2, 1e-12)
+        bits = arith._fixed_point_bits([-2, 0, 1])
+        x = math.isqrt(2 << (2 * bits))  # floor(sqrt(2) 2^bits)
+        with pytest.raises(NoConvergence, match="overlap"):
+            arith._certify_roots([-2, 0, 1], [(x, 0), (x, 0)], bits, 2, 1e-12)
 
     def test_sturm_counts(self):
-        assert arith.count_real_roots([-2, 0, 1]) == 2
-        assert arith.count_real_roots([1, 0, 1]) == 0
-        assert arith.count_real_roots([-1, -1, 0, 1]) == 1
-        assert arith.count_real_roots([1, 1, 1, 1, 1]) == 0
+        # (squarefree, number of distinct real roots)
+        assert arith._sturm([-2, 0, 1]) == (True, 2)
+        assert arith._sturm([1, 0, 1]) == (True, 0)
+        assert arith._sturm([-1, -1, 0, 1]) == (True, 1)
+        assert arith._sturm([1, 1, 1, 1, 1]) == (True, 0)
+        assert arith._sturm([2, -3, 0, 1])[0] is False  # (x - 1)^2 (x + 2)
 
 
 class TestPell:
@@ -301,34 +313,40 @@ class TestExactLinearAlgebra:
         else:
             assert pivots[-1] == 0
 
-    def test_solve(self):
-        x = arith.frac_solve([[2, 0], [1, 3]], [4, 7])
-        assert x == [Fraction(2), Fraction(5, 3)]
-
     def test_charpoly(self):
         # companion-ish matrix of x^2 - x - 1
         cp = arith.charpoly([[Fraction(1, 2), Fraction(5, 2)], [Fraction(1, 2), Fraction(1, 2)]])
         assert cp == [Fraction(-1), Fraction(-1), Fraction(1)]
 
-    def test_resultant_vs_roots(self):
-        # Res(x^2-2, x^2-3) = prod (r^2 - 3) over r = +-sqrt2 = (2-3)^2 = 1
-        assert arith.resultant([-2, 0, 1], [-3, 0, 1]) == 1
-        # Res(f, const)
-        assert arith.resultant([-2, 0, 1], [5]) == 25
-
     def test_bezout(self):
         f = [-2, 0, 1]
         g = [0, 1]  # x
         a, b, r = arith.bezout_cofactors(f, g)
-        # A*f + B*g == r identically
-        prod = [0] * 4
-        for i, ai in enumerate(a):
-            for j, fj in enumerate(f):
-                prod[i + j] += ai * fj
-        for i, bi in enumerate(b):
-            for j, gj in enumerate(g):
-                prod[i + j] += bi * gj
-        assert prod[0] == r and all(c == 0 for c in prod[1:])
+        assert r in (-2, 2)  # Res(x^2 - 2, x) = -2
+        assert_bezout_identity(f, g, a, b, r)
+
+    @pytest.mark.parametrize(
+        "a_invs",
+        [
+            (0, 0, 1, -1, 0),
+            (0, 1, 1, -2, 0),
+            (0, 0, 1, -7, 6),
+            (1, -1, 0, -79, 289),
+            (0, 0, 0, -2, 0),
+            (1, 2, 3, 4, 5),
+        ],
+        ids=["37a", "389a", "5077a", "234446a", "x3_minus_2x", "a12345"],
+    )
+    def test_bezout_of_the_duplication_polynomials(self, a_invs):
+        # x(2P) = F(x) / G(x) with G = (2y + a1 x + a3)^2, and Res(F, G) = Delta^2
+        curve = ellcurve.weierstrass_curve(*a_invs)
+        b2, b4, b6, b8 = (int(curve.b2), int(curve.b4), int(curve.b6), int(curve.b8))
+        f = [-b8, -2 * b6, -b4, 0, 1]
+        g = [b6, 2 * b4, b2, 4]
+        a, b, r = arith.bezout_cofactors(f, g)
+        assert abs(r) == int(curve.delta) ** 2
+        assert len(a) <= 3 and len(b) <= 4
+        assert_bezout_identity(f, g, a, b, r)
 
 
 class TestFactorBudget:

@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from arithinv import arith, numfield
+from arithinv import arith, corpus, numfield
 from arithinv.errors import (
     DependentUnits,
     InvariantError,
@@ -58,8 +61,19 @@ class TestConstruction:
             numfield.number_field("bad", (1, 1, 1, 1, 1), disc=121)
 
     def test_reducible_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match=r"reducible \(root 1\)"):
             numfield.number_field("red", (-1, 0, 1), disc=1)  # (x-1)(x+1)
+
+    def test_rational_roots_of_large_constant_terms(self):
+        # the constant terms are about 10^12: a rational root is found from
+        # the certified real roots, not from the divisors of c_0
+        big = 10**12 + 39
+        text = "field Qbig\npoly = %d 0 1\n\nfield red\npoly = %d 1 %d 1\n" % (big, big, big)
+        parsed = corpus.parse_corpus(text)
+        K = corpus.build_field_record(parsed, "Qbig").field
+        assert (K.disc, K.r1, K.r2) == (-big, 0, 1)  # -big = 1 mod 4
+        with pytest.raises(InvariantError, match=r"reducible \(root -1000000000039\)"):
+            corpus.build_field_record(parsed, "red")  # (x + big)(x^2 + 1)
 
 
 class TestUnitRank:
@@ -77,6 +91,14 @@ class TestNormAndLogs:
     def test_norm_golden(self):
         K = numfield.quadratic_field(5)
         assert numfield.norm(K, GOLDEN) == -1
+
+    def test_norm_of_resultant_cases(self):
+        # Res(x^2 - 2, x^2 - 3) = N(theta^2 - 3) in Q(sqrt 2) = N(-1) = 1
+        K = numfield.quadratic_field(2)
+        square = field_mul(K, [0, 1], [0, 1])
+        assert numfield.norm(K, [square[0] - 3, square[1]]) == 1
+        # Res(x^2 - 2, 5) = N(5) = 25
+        assert numfield.norm(K, [5]) == 25
 
     def test_norm_one(self):
         for K in (numfield.quadratic_field(7), make_zeta5()):
@@ -127,6 +149,42 @@ class TestNormAndLogs:
         K = numfield.quadratic_field(2)
         with pytest.raises(ZeroElement):
             numfield.log_embedding(K, [0, 0])
+
+
+@st.composite
+def monic_polys_without_integer_roots(draw):
+    """Monic squarefree integer polynomials of degree 2-5, coefficients in
+    [-6, 6], with no integer (so no rational) root; every root has |z| < 7."""
+    d = draw(st.integers(2, 5))
+    poly = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d)) + [1]
+    assume(arith._sturm(poly)[0])
+    assume(all(arith.poly_eval(poly, t) != 0 for t in range(-7, 8)))
+    return poly
+
+
+@settings(max_examples=60)
+@given(
+    monic_polys_without_integer_roots(),
+    st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)), min_size=5, max_size=5),
+)
+def test_norm_and_discriminant_match_the_certified_roots(poly, alpha):
+    # N(alpha) = prod alpha(r_i) and disc(p) = prod_{i<j} (r_i - r_j)^2 over
+    # the certified roots r_i.  Each root is within 1e-18 of its disc centre
+    # and |alpha'| < 1e4 on |z| < 7, so every factor is off by less than
+    # 1e-13, and each product is within 1e-12 prod (1 + |factor|) of the
+    # exact value.
+    dpoly = numfield.poly_discriminant(poly)
+    K = numfield.number_field("K", poly, disc=int(dpoly))
+    alpha = alpha[: K.degree]
+    exact = numfield.norm(K, alpha)
+    with mpmath.workprec(200):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in alpha]
+        values = [arith.poly_eval(coeffs, r.value) for r in K.embeddings]
+        scale = mpmath.fprod(1 + abs(v) for v in values)
+        assert abs(mpmath.fprod(values) - exact) <= 1e-12 * scale
+        squares = [(a.value - b.value) ** 2 for a, b in itertools.combinations(K.embeddings, 2)]
+        scale = mpmath.fprod(1 + abs(s) for s in squares)
+        assert abs(mpmath.fprod(squares) - dpoly) <= 1e-12 * scale
 
 
 class TestRegulator:
@@ -219,10 +277,13 @@ def numfield_mul_square(K, a):
 
 
 def invert_unit(K, a):
-    # solve mult_matrix(a) x = e_0 exactly
+    # solve mult_matrix(a) x = e_0 exactly, by Cramer's rule
     mat = numfield.mult_matrix(K, a)
-    rhs = [Fraction(1)] + [Fraction(0)] * (K.degree - 1)
-    return arith.frac_solve(mat, rhs)
+    det = arith.frac_det(mat)
+    return [
+        arith.frac_det([row[:i] + [int(t == 0)] + row[i + 1 :] for t, row in enumerate(mat)]) / det
+        for i in range(K.degree)
+    ]
 
 
 def unit_power_product(K, base, exps):
@@ -273,7 +334,7 @@ class TestUnitValidation:
 
     def test_nonunit_rejected(self):
         K = numfield.quadratic_field(2)
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="not a unit"):
             numfield.unit_system(K, [[0, 1]])  # sqrt 2 has norm -2
 
     def test_corpus_units_logs_sum_zero(self):
