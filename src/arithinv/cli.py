@@ -4,6 +4,13 @@ Subcommands: ``field`` and ``curve`` print invariant summaries,
 ``verify`` runs the inequality ledger over a corpus, ``family ep``
 emits ready-to-append corpus records for the rank-zero family.
 
+``field L`` and ``curve L`` read only the corpus block of L and of its
+declared subfield (``corpus.load_record``); ``verify`` parses and
+validates the whole file.  Each call of `main` builds only the root
+parser (``--precision`` and the command name) and the parser of the
+command it runs, from the ``COMMANDS`` table, and ``--precision`` holds
+for that call only.
+
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or
 input errors.
 """
@@ -106,7 +113,7 @@ RENDERERS = {"text": render_text, "csv": render_csv, "json": render_json}
 
 
 def cmd_field(args):
-    corp = corpus.load_corpus(args.corpus)
+    corp = corpus.load_record(args.corpus, "field", args.label)
     record = corpus.build_field_record(corp, args.label)
     sub = record.subfield_label
     subrecord = corpus.build_field_record(corp, sub) if sub else None
@@ -130,7 +137,7 @@ def cmd_field(args):
 
 
 def cmd_curve(args):
-    corp = corpus.load_corpus(args.corpus)
+    corp = corpus.load_record(args.corpus, "curve", args.label)
     inv = corpus.curve_stats_one(corp, args.label)
     mm, s, tau = inv.model, inv.stats, inv.periods.tau
     rows = [
@@ -199,10 +206,56 @@ def cmd_family(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser():
+def _label_arguments(parser):
+    parser.add_argument("label")
+    parser.add_argument("--corpus", default=None)
+
+
+def _verify_arguments(parser):
+    parser.add_argument("--corpus", default=None)
+    parser.add_argument("--checks", default=None, help="comma-separated check ids")
+    parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--northcott-bound", type=float, default=1.0, help="bound for the scans")
+    # SUPPRESS keeps a pre-subcommand --precision from being clobbered
+    parser.add_argument("--precision", type=int, default=argparse.SUPPRESS)
+
+
+def _family_arguments(parser):
+    parser.add_argument("kind", choices=("ep",))
+    parser.add_argument("--pmax", type=int, required=True)
+
+
+# name -> (one-line help, adds the command's arguments, handler's name).  The
+# handler is looked up when its parser is built, so a wrapper put on the
+# module function (as the benchmark's tracer does) sees the call.
+COMMANDS = {
+    "field": ("print number field invariants", _label_arguments, "cmd_field"),
+    "curve": ("print elliptic curve invariants", _label_arguments, "cmd_curve"),
+    "verify": ("run the inequality ledger", _verify_arguments, "cmd_verify"),
+    "family": ("emit corpus records for a curve family", _family_arguments, "cmd_family"),
+}
+
+
+def build_parser(command=None):
+    """The parser of `inv COMMAND ...`, or of `inv` itself when command is None.
+
+    The root parser reads --precision and the command name and leaves the
+    rest of the line to the command's parser.
+    """
+    if command is not None:
+        _, add_arguments, handler = COMMANDS[command]
+        parser = argparse.ArgumentParser(prog="inv " + command)
+        add_arguments(parser)
+        parser.set_defaults(func=globals()[handler])
+        return parser
     parser = argparse.ArgumentParser(
         prog="inv",
         description="arithmetic invariants of number fields and elliptic curves over Q",
+        epilog="commands:\n"
+        + "".join("  %-21s %s\n" % (name, c[0]) for name, c in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "--precision",
@@ -211,41 +264,24 @@ def build_parser():
         help="working precision in bits (default %d, min %d)"
         % (prec.DEFAULT_BITS, prec.MIN_BITS),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_field = sub.add_parser("field", help="print number field invariants")
-    p_field.add_argument("label")
-    p_field.add_argument("--corpus", default=None)
-    p_field.set_defaults(func=cmd_field)
-
-    p_curve = sub.add_parser("curve", help="print elliptic curve invariants")
-    p_curve.add_argument("label")
-    p_curve.add_argument("--corpus", default=None)
-    p_curve.set_defaults(func=cmd_curve)
-
-    p_verify = sub.add_parser("verify", help="run the inequality ledger")
-    p_verify.add_argument("--corpus", default=None)
-    p_verify.add_argument("--checks", default=None, help="comma-separated check ids")
-    p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
-    p_verify.add_argument(
-        "--northcott-bound", type=float, default=1.0, help="bound for the scans"
+    parser.add_argument("command", choices=COMMANDS, help="one of the commands below")
+    rest = parser.add_argument(
+        "argv", nargs=argparse.REMAINDER, help="its arguments, listed by inv COMMAND --help"
     )
-    # SUPPRESS keeps a pre-subcommand --precision from being clobbered
-    p_verify.add_argument("--precision", type=int, default=argparse.SUPPRESS)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_family = sub.add_parser("family", help="emit corpus records for a curve family")
-    p_family.add_argument("kind", choices=("ep",))
-    p_family.add_argument("--pmax", type=int, required=True)
-    p_family.set_defaults(func=cmd_family)
+    rest.required = False  # a bare `inv` names only the command as missing
     return parser
 
 
+def parse_args(argv=None):
+    """The namespace of an `inv` command line; builds only the parsers it uses."""
+    args = build_parser().parse_args(argv)
+    return build_parser(args.command).parse_args(args.argv, namespace=args)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one `inv` command line; --precision holds for this call only."""
+    args = parse_args(argv)
+    before = prec.bits()
     if args.precision is not None:
         prec.set_precision(args.precision)
     try:
@@ -253,6 +289,8 @@ def main(argv=None):
     except (InvariantError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        prec.set_precision(before)
 
 
 if __name__ == "__main__":

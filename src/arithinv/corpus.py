@@ -1,6 +1,10 @@
 """Corpus ingestion: the line-oriented record format and the bundled
 fixture corpus, plus assembly of per-object check contexts.
 
+`parse_corpus` / `load_corpus` read every record; `read_records` /
+`load_record` read only one record's block and, for a field, its
+declared subfield's.  Both use the same block grammar.
+
 Format (UTF-8, ``#`` comments, records separated by blank lines)::
 
     field <label>
@@ -20,6 +24,7 @@ Format (UTF-8, ``#`` comments, records separated by blank lines)::
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,61 +63,135 @@ class Corpus:
     curves: dict = field(compare=False)  # label -> curve record, in corpus order
 
 
+def _content(raw):
+    """A line without its comment and surrounding whitespace."""
+    return raw.split("#", 1)[0].strip()
+
+
+def _header(lines, start):
+    """(kind, label) of the header line lines[start]."""
+    parts = _content(lines[start]).split()
+    if len(parts) != 2 or parts[0] not in REQUIRED:
+        raise ParseError("expected 'field <label>' or 'curve <label>'", start + 1)
+    return parts[0], parts[1]
+
+
+def _block(lines, start, kind, label):
+    """The record of the block headed `kind label` at lines[start], and the
+    index of the first line after the block.
+
+    A block runs to the next blank or comment-only line; this is the one
+    block grammar, shared by the full parse and the record read.
+    """
+    allowed = FIELD_KEYS if kind == "field" else CURVE_KEYS
+    body = {}
+    end = start + 1
+    while end < len(lines):
+        line = _content(lines[end])
+        if not line:
+            break
+        if "=" not in line:
+            raise ParseError("expected 'key = value'", end + 1)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in allowed:
+            raise ParseError("unknown key '%s' in %s record" % (key, kind), end + 1)
+        if key in body:
+            raise ParseError("duplicate key '%s'" % key, end + 1)
+        body[key] = " ".join(value.split())
+        end += 1
+    for key in REQUIRED[kind]:
+        if key not in body:
+            raise ParseError("record '%s' is missing key '%s'" % (label, key), start + 1)
+    body = tuple((k, body[k]) for k in allowed if k in body)
+    return CorpusRecord(kind, label, body, start + 1), end
+
+
+def _duplicate(kind, label):
+    return DuplicateLabel("duplicate %s label '%s'" % (kind, label))
+
+
+def _dangling(rec):
+    return DanglingSubfieldRef(
+        "field '%s' references unknown subfield '%s'" % (rec.label, rec.get("subfield"))
+    )
+
+
 def parse_corpus(text):
     """Parse corpus text; raises ParseError with a line number on bad input."""
+    lines = text.splitlines()
     records = []
     labels = {"field": {}, "curve": {}}  # kind -> {label: record}
-    current = None  # (kind, label, {key: value}, line)
-
-    def close(current):
-        kind, label, body, line = current
-        for key in REQUIRED[kind]:
-            if key not in body:
-                raise ParseError("record '%s' is missing key '%s'" % (label, key), line)
-        order = FIELD_KEYS if kind == "field" else CURVE_KEYS
-        rec = CorpusRecord(kind, label, tuple((k, body[k]) for k in order if k in body), line)
+    i = 0
+    while i < len(lines):
+        if not _content(lines[i]):
+            i += 1
+            continue
+        kind, label = _header(lines, i)
+        if label in labels[kind]:
+            raise _duplicate(kind, label)
+        rec, i = _block(lines, i, kind, label)
         records.append(rec)
         labels[kind][label] = rec
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if current is not None:
-                close(current)
-                current = None
-            continue
-        if current is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] not in ("field", "curve"):
-                raise ParseError("expected 'field <label>' or 'curve <label>'", lineno)
-            kind, label = parts
-            if label in labels[kind]:
-                raise DuplicateLabel("duplicate %s label '%s'" % (kind, label))
-            current = (kind, label, {}, lineno)
-            continue
-        if "=" not in line:
-            raise ParseError("expected 'key = value'", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = " ".join(value.split())
-        kind, label, body, start = current
-        allowed = FIELD_KEYS if kind == "field" else CURVE_KEYS
-        if key not in allowed:
-            raise ParseError("unknown key '%s' in %s record" % (key, kind), lineno)
-        if key in body:
-            raise ParseError("duplicate key '%s'" % key, lineno)
-        body[key] = value
-    if current is not None:
-        close(current)
-
     for rec in labels["field"].values():
-        if rec.get("subfield") not in (None,):
-            if rec.get("subfield") not in labels["field"]:
-                raise DanglingSubfieldRef(
-                    "field '%s' references unknown subfield '%s'"
-                    % (rec.label, rec.get("subfield"))
-                )
+        sub = rec.get("subfield")
+        if sub is not None and sub not in labels["field"]:
+            raise _dangling(rec)
     return Corpus(tuple(records), labels["field"], labels["curve"])
+
+
+def _read_block(lines, joined, kind, label):
+    """The record of the `kind label` block, or None if no block has that
+    header; no other block is parsed.
+
+    A block starts at the first line or after a blank or comment-only
+    line, where the full parse expects a header; a `kind label` line
+    anywhere else is inside another block.  joined is "\\n".join(lines).
+    """
+    header = re.compile(r"%s[^\S\n]+%s(?=[^\S\n]*(?:#|$))" % (kind, re.escape(label)), re.M)
+    candidates = []  # lines where the header pattern matches, a superset of the headers
+    line = pos = 0
+    for match in header.finditer(joined):
+        line += joined.count("\n", pos, match.start())
+        pos = match.start()
+        candidates.append(line)
+    starts = [
+        i
+        for i in dict.fromkeys(candidates)
+        if (i == 0 or not _content(lines[i - 1])) and _content(lines[i]).split() == [kind, label]
+    ]
+    if not starts:
+        return None
+    rec, _ = _block(lines, starts[0], kind, label)
+    if len(starts) > 1:
+        raise _duplicate(kind, label)
+    return rec
+
+
+def read_records(text, kind, label):
+    """The Corpus of the `kind label` record and, for a field, its declared
+    subfield, parsing only their blocks.
+
+    Those blocks raise the same errors as in parse_corpus, and a malformed
+    record elsewhere in text is never read.  A missing label gives an
+    empty Corpus, so build_field_record / build_curve_data raise
+    UnknownLabel.
+    """
+    lines = text.splitlines()
+    joined = "\n".join(lines)
+    found = {"field": {}, "curve": {}}
+    rec = _read_block(lines, joined, kind, label)
+    if rec is not None:
+        found[kind][label] = rec
+        sub = rec.get("subfield")
+        if sub is not None and sub not in found["field"]:
+            subrec = _read_block(lines, joined, "field", sub)
+            if subrec is None:
+                raise _dangling(rec)
+            found["field"][sub] = subrec
+    records = sorted((*found["field"].values(), *found["curve"].values()), key=lambda r: r.line)
+    return Corpus(tuple(records), found["field"], found["curve"])
 
 
 def emit_corpus(records):
@@ -131,11 +210,21 @@ def bundled_corpus_text():
     )
 
 
-def load_corpus(path=None):
+def _corpus_text(path):
     if path is None:
-        return parse_corpus(bundled_corpus_text())
+        return bundled_corpus_text()
     with open(path, encoding="utf-8") as handle:
-        return parse_corpus(handle.read())
+        return handle.read()
+
+
+def load_corpus(path=None):
+    """The whole corpus at path (default: the bundled one), every record parsed."""
+    return parse_corpus(_corpus_text(path))
+
+
+def load_record(path, kind, label):
+    """read_records of the corpus at path (default: the bundled one)."""
+    return read_records(_corpus_text(path), kind, label)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,22 @@ class TestPrecisionFlag:
         finally:
             prec.set_precision(before)
 
+    def test_precision_holds_for_one_call(self, tmp_path, capsys):
+        from arithinv import prec
+
+        path = tmp_path / "mini.txt"
+        path.write_text(MINI)
+        before = prec.bits()
+        argv = ["verify", "--format", "json", "--checks", "friedman", "--corpus", str(path)]
+        assert cli.main(["--precision", "200"] + argv) == 0
+        assert json.loads(capsys.readouterr().out)["header"]["precision_bits"] == 200
+        assert prec.bits() == before
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["header"]["precision_bits"] == before
+        # restored on an error exit too
+        assert cli.main(["--precision", "200", "curve", "nosuch"]) == 2
+        assert prec.bits() == before
+
     def test_precision_floor(self):
         from arithinv import prec
 
@@ -254,6 +271,24 @@ class TestOnePass:
         want = capsys.readouterr().out
         assert cli.main(["field", "Q_sqrt2", "--corpus", str(path)]) == 0
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [(["curve", "37a"], ["37a"]), (["field", "Q_zeta5"], ["Q_sqrt5", "Q_zeta5"])],
+        ids=["curve", "field"],
+    )
+    def test_query_parses_only_its_records(self, argv, parsed, monkeypatch, capsys):
+        # a field query reads its declared subfield too, and nothing else
+        made = []
+        record = corpus.CorpusRecord
+
+        def counting(kind, label, *args, **kwargs):
+            made.append(label)
+            return record(kind, label, *args, **kwargs)
+
+        monkeypatch.setattr(corpus, "CorpusRecord", counting)
+        assert cli.main(argv) == 0
+        assert sorted(made) == parsed
 
     def test_unit_error_names_the_field(self, tmp_path, capsys):
         path = tmp_path / "corpus.txt"
@@ -305,6 +340,140 @@ class TestOnePass:
         path = Path(__file__).parent / "data" / "hard_curves.txt"
         assert cli.main(["curve", "big_a4", "--corpus", str(path)]) == 0
         assert len(calls) == 1
+
+
+GOOD = "curve good\na = 0 0 1 -1 0\nrank = 1\ngens = 0,0\n"
+BAD = "curve bad\na = 0 0 1 -1 0\n"
+
+
+class TestRecordRead:
+    """`inv curve L` / `inv field L` read only L's block and its subfield."""
+
+    def _run(self, tmp_path, capsys, text, argv):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text)
+        code = cli.main(argv + ["--corpus", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_bad_record_does_not_abort_other_queries(self, tmp_path, capsys):
+        alone = self._run(tmp_path, capsys, GOOD, ["curve", "good"])
+        assert alone[0] == 0
+        assert self._run(tmp_path, capsys, GOOD + "\n" + BAD, ["curve", "good"]) == alone
+        assert self._run(tmp_path, capsys, BAD + "\n" + GOOD, ["curve", "good"]) == alone
+
+    def test_bad_record_query_names_its_line(self, tmp_path, capsys):
+        code, out, err = self._run(tmp_path, capsys, GOOD + "\n" + BAD, ["curve", "bad"])
+        assert (code, out) == (2, "")
+        assert err == "error: line 6: record 'bad' is missing key 'rank'\n"
+
+    def test_duplicate_label(self, tmp_path, capsys):
+        code, _, err = self._run(tmp_path, capsys, GOOD + "\n" + BAD + "\n" + GOOD, ["curve", "good"])
+        assert (code, err) == (2, "error: duplicate curve label 'good'\n")
+
+    def test_missing_subfield(self, tmp_path, capsys):
+        text = "field A\npoly = -2 0 1\nsubfield = nowhere\n\n" + GOOD
+        code, _, err = self._run(tmp_path, capsys, text, ["field", "A"])
+        assert (code, err) == (2, "error: field 'A' references unknown subfield 'nowhere'\n")
+        assert self._run(tmp_path, capsys, text, ["curve", "good"])[0] == 0
+
+    def test_header_inside_another_block(self, tmp_path, capsys):
+        # without a blank line before it, `curve good` is a line of `bad`
+        code, _, err = self._run(tmp_path, capsys, BAD + GOOD, ["curve", "bad"])
+        assert (code, err) == (2, "error: line 3: expected 'key = value'\n")
+        code, _, err = self._run(tmp_path, capsys, BAD + GOOD, ["curve", "good"])
+        assert (code, err) == (2, "error: no curve labelled 'good'\n")
+
+
+HELP = {
+    "field": (
+        "usage: inv field [-h] [--corpus CORPUS] label\n\n"
+        "positional arguments:\n  label\n\n"
+        "options:\n  -h, --help       show this help message and exit\n  --corpus CORPUS\n"
+    ),
+    "curve": (
+        "usage: inv curve [-h] [--corpus CORPUS] label\n\n"
+        "positional arguments:\n  label\n\n"
+        "options:\n  -h, --help       show this help message and exit\n  --corpus CORPUS\n"
+    ),
+    "verify": (
+        "usage: inv verify [-h] [--corpus CORPUS] [--checks CHECKS]\n"
+        "                  [--format {text,csv,json}] [--out OUT] [--tol TOL]\n"
+        "                  [--northcott-bound NORTHCOTT_BOUND] [--precision PRECISION]\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --corpus CORPUS\n"
+        "  --checks CHECKS       comma-separated check ids\n"
+        "  --format {text,csv,json}\n"
+        "  --out OUT\n"
+        "  --tol TOL\n"
+        "  --northcott-bound NORTHCOTT_BOUND\n"
+        "                        bound for the scans\n"
+        "  --precision PRECISION\n"
+    ),
+    "family": (
+        "usage: inv family [-h] --pmax PMAX {ep}\n\n"
+        "positional arguments:\n  {ep}\n\n"
+        "options:\n  -h, --help   show this help message and exit\n  --pmax PMAX\n"
+    ),
+}
+
+
+class TestSurface:
+    """The command line as users see it: help, usage errors, `python -m`."""
+
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+
+    def _exit(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    def test_root_help_lists_the_commands(self, capsys):
+        code, out, _ = self._exit(["--help"], capsys)
+        assert code == 0
+        assert out.startswith("usage: inv [-h] [--precision PRECISION] {field,curve,verify,family} ...\n")
+        for name, (help_, _, _) in cli.COMMANDS.items():
+            assert re.search(r"^  %s +%s$" % (name, re.escape(help_)), out, re.M), name
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_command_help(self, command, capsys):
+        assert self._exit([command, "--help"], capsys) == (0, HELP[command], "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["curve"],
+            ["curve", "37a", "--bogus"],
+            ["verify", "--format", "xml"],
+            ["--precision", "x", "verify"],
+        ],
+        ids=["none", "bogus", "no-label", "bogus-option", "bad-format", "bad-precision"],
+    )
+    def test_usage_error_exit_2(self, argv, capsys):
+        code, out, err = self._exit(argv, capsys)
+        assert (code, out) == (2, "")
+        assert re.search(r"^inv( \w+)?: error: ", err, re.M), err
+
+    def test_precision_after_verify(self, capsys):
+        assert cli.parse_args(["verify", "--precision", "90"]).precision == 90
+        assert cli.parse_args(["--precision", "90", "verify"]).precision == 90
+        assert cli.parse_args(["curve", "37a"]).precision is None
+
+    def test_module_entry_point(self):
+        # `python -m arithinv.cli` reads sys.argv (the argv=None path)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "arithinv.cli", "curve", "37a"],
+            capture_output=True, text=True, env=env,
+        )
+        golden = json.loads((Path(__file__).parent / "data" / "golden_queries.json").read_text())
+        assert (out.returncode, out.stdout, out.stderr) == (0, golden["curve"]["37a"], "")
 
 
 class TestUnknownCheckToken:
