@@ -107,13 +107,13 @@ def _block(lines, start, kind, label):
     return CorpusRecord(kind, label, body, start + 1), end
 
 
-def _duplicate(kind, label):
-    return DuplicateLabel("duplicate %s label '%s'" % (kind, label))
+def _duplicate(kind, label, first, line):
+    return DuplicateLabel("duplicate %s label '%s' (first at line %d)" % (kind, label, first), line)
 
 
 def _dangling(rec):
     return DanglingSubfieldRef(
-        "field '%s' references unknown subfield '%s'" % (rec.label, rec.get("subfield"))
+        "field '%s' references unknown subfield '%s'" % (rec.label, rec.get("subfield")), rec.line
     )
 
 
@@ -129,7 +129,7 @@ def parse_corpus(text):
             continue
         kind, label = _header(lines, i)
         if label in labels[kind]:
-            raise _duplicate(kind, label)
+            raise _duplicate(kind, label, labels[kind][label].line, i + 1)
         rec, i = _block(lines, i, kind, label)
         records.append(rec)
         labels[kind][label] = rec
@@ -165,7 +165,7 @@ def _read_block(lines, joined, kind, label):
         return None
     rec, _ = _block(lines, starts[0], kind, label)
     if len(starts) > 1:
-        raise _duplicate(kind, label)
+        raise _duplicate(kind, label, starts[0] + 1, starts[1] + 1)
     return rec
 
 

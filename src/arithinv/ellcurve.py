@@ -13,10 +13,14 @@ Two independent height paths are kept deliberately separate:
 * the primary path decomposes hhat_x place by place -- an archimedean
   series in the real embedding plus one exact p-adic valuation series
   per bad prime; the decomposition follows from the product formula
-  applied to the duplication map x(2P) = F(x)/G(x).  The p-adic series
-  doubles x = X/Z projectively on integers mod p^K, where the resultant
-  of F and G bounds the digits each step can strip, so K is fixed in
-  advance;
+  applied to the duplication map x(2P) = F(x)/G(x).  Both series run
+  on one projective orbit x_n = X_n/Z_n, stepped by the quartic forms
+  (X, Z) <- (Z^4 F(X/Z), Z^4 G(X/Z)).  Unreduced, the real orbit
+  telescopes the archimedean series to 4^-N log max(|X_N|, |Z_N|) -
+  log Z_0: X and Z are integers truncated to the working precision
+  under a shared power of 2, and one log ends the series.  The p-adic
+  series carries X and Z mod p^K, where the resultant of F and G bounds
+  the digits each step can strip, so K is fixed in advance;
 * the oracle path is Silverman's algorithm (Math. Comp. 51, 1988) on
   the global minimal model: a q-series at the elliptic logarithm (Sec. 4,
   from the AGM period lattice) plus the closed forms of his Thm 5.2 in
@@ -174,17 +178,70 @@ def _add(curve, p, q):
 
 
 def scalar_mul(curve, n, point):
+    """n * point by double-and-add on integer Jacobian coordinates.
+
+    On the integral model a_i d^i (d the lcm of the denominators, as in
+    weierstrass_curve) a point is x = X/Z^2, y = Y/Z^3 with X, Y and Z
+    integers.  The chain divides only exactly; one Fraction per coordinate
+    reduces the result, which x/d^2, y/d^3 maps back.
+    """
     _require_on_curve(curve, point)
     if n < 0:
         n, point = -n, negate(curve, point)
-    acc = INFINITY
-    base = point
-    while n:
-        if n & 1:
-            acc = _add(curve, acc, base)
-        base = _add(curve, base, base)
-        n >>= 1
-    return acc
+    if n == 0 or point.is_infinity:
+        return INFINITY
+    d = math.lcm(*(a.denominator for a in curve.a_invariants))
+    a = [int(c * d**w) for c, w in zip(curve.a_invariants, (1, 2, 3, 4, 6))]
+    x, y = point.x * d * d, point.y * d**3  # X/e^2 and Y/e^3 in lowest terms
+    base = acc = (x.numerator, y.numerator, y.denominator // x.denominator)
+    kept = base[2] * int(curve.delta * d**12)
+    for bit in bin(n)[3:]:
+        acc = _jacobian_add(a, acc, acc, kept)
+        if bit == "1":
+            acc = _jacobian_add(a, acc, base, kept)
+    if acc is None:
+        return INFINITY
+    X, Y, Z = acc
+    return Point(Fraction(X, (Z * d) ** 2), Fraction(Y, (Z * d) ** 3))
+
+
+def _jacobian_add(a, p, q, kept):
+    """p + q on integer Jacobian triples, None being O; p + p if q is p.
+
+    lambda = R/Z3 with Z3 = H s: on the tangent H = Z1^3 (2y + a1 x + a3),
+    R = Z1^4 (3x^2 + 2 a2 x + a4 - a1 y) and s = Z1; on the chord H = U2 -
+    U1, R = S2 - S1 and s = Z1 Z2, and a common factor of H and R cancels.
+    p is reduced at the primes prime to kept = Z2 delta.  At such a prime
+    of Z1, P reduces to O and P + Q to Q, so P + Q is p-integral and the
+    whole p-part w of Z1 is extraneous: (X3, Y3, Z3) divide by (w^2, w^3,
+    w) exactly, and the sum is again reduced at the primes prime to kept.
+    """
+    if p is None or q is None:
+        return q if p is None else p
+    a1, a2, a3, a4, _ = a
+    (X1, Y1, Z1), (X2, Y2, Z2) = p, q
+    if q is p:
+        zz, w = Z1 * Z1, 1
+        U1 = U2 = X1
+        S1, s = Y1, Z1
+        H = 2 * Y1 + a1 * X1 * Z1 + a3 * zz * Z1
+        R = 3 * X1 * X1 + 2 * a2 * X1 * zz + a4 * zz * zz - a1 * Y1 * Z1
+    else:
+        z1, z2 = Z1 * Z1, Z2 * Z2
+        U1, U2, S1, s = X1 * z2, X2 * z1, Y1 * z2 * Z2, Z1 * Z2
+        H, R = U2 - U1, Y2 * z1 * Z1 - S1
+        g = math.gcd(H, R) or 1
+        H, R = H // g, R // g
+        w, g = Z1, math.gcd(Z1, kept)
+        while g > 1:
+            w //= g
+            g = math.gcd(w, g)
+    if H == 0:
+        return _jacobian_add(a, p, p, kept) if R == 0 and q is not p else None
+    Z3, hh = H * s, H * H
+    X3 = R * R + a1 * R * Z3 - a2 * Z3 * Z3 - (U1 + U2) * hh
+    Y3 = R * (U1 * hh - X3) - a1 * X3 * Z3 - S1 * H * hh - a3 * Z3**3
+    return X3 // (w * w), Y3 // w**3, Z3 // w
 
 
 def is_torsion(curve, point):
@@ -437,7 +494,7 @@ class _HeightData:
         b2, b4, b6, b8 = (int(curve.b2), int(curve.b4), int(curve.b6), int(curve.b8))
         self.curve = curve
         self.F = [-b8, -2 * b6, -b4, 0, 1]  # numerator of x(2P)
-        self.G = [b6, 2 * b4, b2, 4]  # denominator; equals (2y + a1 x + a3)^2
+        self.G = [b6, 2 * b4, b2, 4, 0]  # denominator; equals (2y + a1 x + a3)^2
         self.W = [1, 0, -b4, -2 * b6, -b8]  # t^4 F(1/t)
         self.Z = [0, 4, b2, 2 * b4, b6]  # t^4 G(1/t)
         a1, b1c, r1 = arith.bezout_cofactors(self.F, self.G)
@@ -467,27 +524,40 @@ def _height_data(curve):
     return _height_cache[key]
 
 
+def _forms(hd, X, Z):
+    """(F_h, G_h) = Z^4 (F, G)(X/Z), the duplication map on x = X/Z, by
+    one homogeneous Horner pass."""
+    f, g, zk = hd.F[4], hd.G[4], 1
+    for cf, cg in zip(hd.F[3::-1], hd.G[3::-1]):
+        zk *= Z
+        f = f * X + cf * zk
+        g = g * X + cg * zk
+    return f, g
+
+
 def _arch_series(hd, x0, terms):
-    # log max(1,|x|) + sum 4^-(n+1) log(max(|F|,|G|) / max(1,|x|)^4) over the
-    # real duplication orbit
-    fc = [mpf(c) for c in hd.F]
-    gc = [mpf(c) for c in hd.G]
-    x = mpf(x0.numerator) / x0.denominator
-    total = mpmath.log(max(mpf(1), abs(x)))
-    quarter = mpf(1) / 4
-    scale = quarter
+    """log max(1,|x_0|) + sum_(n<terms) 4^-(n+1) log(max(|F|,|G|)(x_n) / max(1,|x_n|)^4).
+
+    With x_n = X_n/Z_n and (X_(n+1), Z_(n+1)) = (F_h, G_h)(X_n, Z_n)
+    unreduced, the n-th summand is 4^-(n+1) log M_(n+1) - 4^-n log M_n for
+    M_n = max(|X_n|, |Z_n|), so the sum telescopes to 4^-terms log M_terms
+    - log Z_0.  X and Z are integers truncated to the working precision
+    times a shared 2^e; F_h and G_h are quartic, so e becomes 4 (e + shift).
+    A Z truncated to 0 is x = infinity, which doubles to itself.
+    """
+    bits = mpmath.mp.prec
+    X, Z, e = x0.numerator, x0.denominator, 0
     for _ in range(terms):
-        fv = arith.poly_eval(fc, x)
-        gv = arith.poly_eval(gc, x)
-        m = max(abs(fv), abs(gv))
-        if m == 0:
-            raise NoConvergence("degenerate duplication orbit")
-        total += scale * (mpmath.log(m) - 4 * mpmath.log(max(mpf(1), abs(x))))
-        if gv == 0:
-            raise NoConvergence("hit a two-torsion x-coordinate numerically")
-        x = fv / gv
-        scale *= quarter
-    return total
+        shift = max(max(abs(X), abs(Z)).bit_length() - bits, 0)
+        X, Z = X >> shift, Z >> shift
+        f, g = _forms(hd, X, Z)
+        if g == 0 and Z:
+            raise NoConvergence(
+                "hit a two-torsion x-coordinate numerically" if f else "degenerate duplication orbit"
+            )
+        X, Z, e = f, g, 4 * (e + shift)
+    top = mpmath.log(max(abs(X), abs(Z))) + e * mpmath.ln2
+    return mpmath.ldexp(top, -2 * terms) - mpmath.log(x0.denominator)
 
 
 def _orbit_valuations(hd, x0, p, terms):
@@ -503,9 +573,7 @@ def _orbit_valuations(hd, x0, p, terms):
     mod = p ** (terms * _vp(hd.res1, p) + 1)
     X, Z = x0.numerator % mod, x0.denominator % mod
     for _ in range(terms):
-        monomials = [X**i * Z ** (4 - i) for i in range(5)]  # G has no x^4 term
-        f = sum(c * w for c, w in zip(hd.F, monomials)) % mod
-        g = sum(c * w for c, w in zip(hd.G, monomials)) % mod
+        f, g = (v % mod for v in _forms(hd, X, Z))
         m = 0
         while f % p == 0 and g % p == 0:
             f, g, m = f // p, g // p, m + 1
@@ -518,14 +586,16 @@ def _padic_series(hd, x0, p, terms):
     """Exact truncated local series: returns Fraction coefficient of log p.
 
     The summand -min(v F(x_n), v G(x_n)) + 4 min(0, v x_n) of the affine
-    series is -m_n, since the 4 v_p(Z) terms cancel.
+    series is -m_n, since the 4 v_p(Z) terms cancel.  The sum
+    v_p(Z_0) - sum_n 4^-(n+1) m_n is formed over the common denominator
+    4^terms.
     """
-    coeff = Fraction(_vp(x0.denominator, p))
-    weight = Fraction(1, 4)
+    den = weight = 4**terms
+    num = _vp(x0.denominator, p) * den
     for m in _orbit_valuations(hd, x0, p, terms):
-        coeff -= weight * m
-        weight /= 4
-    return coeff
+        weight //= 4
+        num -= m * weight
+    return Fraction(num, den)
 
 
 def _strip_primes(n, primes):

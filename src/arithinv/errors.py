@@ -83,11 +83,11 @@ class ParseError(InvariantError):
         self.line = line
 
 
-class DuplicateLabel(InvariantError):
+class DuplicateLabel(ParseError):
     pass
 
 
-class DanglingSubfieldRef(InvariantError):
+class DanglingSubfieldRef(ParseError):
     pass
 
 

@@ -369,12 +369,19 @@ class TestRecordRead:
 
     def test_duplicate_label(self, tmp_path, capsys):
         code, _, err = self._run(tmp_path, capsys, GOOD + "\n" + BAD + "\n" + GOOD, ["curve", "good"])
-        assert (code, err) == (2, "error: duplicate curve label 'good'\n")
+        assert (code, err) == (2, "error: line 9: duplicate curve label 'good' (first at line 1)\n")
+
+    def test_duplicate_label_names_both_headers(self, tmp_path, capsys):
+        # two `curve good` blocks: the query and the full parse of verify agree
+        want = (2, "error: line 6: duplicate curve label 'good' (first at line 1)\n")
+        for argv in (["curve", "good"], ["verify"]):
+            code, _, err = self._run(tmp_path, capsys, GOOD + "\n" + GOOD, argv)
+            assert (code, err) == want, argv
 
     def test_missing_subfield(self, tmp_path, capsys):
-        text = "field A\npoly = -2 0 1\nsubfield = nowhere\n\n" + GOOD
+        text = "\nfield A\npoly = -2 0 1\nsubfield = nowhere\n\n" + GOOD
         code, _, err = self._run(tmp_path, capsys, text, ["field", "A"])
-        assert (code, err) == (2, "error: field 'A' references unknown subfield 'nowhere'\n")
+        assert (code, err) == (2, "error: line 2: field 'A' references unknown subfield 'nowhere'\n")
         assert self._run(tmp_path, capsys, text, ["curve", "good"])[0] == 0
 
     def test_header_inside_another_block(self, tmp_path, capsys):

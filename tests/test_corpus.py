@@ -130,7 +130,7 @@ class TestRecordRead:
     def test_duplicate_label(self):
         assert _same_error(GOOD + "\n" + GOOD, "curve", "good")[:2] == (
             DuplicateLabel,
-            "duplicate curve label 'good'",
+            "line 6: duplicate curve label 'good' (first at line 1)",
         )
         with pytest.raises(DuplicateLabel):  # the bad block between is not read
             corpus.read_records(GOOD + "\n" + BAD + "\n" + GOOD, "curve", "good")
@@ -142,7 +142,7 @@ class TestRecordRead:
         text = "field A\npoly = -2 0 1\nsubfield = nowhere\n\n" + GOOD
         assert _same_error(text, "field", "A")[:2] == (
             DanglingSubfieldRef,
-            "field 'A' references unknown subfield 'nowhere'",
+            "line 1: field 'A' references unknown subfield 'nowhere'",
         )
         assert len(corpus.read_records(text, "curve", "good").records) == 1
 

@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
-from arithinv import analytic, arith, corpus
+from arithinv import analytic, arith, corpus, prec
 from arithinv import ellcurve as ec
-from arithinv.errors import DependentPoints, PointNotOnCurve, SingularCurve
+from arithinv.errors import DependentPoints, NoConvergence, PointNotOnCurve, SingularCurve
 
 E37 = ec.weierstrass_curve(0, 0, 1, -1, 0)
 E389 = ec.weierstrass_curve(0, 1, 1, -2, 0)
@@ -157,6 +159,72 @@ class TestTorsion:
                 assert ec.on_curve(curve, p) and ec.is_torsion(curve, p)
             gen = ec.transform_point(ec.Point.of(2, 3), u, 0, 0, 0)
             assert ec.scalar_mul(curve, 6, gen).is_infinity
+
+
+def repeated_add(curve, k, point):
+    step = point if k > 0 else ec.negate(curve, point)
+    total = ec.INFINITY
+    for _ in range(abs(k)):
+        total = ec.add(curve, total, step)
+    return total
+
+
+# a model with non-integral a_i: 37a moved by (u, r, s, t) = (3, 1/2, 1/3, 1/5)
+MOVE = (3, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+E37_MOVED = ec.transform_curve(E37, *MOVE)
+# integral and non-integral base points (5 P on 37a, 2 P_1 on 5077a), the
+# three singular-reduction points of TestOracle, and a non-integral model
+SCALAR_POINTS = [
+    (curve, ec.Point.of(*g))
+    for curve, g in [
+        (E37, (0, 0)),
+        (E37, (Fraction(1, 4), Fraction(-5, 8))),
+        (E389, (0, 0)),
+        (E389, (1, 0)),
+        (E5077, (-2, 3)),
+        (E5077, (Fraction(221, 49), Fraction(-2967, 343))),
+        (ec.weierstrass_curve(-1, 3, 0, 28, 100), (0, 10)),
+        (ec.weierstrass_curve(0, 0, 0, -108, 513), (-12, 9)),
+        (ec.weierstrass_curve(0, 0, 0, -198, -5103), (24, 63)),
+    ]
+] + [(E37_MOVED, ec.transform_point(P37, *MOVE))]
+# torsion points with their orders: 2-torsion with integral and with
+# non-integral x, orders 3, 4 and 6, and Z/6 on a non-integral model
+TORSION_POINTS = [
+    (EJ0, ec.Point.of(-1, 0), 2),
+    (E15, ec.Point.of(Fraction(-1, 4), Fraction(1, 8)), 2),
+    (EJ0, ec.Point.of(0, 1), 3),
+    (E15, ec.Point.of(1, 2), 4),
+    (EJ0, ec.Point.of(2, 3), 6),
+    (ec.transform_curve(EJ0, 2, 0, 0, 0), ec.transform_point(ec.Point.of(2, -3), 2, 0, 0, 0), 6),
+]
+
+
+class TestScalarMul:
+    def test_nonintegral_model(self):
+        assert not E37_MOVED.is_integral
+        assert ec.on_curve(*SCALAR_POINTS[-1])
+
+    @settings(max_examples=60)
+    @given(st.integers(0, len(SCALAR_POINTS) - 1), st.integers(-40, 40))
+    def test_equals_repeated_addition(self, which, k):
+        curve, point = SCALAR_POINTS[which]
+        assert ec.scalar_mul(curve, k, point) == repeated_add(curve, k, point)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, len(TORSION_POINTS) - 1), st.integers(-40, 40))
+    def test_torsion_multiples(self, which, k):
+        curve, point, order = TORSION_POINTS[which]
+        q = ec.scalar_mul(curve, k, point)
+        assert q == repeated_add(curve, k, point)
+        assert q.is_infinity == (k % order == 0)
+
+    @pytest.mark.parametrize("which", range(len(TORSION_POINTS)))
+    def test_infinity_at_the_order(self, which):
+        curve, point, order = TORSION_POINTS[which]
+        assert all(not ec.scalar_mul(curve, k, point).is_infinity for k in range(1, order))
+        assert ec.scalar_mul(curve, order, point) is ec.INFINITY
+        assert ec.scalar_mul(curve, -order, point) is ec.INFINITY
 
 
 class TestMinimalModel:
@@ -561,6 +629,50 @@ class TestPadicSeries:
             assert all(m <= bound for m in ec._orbit_valuations(hd, point.x, p, 18)), p
 
 
+def reference_arch_series(hd, x0, terms):
+    """The archimedean series term by term in mpf on the affine orbit:
+    log max(1,|x_0|) + sum_(n<terms) 4^-(n+1) log(max(|F|,|G|)(x_n) / max(1,|x_n|)^4)."""
+    fc = [mpf(c) for c in hd.F]
+    gc = [mpf(c) for c in hd.G]
+    x = mpf(x0.numerator) / x0.denominator
+    total = mpmath.log(max(mpf(1), abs(x)))
+    scale = mpf(1) / 4
+    for _ in range(terms):
+        fv, gv = arith.poly_eval(fc, x), arith.poly_eval(gc, x)
+        total += scale * (mpmath.log(max(abs(fv), abs(gv))) - 4 * mpmath.log(max(mpf(1), abs(x))))
+        x = fv / gv
+        scale /= 4
+    return total
+
+
+class TestArchSeries:
+    @settings(max_examples=40)
+    @given(st.integers(0, len(SERIES_POINTS) - 1), st.integers(-40, 40).filter(bool))
+    def test_integer_orbit_matches_the_reference(self, which, k):
+        curve, (x, y) = SERIES_POINTS[which]
+        x0 = ec.scalar_mul(curve, k, ec.Point.of(x, y)).x
+        hd = ec._height_data(curve)
+        terms = 20
+        with prec.working(3 * terms + 60):  # as canonical_height runs it
+            got = ec._arch_series(hd, x0, terms)
+        with mpmath.workprec(400):
+            assert abs(got - reference_arch_series(hd, x0, terms)) <= mpf(2) ** -prec.bits()
+
+    def test_x_beyond_the_working_precision(self):
+        # Z truncates to 0 there: the orbit runs on at x = infinity
+        x0 = Fraction(2**300 + 7, 3)
+        hd = ec._height_data(E37)
+        with prec.working(40):
+            got = ec._arch_series(hd, x0, 20)
+        with mpmath.workprec(400):
+            assert abs(got - reference_arch_series(hd, x0, 20)) <= mpf(2) ** -prec.bits()
+
+    def test_two_torsion_orbit_is_rejected(self):
+        # x = -1 on y^2 = x^3 + 1 doubles to the point at infinity
+        with pytest.raises(NoConvergence):
+            ec._arch_series(ec._height_data(EJ0), Fraction(-1), 5)
+
+
 def test_oracle_pinned():
     """The oracle stays within the bounds pinned by the exact doubling oracle.
 
@@ -589,7 +701,7 @@ ORACLE_GENS = (
     + [(EX3M2, (3, 5))]
 )
 # multiples run up to |k| = 300 or to hhat(kP) = 2e4, whichever is first:
-# exact Fraction multiples cost about k^4 (300 P on 234446a takes 16 s)
+# 300 P on 234446a takes about 3 s to form and to measure both ways
 ORACLE_HHAT_CAP = 2e4
 
 
