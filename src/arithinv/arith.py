@@ -1,15 +1,17 @@
 """Exact and certified-approximate arithmetic primitives.
 
 Integer polynomials are plain coefficient sequences, constant term
-first, e.g. ``[-2, 0, 1]`` is x^2 - 2.  Exact work runs on ints and
-``fractions.Fraction``; its linear algebra is one Bareiss fraction-free
-elimination (determinants, Bezout cofactors by Cramer's rule and LDL^T
-pivots) and the Faddeev-LeVerrier characteristic polynomial, with no
-resultant: norms and discriminants are determinants of multiplication
-matrices in :mod:`arithinv.numfield`.  Approximate work runs on
-fixed-point integers where it loops (root polishing here, the q-series
-and the AGM in :mod:`arithinv.analytic`), with precisions derived from
-:mod:`arithinv.prec`; mpmath values enter and leave exactly.
+first, e.g. ``[-2, 0, 1]`` is x^2 - 2.  Exact work runs on ints: the
+Sturm chain is a primitive pseudo-remainder sequence, and the linear
+algebra is one Bareiss fraction-free elimination (determinants, Bezout
+cofactors by Cramer's rule and LDL^T pivots), with no resultant: norms
+and discriminants are determinants of multiplication matrices in
+:mod:`arithinv.numfield`.  ``fractions.Fraction`` carries exact inputs
+and results and the Faddeev-LeVerrier characteristic polynomial.
+Approximate work runs on fixed-point integers where it loops (root
+polishing here, the q-series and the AGM in :mod:`arithinv.analytic`),
+with precisions derived from :mod:`arithinv.prec`; mpmath values and the
+double-precision root seeds enter and leave exactly.
 """
 
 from __future__ import annotations
@@ -55,32 +57,27 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def _frac_rem(a, b):
-    """Remainder of exact division of Fraction polynomials a by b."""
-    a = [Fraction(c) for c in a]
-    b = poly_normalize([Fraction(c) for c in b])
-    da, db = poly_degree(a), poly_degree(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[-1]
-    while da >= db:
-        q = a[da] / lead
-        for i in range(db + 1):
-            a[da - db + i] -= q * b[i]
-        a = poly_normalize(a)
-        da = poly_degree(a)
-    return a
-
-
 def _sturm(coeffs):
-    """(squarefree, number of distinct real roots) from one Sturm chain."""
-    chain = [poly_normalize([Fraction(c) for c in coeffs])]
-    chain.append(poly_normalize([Fraction(c) for c in poly_deriv(chain[0])]))
-    while poly_degree(chain[-1]) > 0:
-        r = _frac_rem(chain[-2], chain[-1])
-        if not r:
+    """(squarefree, number of distinct real roots) from one Sturm chain.
+
+    The chain is a primitive pseudo-remainder sequence on integers: each
+    division step is a <- |lc(b)| a - sign(lc(b)) lc(a) x^k b, and each
+    remainder is divided by its content, so every member is a positive
+    multiple of the one the exact chain over Q would give, with its signs.
+    """
+    chain = [poly_normalize(coeffs)]
+    chain.append(poly_deriv(chain[0]))
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(a) >= len(b):
+            k, top = len(a) - len(b), sign * a[-1]
+            a = poly_normalize([lead * c - top * b[i - k] if i >= k else lead * c
+                                for i, c in enumerate(a)])
+        if not a:
             break
-        chain.append([-c for c in r])
+        g = math.gcd(*a)
+        chain.append([-(c // g) for c in a])
 
     def variations(signs):
         signs = [s for s in signs if s != 0]
@@ -88,7 +85,7 @@ def _sturm(coeffs):
 
     at_plus = [1 if p[-1] > 0 else -1 for p in chain if p]
     at_minus = [(1 if p[-1] > 0 else -1) * (-1) ** poly_degree(p) for p in chain if p]
-    squarefree = bool(chain[-1]) and poly_degree(chain[-1]) == 0
+    squarefree = len(chain[-1]) == 1
     return squarefree, variations(at_minus) - variations(at_plus)
 
 
@@ -98,11 +95,16 @@ def _sturm(coeffs):
 
 
 def to_fixed(x, bits):
-    """round(x 2^bits) for a real mpf (or a float), taken exactly."""
-    sign, man, exp, _ = (x if isinstance(x, mpf) else mpf(x))._mpf_
-    shift = exp + bits
+    """round(x 2^bits) for a real mpf or a float, taken exactly; the
+    magnitude is rounded half up."""
+    if isinstance(x, float):
+        num, den = x.as_integer_ratio()  # den is a power of 2
+        negative, man, shift = num < 0, abs(num), bits + 1 - den.bit_length()
+    else:
+        negative, man, exp, _ = (x if isinstance(x, mpf) else mpf(x))._mpf_
+        shift = exp + bits
     n = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
-    return -n if sign else n
+    return -n if negative else n
 
 
 def from_fixed(n, bits):
@@ -198,18 +200,19 @@ def _apart(a, b, bits):
     return ((x - u) ** 2 + (y - v) ** 2) * den * den > (num * num) << (2 * bits)
 
 
-def _double_seeds(coeffs):
+def _double_seeds(coeffs, bits):
     # Double-precision roots of p(2^s y) / (a_n 2^(s n)), scaled back by 2^s
-    # in mpmath.  By Fujiwara's bound every root has |x| < 2^s, so the
-    # rescaled polynomial is monic with every other coefficient of size
-    # < 1/2 and all its roots in the unit disc: nothing overflows, no large
-    # root is lost, and Durand-Kerner (Weierstrass) steps in Python complex
-    # run until every step is below 2^-50 of its root.  A near-double root
-    # comes out as two seeds about sqrt(eps) apart, often a conjugate pair
-    # straddling two real roots (or two reals straddling a pair), from which
-    # the polish never converges.  So a seed within 2^-20 relative of an
-    # earlier one moves by 2^-20 of its size in a direction generic for each
-    # index, and the iteration's repulsion separates the cluster.
+    # exactly, as Gaussian integers at the fixed point 2^-bits.  By
+    # Fujiwara's bound every root has |x| < 2^s, so the rescaled polynomial
+    # is monic with every other coefficient of size < 1/2 and all its roots
+    # in the unit disc: nothing overflows, no large root is lost, and
+    # Durand-Kerner (Weierstrass) steps in Python complex run until every
+    # step is below 2^-50 of its root.  A near-double root comes out as two
+    # seeds about sqrt(eps) apart, often a conjugate pair straddling two real
+    # roots (or two reals straddling a pair), from which the polish never
+    # converges.  So a seed within 2^-20 relative of an earlier one moves by
+    # 2^-20 of its size in a direction generic for each index, and the
+    # iteration's repulsion separates the cluster.
     n = len(coeffs) - 1
     top = abs(coeffs[-1]).bit_length() - 1  # |a_n| >= 2^top
     s = 1 + max(
@@ -260,7 +263,7 @@ def _double_seeds(coeffs):
     for k in range(1, n):
         if any(abs(ys[k] - y) <= 2.0**-20 * max(abs(ys[k]), abs(y)) for y in ys[:k]):
             ys[k] += 2.0**-20 * max(abs(ys[k]), 2.0**-20) * (0.4 + 0.9j) ** k
-    return [mpc(mpmath.ldexp(mpf(y.real), s), mpmath.ldexp(mpf(y.imag), s)) for y in ys]
+    return [(to_fixed(y.real, s + bits), to_fixed(y.imag, s + bits)) for y in ys]
 
 
 def _durand_kerner(coeffs, zs, bits):
@@ -316,7 +319,7 @@ def poly_roots(coeffs, tol):
     if not squarefree:
         raise NotSquarefree("polynomial has repeated roots")
     bits = _fixed_point_bits(coeffs)
-    zs = [(to_fixed(w.real, bits), to_fixed(w.imag, bits)) for w in _double_seeds(coeffs)]
+    zs = _double_seeds(coeffs, bits)
     return _certify_roots(coeffs, _durand_kerner(coeffs, zs, bits), bits, n_real, tol)
 
 

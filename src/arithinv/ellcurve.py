@@ -269,17 +269,22 @@ def is_torsion(curve, point):
 # model changes and minimalization
 
 
-def transform_curve(curve, u, r, s, t):
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+def _transformed_a_invariants(curve, u, r, s, t):
+    # a1..a6 after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t
     u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
     a1, a2, a3, a4, a6 = curve.a_invariants
-    return weierstrass_curve(
+    return (
         (a1 + 2 * s) / u,
         (a2 - s * a1 + 3 * r - s * s) / u**2,
         (a3 + r * a1 + 2 * t) / u**3,
         (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
         (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
     )
+
+
+def transform_curve(curve, u, r, s, t):
+    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+    return weierstrass_curve(*_transformed_a_invariants(curve, u, r, s, t))
 
 
 def transform_point(point, u, r, s, t):
@@ -361,19 +366,19 @@ def _vp(n, p):
 def minimal_model(curve):
     """Global minimal model over Q with the change of coordinates.
 
-    Scales to an integral model, removes 12th powers from the
-    discriminant prime by prime subject to the 2- and 3-adic
-    admissibility of the reduced (c4, c6), rebuilds a model, and solves
-    for the (u, r, s, t) relating input and output; delta_in = u^12
-    delta_out exactly.  The one factorization of the integral model's
-    delta = U^12 delta_min, U = prod p^d_p, gives delta_min's exactly:
-    the exponent of p is e_p - 12 d_p, and primes with exponent 0 drop.
+    The integral model x = x'/den^2, y = y'/den^3 (den the lcm of the
+    a_i's denominators) has the integer invariants c4 den^4, c6 den^6 and
+    delta den^12, read off the input's.  From them it removes 12th powers
+    prime by prime subject to the 2- and 3-adic admissibility of the
+    reduced (c4, c6), rebuilds a model, and solves for the (u, r, s, t)
+    relating input and output, checked exactly on the five transformed
+    a-invariants; delta_in = u^12 delta_out.  The one factorization of the
+    integral model's delta = U^12 delta_min, U = prod p^d_p, gives
+    delta_min's exactly: the exponent of p is e_p - 12 d_p, and primes
+    with exponent 0 drop.
     """
-    den = 1
-    for a in curve.a_invariants:
-        den = den * a.denominator // math.gcd(den, a.denominator)
-    integral = transform_curve(curve, Fraction(1, den), 0, 0, 0)
-    c4, c6, delta = int(integral.c4), int(integral.c6), int(integral.delta)
+    den = math.lcm(*(a.denominator for a in curve.a_invariants))
+    c4, c6, delta = int(curve.c4 * den**4), int(curve.c6 * den**6), int(curve.delta * den**12)
 
     factored = arith.factorize(delta)
     exps = {}
@@ -409,8 +414,7 @@ def minimal_model(curve):
     s = (u_net * minimal.a1 - curve.a1) / 2
     r = (u_net**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s) / 3
     t = (u_net**3 * minimal.a3 - curve.a3 - r * curve.a1) / 2
-    check = transform_curve(curve, u_net, r, s, t)
-    if check.a_invariants != minimal.a_invariants:
+    if _transformed_a_invariants(curve, u_net, r, s, t) != minimal.a_invariants:
         raise InvariantError("minimal model transformation failed to verify")
     assert curve.delta == u_net**12 * minimal.delta
     delta_min = arith.Factorization(

@@ -6,10 +6,11 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arithinv import analytic, prec
+from arithinv import analytic, ledger, prec
+from arithinv.analytic import SQRT3_HALF
 from arithinv.errors import AgmNoConvergence, NotUpperHalfPlane, TauNotReduced
 
 
@@ -175,6 +176,57 @@ class TestModularDiscriminant:
         )
         assert float(total) == pytest.approx(0.004343, abs=1e-6)
         assert float(total) <= 0.005
+
+
+def log_scaled_reference(z):
+    # log(|q prod (1 - q^n)^24| (2 Im z)^6) at 200 bits, the product run
+    # until q^n < 2^-210
+    with mpmath.workprec(200):
+        z = mpmath.mpc(z)
+        q = mpmath.exp(2j * mpmath.pi * z)
+        product, qn = q, q
+        while abs(qn) > mpmath.mpf(2) ** -210:
+            product *= (1 - qn) ** 24
+            qn *= q
+        return mpmath.log(abs(product) * (2 * mpmath.im(z)) ** 6)
+
+
+def assert_scaled_discriminant_within_bound(z):
+    # the docstring's bound: 1e-25 of truncation plus the double rounding
+    y = z.imag
+    bound = 1e-25 + 2.0**-50 * (2 * math.pi * y + 6 * abs(math.log(2 * y)) + 1)
+    assert abs(analytic.log_scaled_discriminant(z) - log_scaled_reference(z)) <= bound
+
+
+class TestLogScaledDiscriminant:
+    def test_ledger_points_against_200_bits(self):
+        points = ledger._sample_reduced_tau(100)
+        assert len(points) == 102 and all(isinstance(z, complex) for z in points)
+        for z in points:
+            assert_scaled_discriminant_within_bound(z)
+
+    def test_requires_reduced(self):
+        with pytest.raises(TauNotReduced):
+            analytic.log_scaled_discriminant(complex(0.1, 0.8))
+        for im in (0.0, -1.0):
+            with pytest.raises(NotUpperHalfPlane):
+                analytic.log_scaled_discriminant(complex(0.1, im))
+
+    def test_takes_every_tau_type(self):
+        z = complex(0.25, 1.5)
+        reduced = analytic.reduce_to_fundamental_domain(z)
+        values = {
+            analytic.log_scaled_discriminant(w)
+            for w in (z, mpmath.mpc(z), analytic.Tau(mpmath.mpc(z)), reduced)
+        }
+        assert len(values) == 1
+
+
+@given(st.floats(-0.5, 0.5), st.floats(SQRT3_HALF, 6))
+def test_log_scaled_discriminant_law(re, im):
+    # on the fundamental domain, against 200 bits within the stated bound
+    assume(re * re + im * im >= 1)
+    assert_scaled_discriminant_within_bound(complex(re, im))
 
 
 @given(st.floats(-2, 2), st.floats(0.3, 4))

@@ -89,6 +89,48 @@ def test_poly_roots_law(coeffs):
     assert_encloses_reference(coeffs, roots)
 
 
+@given(
+    st.lists(st.integers(-50, 50), unique=True, max_size=5),
+    st.lists(st.integers(1, 50), unique=True, max_size=3),
+    st.integers(-3, 3).filter(bool),
+)
+def test_integer_sturm_chain_law(roots, squares, lead):
+    # lead prod (x - a) prod (x^2 + b), b > 0: distinct linear factors and
+    # irreducible quadratics; a repeated factor makes it not squarefree
+    factors = [[-a, 1] for a in roots] + [[b, 0, 1] for b in squares]
+    assume(factors)
+    poly = [lead]
+    for f in factors:
+        poly = poly_mul(poly, f)
+    assert arith._sturm(poly) == (True, len(roots))
+    assert arith._sturm(poly_mul(poly, factors[-1]))[0] is False
+
+
+@given(
+    st.integers(-(2**53) + 1, 2**53 - 1),
+    st.integers(-10, 60),
+    st.integers(0, 64),
+    st.integers(0, 300),
+)
+def test_float_seed_to_fixed_is_exact(m, below, s, bits):
+    # |y| = |m| 2^-(s + bits + below): whole units for below <= 0, and
+    # magnitudes under one unit (exact halves at below = 1 and m odd) above
+    y = math.ldexp(m, -(s + bits + below))
+    expected = arith.to_fixed(mpmath.ldexp(mpmath.mpf(y), s), bits)
+    assert arith.to_fixed(y, s + bits) == expected
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 64), st.integers(0, 300))
+def test_any_float_seed_to_fixed_is_exact(y, s, bits):
+    expected = arith.to_fixed(mpmath.ldexp(mpmath.mpf(y), s), bits)
+    assert arith.to_fixed(y, s + bits) == expected
+
+
+def test_float_seed_halves_round_magnitude_up():
+    for y, fixed in ((0.5, 1), (-0.5, -1), (2.5, 3), (-2.5, -3), (0.25, 0), (-0.75, -1)):
+        assert arith.to_fixed(math.ldexp(y, -70), 70) == fixed
+
+
 class TestPolyRoots:
     def test_sqrt2(self):
         roots = arith.poly_roots([-2, 0, 1], 1e-12)

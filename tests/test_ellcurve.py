@@ -284,6 +284,39 @@ class TestMinimalModel:
                 assert mm.delta_factors == arith.factorize(int(mm.curve.delta))
 
 
+HARD_CURVES = corpus.load_corpus(Path(__file__).resolve().parent / "data" / "hard_curves.txt")
+# bases for the minimal-model law, each with a point on it: the bundled rank
+# 1-3 curves and the hard set's j = 0 and j = 1728 curves (additive at 2 and 3)
+MINIMAL_BASES = [
+    (E37, ec.Point.of(0, 0)),
+    (E389, ec.Point.of(0, 0)),
+    (E5077, ec.Point.of(0, 2)),
+    (corpus.build_curve_data(HARD_CURVES, "j0_add23")[1], ec.Point.of(0, 2)),
+    (corpus.build_curve_data(HARD_CURVES, "j1728_add23")[1], ec.Point.of(3, 0)),
+]
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, len(MINIMAL_BASES) - 1),
+    st.fractions(Fraction(1, 12), 12, max_denominator=12),
+    st.fractions(-20, 20, max_denominator=6),
+    st.fractions(-20, 20, max_denominator=6),
+    st.fractions(-20, 20, max_denominator=6),
+)
+def test_minimal_model_law(which, u, r, s, t):
+    # any rational (u, r, s, t) with u > 0, non-integral models included:
+    # the same minimal model, discriminant and reduction data, and the moved
+    # point goes back to the base's point on it
+    base, point = MINIMAL_BASES[which]
+    mm_base = ec.minimal_model(base)
+    mm = ec.minimal_model(ec.transform_curve(base, u, r, s, t))
+    assert mm.curve.a_invariants == mm_base.curve.a_invariants
+    assert mm.delta_factors == mm_base.delta_factors
+    assert ec.reduction_data(mm) == ec.reduction_data(mm_base)
+    assert mm.to_minimal(ec.transform_point(point, u, r, s, t)) == mm_base.to_minimal(point)
+
+
 class TestReductionData:
     def test_37a(self):
         rd = ec.reduction_data(ec.minimal_model(E37))
