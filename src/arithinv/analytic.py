@@ -4,10 +4,12 @@ discriminant q-series, AGM period lattices, injectivity diameter.
 Only the single archimedean place of Q is ever needed: curves live over
 Q, so their period lattices are rectangular (positive discriminant, two
 real components) or rhombic (negative discriminant, one component), and
-the rhombic case reduces to a real AGM after one complex step.  The hot
-loops (the q-series, E4 and the AGM) run on fixed-point integers; mpmath
-supplies exp, pi and log and holds the returned values.  The ledger's
-scaled-discriminant term runs in doubles, within a stated bound.
+the rhombic case reduces to two real AGMs after one complex square root.
+From the certified roots to q (AGM inputs, AGM, tau and its reduction,
+the delta and E4 series on one q) the lattice runs on fixed-point
+integers; mpmath supplies pi, exp and log and holds the returned values.
+The ledger's scaled-discriminant term runs in doubles, within a stated
+bound.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf
@@ -65,42 +66,49 @@ def _matmul(m1, m2):
     return ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
 
 
-def moebius(matrix, z):
-    (a, b), (c, d) = matrix
-    return (a * z + b) / (c * z + d)
-
-
 def reduce_to_fundamental_domain(tau):
-    """Canonical SL2(Z) representative: |Re| <= 1/2, |tau| >= 1.
+    """Canonical SL2(Z) representative: |Re| <= 1/2, |tau| >= 1 (Cohen,
+    GTM 138, Alg. 7.4.2).
 
     Ties: Re in [-1/2, 1/2) off the unit circle; on the circle the
     representative with Re >= 0 is chosen (so the left corner maps to
-    the right corner).
+    the right corner).  The walk runs on integers at 2^-F, F = prec.bits()
+    + 40 + 2 ceil(log2(1 / Im tau))^+, which keeps prec + 20 relative bits
+    through the inversions' amplification Im tau_final / Im tau.
     """
     z = _as_value(tau)
     if not mpmath.im(z) > 0:
         raise NotUpperHalfPlane("Im tau must be positive")
-    mat = ((1, 0), (0, 1))
-    with prec.working(20):
-        for _ in range(10000):
-            n = int(mpmath.floor(mpmath.re(z) + mpf(1) / 2))
-            if n != 0:
-                z = z - n
-                mat = _matmul(((1, -n), (0, 1)), mat)
-            if abs(z) ** 2 < 1 - BOUNDARY_EPS:
-                z = -1 / z
-                mat = _matmul(((0, -1), (1, 0)), mat)
-            else:
-                break
-        else:
-            raise AgmNoConvergence("fundamental domain reduction did not terminate")
-        if mpmath.re(z) >= mpf(1) / 2 - BOUNDARY_EPS and abs(abs(z) - 1) > BOUNDARY_EPS:
-            z = z - 1
-            mat = _matmul(((1, -1), (0, 1)), mat)
-        if abs(abs(z) - 1) <= BOUNDARY_EPS and mpmath.re(z) < -BOUNDARY_EPS:
-            z = -1 / z
-            mat = _matmul(((0, -1), (1, 0)), mat)
-    return ReducedTau(z, mat)
+    bits = prec.bits() + 40 + 2 * max(0, 1 - mpmath.frexp(mpmath.im(z))[1])
+    return _reduce_fixed(arith.to_fixed(z.real, bits), arith.to_fixed(z.imag, bits), bits)
+
+
+def _reduce_fixed(x, y, bits):
+    # reduce_to_fundamental_domain on (x + iy) 2^-bits: comparisons with
+    # eps = num / den are exact, -1/z = -conj(z) / |z|^2 rounds to nearest
+    num, den = BOUNDARY_EPS.as_integer_ratio()
+    one, mat = 1 << bits, ((1, 0), (0, 1))
+    for _ in range(10000):
+        n = (x + (one >> 1)) >> bits  # floor(Re + 1/2)
+        if n != 0:
+            x -= n << bits
+            mat = _matmul(((1, -n), (0, 1)), mat)
+        r = x * x + y * y  # |z|^2 2^(2 bits)
+        if r * den >= (den - num) << 2 * bits:
+            break
+        x, y = ((-x << 2 * bits + 1) + r) // (2 * r), ((y << 2 * bits + 1) + r) // (2 * r)
+        mat = _matmul(((0, -1), (1, 0)), mat)
+    else:
+        raise AgmNoConvergence("fundamental domain reduction did not terminate")
+    # | |z| - 1 | <= eps, that is (1 - eps)^2 <= |z|^2 <= (1 + eps)^2
+    on_circle = (den - num) ** 2 << 2 * bits <= r * den * den <= (den + num) ** 2 << 2 * bits
+    if 2 * den * x >= (den - 2 * num) << bits and not on_circle:  # Re >= 1/2 - eps
+        x -= one
+        mat = _matmul(((1, -1), (0, 1)), mat)
+    if on_circle and x * den < -(num << bits):  # Re < -eps
+        x, y = ((-x << 2 * bits + 1) + r) // (2 * r), ((y << 2 * bits + 1) + r) // (2 * r)
+        mat = _matmul(((0, -1), (1, 0)), mat)
+    return ReducedTau(arith.from_fixed_pair(x, y, bits), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +153,15 @@ def delta_q_series(tau):
         raise NotUpperHalfPlane("Im tau must be positive")
     if y < 1e-4:  # the sum would cancel to below 2^-3800
         raise AgmNoConvergence("q-series: Im tau below 1e-4")
-    bits = prec.bits() + 40 + math.ceil(0.38 / float(y))
+    return _delta(z, float(y))[0]
+
+
+def _delta(z, y):
+    # (delta_q_series(z), the fixed-point q it summed on, its bits), y = Im z
+    bits = prec.bits() + 40 + math.ceil(0.38 / y)
     q, qr, qi = _fixed_q(z, bits)
     # 1 / (1 - |q|) <= c / 2^32, with |q| = exp(-2 pi Im tau)
-    c = int(2**32 / -math.expm1(-2 * math.pi * float(y)) * (1 + 2**-40)) + 1
+    c = int(2**32 / -math.expm1(-2 * math.pi * y) * (1 + 2**-40)) + 1
     q2 = _cmul(qr, qi, qr, qi, bits)
     q3 = _cmul(*q2, qr, qi, bits)
     q4 = _cmul(*q2, *q2, bits)
@@ -174,7 +187,7 @@ def delta_q_series(tau):
     else:
         raise AgmNoConvergence("q-series truncation did not converge")
     with prec.working(30):
-        return q * arith.from_fixed_pair(tr, ti, bits) ** 24
+        return q * arith.from_fixed_pair(tr, ti, bits) ** 24, qr, qi, bits
 
 
 def modular_discriminant(tau):
@@ -195,7 +208,14 @@ def eisenstein_e4(tau):
     1e-19.  The sigma_3 values come from a divisor sieve up to N, and the
     Horner steps run at the fixed point 2^-(prec.bits() + 40).
     """
-    log_r = -2 * math.pi * float(mpmath.im(_as_value(tau)))  # log |q|; never underflows
+    z, bits = _as_value(tau), prec.bits() + 40
+    _, qr, qi = _fixed_q(z, bits)
+    return arith.from_fixed_pair(*_e4(qr, qi, float(mpmath.im(z)), bits), bits)
+
+
+def _e4(qr, qi, y, bits):
+    # eisenstein_e4 as a fixed-point pair, from the fixed-point q at Im tau = y
+    log_r = -2 * math.pi * y  # log |q|; never underflows
     for count in range(1, 200001):
         rho_log = 3 * math.log((count + 2) / (count + 1)) + log_r
         if rho_log < 0:
@@ -209,12 +229,10 @@ def eisenstein_e4(tau):
         cube = d**3
         for multiple in range(d, count + 1, d):
             sigma3[multiple] += cube
-    bits = prec.bits() + 40
-    _, qr, qi = _fixed_q(_as_value(tau), bits)
     tr = ti = 0
     for n in range(count, 0, -1):
         tr, ti = _cmul(tr + (sigma3[n] << bits), ti, qr, qi, bits)
-    return arith.from_fixed_pair((1 << bits) + 240 * tr, 240 * ti, bits)
+    return (1 << bits) + 240 * tr, 240 * ti
 
 
 def j_invariant_series(tau):
@@ -259,19 +277,20 @@ def injectivity_diameter(tau):
 
 
 def optimal_agm(a, b):
-    """AGM of two positive reals, on fixed-point integers.
+    """AGM of two positive reals: ``_agm`` on the fixed point 2^-s that puts
+    min(a, b) at 2^(prec.bits() + 20) or more."""
+    s = prec.bits() + 21 - mpmath.frexp(min(a, b))[1]
+    return arith.from_fixed(_agm(arith.to_fixed(a, s), arith.to_fixed(b, s)), s + 1)
 
-    Both are scaled by one power of 2 that puts the smaller at 2^bits or
-    more, bits = prec.bits() + 20; every iterate lies between the two
-    inputs, so each rounding of (a + b) / 2 and of isqrt(ab) is relative.
-    Stops once |a - b| <= 2^-(prec.bits() + 12) a.
-    """
-    bits = prec.bits() + 20
-    scale = bits + 1 - mpmath.frexp(min(a, b))[1]  # min(a, b) 2^scale >= 2^bits
-    a, b = arith.to_fixed(a, scale), arith.to_fixed(b, scale)
+
+def _agm(a, b):
+    # 2 M(a, b) for positive fixed-point integers a, b at one scale, the
+    # smaller at least 2^(prec.bits() + 20) units.  Every iterate lies
+    # between the two inputs, so each rounding of (a + b) / 2 and of
+    # isqrt(ab) is relative; stops once |a - b| <= 2^-(prec.bits() + 12) a.
     for _ in range(300):
         if abs(a - b) << (prec.bits() + 12) <= a:
-            return arith.from_fixed(a + b, scale + 1)
+            return a + b
         a, b = (a + b) >> 1, math.isqrt(a * b)
     raise AgmNoConvergence("AGM did not converge")
 
@@ -285,49 +304,52 @@ class PeriodData:
     delta: mpc  # delta(tau) by delta_q_series, summed once for the j check and h+
 
 
-def _conjugate_pair_agm(w):
-    # M(sqrt(w), sqrt(conj(w))) collapses to a real AGM after one step.
-    root = mpmath.sqrt(mpc(w))
-    return optimal_agm(mpmath.re(root), abs(root))
-
-
 def agm_periods(curve):
     """Period lattice of the real embedding of an integral curve over Q.
 
-    Positive discriminant gives a rectangular lattice from two real
-    AGMs; negative discriminant gives a rhombic lattice whose imaginary
-    part comes from the reflected (twisted) cubic.  The reduced tau is
-    checked against the algebraic j-invariant to 1e-6 relative, through
-    j = E4^3 / delta with the delta(tau) that the result carries.
+    Delta > 0: omega1 = pi / M1, omega2 = i pi / M2, M1 = M(sqrt(e1 - e3),
+    sqrt(e1 - e2)), M2 = M(sqrt(e1 - e3), sqrt(e2 - e3)), tau0 = i M1 / M2.
+    Delta < 0: w = e1 - e2 (Im e2 > 0), M1 = M(Re sqrt(w), |sqrt(w)|), M2
+    the same for -w, omega2 = (omega1 + i pi / M2) / 2, tau0 = 1/2 + i M1 /
+    (2 M2) (Cremona, Algorithms for Modular Elliptic Curves, Sec. 3.7).
+    The certified roots are dyadics, so all of it runs on integers, the
+    smaller AGM input at 2^(prec.bits() + 21) units or more; the larger
+    of Re sqrt(+-w) = sqrt((|w| +- Re w) / 2) is an isqrt, the other |Im
+    w| / 2 over it.  delta(tau) and E4(tau) are summed on one q, and j =
+    E4^3 / delta must match the algebraic j-invariant to 1e-6 relative.
     """
     b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
     cubic = [b6, 2 * b4, b2, 4]
     roots = arith.poly_roots(cubic, 1e-18)
-    with prec.working(20):
-        pi = mpmath.pi
-        if curve.delta > 0:
-            e3, e2, e1 = [r.real for r in roots]
-            omega1 = pi / optimal_agm(
-                mpmath.sqrt(e1 - e3), mpmath.sqrt(e1 - e2)
-            )
-            g = pi / optimal_agm(mpmath.sqrt(e1 - e3), mpmath.sqrt(e2 - e3))
-            omega2 = mpc(0, 1) * g
-        else:
-            e1 = roots[0].value
-            e2 = roots[1].value  # Im > 0 representative of the conjugate pair
-            omega1 = pi / _conjugate_pair_agm(e1 - e2)
-            g = pi / _conjugate_pair_agm(e2 - e1)
-            omega2 = (omega1 + mpc(0, 1) * g) / 2
-        omega1 = mpmath.re(omega1)
-        tau = reduce_to_fundamental_domain(omega2 / omega1)
-
-    delta = delta_q_series(tau)
+    B, p = arith._fixed_point_bits(cubic), prec.bits()
+    if curve.delta > 0:
+        e3, e2, e1 = (arith.to_fixed(r.real, B) for r in roots)
+        t = max((B + 1) // 2, (2 * p + 44 + B - min(e1 - e2, e2 - e3).bit_length()) // 2)
+        r13, r12, r23 = (math.isqrt(d << 2 * t - B) for d in (e1 - e3, e1 - e2, e2 - e3))
+        m1, m2 = _agm(r13, r12), _agm(r13, r23)
+        half, den = 0, m2  # Re tau0 = half / 2
+    else:
+        u = arith.to_fixed(roots[0].real, B) - arith.to_fixed(roots[1].real, B)
+        v = arith.to_fixed(roots[1].imag, B)  # |Im w|
+        t = max((B + 1) // 2, (2 * p + 48 + B + max(abs(u), v).bit_length()) // 2 - v.bit_length())
+        u, v = u << 2 * t - B, v << 2 * t - B
+        w = math.isqrt(u * u + v * v)  # |w| at 2^-2t
+        big, root = math.isqrt((w + abs(u)) >> 1), math.isqrt(w)
+        small = (v + big) // (2 * big)
+        m1, m2 = _agm(big if u >= 0 else small, root), _agm(small if u >= 0 else big, root)
+        half, den = 1, 2 * m2
+    # F of reduce_to_fundamental_domain, as log2(1 / Im tau0) < len(den) - len(m1) + 1
+    bits = p + 40 + 2 * max(0, den.bit_length() - m1.bit_length() + 1)
+    tau = _reduce_fixed(half << (bits - 1), (2 * (m1 << bits) + den) // (2 * den), bits)
+    with prec.working(20):  # the AGM inputs are at 2^-t, so M1, M2 = m1, m2 2^-(t + 1)
+        omega1, g = mpmath.pi / arith.from_fixed(m1, t + 1), mpmath.pi / arith.from_fixed(m2, t + 1)
+        omega2 = mpc(0, g) if curve.delta > 0 else mpc(omega1, g) / 2
+    delta, qr, qi, q_bits = _delta(tau.value, float(tau.im))
+    er, ei = _e4(qr, qi, float(tau.im), q_bits)
+    e4_cube = _cmul(*_cmul(er, ei, er, ei, q_bits), er, ei, q_bits)
     with prec.working(30):
-        j_here = eisenstein_e4(tau) ** 3 / delta
-    j_alg = curve.c4**3 / Fraction(curve.delta)
-    scale = max(1.0, abs(float(j_alg)))
-    if abs(j_here - mpf(j_alg.numerator) / j_alg.denominator) / scale > 1e-6:
-        raise AgmNoConvergence(
-            "period lattice does not reproduce the algebraic j-invariant"
-        )
+        j_here = arith.from_fixed_pair(*e4_cube, q_bits) / delta
+        j_alg = mpf(int(curve.c4) ** 3) / int(curve.delta)
+        if abs(j_here - j_alg) > 1e-6 * max(1, abs(j_alg)):
+            raise AgmNoConvergence("period lattice does not reproduce the algebraic j-invariant")
     return PeriodData(omega1, omega2, tau, tuple(roots), delta)

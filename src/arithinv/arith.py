@@ -454,9 +454,9 @@ class Factorization:
 
 def factorize(n, rho_budget=RHO_BUDGET):
     """Factor a nonzero integer: trial division by the primes below 2^10,
-    stopping once p^2 exceeds the cofactor, then Brent's rho (BIT 20,
-    1980) on each cofactor that is_prime rejects; rho_budget bounds the
-    steps of each rho call."""
+    stopping once p^2 exceeds the cofactor; each cofactor that is_prime
+    rejects is split at its square root if it is a square, else by Brent's
+    rho (BIT 20, 1980), whose steps rho_budget bounds per call."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
@@ -479,7 +479,8 @@ def factorize(n, rho_budget=RHO_BUDGET):
         if is_prime(v):
             factors[v] = factors.get(v, 0) + 1
             continue
-        g = _brent_rho(v, rho_budget)
+        r = math.isqrt(v)  # a square cofactor, as of p^4 in a discriminant, needs no rho
+        g = r if r * r == v else _brent_rho(v, rho_budget)
         if g is None:
             raise FactorBudgetExceeded("rho budget exhausted on %d" % v)
         stack.extend([g, v // g])

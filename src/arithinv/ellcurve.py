@@ -571,17 +571,19 @@ def _orbit_valuations(hd, x0, p, terms):
     the quartic forms F_h = Z^4 F(X/Z) and G_h = Z^4 G(X/Z), and m_n =
     min(v_p F_h, v_p G_h).  Forms A, B with A F_h + B G_h = Res(F, G) X^7,
     and another pair with Res(F, G) Z^7, give m_n <= v_p(Res(F, G)) = R.
-    Carried mod p^(terms R + 1), X and Z keep more than R known digits at
-    every step, so each m_n is exact.
+    Step n runs mod p^((terms - n) R + 1), so X and Z keep more than R
+    known digits and m_n is exact; as m_n <= R, dividing by p^(m_n) leaves
+    the next step's modulus known.
     """
-    mod = p ** (terms * _vp(hd.res1, p) + 1)
+    R = _vp(hd.res1, p)
+    mod = p ** (terms * R + 1)
     X, Z = x0.numerator % mod, x0.denominator % mod
     for _ in range(terms):
         f, g = (v % mod for v in _forms(hd, X, Z))
         m = 0
         while f % p == 0 and g % p == 0:
             f, g, m = f // p, g // p, m + 1
-        mod //= p**m
+        mod //= p**R
         X, Z = f, g
         yield m
 

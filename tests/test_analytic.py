@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arithinv import analytic, ledger, prec
@@ -27,6 +27,11 @@ def curve_stub(a1, a2, a3, a4, a6):
     )
 
 
+def moebius(matrix, z):
+    (a, b), (c, d) = matrix
+    return (a * z + b) / (c * z + d)
+
+
 def sample_reduced(rng):
     while True:
         re = rng.uniform(-0.5, 0.4999)
@@ -44,7 +49,7 @@ def random_word(rng, z, max_len=8):
             move
         ]
         cand = analytic._matmul(step, mat)
-        w = analytic.moebius(cand, z)
+        w = moebius(cand, z)
         if mpmath.im(w) < 0.05:
             continue
         mat = cand
@@ -67,7 +72,7 @@ class TestReduction:
         red = analytic.reduce_to_fundamental_domain(z)
         assert abs(red.value - mpmath.mpc(0.3, 2)) < 1e-10
         # Moebius identity of the recorded transform
-        assert abs(analytic.moebius(red.transform, z) - red.value) < 1e-10
+        assert abs(moebius(red.transform, z) - red.value) < 1e-10
 
     def test_corner_convention(self):
         # the left corner is moved to the right corner of the circle arc
@@ -80,7 +85,7 @@ class TestReduction:
         for _ in range(25):
             z = sample_reduced(rng)
             mat = random_word(rng, z)
-            moved = analytic.moebius(mat, z)
+            moved = moebius(mat, z)
             red = analytic.reduce_to_fundamental_domain(moved)
             assert abs(red.value - z) < 1e-9
             det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
@@ -91,6 +96,63 @@ class TestReduction:
             analytic.reduce_to_fundamental_domain(mpmath.mpc(0.3, -2))
         with pytest.raises(NotUpperHalfPlane):
             analytic.Tau(mpmath.mpc(1, -1))
+
+
+def reference_reduce(z):
+    # the fundamental-domain walk in mpmath at the working precision + 20
+    # bits, with the tie-breaks of reduce_to_fundamental_domain
+    eps = analytic.BOUNDARY_EPS
+    mat = ((1, 0), (0, 1))
+    with prec.working(20):
+        z = mpmath.mpc(z)
+        for _ in range(10000):
+            n = int(mpmath.floor(mpmath.re(z) + mpmath.mpf(1) / 2))
+            if n != 0:
+                z = z - n
+                mat = analytic._matmul(((1, -n), (0, 1)), mat)
+            if abs(z) ** 2 < 1 - eps:
+                z = -1 / z
+                mat = analytic._matmul(((0, -1), (1, 0)), mat)
+            else:
+                break
+        if mpmath.re(z) >= mpmath.mpf(1) / 2 - eps and abs(abs(z) - 1) > eps:
+            z = z - 1
+            mat = analytic._matmul(((1, -1), (0, 1)), mat)
+        if abs(abs(z) - 1) <= eps and mpmath.re(z) < -eps:
+            z = -1 / z
+            mat = analytic._matmul(((0, -1), (1, 0)), mat)
+    return z, mat
+
+
+def reduced_points():
+    # the fundamental domain's interior, its arc |z| = 1 and its sides Re = +-1/2
+    inside = st.tuples(st.floats(-0.5, 0.5), st.floats(SQRT3_HALF, 8)).filter(
+        lambda p: p[0] ** 2 + p[1] ** 2 >= 1
+    )
+    arc = st.floats(1 / 3, 2 / 3).map(lambda t: (math.cos(math.pi * t), math.sin(math.pi * t)))
+    sides = st.tuples(st.sampled_from([-0.5, 0.5]), st.floats(SQRT3_HALF, 8))
+    return st.one_of(inside, arc, sides)
+
+
+@settings(max_examples=200)
+@given(reduced_points(), st.lists(st.integers(-1000, 1000), min_size=1, max_size=6))
+def test_integer_reduction_law(point, shifts):
+    # tau0 = S T^n_k ... S T^n_1 (z) for a reduced z, with Im tau0 down to
+    # 1e-6 and |Re tau0| up to 10^3: the integer walk takes the reference
+    # walk's transform, and its value is within 2^-prec relative of the
+    # transform applied to tau0 at 400 bits.  tau0 is rounded to a double,
+    # so both walks decide on one exact input.
+    with mpmath.workprec(400):
+        tau0 = mpmath.mpc(*point)
+        for n in shifts:
+            tau0 = -1 / (tau0 + n)
+    tau0 = mpmath.mpc(complex(tau0))
+    assume(mpmath.im(tau0) >= 1e-6 and abs(mpmath.re(tau0)) <= 1e3)
+    red = analytic.reduce_to_fundamental_domain(tau0)
+    assert red.transform == reference_reduce(tau0)[1]
+    with mpmath.workprec(400):
+        exact = moebius(red.transform, tau0)
+        assert abs(red.value - exact) <= mpmath.mpf(2) ** -prec.bits() * abs(exact)
 
 
 class TestModularDiscriminant:
@@ -154,7 +216,7 @@ class TestModularDiscriminant:
             mat = random_word(rng, z)
             if mat == ((1, 0), (0, 1)):
                 continue
-            w = analytic.moebius(mat, z)
+            w = moebius(mat, z)
             v1 = abs(analytic.delta_q_series(z)) * mpmath.im(z) ** 6
             v2 = abs(analytic.delta_q_series(w)) * mpmath.im(w) ** 6
             assert abs(v1 - v2) <= 1e-9 * v1
@@ -330,6 +392,64 @@ class TestPeriods:
             lambda x: 1 / mpmath.sqrt(4 * x**3 + 4), [-1, mpmath.inf]
         )
         assert abs(float(pd.omega1) - float(integral)) < 1e-8
+
+
+def reference_periods(curve, transform):
+    # omega1, omega2, the reduced tau and delta(tau) at 400 bits: roots by
+    # mpmath.polyroots, complex AGMs (M(sqrt(w), sqrt(conj w)) for the
+    # rhombic lattice), tau moved by the given transform, delta as q prod
+    # (1 - q^n)^24 with the dropped factors below 2^-420
+    with mpmath.workprec(400):
+        roots = mpmath.polyroots([4, curve.b2, 2 * curve.b4, curve.b6], maxsteps=200, extraprec=800)
+        if curve.delta > 0:
+            e3, e2, e1 = sorted(mpmath.re(r) for r in roots)
+            omega1 = mpmath.pi / mpmath.agm(mpmath.sqrt(e1 - e3), mpmath.sqrt(e1 - e2))
+            omega2 = 1j * mpmath.pi / mpmath.agm(mpmath.sqrt(e1 - e3), mpmath.sqrt(e2 - e3))
+        else:
+            e1 = min(roots, key=lambda r: abs(mpmath.im(r))).real
+            e2 = max(roots, key=lambda r: mpmath.im(r))
+            e3 = mpmath.conj(e2)
+            omega1 = mpmath.re(mpmath.pi / mpmath.agm(mpmath.sqrt(e1 - e2), mpmath.sqrt(e1 - e3)))
+            g = mpmath.pi / mpmath.agm(mpmath.sqrt(e2 - e1), mpmath.sqrt(e3 - e1))
+            omega2 = (omega1 + 1j * mpmath.re(g)) / 2
+        tau = moebius(transform, omega2 / omega1)
+        q = mpmath.exp(2j * mpmath.pi * tau)
+        product, qn = q, q
+        while abs(qn) > mpmath.mpf(2) ** -420:
+            product *= (1 - qn) ** 24
+            qn *= q
+        return omega1, omega2, tau, product
+
+
+def near_double_curves():
+    # y^2 = x^3 + A x^2 + B with |B| << |A|^3 has two roots near 0, a close
+    # real pair or a close conjugate pair by the sign of AB; beside them
+    # curves with arbitrary small a-invariants
+    near = st.tuples(st.integers(-(10**12), 10**12), st.integers(-20, 20)).map(lambda t: (0, t[0], 0, 0, t[1]))
+    small = st.tuples(
+        st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1), st.integers(-(10**5), 10**5), st.integers(-(10**7), 10**7)
+    )
+    return st.one_of(near, small)
+
+
+@settings(max_examples=60)
+@given(near_double_curves())
+@example((0, 10**12, 0, 0, 1))  # a conjugate pair 2e-6 apart
+@example((0, 10**12, 0, 0, -1))  # two real roots 2e-6 apart
+@example((0, -(10**12), 0, 0, -1))
+def test_agm_periods_law(a):
+    # omega1, omega2 and tau within 2^-prec relative of 400 bits; delta(tau)
+    # within delta_q_series' truncation bound (1e-19, and 1e-18 with the
+    # error of tau)
+    curve = curve_stub(*a)
+    assume(curve.delta != 0)
+    pd = analytic.agm_periods(curve)
+    omega1, omega2, tau, delta = reference_periods(curve, pd.tau.transform)
+    eta = mpmath.mpf(2) ** -prec.bits()
+    assert abs(pd.omega1 - omega1) <= eta * abs(omega1)
+    assert abs(pd.omega2 - omega2) <= eta * abs(omega2)
+    assert abs(pd.tau.value - tau) <= eta * abs(tau)
+    assert abs(pd.delta - delta) <= 1e-18 * abs(delta)
 
 
 class TestInjectivityDiameter:

@@ -441,6 +441,33 @@ class TestFactorizeLaws:
         assert f.sign == sign
         assert f.factors == tuple(sorted((p, ps.count(p)) for p in set(ps)))
 
+    @given(
+        st.sampled_from(KNOWN_PRIMES[3:]),
+        st.sampled_from(KNOWN_PRIMES[3:]),
+        st.integers(1, 12),
+        st.integers(0, 12),
+    )
+    def test_prime_powers_split_squares_without_rho(self, p, q, k, j):
+        # p^k q^j for p, q > 2^10 factors exactly, and a square cofactor
+        # (p^4 in an Ep discriminant) is split at its root, never by rho
+        assume(p != q)
+        seen = []
+        rho = arith._brent_rho
+
+        def counting(n, budget):
+            seen.append(n)
+            return rho(n, budget)
+
+        arith._brent_rho = counting
+        try:
+            f = arith.factorize(p**k * q**j)
+        finally:
+            arith._brent_rho = rho
+        assert f.factors == tuple(sorted([(p, k)] + ([(q, j)] if j else [])))
+        assert all(math.isqrt(n) ** 2 != n for n in seen)
+        if j == 0 and k in (1, 2, 4, 8):
+            assert seen == []
+
     def test_psi12_is_composite(self):
         # psi_12, the least strong pseudoprime to the prime bases 2..37
         psi12 = 318665857834031151167461

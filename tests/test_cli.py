@@ -183,6 +183,9 @@ class TestCli:
 
 
 HARD_CURVES = Path(__file__).resolve().parent / "data" / "hard_curves.txt"
+HARD_CURVE_PINS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "hard_curve_pins.json").read_text(encoding="utf-8")
+)
 
 
 class TestHardCurves:
@@ -203,6 +206,14 @@ class TestHardCurves:
         assert cli.main(["curve", label, "--corpus", str(HARD_CURVES)]) == 0
         line = next(l for l in capsys.readouterr().out.splitlines() if "h_F+" in l)
         assert float(line.split()[-1]) >= 0
+
+    @pytest.mark.parametrize("label", sorted(HARD_CURVE_PINS))
+    def test_curve_query_matches_pin(self, label, capsys):
+        # the whole query output, byte for byte: j0_add23 and j1728_add23
+        # sit on the corners tau = rho and tau = i, where the reduction's
+        # tie-breaks decide the printed tau
+        assert cli.main(["curve", label, "--corpus", str(HARD_CURVES)]) == 0
+        assert capsys.readouterr().out == HARD_CURVE_PINS[label]
 
 
 class TestPrecisionFlag:
