@@ -29,15 +29,6 @@ BOUNDARY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class Tau:
-    value: mpc
-
-    def __post_init__(self):
-        if not mpmath.im(self.value) > 0:
-            raise NotUpperHalfPlane("Im tau must be positive")
-
-
-@dataclass(frozen=True)
 class ReducedTau:
     value: mpc
     transform: tuple  # ((a, b), (c, d)) with det 1, value = (a*orig + b)/(c*orig + d)
@@ -52,7 +43,7 @@ class ReducedTau:
 
 
 def _as_value(tau):
-    if isinstance(tau, (Tau, ReducedTau)):
+    if isinstance(tau, ReducedTau):
         return tau.value
     if isinstance(tau, mpc):
         return tau  # keeps its own precision
@@ -190,14 +181,6 @@ def _delta(z, y):
         return q * arith.from_fixed_pair(tr, ti, bits) ** 24, qr, qi, bits
 
 
-def modular_discriminant(tau):
-    """delta(tau) for a reduced tau (Im >= sqrt(3)/2)."""
-    z = _as_value(tau)
-    if not mpmath.im(z) >= SQRT3_HALF - BOUNDARY_EPS:
-        raise TauNotReduced("modular discriminant wants a reduced tau")
-    return delta_q_series(z)
-
-
 def eisenstein_e4(tau):
     """E4 = 1 + 240 sum_n sigma_3(n) q^n, by Horner on fixed-point Gaussian integers.
 
@@ -235,15 +218,6 @@ def _e4(qr, qi, y, bits):
     return (1 << bits) + 240 * tr, 240 * ti
 
 
-def j_invariant_series(tau):
-    """j = E4(tau)^3 / delta(tau), for a reduced tau."""
-    z = _as_value(tau)
-    if not mpmath.im(z) >= SQRT3_HALF - BOUNDARY_EPS:
-        raise TauNotReduced("j series wants a reduced tau")
-    with prec.working(30):
-        return eisenstein_e4(z) ** 3 / delta_q_series(z)
-
-
 def log_scaled_discriminant(tau):
     """log(|delta(tau)| (2 Im tau)^6) for a reduced tau, in double precision.
 
@@ -254,7 +228,7 @@ def log_scaled_discriminant(tau):
     n = 10 add less than 1e-25, and the rounding error of the double sum
     is below 2^-50 (2 pi Im tau + 6 |log(2 Im tau)| + 1).
     """
-    z = complex(tau.value if isinstance(tau, (Tau, ReducedTau)) else tau)
+    z = complex(tau.value if isinstance(tau, ReducedTau) else tau)
     if not z.imag > 0:
         raise NotUpperHalfPlane("Im tau must be positive")
     if not z.imag >= SQRT3_HALF - BOUNDARY_EPS:
@@ -274,13 +248,6 @@ def injectivity_diameter(tau):
 
 # ---------------------------------------------------------------------------
 # periods by the arithmetic-geometric mean
-
-
-def optimal_agm(a, b):
-    """AGM of two positive reals: ``_agm`` on the fixed point 2^-s that puts
-    min(a, b) at 2^(prec.bits() + 20) or more."""
-    s = prec.bits() + 21 - mpmath.frexp(min(a, b))[1]
-    return arith.from_fixed(_agm(arith.to_fixed(a, s), arith.to_fixed(b, s)), s + 1)
 
 
 def _agm(a, b):

@@ -445,12 +445,6 @@ class Factorization:
     sign: int
     factors: tuple  # ((prime, exponent), ...) sorted by prime
 
-    def recompose(self):
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
 
 def factorize(n, rho_budget=RHO_BUDGET):
     """Factor a nonzero integer: trial division by the primes below 2^10,
@@ -512,13 +506,6 @@ class PellUnit:
         if self.half:
             return (Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2))
         return (Fraction(self.a), Fraction(self.b))
-
-    def value(self):
-        c0, c1 = self.power_coeffs()
-        with prec.working():
-            return mpf(c0.numerator) / c0.denominator + (
-                mpf(c1.numerator) / c1.denominator
-            ) * mpmath.sqrt(self.m)
 
 
 def _unit_norm(a, b, m, half):

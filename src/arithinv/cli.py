@@ -187,15 +187,12 @@ def cmd_family(args):
     if args.kind != "ep":
         raise InvariantError("unknown family '%s'" % args.kind)
     records = []
-    for fam in ellcurve.ep_family(args.pmax):
+    for label, a_invariants in ellcurve.ep_family(args.pmax):
         records.append(
             corpus.CorpusRecord(
                 "curve",
-                fam.label,
-                (
-                    ("a", " ".join(str(a) for a in fam.a_invariants)),
-                    ("rank", str(fam.rank)),
-                ),
+                label,
+                (("a", " ".join(str(a) for a in a_invariants)), ("rank", "0")),
             )
         )
     if records:

@@ -10,7 +10,8 @@ Format (UTF-8, ``#`` comments, records separated by blank lines)::
     field <label>
     poly = c0 c1 ... cd        # integers, constant first, monic
     disc = <int>               # optional for degree <= 2
-    w = <int>                  # roots of unity, optional (default 2)
+    w = <int>                  # roots of unity, optional (default 6 for
+                               # disc -3, 4 for disc -4, else 2)
     units = q0 q1 ... ; ...    # optional; power-basis rationals per unit
     subfield = <label>         # optional certificate
     r0 = <int>                 # optional max proper-subfield unit rank
@@ -239,26 +240,42 @@ def _parse_fractions(value):
     return [Fraction(tok) for tok in value.split()]
 
 
+def _parse_units(value):
+    return [_parse_fractions(chunk) for chunk in value.split(";")]
+
+
+def _parse_points(value):
+    pairs = [chunk.split(",") for chunk in value.split(";")] if value else []
+    return [ellcurve.Point.of(x, y) for x, y in pairs]
+
+
+def _parsed(rec, key, parse):
+    """parse(value of key in rec), or None if rec has no such key; a value
+    that parse rejects raises ParseError naming the record and the key."""
+    value = rec.get(key)
+    if value is None:
+        return None
+    try:
+        return parse(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        message = "%s '%s': bad %s = %s (%s)" % (rec.kind, rec.label, key, value, exc)
+        raise ParseError(message, rec.line) from None
+
+
 def build_field_record(corpus, label):
     """NumberField + verified units for a corpus field record."""
     rec = corpus.fields.get(label)
     if rec is None:
         raise UnknownLabel("no field labelled '%s'" % label)
-    poly = _parse_ints(rec.get("poly"))
-    disc = int(rec.get("disc")) if rec.get("disc") is not None else None
-    w = int(rec.get("w")) if rec.get("w") is not None else None
-    degree = len(poly) - 1
-    if w is None and degree == 2 and poly[1] == 0:
-        w = {-1: 4, -3: 6}.get(-poly[0], 2)
-    K = numfield.number_field(label, poly, disc=disc, w=w if w is not None else 2)
-    units = None
-    if rec.get("units") is not None:
-        unit_vecs = [
-            _parse_fractions(chunk) for chunk in rec.get("units").split(";")
-        ]
-        units = numfield.unit_system(K, unit_vecs)
-    r0 = rec.get("r0")
-    r0 = int(r0) if r0 is not None else (0 if degree <= 2 else None)
+    poly = _parsed(rec, "poly", _parse_ints)
+    unit_vecs = _parsed(rec, "units", _parse_units)
+    r0 = _parsed(rec, "r0", int)
+    K = numfield.number_field(
+        label, poly, disc=_parsed(rec, "disc", int), w=_parsed(rec, "w", int)
+    )
+    units = numfield.unit_system(K, unit_vecs) if unit_vecs is not None else None
+    if r0 is None and len(poly) <= 3:
+        r0 = 0
     return numfield.FieldRecord(K, units, rec.get("subfield"), r0)
 
 
@@ -267,16 +284,12 @@ def build_curve_data(corpus, label):
     rec = corpus.curves.get(label)
     if rec is None:
         raise UnknownLabel("no curve labelled '%s'" % label)
-    a_invs = _parse_fractions(rec.get("a"))
+    a_invs = _parsed(rec, "a", _parse_fractions)
     if len(a_invs) != 5:
-        raise ParseError("curve '%s': need 5 coefficients a1 a2 a3 a4 a6" % label)
+        raise ParseError("curve '%s': need 5 coefficients a1 a2 a3 a4 a6" % label, rec.line)
+    rank = _parsed(rec, "rank", int)
+    gens = _parsed(rec, "gens", _parse_points) or []
     curve = ellcurve.weierstrass_curve(*a_invs)
-    rank = int(rec.get("rank"))
-    gens = []
-    if rec.get("gens"):
-        for chunk in rec.get("gens").split(";"):
-            x, y = chunk.split(",")
-            gens.append(ellcurve.Point.of(Fraction(x.strip()), Fraction(y.strip())))
     for point in gens:
         if not ellcurve.on_curve(curve, point):
             raise PointNotOnCurve(

@@ -65,7 +65,6 @@ class WeierstrassCurve:
     c4: Fraction
     c6: Fraction
     delta: Fraction
-    j: Fraction
 
     @property
     def a_invariants(self):
@@ -102,7 +101,6 @@ def weierstrass_curve(a1, a2, a3, a4, a6):
         *a_invs,
         *(Fraction(v, d**w) for v, w in ((b2, 2), (b4, 4), (b6, 6), (b8, 8), (c4, 4), (c6, 6))),
         Fraction(delta, d**12),
-        Fraction(c4**3, delta),
     )
 
 
@@ -296,15 +294,6 @@ def transform_point(point, u, r, s, t):
     return Point(x, y)
 
 
-def untransform_point(point, u, r, s, t):
-    if point.is_infinity:
-        return point
-    u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-    x = u**2 * point.x + r
-    y = u**3 * point.y + s * u**2 * point.x + t
-    return Point(x, y)
-
-
 @dataclass(frozen=True)
 class MinimalModel:
     """A global minimal model, the (u, r, s, t) taking the input model to
@@ -319,9 +308,6 @@ class MinimalModel:
 
     def to_minimal(self, point):
         return transform_point(point, self.u, self.r, self.s, self.t)
-
-    def from_minimal(self, point):
-        return untransform_point(point, self.u, self.r, self.s, self.t)
 
 
 def _kraus_ok_at_2(c4, c6):
@@ -487,16 +473,12 @@ def _coeff_l1(coeffs):
 
 
 class _HeightData:
-    """Per-curve certificates of the primary height path (cached).
-
-    doubling_constant is C(E) with |hhat_x(P) - 4^-n h_x(2^n P)| <= C(E)/4^n.
-    """
+    """Per-curve certificates of the primary height path (cached)."""
 
     def __init__(self, curve):
         if not curve.is_integral:
             raise InvariantError("height computations need an integral model")
         b2, b4, b6, b8 = (int(curve.b2), int(curve.b4), int(curve.b6), int(curve.b8))
-        self.curve = curve
         self.F = [-b8, -2 * b6, -b4, 0, 1]  # numerator of x(2P)
         self.G = [b6, 2 * b4, b2, 4, 0]  # denominator; equals (2y + a1 x + a3)^2
         self.W = [1, 0, -b4, -2 * b6, -b8]  # t^4 F(1/t)
@@ -514,8 +496,6 @@ class _HeightData:
         for p, _ in arith.factorize(int(curve.delta)).factors:
             vb = max(_vp(self.res1, p) or 0, _vp(self.res2, p) or 0)
             self.bad.append((p, vb))
-        mu_bound_total = self.mu_bound_inf + sum(vb * math.log(p) for p, vb in self.bad)
-        self.doubling_constant = mu_bound_total / 3.0
 
 
 _height_cache = {}
@@ -847,20 +827,11 @@ def faltings_height_plus(mm, periods):
 # the rank-zero family y^2 = x^3 + p^2
 
 
-@dataclass(frozen=True)
-class FamilyCurve:
-    label: str
-    a_invariants: tuple
-    rank: int
-    gens: tuple
-
-
 def ep_family(pmax):
-    """Curves y^2 = x^3 + p^2 for primes p = 5 mod 9 up to pmax (rank 0)."""
+    """(label, a-invariants) of y^2 = x^3 + p^2 for primes p = 5 mod 9 up
+    to pmax; every one has rank 0."""
     out = []
     for p in range(5, pmax + 1):
         if p % 9 == 5 and arith.is_prime(p):
-            out.append(
-                FamilyCurve("Ep%d" % p, (0, 0, 0, 0, p * p), 0, ())
-            )
+            out.append(("Ep%d" % p, (0, 0, 0, 0, p * p)))
     return out

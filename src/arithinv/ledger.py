@@ -244,13 +244,19 @@ def check_rank_bound(cs):
     )
 
 
-def report_lang_silverman(cs):
-    """Implied c4: min over generators of h(P) / max(h+, 1)."""
+def implied_c4(cs):
+    """min over generators of h(P) / max(h+, 1), or None without a generator."""
     if cs.rank == 0 or not cs.gen_heights:
+        return None
+    return min(cs.gen_heights) / max(cs.h_faltings, 1.0)
+
+
+def report_lang_silverman(cs):
+    c4 = implied_c4(cs)
+    if c4 is None:
         return _report(
             "lang_silverman_c4", cs.label, 0.0, 0.0, "skipped: no dense point"
         )
-    c4 = min(cs.gen_heights) / max(cs.h_faltings, 1.0)
     return _report("lang_silverman_c4", cs.label, c4, 0.0, "implied c4 = %.6g" % c4)
 
 
@@ -534,7 +540,7 @@ def _sample_reduced_tau(count, seed=20260809):
     return points
 
 
-def check_analytic_estimates(samples=100):
+def check_analytic_estimates():
     """The two archimedean estimates behind the semistable height bound."""
     series = math.fsum(math.log1p(math.exp(-math.sqrt(3) * math.pi * n)) for n in range(1, 80))
     series_row = _judge(
@@ -544,15 +550,14 @@ def check_analytic_estimates(samples=100):
         series,
         "series value %.6f" % series,
     )
-    worst = min(
-        -analytic.log_scaled_discriminant(z) for z in _sample_reduced_tau(samples)
-    )
+    points = _sample_reduced_tau(100)
+    worst = min(-analytic.log_scaled_discriminant(z) for z in points)
     nonneg_row = _judge(
         "analytic_nonneg",
         "fundamental-domain",
         worst,
         0.0,
-        "min of -log(|delta| (2 Im)^6) over %d reduced points" % (samples + 2),
+        "min of -log(|delta| (2 Im)^6) over %d reduced points" % len(points),
     )
     return [series_row, nonneg_row]
 
@@ -648,7 +653,6 @@ def run_checks(field_stats, curve_stats, selected=None, northcott_bound=1.0):
                 "corpus minimum of implied c3",
             )
         )
-    c4_values = []
     for cs in curve_stats:
         rows.append(check_semistable_height_bound(cs))
         rows.append(check_general_height_bound(cs))
@@ -656,8 +660,7 @@ def run_checks(field_stats, curve_stats, selected=None, northcott_bound=1.0):
         rows.append(check_rank_bound(cs))
         rows.append(report_lang_silverman(cs))
         rows.extend(check_regulator_theorem(cs))
-        if cs.rank > 0 and cs.gen_heights:
-            c4_values.append(min(cs.gen_heights) / max(cs.h_faltings, 1.0))
+    c4_values = [v for v in (implied_c4(c) for c in curve_stats) if v is not None]
     if c4_values:
         rows.append(
             _report(

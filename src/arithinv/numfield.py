@@ -78,11 +78,13 @@ def poly_discriminant(poly):
     return sign * arith.frac_det(_poly_mult_matrix(poly, arith.poly_deriv(poly)))
 
 
-def number_field(label, poly, disc=None, w=2):
+def number_field(label, poly, disc=None, w=None):
     """Build a NumberField from a monic squarefree integer polynomial.
 
     The discriminant is computed exactly for degree <= 2 and must be
     supplied otherwise; it is validated against disc(poly) = disc * f^2.
+    The root-of-unity count w defaults to 6 for disc -3, 4 for disc -4
+    (the quadratic fields with extra roots of unity) and 2 otherwise.
     Irreducibility is only checked through rational roots (the corpus is
     trusted beyond that): a rational root of a monic integer polynomial is
     an integer, and each certified real root lies within ROOT_TOL < 1/2 of
@@ -121,6 +123,8 @@ def number_field(label, poly, disc=None, w=2):
         raise InvariantError(
             "disc(poly) = %d is not disc * square for supplied disc %d" % (dpoly, disc)
         )
+    if w is None:
+        w = {-3: 6, -4: 4}.get(disc, 2) if d == 2 else 2
     if w % 2 != 0:
         raise InvariantError("root-of-unity count must be even")
     return NumberField(label, poly, d, r1, r2, int(disc), int(w), tuple(roots))
@@ -139,10 +143,9 @@ def quadratic_field(m, label=None):
     """The field of x^2 - m for squarefree m, with standard disc and w."""
     if m in (0, 1) or not arith.is_squarefree_int(m):
         raise NotSquarefree("m must be squarefree and not 0 or 1")
-    w = {-1: 4, -3: 6}.get(m, 2)
     if label is None:
         label = "Q_sqrt%d" % m if m > 0 else "Q_sqrt_m%d" % -m
-    return number_field(label, (-m, 0, 1), w=w)
+    return number_field(label, (-m, 0, 1))
 
 
 def unit_rank(field):
@@ -158,11 +161,6 @@ def _as_coeffs(field, coeffs):
     if len(c) > field.degree:
         raise InvariantError("element has more coefficients than the field degree")
     return c + [Fraction(0)] * (field.degree - len(c))
-
-
-def norm(field, coeffs):
-    """N(alpha) = det M_alpha, by Bareiss elimination."""
-    return arith.frac_det(mult_matrix(field, coeffs))
 
 
 def mult_matrix(field, coeffs):

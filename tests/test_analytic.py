@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from arithinv import analytic, ledger, prec
+from arithinv import analytic, arith, ledger, prec
 from arithinv.analytic import SQRT3_HALF
 from arithinv.errors import AgmNoConvergence, NotUpperHalfPlane, TauNotReduced
 
@@ -25,6 +25,12 @@ def curve_stub(a1, a2, a3, a4, a6):
     return SimpleNamespace(
         b2=b2, b4=b4, b6=b6, c4=Fraction(c4), c6=Fraction(c6), delta=delta
     )
+
+
+def j_series(tau):
+    """j = E4^3 / delta from the two q-series, as agm_periods checks it."""
+    with mpmath.workprec(prec.bits() + 30):
+        return analytic.eisenstein_e4(tau) ** 3 / analytic.delta_q_series(tau)
 
 
 def moebius(matrix, z):
@@ -94,8 +100,6 @@ class TestReduction:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(NotUpperHalfPlane):
             analytic.reduce_to_fundamental_domain(mpmath.mpc(0.3, -2))
-        with pytest.raises(NotUpperHalfPlane):
-            analytic.Tau(mpmath.mpc(1, -1))
 
 
 def reference_reduce(z):
@@ -161,7 +165,7 @@ class TestModularDiscriminant:
         with mpmath.workprec(90):
             eta_i = mpmath.gamma(mpmath.mpf(1) / 4) / (2 * mpmath.pi ** mpmath.mpf(0.75))
             expected = eta_i**24
-        got = analytic.modular_discriminant(mpmath.mpc(0, 1))
+        got = analytic.delta_q_series(mpmath.mpc(0, 1))
         assert abs(mpmath.im(got)) < 1e-15
         assert abs(mpmath.re(got) - expected) < 1e-9
         # third, independent route: q = e^(-2 pi) directly
@@ -182,10 +186,6 @@ class TestModularDiscriminant:
         lhs = abs(analytic.delta_q_series(-1 / z))
         rhs = abs(z) ** 12 * abs(analytic.delta_q_series(z))
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
-
-    def test_requires_reduced(self):
-        with pytest.raises(TauNotReduced):
-            analytic.modular_discriminant(mpmath.mpc(0.0, 0.5))
 
     def test_tau_keeps_its_precision(self):
         # a 200-bit tau must not be rounded to 53 bits on the way in
@@ -279,7 +279,7 @@ class TestLogScaledDiscriminant:
         reduced = analytic.reduce_to_fundamental_domain(z)
         values = {
             analytic.log_scaled_discriminant(w)
-            for w in (z, mpmath.mpc(z), analytic.Tau(mpmath.mpc(z)), reduced)
+            for w in (z, mpmath.mpc(z), reduced)
         }
         assert len(values) == 1
 
@@ -328,10 +328,12 @@ def test_delta_near_the_real_axis(re, im):
 
 @given(st.floats(1e-6, 1e6), st.integers(-200, 200))
 def test_real_agm_matches_mpmath(ratio, exponent):
-    # the fixed-point AGM against mpmath.agm at 300 bits, at any scale
+    # the fixed-point AGM against mpmath.agm at 300 bits, at any scale, on
+    # the fixed point 2^-s that puts min(a, b) at 2^(prec.bits() + 20) or more
     a = mpmath.ldexp(mpmath.mpf(1.5), exponent)
     b = a * ratio
-    got = analytic.optimal_agm(a, b)
+    s = prec.bits() + 21 - mpmath.frexp(min(a, b))[1]
+    got = arith.from_fixed(analytic._agm(arith.to_fixed(a, s), arith.to_fixed(b, s)), s + 1)
     with mpmath.workprec(300):
         ref = mpmath.agm(a, b)
         assert abs(got - ref) <= mpmath.mpf(2) ** -prec.bits() * ref
@@ -359,15 +361,15 @@ class TestEisensteinE4:
 
 class TestJInvariant:
     def test_j_at_i(self):
-        j = analytic.j_invariant_series(mpmath.mpc(0, 1))
+        j = j_series(mpmath.mpc(0, 1))
         assert abs(j - 1728) < 1e-6
 
     def test_j_at_corner(self):
-        j = analytic.j_invariant_series(mpmath.mpc(0.5, math.sqrt(3) / 2))
+        j = j_series(mpmath.mpc(0.5, math.sqrt(3) / 2))
         assert abs(j) < 1e-6
 
     def test_j_at_2i(self):
-        j = analytic.j_invariant_series(mpmath.mpc(0, 2))
+        j = j_series(mpmath.mpc(0, 2))
         assert abs(j - 66**3) < 1e-4 * 66**3
 
 
@@ -383,7 +385,7 @@ class TestPeriods:
 
     def test_37a_j_match(self):
         pd = analytic.agm_periods(curve_stub(0, 0, 1, -1, 0))
-        j = analytic.j_invariant_series(pd.tau)
+        j = j_series(pd.tau)
         assert abs(j - mpmath.mpf(110592) / 37) < 1e-6 * 2989
 
     def test_real_period_against_quadrature(self):

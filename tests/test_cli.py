@@ -395,6 +395,26 @@ class TestRecordRead:
         assert (code, err) == (2, "error: line 2: field 'A' references unknown subfield 'nowhere'\n")
         assert self._run(tmp_path, capsys, text, ["curve", "good"])[0] == 0
 
+    @pytest.mark.parametrize(
+        "bad, key",
+        [
+            ("curve bad\na = 0 0 1 -1 1/0\nrank = 0\n", "a"),
+            ("field bad\npoly = -2 0 1\nunits = 1/0 1\n", "units"),
+            ("curve bad\na = 0 0 1 -1 0\nrank = one\n", "rank"),
+            ("field bad\npoly = -2 0 x\n", "poly"),
+            ("curve bad\na = 0 0 1 -1 0\nrank = 1\ngens = 0 0\n", "gens"),
+        ],
+        ids=["a", "units", "rank", "poly", "gens"],
+    )
+    def test_malformed_value_names_its_record(self, bad, key, tmp_path, capsys):
+        # a value that does not parse is an input error (exit 2) naming the
+        # record's line, label and key, for the query and for verify alike
+        kind = bad.split()[0]
+        for argv in ([kind, "bad"], ["verify"]):
+            code, out, err = self._run(tmp_path, capsys, GOOD + "\n" + bad, argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: line 6: %s 'bad': bad %s = " % (kind, key)), err
+
     def test_header_inside_another_block(self, tmp_path, capsys):
         # without a blank line before it, `curve good` is a line of `bad`
         code, _, err = self._run(tmp_path, capsys, BAD + GOOD, ["curve", "bad"])

@@ -29,6 +29,12 @@ def make_plastic():
     return numfield.number_field("Q_plastic", (-1, -1, 0, 1), disc=-23)
 
 
+def element_norm(K, coeffs):
+    """N(alpha) = (-1)^d chi_alpha(0), read off the characteristic polynomial
+    as unit_system reads it."""
+    return (-1) ** K.degree * numfield.element_charpoly(K, coeffs)[0]
+
+
 class TestConstruction:
     def test_quadratic_m_minus1(self):
         K = numfield.quadratic_field(-1)
@@ -41,6 +47,16 @@ class TestConstruction:
     def test_quadratic_m2(self):
         K = numfield.quadratic_field(2)
         assert (K.disc, (K.r1, K.r2), K.w) == (8, (2, 0), 2)
+
+    @pytest.mark.parametrize(
+        "poly, w",
+        [((1, 1, 1), 6), ((1, -1, 1), 6), ((1, 0, 1), 4), ((3, 0, 1), 6), ((-2, 0, 1), 2)],
+    )
+    def test_quadratic_default_w_follows_the_discriminant(self, poly, w):
+        # x^2 +- x + 1 and x^2 + 3 give Q(zeta_3), x^2 + 1 gives Q(i)
+        assert numfield.number_field("K", poly).w == w
+        text = "field K\npoly = %s\n" % " ".join(str(c) for c in poly)
+        assert corpus.build_field_record(corpus.parse_corpus(text), "K").field.w == w
 
     def test_quadratic_rejects(self):
         with pytest.raises(NotSquarefree):
@@ -86,23 +102,23 @@ class TestUnitRank:
 class TestNormAndLogs:
     def test_norm_sqrt2(self):
         K = numfield.quadratic_field(2)
-        assert numfield.norm(K, [1, 1]) == -1
+        assert element_norm(K, [1, 1]) == -1
 
     def test_norm_golden(self):
         K = numfield.quadratic_field(5)
-        assert numfield.norm(K, GOLDEN) == -1
+        assert element_norm(K, GOLDEN) == -1
 
     def test_norm_of_resultant_cases(self):
         # Res(x^2 - 2, x^2 - 3) = N(theta^2 - 3) in Q(sqrt 2) = N(-1) = 1
         K = numfield.quadratic_field(2)
         square = field_mul(K, [0, 1], [0, 1])
-        assert numfield.norm(K, [square[0] - 3, square[1]]) == 1
+        assert element_norm(K, [square[0] - 3, square[1]]) == 1
         # Res(x^2 - 2, 5) = N(5) = 25
-        assert numfield.norm(K, [5]) == 25
+        assert element_norm(K, [5]) == 25
 
     def test_norm_one(self):
         for K in (numfield.quadratic_field(7), make_zeta5()):
-            assert numfield.norm(K, [1] + [0] * (K.degree - 1)) == 1
+            assert element_norm(K, [1] + [0] * (K.degree - 1)) == 1
 
     def test_norm_matches_embedding_product(self):
         K = make_plastic()
@@ -111,7 +127,7 @@ class TestNormAndLogs:
             coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
             if all(c == 0 for c in coeffs):
                 continue
-            exact = numfield.norm(K, coeffs)
+            exact = element_norm(K, coeffs)
             product = mpmath.mpf(1)
             for e in K.embeddings:
                 product *= arith.poly_eval(
@@ -176,7 +192,7 @@ def test_norm_and_discriminant_match_the_certified_roots(poly, alpha):
     dpoly = numfield.poly_discriminant(poly)
     K = numfield.number_field("K", poly, disc=int(dpoly))
     alpha = alpha[: K.degree]
-    exact = numfield.norm(K, alpha)
+    exact = element_norm(K, alpha)
     with mpmath.workprec(200):
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in alpha]
         values = [arith.poly_eval(coeffs, r.value) for r in K.embeddings]
@@ -347,7 +363,7 @@ class TestUnitValidation:
         for K, coeffs in cases:
             us = numfield.unit_system(K, [coeffs])
             assert abs(float(mpmath.fsum(us.log_matrix[0]))) <= 1e-9
-            assert abs(numfield.norm(K, coeffs)) == 1
+            assert abs(element_norm(K, coeffs)) == 1
 
 
 class TestVolumeIdentityRank2:
