@@ -6,8 +6,10 @@ Q, so their period lattices are rectangular (positive discriminant, two
 real components) or rhombic (negative discriminant, one component), and
 the rhombic case reduces to two real AGMs after one complex square root.
 From the certified roots to q (AGM inputs, AGM, tau and its reduction,
-the delta and E4 series on one q) the lattice runs on fixed-point
-integers; mpmath supplies pi, exp and log and holds the returned values.
+the delta series) the lattice runs on fixed-point integers; mpmath
+supplies pi, exp and log and holds the returned values.  The lattice is
+checked by its discriminant: (2 pi / omega1')^12 delta(tau) must give
+the model's Delta.
 The ledger's scaled-discriminant term runs in doubles, within a stated
 bound.
 """
@@ -111,14 +113,6 @@ def _cmul(ar, ai, br, bi, bits):
     return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
 
 
-def _fixed_q(z, bits):
-    # q = exp(2 pi i z) in mpmath, as a fixed-point Gaussian integer within
-    # one unit in each part (|q| < 1, so bits + 4 relative bits suffice)
-    with mpmath.workprec(bits + 4):
-        q = mpmath.exp(2j * mpmath.pi * z)
-    return q, arith.to_fixed(q.real, bits), arith.to_fixed(q.imag, bits)
-
-
 def delta_q_series(tau):
     """Modular discriminant for any Im tau > 0, by Euler's pentagonal series.
 
@@ -135,8 +129,10 @@ def delta_q_series(tau):
     errors and rounds by less than 2 units, so q^e is within 4e units, and
     the summed powers give the rounding bound err.  The terms left after
     the smallest unsummed exponent e are bounded by tail = 2|q|^e / (1 -
-    |q|); summing stops once 24 (tail + err) < 1e-19 (|partial sum| - tail
-    - err), which bounds the relative error of the 24th power.
+    |q|); summing stops once 24 (tail + err) < 2^-(prec.bits() + 8)
+    (|partial sum| - tail - err).  That bounds the relative error of the
+    24th power by 2^-(prec.bits() + 7), and the final product in mpmath
+    at prec.bits() + 30 adds less than 2^-(prec.bits() + 25).
     """
     z = _as_value(tau)
     y = mpmath.im(z)
@@ -144,13 +140,17 @@ def delta_q_series(tau):
         raise NotUpperHalfPlane("Im tau must be positive")
     if y < 1e-4:  # the sum would cancel to below 2^-3800
         raise AgmNoConvergence("q-series: Im tau below 1e-4")
-    return _delta(z, float(y))[0]
+    return _delta(z, float(y))
 
 
 def _delta(z, y):
-    # (delta_q_series(z), the fixed-point q it summed on, its bits), y = Im z
+    # delta_q_series(z), y = Im z; q = exp(2 pi i z) is rounded to a
+    # fixed-point Gaussian integer within one unit in each part (|q| < 1,
+    # so bits + 4 relative bits suffice)
     bits = prec.bits() + 40 + math.ceil(0.38 / y)
-    q, qr, qi = _fixed_q(z, bits)
+    with mpmath.workprec(bits + 4):
+        q = mpmath.exp(2j * mpmath.pi * z)
+    qr, qi = arith.to_fixed(q.real, bits), arith.to_fixed(q.imag, bits)
     # 1 / (1 - |q|) <= c / 2^32, with |q| = exp(-2 pi Im tau)
     c = int(2**32 / -math.expm1(-2 * math.pi * y) * (1 + 2**-40)) + 1
     q2 = _cmul(qr, qi, qr, qi, bits)
@@ -173,49 +173,12 @@ def _delta(z, y):
         # against |partial sum| 2^32 from below
         e = (k + 1) * (3 * k + 2) // 2
         bound = 2 * (math.isqrt(lr * lr + li * li) + 1 + 4 * e) * c + (err << 32)
-        if 24 * 10**19 * bound < (math.isqrt(tr * tr + ti * ti) << 32) - bound:
+        if (24 * bound) << (prec.bits() + 8) < (math.isqrt(tr * tr + ti * ti) << 32) - bound:
             break
     else:
         raise AgmNoConvergence("q-series truncation did not converge")
     with prec.working(30):
-        return q * arith.from_fixed_pair(tr, ti, bits) ** 24, qr, qi, bits
-
-
-def eisenstein_e4(tau):
-    """E4 = 1 + 240 sum_n sigma_3(n) q^n, by Horner on fixed-point Gaussian integers.
-
-    The term count N is fixed first: since sigma_3(n) < zeta(3) n^3 < 1.21
-    n^3 and the terms n^3 r^n (r = |q|) fall by at least the ratio rho =
-    ((N + 2)/(N + 1))^3 r beyond N, the tail is at most 240 * 1.21 (N +
-    1)^3 r^(N + 1) / (1 - rho), and N is the least count that puts it below
-    1e-19.  The sigma_3 values come from a divisor sieve up to N, and the
-    Horner steps run at the fixed point 2^-(prec.bits() + 40).
-    """
-    z, bits = _as_value(tau), prec.bits() + 40
-    _, qr, qi = _fixed_q(z, bits)
-    return arith.from_fixed_pair(*_e4(qr, qi, float(mpmath.im(z)), bits), bits)
-
-
-def _e4(qr, qi, y, bits):
-    # eisenstein_e4 as a fixed-point pair, from the fixed-point q at Im tau = y
-    log_r = -2 * math.pi * y  # log |q|; never underflows
-    for count in range(1, 200001):
-        rho_log = 3 * math.log((count + 2) / (count + 1)) + log_r
-        if rho_log < 0:
-            tail = math.log(240 * 1.21) + 3 * math.log(count + 1) + (count + 1) * log_r
-            if tail - math.log1p(-math.exp(rho_log)) < math.log(1e-19):
-                break
-    else:
-        raise AgmNoConvergence("E4 q-series truncation did not converge")
-    sigma3 = [0] * (count + 1)
-    for d in range(1, count + 1):
-        cube = d**3
-        for multiple in range(d, count + 1, d):
-            sigma3[multiple] += cube
-    tr = ti = 0
-    for n in range(count, 0, -1):
-        tr, ti = _cmul(tr + (sigma3[n] << bits), ti, qr, qi, bits)
-    return (1 << bits) + 240 * tr, 240 * ti
+        return q * arith.from_fixed_pair(tr, ti, bits) ** 24
 
 
 def log_scaled_discriminant(tau):
@@ -268,7 +231,7 @@ class PeriodData:
     omega2: mpc  # second basis period, Im(omega2/omega1) > 0
     tau: ReducedTau
     roots: tuple  # arith.ComplexApprox roots of 4x^3 + b2 x^2 + 2 b4 x + b6
-    delta: mpc  # delta(tau) by delta_q_series, summed once for the j check and h+
+    delta: mpc  # delta(tau) by delta_q_series, summed once for the lattice check and h+
 
 
 def agm_periods(curve):
@@ -282,8 +245,10 @@ def agm_periods(curve):
     The certified roots are dyadics, so all of it runs on integers, the
     smaller AGM input at 2^(prec.bits() + 21) units or more; the larger
     of Re sqrt(+-w) = sqrt((|w| +- Re w) / 2) is an isqrt, the other |Im
-    w| / 2 over it.  delta(tau) and E4(tau) are summed on one q, and j =
-    E4^3 / delta must match the algebraic j-invariant to 1e-6 relative.
+    w| / 2 over it.  With omega1' = c omega2 + d omega1, (c, d) the bottom
+    row of tau.transform, (2 pi / omega1')^12 delta(tau) must match the
+    model's Delta to 1e-6 relative; that checks omega1, omega2, the
+    reduction and the q-series at once.
     """
     b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
     cubic = [b6, 2 * b4, b2, 4]
@@ -311,12 +276,10 @@ def agm_periods(curve):
     with prec.working(20):  # the AGM inputs are at 2^-t, so M1, M2 = m1, m2 2^-(t + 1)
         omega1, g = mpmath.pi / arith.from_fixed(m1, t + 1), mpmath.pi / arith.from_fixed(m2, t + 1)
         omega2 = mpc(0, g) if curve.delta > 0 else mpc(omega1, g) / 2
-    delta, qr, qi, q_bits = _delta(tau.value, float(tau.im))
-    er, ei = _e4(qr, qi, float(tau.im), q_bits)
-    e4_cube = _cmul(*_cmul(er, ei, er, ei, q_bits), er, ei, q_bits)
+    delta = _delta(tau.value, float(tau.im))
+    (_, _), (c, d) = tau.transform
     with prec.working(30):
-        j_here = arith.from_fixed_pair(*e4_cube, q_bits) / delta
-        j_alg = mpf(int(curve.c4) ** 3) / int(curve.delta)
-        if abs(j_here - j_alg) > 1e-6 * max(1, abs(j_alg)):
-            raise AgmNoConvergence("period lattice does not reproduce the algebraic j-invariant")
+        disc = (2 * mpmath.pi / (c * omega2 + d * omega1)) ** 12 * delta
+        if abs(disc - int(curve.delta)) > 1e-6 * abs(int(curve.delta)):
+            raise AgmNoConvergence("period lattice does not reproduce the model discriminant")
     return PeriodData(omega1, omega2, tau, tuple(roots), delta)

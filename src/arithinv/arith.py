@@ -488,65 +488,35 @@ def is_squarefree_int(m):
 
 
 # ---------------------------------------------------------------------------
-# fundamental units of real quadratic fields (continued fractions)
+# fundamental units of real quadratic orders (continued fractions)
 
 
-@dataclass(frozen=True)
-class PellUnit:
-    """Fundamental unit a + b*omega of Q(sqrt(m)), omega the maximal-order generator."""
+def pell_fundamental_solution(D):
+    """(t, u) with (t + u sqrt D)/2 the fundamental unit > 1 of the real
+    quadratic order of discriminant D: D > 1, 0 or 1 mod 4, not a square.
 
-    m: int
-    a: int
-    b: int
-    half: bool  # omega = (1+sqrt(m))/2 when m = 1 mod 4, else sqrt(m)
-    norm: int
-
-    def power_coeffs(self):
-        """Coefficients (c0, c1) with unit = c0 + c1*sqrt(m)."""
-        if self.half:
-            return (Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2))
-        return (Fraction(self.a), Fraction(self.b))
-
-
-def _unit_norm(a, b, m, half):
-    if half:
-        # N(a + b*(1+sqrt m)/2) = a^2 + a*b + b^2*(1-m)/4
-        return a * a + a * b + b * b * (1 - m) // 4
-    return a * a - m * b * b
-
-
-def pell_fundamental_solution(m):
-    """Fundamental unit > 1 of the maximal order of Q(sqrt(m)), m squarefree > 1.
-
-    Walks the continued fraction of the standard generator; the first
-    convergent p/q for which p - q*conj(omega) has norm +-1 gives it.
+    Walks the continued fraction of omega = (s + sqrt D)/2, s = D mod 2
+    (Cohen, GTM 138, Sec. 5.7); the first convergent p/q for which x + y
+    omega = p - q conj(omega) has norm x^2 + sxy + y^2 (s - D)/4 = +-1
+    gives it, with t = 2x + sy and u = y.
     """
-    if m <= 1 or not is_squarefree_int(m):
-        raise NotSquarefree("m must be a squarefree integer > 1")
-    half = m % 4 == 1
-    sq = math.isqrt(m)
-    if half:
-        pp, qq = 1, 2  # omega = (1 + sqrt m)/2
-    else:
-        pp, qq = 0, 1  # omega = sqrt m
+    if D <= 1 or D % 4 > 1 or math.isqrt(D) ** 2 == D:
+        raise ValueError("D = %d is not a non-square discriminant > 1 (0 or 1 mod 4)" % D)
+    s, sq = D % 2, math.isqrt(D)
+    pp, qq = s, 2  # the complete quotient (pp + sqrt D) / qq, from omega
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
-    limit = 20 * (sq + 2) * (m.bit_length() + 2) + 64
+    limit = 20 * (sq + 2) * (D.bit_length() + 2) + 64
     for _ in range(limit):
         a = (pp + sq) // qq
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         pp = a * qq - pp
-        qq = (m - pp * pp) // qq
-        # candidate unit p - q*conj(omega), written over the basis {1, omega}
-        if half:
-            ca, cb = p_cur - q_cur, q_cur
-        else:
-            ca, cb = p_cur, q_cur
-        nrm = _unit_norm(ca, cb, m, half)
-        if abs(nrm) == 1:
-            return PellUnit(m, ca, cb, half, nrm)
-    raise NoConvergence("continued fraction period not found for m=%d" % m)
+        qq = (D - pp * pp) // qq
+        x, y = p_cur - s * q_cur, q_cur
+        if abs(x * x + s * x * y + y * y * ((s - D) // 4)) == 1:
+            return 2 * x + s * y, y
+    raise NoConvergence("continued fraction period not found for D=%d" % D)
 
 
 # ---------------------------------------------------------------------------

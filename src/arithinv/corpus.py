@@ -18,8 +18,8 @@ Format (UTF-8, ``#`` comments, records separated by blank lines)::
 
     curve <label>
     a = a1 a2 a3 a4 a6         # rationals
-    rank = <int>
-    gens = x,y ; x,y ; ...     # optional generators on this model
+    rank = <int>               # >= 0
+    gens = x,y ; x,y ; ...     # rank generators on this model (none for rank 0)
 """
 
 from __future__ import annotations
@@ -289,6 +289,11 @@ def build_curve_data(corpus, label):
         raise ParseError("curve '%s': need 5 coefficients a1 a2 a3 a4 a6" % label, rec.line)
     rank = _parsed(rec, "rank", int)
     gens = _parsed(rec, "gens", _parse_points) or []
+    if rank < 0:
+        raise ParseError("curve '%s': bad rank = %d (negative)" % (label, rank), rec.line)
+    if len(gens) != rank:
+        message = "curve '%s': rank = %d, but gens lists %d" % (label, rank, len(gens))
+        raise ParseError(message, rec.line)
     curve = ellcurve.weierstrass_curve(*a_invs)
     for point in gens:
         if not ellcurve.on_curve(curve, point):

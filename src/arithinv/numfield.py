@@ -217,12 +217,18 @@ def unit_system(field, units_coeffs):
 
 
 def pell_unit_system(field):
-    """Fundamental unit of a real quadratic field, by continued fractions."""
+    """Fundamental unit of a real quadratic field, by continued fractions.
+
+    For the field of x^2 + bx + c with b^2 - 4c = f^2 D, D = field.disc,
+    the root theta = (-b + f sqrt D)/2 writes the unit (t + u sqrt D)/2
+    as (t + ub/f)/2 + (u/f) theta.
+    """
     if field.degree != 2 or field.r1 != 2:
         raise MissingUnits("automatic units only for real quadratic fields")
-    m = -field.poly[0]
-    u = arith.pell_fundamental_solution(m)
-    return unit_system(field, [u.power_coeffs()])
+    c, b, _ = field.poly
+    f = math.isqrt((b * b - 4 * c) // field.disc)
+    t, u = arith.pell_fundamental_solution(field.disc)
+    return unit_system(field, [(Fraction(t * f + u * b, 2 * f), Fraction(u, f))])
 
 
 def regulator(field, units):

@@ -1,6 +1,5 @@
 import math
 import random
-import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,12 +24,6 @@ def curve_stub(a1, a2, a3, a4, a6):
     return SimpleNamespace(
         b2=b2, b4=b4, b6=b6, c4=Fraction(c4), c6=Fraction(c6), delta=delta
     )
-
-
-def j_series(tau):
-    """j = E4^3 / delta from the two q-series, as agm_periods checks it."""
-    with mpmath.workprec(prec.bits() + 30):
-        return analytic.eisenstein_e4(tau) ** 3 / analytic.delta_q_series(tau)
 
 
 def moebius(matrix, z):
@@ -339,40 +332,6 @@ def test_real_agm_matches_mpmath(ratio, exponent):
         assert abs(got - ref) <= mpmath.mpf(2) ** -prec.bits() * ref
 
 
-class TestEisensteinE4:
-    def test_e4_at_i(self):
-        # E4(i) = 3 Gamma(1/4)^8 / (64 pi^6)
-        with mpmath.workprec(200):
-            tau = mpmath.mpc(0, 1)
-            expected = 3 * mpmath.gamma(mpmath.mpf(1) / 4) ** 8 / (64 * mpmath.pi**6)
-        assert abs(analytic.eisenstein_e4(tau) - expected) < 1e-18
-
-    def test_e4_vanishes_at_rho(self):
-        with mpmath.workprec(200):
-            rho = mpmath.expjpi(mpmath.mpf(2) / 3)
-        assert abs(analytic.eisenstein_e4(rho)) < 1e-18
-
-    def test_term_cap_is_a_named_failure(self):
-        start = time.perf_counter()
-        with pytest.raises(AgmNoConvergence):
-            analytic.eisenstein_e4(mpmath.mpc(0.1, 1e-6))
-        assert time.perf_counter() - start < 1.0
-
-
-class TestJInvariant:
-    def test_j_at_i(self):
-        j = j_series(mpmath.mpc(0, 1))
-        assert abs(j - 1728) < 1e-6
-
-    def test_j_at_corner(self):
-        j = j_series(mpmath.mpc(0.5, math.sqrt(3) / 2))
-        assert abs(j) < 1e-6
-
-    def test_j_at_2i(self):
-        j = j_series(mpmath.mpc(0, 2))
-        assert abs(j - 66**3) < 1e-4 * 66**3
-
-
 class TestPeriods:
     def test_lemniscatic(self):
         pd = analytic.agm_periods(curve_stub(0, 0, 0, 1, 0))
@@ -384,9 +343,11 @@ class TestPeriods:
         assert abs(pd.tau.value - corner) < 1e-8
 
     def test_37a_j_match(self):
+        # mpmath's Klein j at the reduced tau, an independent reference
         pd = analytic.agm_periods(curve_stub(0, 0, 1, -1, 0))
-        j = j_series(pd.tau)
-        assert abs(j - mpmath.mpf(110592) / 37) < 1e-6 * 2989
+        with mpmath.workprec(prec.bits() + 30):
+            j = 1728 * mpmath.kleinj(pd.tau.value)
+            assert abs(j - mpmath.mpf(110592) / 37) < 1e-15 * 2989
 
     def test_real_period_against_quadrature(self):
         pd = analytic.agm_periods(curve_stub(0, 0, 0, 0, 1))
@@ -434,24 +395,43 @@ def near_double_curves():
     return st.one_of(near, small)
 
 
-@settings(max_examples=60)
-@given(near_double_curves())
-@example((0, 10**12, 0, 0, 1))  # a conjugate pair 2e-6 apart
-@example((0, 10**12, 0, 0, -1))  # two real roots 2e-6 apart
-@example((0, -(10**12), 0, 0, -1))
-def test_agm_periods_law(a):
+def assert_periods_match_reference(curve):
     # omega1, omega2 and tau within 2^-prec relative of 400 bits; delta(tau)
-    # within delta_q_series' truncation bound (1e-19, and 1e-18 with the
-    # error of tau)
-    curve = curve_stub(*a)
-    assume(curve.delta != 0)
+    # within 2^-(prec - 8): delta_q_series' bound 2^-(prec + 7) and the
+    # error of tau through d log delta / d tau = 2 pi i E2(tau)
     pd = analytic.agm_periods(curve)
     omega1, omega2, tau, delta = reference_periods(curve, pd.tau.transform)
     eta = mpmath.mpf(2) ** -prec.bits()
     assert abs(pd.omega1 - omega1) <= eta * abs(omega1)
     assert abs(pd.omega2 - omega2) <= eta * abs(omega2)
     assert abs(pd.tau.value - tau) <= eta * abs(tau)
-    assert abs(pd.delta - delta) <= 1e-18 * abs(delta)
+    assert abs(pd.delta - delta) <= 2**8 * eta * abs(delta)
+
+
+@settings(max_examples=60)
+@given(near_double_curves())
+@example((0, 10**12, 0, 0, 1))  # a conjugate pair 2e-6 apart
+@example((0, 10**12, 0, 0, -1))  # two real roots 2e-6 apart
+@example((0, -(10**12), 0, 0, -1))
+def test_agm_periods_law(a):
+    curve = curve_stub(*a)
+    assume(curve.delta != 0)
+    assert_periods_match_reference(curve)
+
+
+@settings(max_examples=15)
+@given(near_double_curves())
+@example((0, 10**12, 0, 0, 1))
+@example((0, 10**12, 0, 0, -1))
+def test_agm_periods_law_at_200_bits(a):
+    curve = curve_stub(*a)
+    assume(curve.delta != 0)
+    before = prec.bits()
+    try:
+        prec.set_precision(200)
+        assert_periods_match_reference(curve)
+    finally:
+        prec.set_precision(before)
 
 
 class TestInjectivityDiameter:
@@ -492,3 +472,25 @@ class TestLatticeDiscriminantIdentity:
                 val = analytic.delta_q_series(tau0) * (2 * mpmath.pi / pd.omega1) ** 12
             target = int(curve.delta)
             assert abs(val - target) <= 1e-12 * abs(target)
+
+    @settings(max_examples=60)
+    @given(near_double_curves())
+    @example((0, 10**12, 0, 0, 1))
+    @example((0, 10**12, 0, 0, -1))
+    def test_reduced_basis_reproduces_the_discriminant(self, a):
+        # the check agm_periods makes, to 2^-(prec - 8): omega1' = c omega2 +
+        # d omega1 from the bottom row (c, d) of the reduction matrix
+        curve = curve_stub(*a)
+        assume(curve.delta != 0)
+        pd = analytic.agm_periods(curve)
+        (_, _), (c, d) = pd.tau.transform
+        with mpmath.workprec(prec.bits() + 30):
+            val = (2 * mpmath.pi / (c * pd.omega2 + d * pd.omega1)) ** 12 * pd.delta
+            assert abs(val - curve.delta) <= mpmath.mpf(2) ** (8 - prec.bits()) * abs(curve.delta)
+
+    def test_a_wrong_delta_is_a_named_failure(self, monkeypatch):
+        # delta(tau) off by 1e-3 relative breaks the identity
+        exact = analytic._delta
+        monkeypatch.setattr(analytic, "_delta", lambda z, y: exact(z, y) * (1 + 1e-3))
+        with pytest.raises(AgmNoConvergence, match="model discriminant"):
+            analytic.agm_periods(curve_stub(0, 0, 1, -1, 0))

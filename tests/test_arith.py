@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -244,21 +245,20 @@ class TestPolyRoots:
 
 
 class TestPell:
+    # (t, u) with (t + u sqrt D)/2 the fundamental unit of discriminant D
+
     def test_m2(self):
-        u = arith.pell_fundamental_solution(2)
-        assert (u.a, u.b, u.half) == (1, 1, False)  # 1 + sqrt 2
-        assert u.norm == -1
+        t, u = arith.pell_fundamental_solution(8)
+        assert (t, u) == (2, 1)  # 1 + sqrt 2
+        assert t * t - 8 * u * u == -4
 
     def test_m5(self):
-        u = arith.pell_fundamental_solution(5)
-        assert u.half and (u.a, u.b) == (0, 1)  # (1+sqrt 5)/2
-        assert u.norm == -1
-        c0, c1 = u.power_coeffs()
-        assert (c0, c1) == (Fraction(1, 2), Fraction(1, 2))
+        t, u = arith.pell_fundamental_solution(5)
+        assert (t, u) == (1, 1)  # (1 + sqrt 5)/2
+        assert t * t - 5 * u * u == -4
 
     def test_m3_brute_force(self):
-        u = arith.pell_fundamental_solution(3)
-        assert (u.a, u.b) == (2, 1)  # 2 + sqrt 3
+        assert arith.pell_fundamental_solution(12) == (4, 1)  # 2 + sqrt 3
         # brute force oracle over x^2 - 3 y^2 = +-1, x, y <= 10
         sols = [
             (x, y)
@@ -270,17 +270,32 @@ class TestPell:
 
     def test_norm_exact_and_minimality(self):
         for m in (2, 3, 5, 6, 7, 10, 13, 94):
-            u = arith.pell_fundamental_solution(m)
-            c0, c1 = u.power_coeffs()
-            assert abs(c0 * c0 - m * c1 * c1) == 1  # exact rational norm
-            value = float(c0) + float(c1) * math.sqrt(m)
+            D = m if m % 4 == 1 else 4 * m
+            t, u = arith.pell_fundamental_solution(D)
+            assert abs(t * t - D * u * u) == 4  # exact norm (t^2 - D u^2)/4 = +-1
+            value = (t + u * math.sqrt(D)) / 2
             assert value > 1
             # oracle sweep: no smaller unit among earlier convergents
             assert _no_smaller_convergent_unit(m, value)
 
-    def test_rejects_non_squarefree(self):
-        with pytest.raises(NotSquarefree):
-            arith.pell_fundamental_solution(12)
+    def test_every_order_below_190_against_brute_force(self):
+        # the units of the order of discriminant D are (t + u sqrt D)/2 with
+        # t^2 - D u^2 = +-4, so the fundamental one has the least u >= 1
+        for D in range(5, 190):
+            if D % 4 > 1 or math.isqrt(D) ** 2 == D:
+                continue
+            t, u = arith.pell_fundamental_solution(D)
+            smallest = next(
+                v for v in itertools.count(1)
+                if any(math.isqrt(n) ** 2 == n for n in (D * v * v - 4, D * v * v + 4))
+            )
+            assert (u, t > 0, abs(t * t - D * u * u)) == (smallest, True, 4), D
+
+    def test_rejects_non_discriminants(self):
+        # D = 2 or 3 mod 4, squares and D <= 1 have no real quadratic order
+        for D in (2, 3, 7, 14, 4, 9, 16, 36, 1, 0, -3, -4):
+            with pytest.raises(ValueError, match="D = %d is not a non-square discriminant" % D):
+                arith.pell_fundamental_solution(D)
 
 
 def _no_smaller_convergent_unit(m, eps_value):
@@ -485,9 +500,7 @@ class TestPellHalfCaseOracle:
     def test_m13_brute_force_pm4(self):
         # maximal-order units of Q(sqrt 13) solve u^2 - 13 v^2 = +-4;
         # the smallest positive solution is (3, 1), i.e. (3 + sqrt 13)/2
-        u = arith.pell_fundamental_solution(13)
-        c0, c1 = u.power_coeffs()
-        assert (2 * c0, 2 * c1) == (3, 1)
+        assert arith.pell_fundamental_solution(13) == (3, 1)
         sols = [
             (a, b)
             for a in range(1, 40)

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from arithinv import cli, corpus
+from arithinv import cli, corpus, numfield
 from arithinv.errors import (
     DanglingSubfieldRef,
     DuplicateLabel,
@@ -414,6 +415,38 @@ class TestRecordRead:
             code, out, err = self._run(tmp_path, capsys, GOOD + "\n" + bad, argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: line 6: %s 'bad': bad %s = " % (kind, key)), err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("rank = 2\ngens = 0,0\n", "rank = 2, but gens lists 1"),
+            ("rank = -1\n", "bad rank = -1 (negative)"),
+            ("rank = 1\n", "rank = 1, but gens lists 0"),
+        ],
+        ids=["two_for_one", "negative", "no_gens"],
+    )
+    def test_rank_and_gens_disagree_names_its_record(self, body, message, tmp_path, capsys):
+        bad = "curve bad\na = 0 0 1 -1 0\n" + body
+        for argv in (["curve", "bad"], ["verify"]):
+            code, out, err = self._run(tmp_path, capsys, GOOD + "\n" + bad, argv)
+            assert (code, out, err) == (2, "", "error: line 6: curve 'bad': %s\n" % message), argv
+
+    @pytest.mark.parametrize(
+        "poly, disc, t, u",
+        [("-1 -1 1", 5, 1, 1), ("-8 0 1", 8, 2, 1), ("-3 3 1", 21, 5, 1), ("-45 0 1", 5, 1, 1)],
+        ids=["x2-x-1", "x2-8", "x2+3x-3", "x2-45"],
+    )
+    def test_real_quadratic_without_units(self, poly, disc, t, u, tmp_path, capsys):
+        # the unit (t + u sqrt D)/2 comes from the field discriminant D, not
+        # from the constant term of the polynomial
+        text = "field K\npoly = %s\n" % poly
+        for argv in (["field", "K"], ["verify"]):
+            assert self._run(tmp_path, capsys, text, argv)[0] == 0, argv
+        record = corpus.build_field_record(corpus.parse_corpus(text), "K")
+        assert record.field.disc == disc
+        with mpmath.workprec(200):
+            expected = mpmath.log((t + u * mpmath.sqrt(disc)) / 2)
+        assert abs(numfield.field_regulator(record) - expected) < 1e-12
 
     def test_header_inside_another_block(self, tmp_path, capsys):
         # without a blank line before it, `curve good` is a line of `bad`

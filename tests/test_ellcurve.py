@@ -13,7 +13,13 @@ from mpmath import mpf
 
 from arithinv import analytic, arith, corpus, prec
 from arithinv import ellcurve as ec
-from arithinv.errors import DependentPoints, NoConvergence, PointNotOnCurve, SingularCurve
+from arithinv.errors import (
+    DependentPoints,
+    InvariantError,
+    NoConvergence,
+    PointNotOnCurve,
+    SingularCurve,
+)
 
 E37 = ec.weierstrass_curve(0, 0, 1, -1, 0)
 E389 = ec.weierstrass_curve(0, 1, 1, -2, 0)
@@ -249,6 +255,19 @@ class TestMinimalModel:
         mm = ec.minimal_model(e)
         assert mm.u == 3
         assert mm.curve.delta == -(2**12) * 3**3
+
+    def test_3adic_condition_keeps_v3_delta_12(self):
+        # y^2 = x^3 + 81x + 243: v_3(c4, c6, delta) = (5, 8, 12), but
+        # removing 3^12 would leave v_3(c6) = 2, which no integral model has
+        e = ec.weierstrass_curve(0, 0, 0, 81, 243)
+        assert (ec._vp(int(e.c4), 3), ec._vp(int(e.c6), 3), ec._vp(int(e.delta), 3)) == (5, 8, 12)
+        mm = ec.minimal_model(e)
+        assert mm.u == 1 and mm.curve.a_invariants == e.a_invariants
+        assert (3, 12) in mm.delta_factors.factors
+        big = ec.minimal_model(ec.transform_curve(e, Fraction(1, 3), 0, 0, 0))
+        assert big.u == 3 and big.curve.a_invariants == e.a_invariants
+        with pytest.raises(InvariantError, match="no integral model"):
+            ec._model_from_c_invariants(int(e.c4) // 3**4, int(e.c6) // 3**6)
 
     def test_ep5_minimal(self):
         e = ec.weierstrass_curve(0, 0, 0, 0, 25)
