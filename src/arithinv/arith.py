@@ -26,7 +26,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from . import prec
-from .errors import FactorBudgetExceeded, NoConvergence, NotSquarefree
+from .errors import FactorBudgetExceeded, NoConvergence, NotADiscriminant, NotSquarefree
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient lists, constant term first)
@@ -501,7 +501,7 @@ def pell_fundamental_solution(D):
     gives it, with t = 2x + sy and u = y.
     """
     if D <= 1 or D % 4 > 1 or math.isqrt(D) ** 2 == D:
-        raise ValueError("D = %d is not a non-square discriminant > 1 (0 or 1 mod 4)" % D)
+        raise NotADiscriminant("D = %d is not a non-square discriminant > 1 (0 or 1 mod 4)" % D)
     s, sq = D % 2, math.isqrt(D)
     pp, qq = s, 2  # the complete quotient (pp + sqrt D) / qq, from omega
     p_prev, p_cur = 0, 1

@@ -19,6 +19,10 @@ class FactorBudgetExceeded(InvariantError):
     pass
 
 
+class NotADiscriminant(InvariantError):
+    pass
+
+
 # number fields
 
 class ZeroElement(InvariantError):

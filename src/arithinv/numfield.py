@@ -219,15 +219,17 @@ def unit_system(field, units_coeffs):
 def pell_unit_system(field):
     """Fundamental unit of a real quadratic field, by continued fractions.
 
-    For the field of x^2 + bx + c with b^2 - 4c = f^2 D, D = field.disc,
-    the root theta = (-b + f sqrt D)/2 writes the unit (t + u sqrt D)/2
-    as (t + ub/f)/2 + (u/f) theta.
+    For the field of x^2 + bx + c with b^2 - 4c = f^2 D, D the fundamental
+    discriminant (from the polynomial: number_field accepts any supplied
+    disc with (b^2 - 4c)/disc a square), the root theta = (-b + f sqrt D)/2
+    writes the unit (t + u sqrt D)/2 as (t + ub/f)/2 + (u/f) theta.
     """
     if field.degree != 2 or field.r1 != 2:
         raise MissingUnits("automatic units only for real quadratic fields")
     c, b, _ = field.poly
-    f = math.isqrt((b * b - 4 * c) // field.disc)
-    t, u = arith.pell_fundamental_solution(field.disc)
+    D = _fundamental_discriminant(b * b - 4 * c)
+    f = math.isqrt((b * b - 4 * c) // D)
+    t, u = arith.pell_fundamental_solution(D)
     return unit_system(field, [(Fraction(t * f + u * b, 2 * f), Fraction(u, f))])
 
 

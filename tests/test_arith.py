@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from arithinv import arith, ellcurve
-from arithinv.errors import NoConvergence, NotSquarefree
+from arithinv.errors import InvariantError, NoConvergence, NotADiscriminant, NotSquarefree
 
 
 def bisect_root(coeffs, lo, hi, iters=80):
@@ -294,8 +294,9 @@ class TestPell:
     def test_rejects_non_discriminants(self):
         # D = 2 or 3 mod 4, squares and D <= 1 have no real quadratic order
         for D in (2, 3, 7, 14, 4, 9, 16, 36, 1, 0, -3, -4):
-            with pytest.raises(ValueError, match="D = %d is not a non-square discriminant" % D):
+            with pytest.raises(NotADiscriminant, match="D = %d is not a non-square discriminant" % D):
                 arith.pell_fundamental_solution(D)
+        assert issubclass(NotADiscriminant, InvariantError)
 
 
 def _no_smaller_convergent_unit(m, eps_value):
