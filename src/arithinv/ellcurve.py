@@ -20,7 +20,8 @@ Two independent height paths are kept deliberately separate:
   log Z_0: X and Z are integers truncated to the working precision
   under a shared power of 2, and one log ends the series.  The p-adic
   series carries X and Z mod p^K, where the resultant of F and G bounds
-  the digits each step can strip, so K is fixed in advance;
+  the digits each step can strip, so K is fixed in advance, and it stops
+  once the orbit reaches the non-singular reduction E_0;
 * the oracle path is Silverman's algorithm (Math. Comp. 51, 1988) on
   the global minimal model: a q-series at the elliptic logarithm (Sec. 4,
   from the AGM period lattice) plus the closed forms of his Thm 5.2 in
@@ -82,10 +83,7 @@ def weierstrass_curve(a1, a2, a3, a4, a6):
     invariant of weight w is formed on integers and divided by d^w once.
     """
     a_invs = tuple(Fraction(a) for a in (a1, a2, a3, a4, a6))
-    d = math.lcm(*(a.denominator for a in a_invs))
-    a1, a2, a3, a4, a6 = (
-        a.numerator * (d**w // a.denominator) for a, w in zip(a_invs, (1, 2, 3, 4, 6))
-    )
+    d, (a1, a2, a3, a4, a6) = _integral_model(a_invs)
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -102,6 +100,15 @@ def weierstrass_curve(a1, a2, a3, a4, a6):
         *(Fraction(v, d**w) for v, w in ((b2, 2), (b4, 4), (b6, 6), (b8, 8), (c4, 4), (c6, 6))),
         Fraction(delta, d**12),
     )
+
+
+def _integral_model(a_invs):
+    """d, the lcm of the denominators of a1..a6, and the integers a_i d^i:
+    the integral model x' = d^2 x, y' = d^3 y."""
+    d = math.lcm(*[a.denominator for a in a_invs])
+    if d == 1:
+        return 1, [a.numerator for a in a_invs]
+    return d, [a.numerator * (d**w // a.denominator) for a, w in zip(a_invs, (1, 2, 3, 4, 6))]
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +133,15 @@ INFINITY = Point()
 
 
 def on_curve(curve, point):
+    """Exact membership on integers: (d^2 x, d^3 y) on the model a_i d^i of
+    `_integral_model`, its equation times D^3 F^2 for x = X/D, y = Y/F."""
     if point.is_infinity:
         return True
-    # the equation times D^3 F^2 for x = X/D, y = Y/F: no big gcds
-    X, D = point.x.numerator, point.x.denominator
-    Y, F = point.y.numerator, point.y.denominator
-    lhs = D * D * Y * (Y * D + curve.a1 * X * F + curve.a3 * D * F)
-    rhs = F * F * (X**3 + D * (curve.a2 * X * X + D * (curve.a4 * X + curve.a6 * D)))
+    d, (a1, a2, a3, a4, a6) = _integral_model(curve.a_invariants)
+    X, D = point.x.numerator * d * d, point.x.denominator
+    Y, F = point.y.numerator * d**3, point.y.denominator
+    lhs = D * D * Y * (Y * D + a1 * X * F + a3 * D * F)
+    rhs = F * F * (X**3 + D * (a2 * X * X + D * (a4 * X + a6 * D)))
     return lhs == rhs
 
 
@@ -178,18 +187,17 @@ def _add(curve, p, q):
 def scalar_mul(curve, n, point):
     """n * point by double-and-add on integer Jacobian coordinates.
 
-    On the integral model a_i d^i (d the lcm of the denominators, as in
-    weierstrass_curve) a point is x = X/Z^2, y = Y/Z^3 with X, Y and Z
-    integers.  The chain divides only exactly; one Fraction per coordinate
-    reduces the result, which x/d^2, y/d^3 maps back.
+    On the integral model a_i d^i (`_integral_model`) a point is x =
+    X/Z^2, y = Y/Z^3 with X, Y and Z integers.  The chain divides only
+    exactly; one Fraction per coordinate reduces the result, which x/d^2,
+    y/d^3 maps back.
     """
     _require_on_curve(curve, point)
     if n < 0:
         n, point = -n, negate(curve, point)
     if n == 0 or point.is_infinity:
         return INFINITY
-    d = math.lcm(*(a.denominator for a in curve.a_invariants))
-    a = [int(c * d**w) for c, w in zip(curve.a_invariants, (1, 2, 3, 4, 6))]
+    d, a = _integral_model(curve.a_invariants)
     x, y = point.x * d * d, point.y * d**3  # X/e^2 and Y/e^3 in lowest terms
     base = acc = (x.numerator, y.numerator, y.denominator // x.denominator)
     kept = base[2] * int(curve.delta * d**12)
@@ -247,19 +255,28 @@ def is_torsion(curve, point):
 
     On an integral model every torsion point has 4x integral (Silverman,
     AEC VII.3.4), and multiples of a torsion point are torsion, so the
-    loop stops at the first multiple with 4x not in Z.
+    loop stops at the first multiple with 4x not in Z.  Before it, 2P is
+    read from the duplication forms on integers: x(2P) = F_h/G_h at
+    x = X/Z, so a torsion P has G_h = 0 (2P = O) or G_h | 4 F_h.
     """
     _require_on_curve(curve, point)
     if point.is_infinity:
         return True
     integral = curve.is_integral
+    if integral:
+        X, Z = point.x.numerator, point.x.denominator
+        if 4 % Z:
+            return False
+        f, g = _forms(*_duplication_polys(curve), X, Z)
+        if g and 4 * f % g:
+            return False
     q = point
     for _ in range(TORSION_ORDER_BOUND):
-        if integral and (4 * q.x).denominator != 1:
-            return False
         q = _add(curve, q, point)
         if q.is_infinity:
             return True
+        if integral and 4 % q.x.denominator:
+            return False
     return False
 
 
@@ -472,19 +489,22 @@ def _coeff_l1(coeffs):
     return sum(abs(c) for c in coeffs)
 
 
+def _duplication_polys(curve):
+    """(F, G), low degree first, with x(2P) = F(x)/G(x) on an integral
+    model; G equals (2y + a1 x + a3)^2."""
+    b2, b4, b6, b8 = (b.numerator for b in (curve.b2, curve.b4, curve.b6, curve.b8))
+    return [-b8, -2 * b6, -b4, 0, 1], [b6, 2 * b4, b2, 4, 0]
+
+
 class _HeightData:
     """Per-curve certificates of the primary height path (cached)."""
 
     def __init__(self, curve):
         if not curve.is_integral:
             raise InvariantError("height computations need an integral model")
-        b2, b4, b6, b8 = (int(curve.b2), int(curve.b4), int(curve.b6), int(curve.b8))
-        self.F = [-b8, -2 * b6, -b4, 0, 1]  # numerator of x(2P)
-        self.G = [b6, 2 * b4, b2, 4, 0]  # denominator; equals (2y + a1 x + a3)^2
-        self.W = [1, 0, -b4, -2 * b6, -b8]  # t^4 F(1/t)
-        self.Z = [0, 4, b2, 2 * b4, b6]  # t^4 G(1/t)
+        self.F, self.G = _duplication_polys(curve)
         a1, b1c, r1 = arith.bezout_cofactors(self.F, self.G)
-        a2, b2c, r2 = arith.bezout_cofactors(self.W, self.Z)
+        a2, b2c, r2 = arith.bezout_cofactors(self.F[::-1], self.G[::-1])  # t^4 (F, G)(1/t)
         self.res1, self.res2 = abs(r1), abs(r2)
         c_hi = max(_coeff_l1(self.F), _coeff_l1(self.G))
         c_lo = min(
@@ -508,11 +528,11 @@ def _height_data(curve):
     return _height_cache[key]
 
 
-def _forms(hd, X, Z):
+def _forms(F, G, X, Z):
     """(F_h, G_h) = Z^4 (F, G)(X/Z), the duplication map on x = X/Z, by
     one homogeneous Horner pass."""
-    f, g, zk = hd.F[4], hd.G[4], 1
-    for cf, cg in zip(hd.F[3::-1], hd.G[3::-1]):
+    f, g, zk = F[4], G[4], 1
+    for cf, cg in zip(F[3::-1], G[3::-1]):
         zk *= Z
         f = f * X + cf * zk
         g = g * X + cg * zk
@@ -534,7 +554,7 @@ def _arch_series(hd, x0, terms):
     for _ in range(terms):
         shift = max(max(abs(X), abs(Z)).bit_length() - bits, 0)
         X, Z = X >> shift, Z >> shift
-        f, g = _forms(hd, X, Z)
+        f, g = _forms(hd.F, hd.G, X, Z)
         if g == 0 and Z:
             raise NoConvergence(
                 "hit a two-torsion x-coordinate numerically" if f else "degenerate duplication orbit"
@@ -559,7 +579,7 @@ def _orbit_valuations(hd, x0, p, terms):
     mod = p ** (terms * R + 1)
     X, Z = x0.numerator % mod, x0.denominator % mod
     for _ in range(terms):
-        f, g = (v % mod for v in _forms(hd, X, Z))
+        f, g = (v % mod for v in _forms(hd.F, hd.G, X, Z))
         m = 0
         while f % p == 0 and g % p == 0:
             f, g, m = f // p, g // p, m + 1
@@ -574,11 +594,16 @@ def _padic_series(hd, x0, p, terms):
     The summand -min(v F(x_n), v G(x_n)) + 4 min(0, v x_n) of the affine
     series is -m_n, since the 4 v_p(Z) terms cancel.  The sum
     v_p(Z_0) - sum_n 4^-(n+1) m_n is formed over the common denominator
-    4^terms.
+    4^terms.  It stops at the first m_n = 0: F and G share roots mod p
+    only at the singular x, so m_n = 0 exactly when 2^n P lies in E_0, the
+    points of non-singular reduction.  E_0 is a subgroup (Silverman, AEC
+    VII.2.1), so every later m is 0 too.
     """
     den = weight = 4**terms
     num = _vp(x0.denominator, p) * den
     for m in _orbit_valuations(hd, x0, p, terms):
+        if m == 0:
+            break
         weight //= 4
         num -= m * weight
     return Fraction(num, den)

@@ -81,8 +81,8 @@ def poly_discriminant(poly):
 def number_field(label, poly, disc=None, w=None):
     """Build a NumberField from a monic squarefree integer polynomial.
 
-    The discriminant is computed exactly for degree <= 2 and must be
-    supplied otherwise; it is validated against disc(poly) = disc * f^2.
+    The discriminant is computed for degree <= 2, where a supplied one
+    must agree, and supplied otherwise; disc(poly) = disc * f^2 checks it.
     The root-of-unity count w defaults to 6 for disc -3, 4 for disc -4
     (the quadratic fields with extra roots of unity) and 2 otherwise.
     Irreducibility is only checked through rational roots (the corpus is
@@ -111,11 +111,16 @@ def number_field(label, poly, disc=None, w=None):
     if dpoly.denominator != 1:
         raise InvariantError("non-integral polynomial discriminant")
     dpoly = dpoly.numerator
-    if disc is None:
+    if d == 2:
+        fundamental = _fundamental_discriminant(dpoly)
+        if disc is not None and disc != fundamental:
+            raise InvariantError(
+                "field %s: supplied disc %d is not the field discriminant %d" % (label, disc, fundamental)
+            )
+        disc = fundamental
+    elif disc is None:
         if d == 1:
             disc = 1
-        elif d == 2:
-            disc = _fundamental_discriminant(dpoly)
         else:
             raise InvariantError("field discriminant must be supplied for degree > 2")
     q, r = divmod(dpoly, disc)

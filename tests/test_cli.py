@@ -449,22 +449,18 @@ class TestRecordRead:
         assert abs(numfield.field_regulator(record) - expected) < 1e-12
 
     @pytest.mark.parametrize(
-        "poly, disc, D, t, u, verify_code",
-        [("-5 0 1", 20, 5, 1, 1, 0), ("-2 0 1", 2, 8, 2, 1, 1)],
+        "poly, disc, D",
+        [("-5 0 1", 20, 5), ("-2 0 1", 2, 8)],
         ids=["x2-5_disc20", "x2-2_disc2"],
     )
-    def test_supplied_disc_does_not_choose_the_unit(self, poly, disc, D, t, u, verify_code, tmp_path, capsys):
-        # a declared disc need only divide disc(poly) by a square; the unit
-        # is still that of the maximal order, of fundamental discriminant D
-        # (verify's bound rows then judge the declared disc: 2 fails
-        # Hermite-Minkowski, exit 1)
+    def test_supplied_disc_does_not_choose_the_unit(self, poly, disc, D, tmp_path, capsys):
+        # a declared quadratic disc other than the fundamental discriminant D
+        # of the polynomial is an input error, not a fail row of a bound
+        # that the declared value would forge
         text = "field K\npoly = %s\ndisc = %d\n" % (poly, disc)
-        assert self._run(tmp_path, capsys, text, ["field", "K"])[0] == 0
-        assert self._run(tmp_path, capsys, text, ["verify"])[0] == verify_code
-        record = corpus.build_field_record(corpus.parse_corpus(text), "K")
-        with mpmath.workprec(200):
-            expected = mpmath.log((t + u * mpmath.sqrt(D)) / 2)
-        assert abs(numfield.field_regulator(record) - expected) < 1e-12
+        message = "error: field K: supplied disc %d is not the field discriminant %d\n" % (disc, D)
+        for argv in (["field", "K"], ["verify"]):
+            assert self._run(tmp_path, capsys, text, argv) == (2, "", message), argv
 
     def test_header_inside_another_block(self, tmp_path, capsys):
         # without a blank line before it, `curve good` is a line of `bad`

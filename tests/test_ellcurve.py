@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import random
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
@@ -154,6 +155,46 @@ class TestTorsion:
         monkeypatch.setattr(ec, "_add", counting_add)
         assert not ec.is_torsion(E37, q)
         assert calls == []
+
+    def test_four_x_integral_points_agree_with_reference(self):
+        # 2-torsion (G_h = 0), x with denominator 4 (torsion on E15, 5 P on
+        # 37a), order 4 with 4 x(2P) integral but x(2P) not (two curves of
+        # conductor 15), and integral points on models with a1, a3 != 0
+        e = ec.weierstrass_curve(1, 0, 1, -1, -2)  # through (2, 1)
+        e15_4 = ec.weierstrass_curve(1, 1, 1, 35, -28)
+        e15_7 = ec.weierstrass_curve(1, 1, 1, -80, 242)
+        points = [(EJ0, (-1, 0)), (E15, (Fraction(-1, 4), Fraction(1, 8))), (E37, (Fraction(1, 4), Fraction(-5, 8)))]
+        points += [(e15_4, (7, 21)), (e15_4, (Fraction(3, 4), Fraction(-7, 8))), (e15_7, (5, -2))]
+        points += [(e, (2, 1)), (e, (2, -4)), (E15, (-1, -1)), (E5077, (2, 0)), (E5077, (3, 3))]
+        for curve, (x, y) in points:
+            p = ec.Point.of(x, y)
+            assert 4 * p.x == int(4 * p.x)
+            assert ec.is_torsion(curve, p) == mazur_reference(curve, p), (curve, p)
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from((-2, -1, 1, 2)),
+        st.integers(-2, 2),
+        st.sampled_from((-2, -1, 1, 2)),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+    )
+    def test_models_with_a1_a3_agree_with_reference(self, a1, a2, a3, a4, x, y):
+        a6 = y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x
+        try:
+            curve = ec.weierstrass_curve(a1, a2, a3, a4, a6)
+        except SingularCurve:
+            assume(False)
+        p = ec.Point.of(x, y)
+        assert ec.is_torsion(curve, p) == mazur_reference(curve, p)
+
+    def test_doubling_rejects_without_addition(self, monkeypatch):
+        # 4x(5 P) = 1 on 37a, but 4x(10 P) = 161/4: the forms decide
+        q = ec.scalar_mul(E37, 5, P37)
+        assert q.x == Fraction(1, 4)
+        monkeypatch.setattr(ec, "_add", None)
+        assert not ec.is_torsion(E37, q)
 
     def test_nonintegral_model_keeps_the_full_loop(self):
         # u = 4 turns (-1, 0) into (-1/16, 0), where 4x is not integral
@@ -540,6 +581,14 @@ class TestGroupLawValidation:
             with pytest.raises(PointNotOnCurve):
                 call()
 
+    def test_on_curve_of_a_nonintegral_model(self):
+        # d = lcm(6, 3, 2, 1, 3) = 6: the test runs on the model a_i 6^i
+        curve = ec.weierstrass_curve(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 1, Fraction(-2, 3))
+        for k in (1, 3, -2):
+            q = ec.scalar_mul(curve, k, ec.Point.of(1, 1))
+            assert ec.on_curve(curve, q)
+            assert not ec.on_curve(curve, ec.Point(q.x, q.y + Fraction(1, 6**3)))
+
     def test_inputs_checked_once(self, monkeypatch):
         # the loops add exact multiples of checked points without re-checking
         calls = []
@@ -681,6 +730,64 @@ class TestPadicSeries:
         for p in {2, 3, 5} | {p for p, _ in hd.bad}:
             bound = 2 * ec._vp(int(curve.delta), p)
             assert all(m <= bound for m in ec._orbit_valuations(hd, point.x, p, 18)), p
+
+
+    def test_pins_cover_every_stopping_step(self):
+        # the pinned orbits enter E_0 at step 0, at step 1, or never
+        first_zero = set()
+        for row in load_height_pins()["series"]:
+            hd = ec._height_data(ec.weierstrass_curve(*[Fraction(a) for a in row["curve"]]))
+            ms = list(ec._orbit_valuations(hd, Fraction(row["x"]), row["p"], row["terms"]))
+            first_zero.add(ms.index(0) if 0 in ms else None)
+        assert {0, 1, None} <= first_zero
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.sampled_from((1, 2, 3, 6)),
+        st.integers(-6, 6).filter(bool),
+    )
+    def test_series_stops_where_the_orbit_enters_e0(self, a, x, y, u, k):
+        # models through (x, y), scaled by u so that some are non-minimal
+        # at 2 and 3; every bad prime's series equals the full orbit's sum
+        a1, a2, a3, a4 = a
+        a6 = y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x
+        try:
+            curve = ec.weierstrass_curve(a1, a2, a3, a4, a6)
+        except SingularCurve:
+            assume(False)
+        v = Fraction(1, u)
+        curve = ec.transform_curve(curve, v, 0, 0, 0)
+        point = ec.scalar_mul(curve, k, ec.transform_point(ec.Point.of(x, y), v, 0, 0, 0))
+        assume(not point.is_infinity)
+        hd = ec._height_data(curve)
+        for p, _ in hd.bad:
+            ms = list(ec._orbit_valuations(hd, point.x, p, 18))
+            first = ms.index(0) if 0 in ms else len(ms)
+            assert not any(ms[first:]), (p, ms)
+            full = ec._vp(point.x.denominator, p) - sum(Fraction(m, 4 ** (n + 1)) for n, m in enumerate(ms))
+            assert ec._padic_series(hd, point.x, p, 18) == full, p
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_common_roots_are_singular_x(self, p):
+        # over F_p, F and G share a root x exactly when x is the x of a
+        # singular point, for every Weierstrass equation mod p
+        for a1, a2, a3, a4, a6 in itertools.product(range(p), repeat=5):
+            b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+            b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+            F, G = [-b8, -2 * b6, -b4, 0, 1], [b6, 2 * b4, b2, 4, 0]
+            common = {x for x in range(p) if arith.poly_eval(F, x) % p == arith.poly_eval(G, x) % p == 0}
+            singular = {
+                x
+                for x in range(p)
+                for y in range(p)
+                if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+                and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0
+                and (2 * y + a1 * x + a3) % p == 0
+            }
+            assert common == singular, (p, a1, a2, a3, a4, a6)
 
 
 def reference_arch_series(hd, x0, terms):

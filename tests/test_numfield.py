@@ -190,7 +190,8 @@ def test_norm_and_discriminant_match_the_certified_roots(poly, alpha):
     # 1e-13, and each product is within 1e-12 prod (1 + |factor|) of the
     # exact value.
     dpoly = numfield.poly_discriminant(poly)
-    K = numfield.number_field("K", poly, disc=int(dpoly))
+    # a quadratic field computes its own disc and rejects any other
+    K = numfield.number_field("K", poly, disc=None if len(poly) == 3 else int(dpoly))
     alpha = alpha[: K.degree]
     exact = element_norm(K, alpha)
     with mpmath.workprec(200):
