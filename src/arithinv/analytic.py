@@ -44,15 +44,6 @@ class ReducedTau:
         return mpmath.re(self.value)
 
 
-def _as_value(tau):
-    if isinstance(tau, ReducedTau):
-        return tau.value
-    if isinstance(tau, mpc):
-        return tau  # keeps its own precision
-    with prec.working():
-        return mpc(tau)
-
-
 def _matmul(m1, m2):
     (p, q), (r, s) = m1
     (a, b), (c, d) = m2
@@ -69,11 +60,13 @@ def reduce_to_fundamental_domain(tau):
     + 40 + 2 ceil(log2(1 / Im tau))^+, which keeps prec + 20 relative bits
     through the inversions' amplification Im tau_final / Im tau.
     """
-    z = _as_value(tau)
-    if not mpmath.im(z) > 0:
+    if not isinstance(tau, mpc):  # an mpc keeps its own precision
+        with prec.working():
+            tau = mpc(tau)
+    if not mpmath.im(tau) > 0:
         raise NotUpperHalfPlane("Im tau must be positive")
-    bits = prec.bits() + 40 + 2 * max(0, 1 - mpmath.frexp(mpmath.im(z))[1])
-    return _reduce_fixed(arith.to_fixed(z.real, bits), arith.to_fixed(z.imag, bits), bits)
+    bits = prec.bits() + 40 + 2 * max(0, 1 - mpmath.frexp(mpmath.im(tau))[1])
+    return _reduce_fixed(arith.to_fixed(tau.real, bits), arith.to_fixed(tau.imag, bits), bits)
 
 
 def _reduce_fixed(x, y, bits):
@@ -113,15 +106,15 @@ def _cmul(ar, ai, br, bi, bits):
     return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
 
 
-def delta_q_series(tau):
-    """Modular discriminant for any Im tau > 0, by Euler's pentagonal series.
+def delta_q_series(z):
+    """Modular discriminant at z, Im z > 0, by Euler's pentagonal series.
 
     delta = q (sum_k (-1)^k q^(k(3k-1)/2))^24 over all integers k (Cohen,
     A Course in Computational Algebraic Number Theory, Sec. 7.4).  The sum
     runs on fixed-point Gaussian integers and is multiplied by q in mpmath
     at the end, so its relative accuracy does not depend on |q|.  It is
-    about prod (1 - q^n), of size about exp(-pi / (12 Im tau)) (the eta
-    function), so the fixed point carries 0.38 / Im tau bits beyond the
+    about prod (1 - q^n), of size about exp(-pi / (12 Im z)) (the eta
+    function), so the fixed point carries 0.38 / Im z bits beyond the
     working precision + 40 against that cancellation.
 
     Each power q^e is a product tree of e copies of the fixed-point q
@@ -133,20 +126,11 @@ def delta_q_series(tau):
     (|partial sum| - tail - err).  That bounds the relative error of the
     24th power by 2^-(prec.bits() + 7), and the final product in mpmath
     at prec.bits() + 30 adds less than 2^-(prec.bits() + 25).
+
+    q = exp(2 pi i z) is rounded to a fixed-point Gaussian integer within
+    one unit in each part (|q| < 1, so bits + 4 relative bits suffice).
     """
-    z = _as_value(tau)
-    y = mpmath.im(z)
-    if not y > 0:
-        raise NotUpperHalfPlane("Im tau must be positive")
-    if y < 1e-4:  # the sum would cancel to below 2^-3800
-        raise AgmNoConvergence("q-series: Im tau below 1e-4")
-    return _delta(z, float(y))
-
-
-def _delta(z, y):
-    # delta_q_series(z), y = Im z; q = exp(2 pi i z) is rounded to a
-    # fixed-point Gaussian integer within one unit in each part (|q| < 1,
-    # so bits + 4 relative bits suffice)
+    y = float(mpmath.im(z))
     bits = prec.bits() + 40 + math.ceil(0.38 / y)
     with mpmath.workprec(bits + 4):
         q = mpmath.exp(2j * mpmath.pi * z)
@@ -202,11 +186,8 @@ def log_scaled_discriminant(tau):
 
 
 def injectivity_diameter(tau):
-    """(Im tau)^(-1/2) for a reduced period ratio."""
-    z = _as_value(tau)
-    if not mpmath.im(z) >= SQRT3_HALF - BOUNDARY_EPS:
-        raise TauNotReduced("injectivity diameter wants a reduced tau")
-    return float(1 / mpmath.sqrt(mpmath.im(z)))
+    """(Im tau)^(-1/2) for a ReducedTau."""
+    return float(1 / mpmath.sqrt(tau.im))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +233,7 @@ def agm_periods(curve):
     """
     b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
     cubic = [b6, 2 * b4, b2, 4]
-    roots = arith.poly_roots(cubic, 1e-18)
+    roots = arith.poly_roots(cubic)
     B, p = arith._fixed_point_bits(cubic), prec.bits()
     if curve.delta > 0:
         e3, e2, e1 = (arith.to_fixed(r.real, B) for r in roots)
@@ -276,7 +257,7 @@ def agm_periods(curve):
     with prec.working(20):  # the AGM inputs are at 2^-t, so M1, M2 = m1, m2 2^-(t + 1)
         omega1, g = mpmath.pi / arith.from_fixed(m1, t + 1), mpmath.pi / arith.from_fixed(m2, t + 1)
         omega2 = mpc(0, g) if curve.delta > 0 else mpc(omega1, g) / 2
-    delta = _delta(tau.value, float(tau.im))
+    delta = delta_q_series(tau.value)
     (_, _), (c, d) = tau.transform
     with prec.working(30):
         disc = (2 * mpmath.pi / (c * omega2 + d * omega1)) ** 12 * delta

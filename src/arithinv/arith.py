@@ -130,6 +130,8 @@ def from_fixed_pair(x, y, bits):
 # evaluated exactly at the returned dyadic point and rounded up.  The discs
 # must be pairwise disjoint, so the n discs hold n distinct roots.
 
+ROOT_TOL = 1e-18  # the largest error radius poly_roots returns
+
 
 @dataclass(frozen=True)
 class ComplexApprox:
@@ -293,7 +295,7 @@ def _durand_kerner(coeffs, zs, bits):
     raise NoConvergence("root polish: Durand-Kerner did not converge")
 
 
-def poly_roots(coeffs, tol):
+def poly_roots(coeffs):
     """All complex roots of a squarefree integer polynomial, certified.
 
     Seed: Durand-Kerner in double precision on the polynomial rescaled by
@@ -309,7 +311,7 @@ def poly_roots(coeffs, tol):
 
     Real roots come first (ascending), then conjugate pairs sorted by
     real part, each pair as (Im > 0 representative, its conjugate).
-    Every returned error radius is <= tol.
+    Every returned error radius is <= ROOT_TOL.
     """
     coeffs = poly_normalize(coeffs)
     n = poly_degree(coeffs)
@@ -320,10 +322,10 @@ def poly_roots(coeffs, tol):
         raise NotSquarefree("polynomial has repeated roots")
     bits = _fixed_point_bits(coeffs)
     zs = _double_seeds(coeffs, bits)
-    return _certify_roots(coeffs, _durand_kerner(coeffs, zs, bits), bits, n_real, tol)
+    return _certify_roots(coeffs, _durand_kerner(coeffs, zs, bits), bits, n_real)
 
 
-def _certify_roots(coeffs, pts, bits, n_real, tol):
+def _certify_roots(coeffs, pts, bits, n_real):
     # pts are Gaussian integers at the fixed point 2^-bits of poly_roots, and
     # the exact Sturm count splits them into real and complex.  Each root is
     # rounded to the working precision + 80 bits before its radius is
@@ -344,8 +346,8 @@ def _certify_roots(coeffs, pts, bits, n_real, tol):
                 break
         x = _to_working(x)
         err = _root_radius(coeffs, dcoeffs, x, 0, bits)
-        if not err <= tol:
-            raise NoConvergence("root certificate: real root radius %.3g > tol" % err)
+        if not err <= ROOT_TOL:
+            raise NoConvergence("root certificate: real root radius %.3g > ROOT_TOL" % err)
         discs.append((x, 0, err))
 
     upper = sorted(pts[i] for i in cplx_idx if pts[i][1] > 0)
@@ -358,8 +360,8 @@ def _certify_roots(coeffs, pts, bits, n_real, tol):
         x, y = _to_working((x + mate[0]) >> 1), _to_working((y - mate[1]) >> 1)
         # the pair (x, y), (x, -y) is exactly conjugate
         err = _root_radius(coeffs, dcoeffs, x, y, bits)
-        if not err <= tol:
-            raise NoConvergence("root certificate: complex root radius %.3g > tol" % err)
+        if not err <= ROOT_TOL:
+            raise NoConvergence("root certificate: complex root radius %.3g > ROOT_TOL" % err)
         discs += [(x, y, err), (x, -y, err)]
     for a, b in itertools.combinations(discs, 2):
         if not _apart(a, b, bits):
@@ -479,12 +481,6 @@ def factorize(n, rho_budget=RHO_BUDGET):
             raise FactorBudgetExceeded("rho budget exhausted on %d" % v)
         stack.extend([g, v // g])
     return Factorization(sign, tuple(sorted(factors.items())))
-
-
-def is_squarefree_int(m):
-    if m in (0,):
-        return False
-    return all(e == 1 for _, e in factorize(m).factors)
 
 
 # ---------------------------------------------------------------------------

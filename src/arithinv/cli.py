@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import __version__, analytic, corpus, ellcurve, ledger, numfield, prec
@@ -139,21 +140,21 @@ def cmd_field(args):
 def cmd_curve(args):
     corp = corpus.load_record(args.corpus, "curve", args.label)
     inv = corpus.curve_stats_one(corp, args.label)
-    mm, s, tau = inv.model, inv.stats, inv.periods.tau
+    mm, red, s, tau = inv.model, inv.reduction, inv.stats, inv.periods.tau
     rows = [
         "curve %s" % args.label,
         "  minimal model   a = [%s]  (u = %s)"
         % (", ".join(str(a) for a in mm.curve.a_invariants), mm.u),
-        "  delta_min       %d" % s.delta_min,
+        "  delta_min       %d" % int(mm.curve.delta),
     ]
-    for pr in inv.reduction.primes:
+    for pr in red.primes:
         rows.append(
             "  bad prime %-6d %s, %s, v(delta) = %d"
             % (pr.p, pr.kind, "stable" if pr.stable else "unstable", pr.v_delta)
         )
     rows += [
-        "  N0 / Nst / Nuns %d / %d / %d" % (s.n0, s.n_stable, s.n_unstable),
-        "  semistable      %s" % ("yes" if s.semistable else "no"),
+        "  N0 / Nst / Nuns %d / %d / %d" % (red.n0, red.n_stable, red.n_unstable),
+        "  semistable      %s" % ("yes" if red.semistable else "no"),
         "  tau (reduced)   %s + %si" % (_fmt(float(tau.re)), _fmt(float(tau.im))),
         "  rho             %s" % _fmt(analytic.injectivity_diameter(tau)),
         "  h_F+            %s" % _fmt(s.h_faltings),
@@ -165,8 +166,10 @@ def cmd_curve(args):
 
 
 def cmd_verify(args):
-    if args.tol <= 0:
-        raise InvariantError("--tol must be positive")
+    if not 0 < args.tol < math.inf:  # also rejects nan
+        raise InvariantError("--tol must be positive and finite")
+    if not math.isfinite(args.northcott_bound):
+        raise InvariantError("--northcott-bound must be finite")
     corp = corpus.load_corpus(args.corpus)
     fields = corpus.field_stats(corp)
     curves = corpus.curve_stats(corp, tol=args.tol)
@@ -213,10 +216,8 @@ def _verify_arguments(parser):
     parser.add_argument("--checks", default=None, help="comma-separated check ids")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=float, default=ellcurve.DEFAULT_TOL)
     parser.add_argument("--northcott-bound", type=float, default=1.0, help="bound for the scans")
-    # SUPPRESS keeps a pre-subcommand --precision from being clobbered
-    parser.add_argument("--precision", type=int, default=argparse.SUPPRESS)
 
 
 def _family_arguments(parser):

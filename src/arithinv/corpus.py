@@ -341,32 +341,26 @@ class CurveInvariants:
     stats: ledger.CurveStats
 
 
-def curve_stats_one(corpus, label, tol=1e-9):
+def curve_stats_one(corpus, label, tol=ellcurve.DEFAULT_TOL):
     """CurveInvariants of a single curve record."""
     _, _, mm, rank, gens_min = build_curve_data(corpus, label)
     reduction = ellcurve.reduction_data(mm)
     periods = analytic.agm_periods(mm.curve)
     h_plus = ellcurve.faltings_height_plus(mm, periods)
     mw = ellcurve.mw_regulator(mm.curve, list(gens_min), rank, tol)
-    gen_heights = tuple(mw.gram[i][i] for i in range(rank))
     stats = ledger.CurveStats(
         label=label,
-        a_invariants=tuple(mm.curve.a_invariants),
-        delta_min=int(mm.curve.delta),
         n0=reduction.n0,
-        n_stable=reduction.n_stable,
-        n_unstable=reduction.n_unstable,
         semistable=reduction.semistable,
         tau_im=float(periods.tau.im),
         h_faltings=h_plus,
         rank=rank,
-        gen_heights=gen_heights,
         gram=mw.gram,
         regulator=mw.regulator,
     )
     return CurveInvariants(mm, reduction, periods, stats)
 
 
-def curve_stats(corpus, tol=1e-9):
+def curve_stats(corpus, tol=ellcurve.DEFAULT_TOL):
     """CurveStats rows for every curve record, in corpus order."""
     return [curve_stats_one(corpus, label, tol).stats for label in corpus.curves]

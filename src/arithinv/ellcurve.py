@@ -253,7 +253,8 @@ def _jacobian_add(a, p, q, kept):
 def is_torsion(curve, point):
     """Exact torsion test: some multiple nP = O with n <= 12 (Mazur bound).
 
-    On an integral model every torsion point has 4x integral (Silverman,
+    The test runs on the integral model a_i d^i of `_integral_model` at
+    (d^2 x, d^3 y).  There every torsion point has 4x integral (Silverman,
     AEC VII.3.4), and multiples of a torsion point are torsion, so the
     loop stops at the first multiple with 4x not in Z.  Before it, 2P is
     read from the duplication forms on integers: x(2P) = F_h/G_h at
@@ -262,20 +263,21 @@ def is_torsion(curve, point):
     _require_on_curve(curve, point)
     if point.is_infinity:
         return True
-    integral = curve.is_integral
-    if integral:
-        X, Z = point.x.numerator, point.x.denominator
-        if 4 % Z:
-            return False
-        f, g = _forms(*_duplication_polys(curve), X, Z)
-        if g and 4 * f % g:
-            return False
+    d, a = _integral_model(curve.a_invariants)
+    if d > 1:
+        curve, point = weierstrass_curve(*a), Point(point.x * d * d, point.y * d**3)
+    X, Z = point.x.numerator, point.x.denominator
+    if 4 % Z:
+        return False
+    f, g = _forms(*_duplication_polys(curve), X, Z)
+    if g and 4 * f % g:
+        return False
     q = point
     for _ in range(TORSION_ORDER_BOUND):
         q = _add(curve, q, point)
         if q.is_infinity:
             return True
-        if integral and 4 % q.x.denominator:
+        if 4 % q.x.denominator:
             return False
     return False
 
@@ -505,17 +507,15 @@ class _HeightData:
         self.F, self.G = _duplication_polys(curve)
         a1, b1c, r1 = arith.bezout_cofactors(self.F, self.G)
         a2, b2c, r2 = arith.bezout_cofactors(self.F[::-1], self.G[::-1])  # t^4 (F, G)(1/t)
-        self.res1, self.res2 = abs(r1), abs(r2)
         c_hi = max(_coeff_l1(self.F), _coeff_l1(self.G))
         c_lo = min(
-            self.res1 / (_coeff_l1(a1) + _coeff_l1(b1c)),
-            self.res2 / (_coeff_l1(a2) + _coeff_l1(b2c)),
+            abs(r1) / (_coeff_l1(a1) + _coeff_l1(b1c)),
+            abs(r2) / (_coeff_l1(a2) + _coeff_l1(b2c)),
         )
         self.mu_bound_inf = max(math.log(c_hi), -math.log(c_lo), 0.0)
-        self.bad = []
-        for p, _ in arith.factorize(int(curve.delta)).factors:
-            vb = max(_vp(self.res1, p) or 0, _vp(self.res2, p) or 0)
-            self.bad.append((p, vb))
+        # Res(F, G) = +-delta^2 and the reversed pair's resultant divides
+        # it, so R = v_p(Res(F, G)) = 2 v_p(delta) weights each bad prime
+        self.bad = [(p, 2 * e) for p, e in arith.factorize(int(curve.delta)).factors]
 
 
 _height_cache = {}
@@ -564,18 +564,17 @@ def _arch_series(hd, x0, terms):
     return mpmath.ldexp(top, -2 * terms) - mpmath.log(x0.denominator)
 
 
-def _orbit_valuations(hd, x0, p, terms):
+def _orbit_valuations(hd, x0, p, R, terms):
     """Yield m_n, the power of p stripped at each step of the duplication orbit.
 
     With x_n = X/Z for p-coprime integers X and Z, x_(n+1) = F_h/G_h for
     the quartic forms F_h = Z^4 F(X/Z) and G_h = Z^4 G(X/Z), and m_n =
     min(v_p F_h, v_p G_h).  Forms A, B with A F_h + B G_h = Res(F, G) X^7,
-    and another pair with Res(F, G) Z^7, give m_n <= v_p(Res(F, G)) = R.
-    Step n runs mod p^((terms - n) R + 1), so X and Z keep more than R
-    known digits and m_n is exact; as m_n <= R, dividing by p^(m_n) leaves
-    the next step's modulus known.
+    and another pair with Res(F, G) Z^7, give m_n <= v_p(Res(F, G)) = R,
+    the weight of p in `_HeightData.bad`.  Step n runs mod p^((terms - n) R
+    + 1), so X and Z keep more than R known digits and m_n is exact; as
+    m_n <= R, dividing by p^(m_n) leaves the next step's modulus known.
     """
-    R = _vp(hd.res1, p)
     mod = p ** (terms * R + 1)
     X, Z = x0.numerator % mod, x0.denominator % mod
     for _ in range(terms):
@@ -588,7 +587,7 @@ def _orbit_valuations(hd, x0, p, terms):
         yield m
 
 
-def _padic_series(hd, x0, p, terms):
+def _padic_series(hd, x0, p, R, terms):
     """Exact truncated local series: returns Fraction coefficient of log p.
 
     The summand -min(v F(x_n), v G(x_n)) + 4 min(0, v x_n) of the affine
@@ -601,7 +600,7 @@ def _padic_series(hd, x0, p, terms):
     """
     den = weight = 4**terms
     num = _vp(x0.denominator, p) * den
-    for m in _orbit_valuations(hd, x0, p, terms):
+    for m in _orbit_valuations(hd, x0, p, R, terms):
         if m == 0:
             break
         weight //= 4
@@ -631,7 +630,7 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
     x0 = point.x
 
     bad_primes = [p for p, _ in hd.bad]
-    n_series = 1 + len([1 for p, vb in hd.bad if vb > 0])
+    n_series = 1 + len(hd.bad)
     tail_each = tol / (4 * n_series)
 
     terms_inf = max(
@@ -641,12 +640,9 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
         total = _arch_series(hd, x0, terms_inf)
         den_good = _strip_primes(x0.denominator, bad_primes)
         total += mpmath.log(den_good)
-        for p, vb in hd.bad:
-            if vb == 0 and x0.denominator % p != 0:
-                continue
-            bound_p = max(vb, 1) * math.log(p)
-            terms_p = max(5, math.ceil(math.log(bound_p / (3 * tail_each)) / math.log(4)))
-            coeff = _padic_series(hd, x0, p, terms_p)
+        for p, R in hd.bad:
+            terms_p = max(5, math.ceil(math.log(R * math.log(p) / (3 * tail_each)) / math.log(4)))
+            coeff = _padic_series(hd, x0, p, R, terms_p)
             total += (mpf(coeff.numerator) / coeff.denominator) * mpmath.log(p)
         return float(total)
 
@@ -787,7 +783,6 @@ def canonical_height_doubling(curve, point, tol=1e-6):
 
 @dataclass(frozen=True)
 class MordellWeilBasis:
-    points: tuple
     gram: tuple  # rows of the pairing matrix
     regulator: float
 
@@ -808,7 +803,7 @@ def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
     for pt in points:
         _require_on_curve(curve, pt)
     if claimed_rank == 0:
-        return MordellWeilBasis((), (), 1.0)
+        return MordellWeilBasis((), 1.0)
     m = len(points)
     heights = [canonical_height(curve, pt, tol) for pt in points]
     gram = [[0.0] * m for _ in range(m)]
@@ -828,7 +823,7 @@ def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
         diag_scale *= max(gram[i][i], 1e-30)
     if det < 1e-8 * diag_scale:
         raise DependentPoints("supplied points are not independent")
-    return MordellWeilBasis(tuple(points), tuple(tuple(row) for row in gram), det)
+    return MordellWeilBasis(tuple(tuple(row) for row in gram), det)
 
 
 # ---------------------------------------------------------------------------

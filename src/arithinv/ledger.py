@@ -91,17 +91,12 @@ class FieldStats:
 @dataclass(frozen=True)
 class CurveStats:
     label: str
-    a_invariants: tuple  # minimal model
-    delta_min: int
     n0: int
-    n_stable: int
-    n_unstable: int
     semistable: bool
     tau_im: float  # Im of the reduced period ratio; rho^(-2)
     h_faltings: float
     rank: int
-    gen_heights: tuple  # polarized heights of the supplied generators
-    gram: tuple  # pairing Gram rows (empty for rank 0)
+    gram: tuple  # pairing Gram rows, generator heights on the diagonal; () for rank 0
     regulator: float
 
 
@@ -246,9 +241,9 @@ def check_rank_bound(cs):
 
 def implied_c4(cs):
     """min over generators of h(P) / max(h+, 1), or None without a generator."""
-    if cs.rank == 0 or not cs.gen_heights:
+    if not cs.gram:
         return None
-    return min(cs.gen_heights) / max(cs.h_faltings, 1.0)
+    return min(row[i] for i, row in enumerate(cs.gram)) / max(cs.h_faltings, 1.0)
 
 
 def report_lang_silverman(cs):

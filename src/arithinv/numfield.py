@@ -26,12 +26,9 @@ from .errors import (
     DependentUnits,
     InvariantError,
     MissingUnits,
-    NotSquarefree,
     WrongUnitCount,
     ZeroElement,
 )
-
-ROOT_TOL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -87,9 +84,9 @@ def number_field(label, poly, disc=None, w=None):
     (the quadratic fields with extra roots of unity) and 2 otherwise.
     Irreducibility is only checked through rational roots (the corpus is
     trusted beyond that): a rational root of a monic integer polynomial is
-    an integer, and each certified real root lies within ROOT_TOL < 1/2 of
-    its approximation, so the nearest integer of each real root is the
-    only candidate.
+    an integer, and each certified real root lies within arith.ROOT_TOL <
+    1/2 of its approximation, so the nearest integer of each real root is
+    the only candidate.
     """
     poly = tuple(arith.poly_normalize(poly))
     d = arith.poly_degree(poly)
@@ -97,7 +94,7 @@ def number_field(label, poly, disc=None, w=None):
         raise InvariantError("defining polynomial must have degree >= 1")
     if poly[-1] != 1:
         raise InvariantError("defining polynomial must be monic")
-    roots = arith.poly_roots(poly, ROOT_TOL)  # raises NotSquarefree
+    roots = arith.poly_roots(poly)  # raises NotSquarefree
     r1 = sum(1 for r in roots if r.imag == 0)
     r2 = (d - r1) // 2
     if d > 1:
@@ -107,10 +104,7 @@ def number_field(label, poly, disc=None, w=None):
             if arith.poly_eval(poly, t) == 0:
                 raise InvariantError("defining polynomial is reducible (root %d)" % t)
 
-    dpoly = poly_discriminant(poly)
-    if dpoly.denominator != 1:
-        raise InvariantError("non-integral polynomial discriminant")
-    dpoly = dpoly.numerator
+    dpoly = int(poly_discriminant(poly))
     if d == 2:
         fundamental = _fundamental_discriminant(dpoly)
         if disc is not None and disc != fundamental:
@@ -142,15 +136,6 @@ def _fundamental_discriminant(dpoly):
         if e % 2 == 1:
             m *= p
     return m if m % 4 == 1 else 4 * m
-
-
-def quadratic_field(m, label=None):
-    """The field of x^2 - m for squarefree m, with standard disc and w."""
-    if m in (0, 1) or not arith.is_squarefree_int(m):
-        raise NotSquarefree("m must be squarefree and not 0 or 1")
-    if label is None:
-        label = "Q_sqrt%d" % m if m > 0 else "Q_sqrt_m%d" % -m
-    return number_field(label, (-m, 0, 1))
 
 
 def unit_rank(field):

@@ -22,13 +22,13 @@ def announce(num, text):
 
 
 def test_criterion_1_regulator_exactness():
-    K2 = numfield.quadratic_field(2)
+    K2 = numfield.number_field("Q_sqrt2", (-2, 0, 1))
     r2 = numfield.field_regulator(numfield.FieldRecord(K2))
     expected2 = float(mpmath.log(1 + mpmath.sqrt(2)))
     assert abs(r2 - expected2) < 1e-9
     assert abs(r2 - 0.8813735870) < 1e-9
 
-    K5 = numfield.quadratic_field(5)
+    K5 = numfield.number_field("Q_sqrt5", (-5, 0, 1))
     r5 = numfield.field_regulator(numfield.FieldRecord(K5))
     expected5 = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
     assert abs(r5 - expected5) < 1e-9

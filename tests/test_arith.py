@@ -77,16 +77,15 @@ def squarefree_polys(draw):
 
 @given(squarefree_polys())
 def test_poly_roots_law(coeffs):
-    tol = 1e-18
     n = len(coeffs) - 1
-    roots = arith.poly_roots(coeffs, tol)
+    roots = arith.poly_roots(coeffs)
     assert len(roots) == n
     n_real = arith._sturm(coeffs)[1]
     assert all(r.imag == 0 for r in roots[:n_real])
     assert all(r.imag != 0 for r in roots[n_real:])
     for w, v in zip(roots[n_real::2], roots[n_real + 1 :: 2]):
         assert w.imag > 0 and (v.real, v.imag) == (w.real, mpmath.fneg(w.imag, exact=True))
-    assert all(r.err <= tol for r in roots)
+    assert all(r.err <= arith.ROOT_TOL for r in roots)
     for r in roots[:n_real]:
         # a real root in [x - err, x + err]: p changes sign there, exactly
         x, err = to_fraction(r.real), Fraction(r.err)
@@ -138,13 +137,13 @@ def test_float_seed_halves_round_magnitude_up():
 
 class TestPolyRoots:
     def test_sqrt2(self):
-        roots = arith.poly_roots([-2, 0, 1], 1e-12)
+        roots = arith.poly_roots([-2, 0, 1])
         vals = sorted(float(r.real) for r in roots)
         assert vals == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-12)
         assert all(r.imag == 0 for r in roots)
 
     def test_i(self):
-        roots = arith.poly_roots([1, 0, 1], 1e-12)
+        roots = arith.poly_roots([1, 0, 1])
         assert len(roots) == 2
         assert all(r.real == 0 or abs(float(r.real)) < 1e-12 for r in roots)
         ims = sorted(float(r.imag) for r in roots)
@@ -155,7 +154,7 @@ class TestPolyRoots:
 
     def test_cubic_against_bisection(self):
         coeffs = [-1, -1, 0, 1]  # x^3 - x - 1
-        roots = arith.poly_roots(coeffs, 1e-12)
+        roots = arith.poly_roots(coeffs)
         reals = [r for r in roots if r.imag == 0]
         assert len(reals) == 1
         oracle = bisect_root(coeffs, 1, 2)
@@ -174,7 +173,7 @@ class TestPolyRoots:
                 if arith.poly_degree(coeffs) == deg and arith._sturm(coeffs)[0]:
                     break
             tol = 1e-10
-            roots = arith.poly_roots(coeffs, tol)
+            roots = arith.poly_roots(coeffs)
             assert len(roots) == deg
             lead = abs(coeffs[-1])
             for r in roots:
@@ -184,10 +183,10 @@ class TestPolyRoots:
 
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefree):
-            arith.poly_roots([2, -3, 0, 1], 1e-9)  # (x-1)^2 (x+2)
+            arith.poly_roots([2, -3, 0, 1])  # (x-1)^2 (x+2)
         for a in (0, 1, -3):  # (x^3 - x - 1)(x - a)^2
             with pytest.raises(NotSquarefree):
-                arith.poly_roots(poly_mul(poly_mul([-1, -1, 0, 1], [-a, 1]), [-a, 1]), 1e-9)
+                arith.poly_roots(poly_mul(poly_mul([-1, -1, 0, 1], [-a, 1]), [-a, 1]))
 
     @pytest.mark.parametrize(
         "a4, a6", [(-100000000, 1), (-3, 1000000000000000007)], ids=["big_a4", "big_c6"]
@@ -195,7 +194,7 @@ class TestPolyRoots:
     def test_two_division_cubic_of_large_curve(self, a4, a6):
         # 4x^3 + b2 x^2 + 2 b4 x + b6 with b2 = 0, b4 = 2 a4, b6 = 4 a6
         cubic = [4 * a6, 4 * a4, 0, 4]
-        roots = arith.poly_roots(cubic, 1e-18)
+        roots = arith.poly_roots(cubic)
         assert len(roots) == 3
         assert sum(1 for r in roots if r.imag == 0) == arith._sturm(cubic)[1]
         assert_encloses_reference(cubic, roots)
@@ -215,7 +214,7 @@ class TestPolyRoots:
     def test_clustered_and_extreme_roots(self, coeffs, expected):
         # near-double roots give seeds that agree to double precision, and a
         # 2000-bit leading coefficient puts both roots at 2^-1000
-        roots = arith.poly_roots(coeffs, 1e-9)
+        roots = arith.poly_roots(coeffs)
         assert len(roots) == len(expected)
         with mpmath.workprec(2100):
             for want in expected:
@@ -226,14 +225,14 @@ class TestPolyRoots:
         rng = random.Random(1)
         cubic = [rng.getrandbits(2000) | 1 for _ in range(3)] + [1]
         with pytest.raises(NoConvergence):
-            arith.poly_roots(cubic, 1e-18)
+            arith.poly_roots(cubic)
 
     def test_two_seeds_on_one_root_do_not_certify(self):
         # both real seeds sit on sqrt(2); each disc alone is a valid certificate
         bits = arith._fixed_point_bits([-2, 0, 1])
         x = math.isqrt(2 << (2 * bits))  # floor(sqrt(2) 2^bits)
         with pytest.raises(NoConvergence, match="overlap"):
-            arith._certify_roots([-2, 0, 1], [(x, 0), (x, 0)], bits, 2, 1e-12)
+            arith._certify_roots([-2, 0, 1], [(x, 0), (x, 0)], bits, 2)
 
     def test_sturm_counts(self):
         # (squarefree, number of distinct real roots)
@@ -341,11 +340,6 @@ class TestFactorize:
         for _ in range(1000):
             n = rng.randint(1, 10**12) * rng.choice([-1, 1])
             assert recompose(arith.factorize(n)) == n
-
-    def test_squarefree_int(self):
-        assert arith.is_squarefree_int(10)
-        assert not arith.is_squarefree_int(12)
-        assert arith.is_squarefree_int(-5)
 
 
 class TestExactLinearAlgebra:

@@ -269,7 +269,7 @@ class TestFractionalGens:
         stats = corpus.curve_stats_one(c, "37a-shift").stats
         assert stats.rank == 1
         # height of 5P: 25 * h(P)
-        assert stats.gen_heights[0] == pytest.approx(25 * 0.0766671123, abs=1e-6)
+        assert stats.gram[0][0] == pytest.approx(25 * 0.0766671123, abs=1e-6)
 
 
 class TestOnePass:
@@ -484,7 +484,7 @@ HELP = {
     "verify": (
         "usage: inv verify [-h] [--corpus CORPUS] [--checks CHECKS]\n"
         "                  [--format {text,csv,json}] [--out OUT] [--tol TOL]\n"
-        "                  [--northcott-bound NORTHCOTT_BOUND] [--precision PRECISION]\n\n"
+        "                  [--northcott-bound NORTHCOTT_BOUND]\n\n"
         "options:\n"
         "  -h, --help            show this help message and exit\n"
         "  --corpus CORPUS\n"
@@ -494,7 +494,6 @@ HELP = {
         "  --tol TOL\n"
         "  --northcott-bound NORTHCOTT_BOUND\n"
         "                        bound for the scans\n"
-        "  --precision PRECISION\n"
     ),
     "family": (
         "usage: inv family [-h] --pmax PMAX {ep}\n\n"
@@ -546,7 +545,10 @@ class TestSurface:
         assert re.search(r"^inv( \w+)?: error: ", err, re.M), err
 
     def test_precision_after_verify(self, capsys):
-        assert cli.parse_args(["verify", "--precision", "90"]).precision == 90
+        # --precision goes before the command, for every command alike
+        code, out, err = self._exit(["verify", "--precision", "90"], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --precision 90" in err
         assert cli.parse_args(["--precision", "90", "verify"]).precision == 90
         assert cli.parse_args(["curve", "37a"]).precision is None
 
@@ -559,6 +561,28 @@ class TestSurface:
         )
         golden = json.loads((Path(__file__).parent / "data" / "golden_queries.json").read_text())
         assert (out.returncode, out.stdout, out.stderr) == (0, golden["curve"]["37a"], "")
+
+
+class TestVerifyBounds:
+    @pytest.fixture
+    def ep_corpus(self, tmp_path, capsys):
+        # a rank-0 corpus: no height is computed, so --tol is never used
+        assert cli.main(["family", "ep", "--pmax", "100"]) == 0
+        path = tmp_path / "ep.txt"
+        path.write_text(capsys.readouterr().out)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1")]
+        + [("--northcott-bound", "nan"), ("--northcott-bound", "inf")],
+    )
+    @pytest.mark.parametrize("rank_zero", [False, True], ids=["bundled", "ep"])
+    def test_non_finite_or_non_positive_exit_2(self, option, value, rank_zero, ep_corpus, capsys):
+        argv = ["verify", option, value] + (["--corpus", ep_corpus] if rank_zero else [])
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: %s must be " % option), err
 
 
 class TestUnknownCheckToken:

@@ -189,6 +189,31 @@ class TestTorsion:
         p = ec.Point.of(x, y)
         assert ec.is_torsion(curve, p) == mazur_reference(curve, p)
 
+    @settings(max_examples=80)
+    @given(
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.sampled_from((1, 2, 3, 6)),
+    )
+    def test_resultants_and_torsion_of_scaled_models(self, a, x, y, u):
+        # the height weights rest on Res(F, G) = +-delta^2, with the
+        # reversed pair's resultant dividing it; is_torsion maps the model
+        # scaled by u (non-integral for u > 1) back to its integral model
+        a1, a2, a3, a4 = a
+        a6 = y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x
+        try:
+            curve = ec.weierstrass_curve(a1, a2, a3, a4, a6)
+        except SingularCurve:
+            assume(False)
+        F, G = ec._duplication_polys(curve)
+        square = int(curve.delta) ** 2
+        assert abs(arith.bezout_cofactors(F, G)[2]) == square
+        assert square % arith.bezout_cofactors(F[::-1], G[::-1])[2] == 0
+        scaled = ec.transform_curve(curve, u, 0, 0, 0)
+        p = ec.transform_point(ec.Point.of(x, y), u, 0, 0, 0)
+        assert ec.is_torsion(scaled, p) == mazur_reference(scaled, p)
+
     def test_doubling_rejects_without_addition(self, monkeypatch):
         # 4x(5 P) = 1 on 37a, but 4x(10 P) = 161/4: the forms decide
         q = ec.scalar_mul(E37, 5, P37)
@@ -197,7 +222,8 @@ class TestTorsion:
         assert not ec.is_torsion(E37, q)
 
     def test_nonintegral_model_keeps_the_full_loop(self):
-        # u = 4 turns (-1, 0) into (-1/16, 0), where 4x is not integral
+        # u = 4 turns (-1, 0) into (-1/16, 0), where 4x is not integral;
+        # on the integral model it is (-1, 0) again
         for u in (2, 4):
             curve = ec.transform_curve(EJ0, u, 0, 0, 0)
             assert not curve.is_integral
@@ -701,6 +727,11 @@ SERIES_POINTS = (
 )
 
 
+def res_weight(curve, p):
+    """v_p(Res(F, G)) = 2 v_p(delta), the R of the p-adic series."""
+    return 2 * ec._vp(int(curve.delta), p)
+
+
 class TestPadicSeries:
     def test_heights_are_pinned_to_the_bit(self):
         # float.hex values of the earlier PAdic-class implementation
@@ -712,8 +743,9 @@ class TestPadicSeries:
     def test_coefficients_are_pinned(self):
         rows = load_height_pins()["series"]
         for row in rows:
-            hd = ec._height_data(ec.weierstrass_curve(*[Fraction(a) for a in row["curve"]]))
-            got = ec._padic_series(hd, Fraction(row["x"]), row["p"], row["terms"])
+            curve = ec.weierstrass_curve(*[Fraction(a) for a in row["curve"]])
+            hd, R = ec._height_data(curve), res_weight(curve, row["p"])
+            got = ec._padic_series(hd, Fraction(row["x"]), row["p"], R, row["terms"])
             assert got == Fraction(row["coeff"]), row
         # 38 P on 37a: the bad prime divides the denominator
         assert any(r["p"] == 37 and Fraction(r["x"]).denominator % 37 == 0 for r in rows)
@@ -726,18 +758,18 @@ class TestPadicSeries:
         curve, (x, y) = SERIES_POINTS[which]
         point = ec.scalar_mul(curve, k, ec.Point.of(x, y))
         hd = ec._height_data(curve)
-        # Res(F, G) = +-Delta^2, so v_p(Res) = 2 v_p(Delta)
         for p in {2, 3, 5} | {p for p, _ in hd.bad}:
-            bound = 2 * ec._vp(int(curve.delta), p)
-            assert all(m <= bound for m in ec._orbit_valuations(hd, point.x, p, 18)), p
+            R = res_weight(curve, p)
+            assert all(m <= R for m in ec._orbit_valuations(hd, point.x, p, R, 18)), p
 
 
     def test_pins_cover_every_stopping_step(self):
         # the pinned orbits enter E_0 at step 0, at step 1, or never
         first_zero = set()
         for row in load_height_pins()["series"]:
-            hd = ec._height_data(ec.weierstrass_curve(*[Fraction(a) for a in row["curve"]]))
-            ms = list(ec._orbit_valuations(hd, Fraction(row["x"]), row["p"], row["terms"]))
+            curve = ec.weierstrass_curve(*[Fraction(a) for a in row["curve"]])
+            hd, R = ec._height_data(curve), res_weight(curve, row["p"])
+            ms = list(ec._orbit_valuations(hd, Fraction(row["x"]), row["p"], R, row["terms"]))
             first_zero.add(ms.index(0) if 0 in ms else None)
         assert {0, 1, None} <= first_zero
 
@@ -763,12 +795,12 @@ class TestPadicSeries:
         point = ec.scalar_mul(curve, k, ec.transform_point(ec.Point.of(x, y), v, 0, 0, 0))
         assume(not point.is_infinity)
         hd = ec._height_data(curve)
-        for p, _ in hd.bad:
-            ms = list(ec._orbit_valuations(hd, point.x, p, 18))
+        for p, R in hd.bad:
+            ms = list(ec._orbit_valuations(hd, point.x, p, R, 18))
             first = ms.index(0) if 0 in ms else len(ms)
             assert not any(ms[first:]), (p, ms)
             full = ec._vp(point.x.denominator, p) - sum(Fraction(m, 4 ** (n + 1)) for n, m in enumerate(ms))
-            assert ec._padic_series(hd, point.x, p, 18) == full, p
+            assert ec._padic_series(hd, point.x, p, R, 18) == full, p
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_common_roots_are_singular_x(self, p):

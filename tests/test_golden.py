@@ -1,7 +1,9 @@
 """The report pinned: `inv verify --format json`, `inv field L` and
 `inv curve L` on the bundled corpus must reproduce the golden files in
-tests/data/.  JSON rows compare at the report's printed precision
-(%.12g); every other output compares byte for byte.
+tests/data/, and `inv verify` over every object the benchmark can sample
+the row digests of bench/data/reference.json.  JSON rows compare at the
+report's printed precision (%.12g); every other output compares byte for
+byte.
 
 The golden files were written by the code before the one-pass pipeline
 refactor.  To rewrite them from the source on the path (only when a
@@ -20,6 +22,7 @@ import pytest
 from arithinv import cli, corpus, prec
 
 DATA = Path(__file__).resolve().parent / "data"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 VERIFY = DATA / "golden_verify.json"
 QUERIES = DATA / "golden_queries.json"
 
@@ -76,6 +79,16 @@ def test_verify_json_matches_golden_at_other_precisions(bits):
 
 def test_queries_match_golden():
     assert _queries() == json.loads(QUERIES.read_text(encoding="utf-8"))
+
+
+def test_benchmark_reference_matches(monkeypatch):
+    # the benchmark samples from 2015 objects, the golden files hold only
+    # the bundled corpus: every row digest of bench/data/reference.json
+    monkeypatch.syspath_prepend(str(BENCH))
+    import make_reference
+
+    want = json.loads((BENCH / "data" / "reference.json").read_text(encoding="utf-8"))
+    assert make_reference.reference() == want
 
 
 if __name__ == "__main__":
