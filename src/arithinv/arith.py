@@ -2,12 +2,14 @@
 
 Integer polynomials are plain coefficient sequences, constant term
 first, e.g. ``[-2, 0, 1]`` is x^2 - 2.  Exact work runs on ints: the
-Sturm chain is a primitive pseudo-remainder sequence, and the linear
-algebra is one Bareiss fraction-free elimination (determinants, Bezout
-cofactors by Cramer's rule and LDL^T pivots), with no resultant: norms
-and discriminants are determinants of multiplication matrices in
-:mod:`arithinv.numfield`.  ``fractions.Fraction`` carries exact inputs
-and results and the Faddeev-LeVerrier characteristic polynomial.
+Sturm chain is a primitive pseudo-remainder sequence, the linear algebra
+is one Bareiss fraction-free elimination (determinants, LDL^T pivots,
+and Bezout cofactors from one elimination of an augmented system and an
+exact back-substitution), and the characteristic polynomial is
+Faddeev-LeVerrier on the integer multiple of a rational matrix, with no
+resultant: norms and discriminants are determinants of multiplication
+matrices in :mod:`arithinv.numfield`.  ``fractions.Fraction`` carries
+only exact inputs and results.
 Approximate work runs on fixed-point integers where it loops (root
 polishing here, the q-series and the AGM in :mod:`arithinv.analytic`),
 with precisions derived from :mod:`arithinv.prec`; mpmath values and the
@@ -516,23 +518,29 @@ def pell_fundamental_solution(D):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fractions
+# exact linear algebra on integers
+
+
+def _integer_rows(rows):
+    """(d, d * rows), d the least common denominator of the entries: ints,
+    Fractions or floats, each exactly as stored (floats are dyadic)."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    d = math.lcm(*(den for row in ratios for _, den in row))
+    return d, [[num * (d // den) for num, den in row] for row in ratios]
 
 
 def _bareiss(rows, exchange):
-    """Leading principal minors of d * rows, for the least integer d that
-    makes every entry an integer, by fraction-free (Bareiss) elimination.
+    """Leading principal minors of d * rows (`_integer_rows`) by Bareiss
+    elimination, which carries an augmented column n + 1 along.
 
-    Entries may be ints, Fractions or floats, each taken exactly as stored
-    (a float is a dyadic rational, so d is a power of 2 for them).  Returns
-    (d, sign, minors).  With exchange, a zero pivot is swapped for a later
-    row, sign records the swaps, and the minors are those of the permuted
-    matrix; without, or when no row is left to swap in, elimination stops
-    at the zero pivot, which ends the list.
+    Returns (d, sign, minors, a); from column k on, row k of a is the
+    triangular system's k-th row, with pivot minors[k].  With exchange, a
+    zero pivot is swapped for a later row, sign records the swaps, and the
+    minors are those of the permuted matrix; without, or when no row is
+    left to swap in, elimination stops at the zero pivot, which ends the
+    list.
     """
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    d = math.lcm(*(den for row in ratios for _, den in row))
-    a = [[num * (d // den) for num, den in row] for row in ratios]
+    d, a = _integer_rows(rows)
     n = len(a)
     sign, prev, minors = 1, 1, []
     for k in range(n):
@@ -546,16 +554,16 @@ def _bareiss(rows, exchange):
         pivot, row_k = a[k][k], a[k]
         for row in a[k + 1 :]:
             lead = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(row)):
                 row[j] = (row[j] * pivot - lead * row_k[j]) // prev
         prev = pivot
         minors.append(pivot)
-    return d, sign, minors
+    return d, sign, minors, a
 
 
 def frac_det(rows):
     """Exact determinant, by Bareiss elimination with row exchanges."""
-    d, sign, minors = _bareiss(rows, exchange=True)
+    d, sign, minors, _ = _bareiss(rows, exchange=True)
     return Fraction(sign * minors[-1], d ** len(minors)) if minors else Fraction(1)
 
 
@@ -569,30 +577,29 @@ def ldl_pivots(rows):
     k-th and (k-1)-th leading principal minors.  The list ends early at a
     zero pivot, where no LDL^T factorization exists.
     """
-    d, _, minors = _bareiss(rows, exchange=False)
+    d, _, minors, _ = _bareiss(rows, exchange=False)
     return [Fraction(b, a * d) for a, b in zip([1] + minors, minors)]
 
 
 def charpoly(rows):
-    """Characteristic polynomial of a square Fraction matrix (Faddeev-LeVerrier).
+    """Characteristic polynomial of a square rational matrix M, constant
+    first and monic: [c_0, ..., c_{d-1}, 1].
 
-    Returned constant-first and monic: [c_0, ..., c_{d-1}, 1].
+    Faddeev-LeVerrier (Cohen, GTM 138, Sec. 2.2) on N = D M, D from
+    `_integer_rows`: the integer e_(d-k) of charpoly(N) is -tr(N A_(k-1))/k,
+    an exact division, with A_0 = I and A_k = N A_(k-1) + e_(d-k) I.
+    charpoly(M)(x) = D^-d charpoly(N)(D x), so c_i = e_i / D^(d-i).
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    d = len(m)
-    coeffs = [Fraction(0)] * d + [Fraction(1)]
-    aux = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+    D, n = _integer_rows(rows)
+    d = len(n)
+    e = [0] * d + [1]
+    aux = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
-        prod = [
-            [sum(m[i][t] * aux[t][j] for t in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        ck = -sum(prod[i][i] for i in range(d)) / k
-        coeffs[d - k] = ck
-        aux = [
-            [prod[i][j] + (ck if i == j else 0) for j in range(d)] for i in range(d)
-        ]
-    return coeffs
+        aux = [[sum(x * aux[t][j] for t, x in enumerate(row)) for j in range(d)] for row in n]
+        e[d - k] = -sum(aux[i][i] for i in range(d)) // k
+        for i in range(d):
+            aux[i][i] += e[d - k]
+    return [Fraction(c, D ** (d - i)) for i, c in enumerate(e)]
 
 
 def bezout_cofactors(f, g):
@@ -600,10 +607,11 @@ def bezout_cofactors(f, g):
 
     f and g must be coprime.  The coefficients of A*f + B*g in x^0, x^1,
     ... are a square linear system M in the unknowns A_0..A_{m-1},
-    B_0..B_{n-1}, whose determinant is +-Res(f, g); by Cramer's rule the
-    solution of M x = det(M) e_0 is x_i = det M_i, M_i being M with column
-    i replaced by e_0, so every cofactor is an integer.  deg A < deg g and
-    deg B < deg f; used for uniform lower bounds on max(|f(x)|, |g(x)|).
+    B_0..B_{n-1}, whose determinant r is +-Res(f, g).  The solution of
+    M x = r e_0 is integral (by Cramer's rule, x_i is a minor of M): one
+    Bareiss elimination of [M | e_0] gives r and a triangular system whose
+    back-substitution divides exactly.  deg A < deg g and deg B < deg f;
+    used for uniform lower bounds on max(|f(x)|, |g(x)|).
     """
     f = poly_normalize(f)
     g = poly_normalize(g)
@@ -612,13 +620,14 @@ def bezout_cofactors(f, g):
     rows = [
         [f[t - i] if 0 <= t - i <= n else 0 for i in range(m)]
         + [g[t - j] if 0 <= t - j <= m else 0 for j in range(n)]
+        + [int(t == 0)]
         for t in range(size)
     ]
-    res = int(frac_det(rows))
+    _, sign, minors, a = _bareiss(rows, exchange=True)
+    res = sign * minors[-1]
     if res == 0:
         raise ValueError("polynomials share a root")
-    sol = [
-        int(frac_det([row[:i] + [int(t == 0)] + row[i + 1 :] for t, row in enumerate(rows)]))
-        for i in range(size)
-    ]
+    sol = [0] * size
+    for k in reversed(range(size)):
+        sol[k] = (res * a[k][size] - sum(a[k][j] * sol[j] for j in range(k + 1, size))) // a[k][k]
     return sol[:m], sol[m:], res

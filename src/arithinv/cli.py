@@ -168,8 +168,8 @@ def cmd_curve(args):
 def cmd_verify(args):
     if not 0 < args.tol < math.inf:  # also rejects nan
         raise InvariantError("--tol must be positive and finite")
-    if not math.isfinite(args.northcott_bound):
-        raise InvariantError("--northcott-bound must be finite")
+    if not 0 < args.northcott_bound < math.inf:  # every regulator is positive
+        raise InvariantError("--northcott-bound must be positive and finite")
     corp = corpus.load_corpus(args.corpus)
     fields = corpus.field_stats(corp)
     curves = corpus.curve_stats(corp, tol=args.tol)

@@ -25,7 +25,6 @@ Format (UTF-8, ``#`` comments, records separated by blank lines)::
 from __future__ import annotations
 
 import importlib.resources
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -142,25 +141,21 @@ def parse_corpus(text):
     return Corpus(tuple(records), labels["field"], labels["curve"])
 
 
-def _read_block(lines, joined, kind, label):
+def _read_block(lines, kind, label):
     """The record of the `kind label` block, or None if no block has that
     header; no other block is parsed.
 
     A block starts at the first line or after a blank or comment-only
     line, where the full parse expects a header; a `kind label` line
-    anywhere else is inside another block.  joined is "\\n".join(lines).
+    anywhere else is inside another block.  The lines holding label are
+    a superset of the headers, and only they are split.
     """
-    header = re.compile(r"%s[^\S\n]+%s(?=[^\S\n]*(?:#|$))" % (kind, re.escape(label)), re.M)
-    candidates = []  # lines where the header pattern matches, a superset of the headers
-    line = pos = 0
-    for match in header.finditer(joined):
-        line += joined.count("\n", pos, match.start())
-        pos = match.start()
-        candidates.append(line)
     starts = [
         i
-        for i in dict.fromkeys(candidates)
-        if (i == 0 or not _content(lines[i - 1])) and _content(lines[i]).split() == [kind, label]
+        for i, line in enumerate(lines)
+        if label in line
+        and (i == 0 or not _content(lines[i - 1]))
+        and _content(line).split() == [kind, label]
     ]
     if not starts:
         return None
@@ -180,14 +175,13 @@ def read_records(text, kind, label):
     UnknownLabel.
     """
     lines = text.splitlines()
-    joined = "\n".join(lines)
     found = {"field": {}, "curve": {}}
-    rec = _read_block(lines, joined, kind, label)
+    rec = _read_block(lines, kind, label)
     if rec is not None:
         found[kind][label] = rec
         sub = rec.get("subfield")
         if sub is not None and sub not in found["field"]:
-            subrec = _read_block(lines, joined, "field", sub)
+            subrec = _read_block(lines, "field", sub)
             if subrec is None:
                 raise _dangling(rec)
             found["field"][sub] = subrec

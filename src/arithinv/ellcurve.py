@@ -83,7 +83,13 @@ def weierstrass_curve(a1, a2, a3, a4, a6):
     invariant of weight w is formed on integers and divided by d^w once.
     """
     a_invs = tuple(Fraction(a) for a in (a1, a2, a3, a4, a6))
-    d, (a1, a2, a3, a4, a6) = _integral_model(a_invs)
+    d, a = _integral_model(a_invs)
+    weighted = zip(_integer_invariants(*a), (2, 4, 6, 8, 4, 6, 12))
+    return WeierstrassCurve(*a_invs, *(Fraction(v, d**w) for v, w in weighted))
+
+
+def _integer_invariants(a1, a2, a3, a4, a6):
+    """(b2, b4, b6, b8, c4, c6, delta) of an integral model, on integers."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -95,11 +101,7 @@ def weierstrass_curve(a1, a2, a3, a4, a6):
         raise SingularCurve("discriminant vanishes")
     assert 4 * b8 == b2 * b6 - b4 * b4
     assert c4**3 - c6**2 == 1728 * delta
-    return WeierstrassCurve(
-        *a_invs,
-        *(Fraction(v, d**w) for v, w in ((b2, 2), (b4, 4), (b6, 6), (b8, 8), (c4, 4), (c6, 6))),
-        Fraction(delta, d**12),
-    )
+    return b2, b4, b6, b8, c4, c6, delta
 
 
 def _integral_model(a_invs):
@@ -286,22 +288,24 @@ def is_torsion(curve, point):
 # model changes and minimalization
 
 
-def _transformed_a_invariants(curve, u, r, s, t):
-    # a1..a6 after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t
-    u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-    a1, a2, a3, a4, a6 = curve.a_invariants
+def _moved_a_invariants(a, r, s, t):
+    # u^i a_i' after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t: the a_i'
+    # for u = 1, exact on ints and Fractions alike
+    a1, a2, a3, a4, a6 = a
     return (
-        (a1 + 2 * s) / u,
-        (a2 - s * a1 + 3 * r - s * s) / u**2,
-        (a3 + r * a1 + 2 * t) / u**3,
-        (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
-        (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
     )
 
 
 def transform_curve(curve, u, r, s, t):
     """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
-    return weierstrass_curve(*_transformed_a_invariants(curve, u, r, s, t))
+    u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
+    moved = _moved_a_invariants(curve.a_invariants, r, s, t)
+    return weierstrass_curve(*(v / u**w for v, w in zip(moved, (1, 2, 3, 4, 6))))
 
 
 def transform_point(point, u, r, s, t):
@@ -371,33 +375,25 @@ def _vp(n, p):
 def minimal_model(curve):
     """Global minimal model over Q with the change of coordinates.
 
-    The integral model x = x'/den^2, y = y'/den^3 (den the lcm of the
-    a_i's denominators) has the integer invariants c4 den^4, c6 den^6 and
-    delta den^12, read off the input's.  From them it removes 12th powers
-    prime by prime subject to the 2- and 3-adic admissibility of the
-    reduced (c4, c6), rebuilds a model, and solves for the (u, r, s, t)
-    relating input and output, checked exactly on the five transformed
-    a-invariants; delta_in = u^12 delta_out.  The one factorization of the
-    integral model's delta = U^12 delta_min, U = prod p^d_p, gives
-    delta_min's exactly: the exponent of p is e_p - 12 d_p, and primes
-    with exponent 0 drop.
+    Works on the integral model a_i den^i of `_integral_model` (x =
+    x'/den^2, y = y'/den^3) and its integer c4, c6 and delta.  From them
+    it removes 12th powers prime by prime subject to the 2- and 3-adic
+    admissibility of the reduced (c4, c6) and rebuilds a model m.  The
+    change (U, R, S, T) from an integral model to a minimal one is
+    integral (Silverman, AEC VII.1.3), so S, R and T come from a1, a2, a3
+    by exact division, and all five moved a-invariants must be U^i m_i;
+    the input's change is (U/den, R/den^2, S/den, T/den^3).  The one
+    factorization of the integral model's delta = U^12 delta_min, U =
+    prod p^d_p, gives delta_min's exactly: the exponent of p is e_p -
+    12 d_p, and primes with exponent 0 drop.
     """
-    den = math.lcm(*(a.denominator for a in curve.a_invariants))
-    c4, c6, delta = int(curve.c4 * den**4), int(curve.c6 * den**6), int(curve.delta * den**12)
+    den, a = _integral_model(curve.a_invariants)
+    _, _, _, _, c4, c6, delta = _integer_invariants(*a)
 
     factored = arith.factorize(delta)
-    exps = {}
+    exps = {}  # the largest d_p with p^(12 d_p) | delta, p^(4 d_p) | c4 and p^(6 d_p) | c6
     for p, e in factored.factors:
-        if e < 12:
-            continue
-        cands = [e // 12]
-        v = _vp(c4, p)
-        if v is not None:
-            cands.append(v // 4)
-        v = _vp(c6, p)
-        if v is not None:
-            cands.append(v // 6)
-        d = min(cands)
+        d = min([e // 12] + [_vp(c, p) // w for c, w in ((c4, 4), (c6, 6)) if c])
         if d > 0:
             exps[p] = d
     if 3 in exps:  # 3-adic condition: v3(c6') must not be exactly 2
@@ -405,23 +401,19 @@ def minimal_model(curve):
         if v is not None and v - 6 * exps[3] == 2:
             exps[3] -= 1
     while True:
-        u = 1
-        for p, d in exps.items():
-            u *= p**d
+        u = math.prod(p**d for p, d in exps.items())
         c4m, c6m = c4 // u**4, c6 // u**6
         if _kraus_ok_at_2(c4m, c6m):
             break
         exps[2] = exps.get(2, 0) - 1  # one step always repairs the 2-adic condition
-    exps = {p: d for p, d in exps.items() if d > 0}
 
-    minimal = weierstrass_curve(*_model_from_c_invariants(c4m, c6m))
-    u_net = Fraction(u, den)
-    s = (u_net * minimal.a1 - curve.a1) / 2
-    r = (u_net**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s) / 3
-    t = (u_net**3 * minimal.a3 - curve.a3 - r * curve.a1) / 2
-    if _transformed_a_invariants(curve, u_net, r, s, t) != minimal.a_invariants:
+    m = _model_from_c_invariants(c4m, c6m)
+    s, rem_s = divmod(u * m[0] - a[0], 2)
+    r, rem_r = divmod(u * u * m[1] - a[1] + s * a[0] + s * s, 3)
+    t, rem_t = divmod(u**3 * m[2] - a[2] - r * a[0], 2)
+    scaled = tuple(mi * u**w for mi, w in zip(m, (1, 2, 3, 4, 6)))
+    if rem_s or rem_r or rem_t or _moved_a_invariants(a, r, s, t) != scaled:
         raise InvariantError("minimal model transformation failed to verify")
-    assert curve.delta == u_net**12 * minimal.delta
     delta_min = arith.Factorization(
         factored.sign,
         tuple(
@@ -430,7 +422,8 @@ def minimal_model(curve):
             if e > 12 * exps.get(p, 0)
         ),
     )
-    return MinimalModel(minimal, u_net, r, s, t, delta_min)
+    change = (Fraction(u, den), Fraction(r, den**2), Fraction(s, den), Fraction(t, den**3))
+    return MinimalModel(weierstrass_curve(*m), *change, delta_min)
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,13 @@ class NumberField:
 
 def _poly_mult_matrix(poly, c):
     """Matrix of multiplication by sum c_i theta^i on the power basis of
-    Q[x]/(poly), poly monic of degree d = len(c) (column-wise action)."""
-    d = len(c)
-    cols = []
-    cur = [Fraction(x) for x in c]
-    base = [Fraction(x) for x in poly[:-1]]  # theta^d = -base
-    for _ in range(d):
-        cols.append(cur)
-        nxt = [Fraction(0)] + cur[:-1]
-        top = cur[-1]
-        cur = [nxt[i] - top * base[i] for i in range(d)]
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    Q[x]/(poly), poly monic of degree d = len(c) (column-wise action).
+    Integer c gives an integer matrix."""
+    cols = [list(c)]
+    for _ in range(len(c) - 1):  # theta times the last column, theta^d = -sum poly_i theta^i
+        cur = cols[-1]
+        cols.append([x - cur[-1] * b for x, b in zip([0] + cur[:-1], poly)])
+    return [list(row) for row in zip(*cols)]
 
 
 def poly_discriminant(poly):

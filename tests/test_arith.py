@@ -5,11 +5,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arithinv import arith, ellcurve
-from arithinv.errors import InvariantError, NoConvergence, NotADiscriminant, NotSquarefree
+from arithinv.errors import (
+    InvariantError,
+    NoConvergence,
+    NotADiscriminant,
+    NotSquarefree,
+    SingularCurve,
+)
 
 
 def bisect_root(coeffs, lo, hi, iters=80):
@@ -48,6 +54,41 @@ def assert_bezout_identity(f, g, a, b, r):
         for k, c in enumerate(poly_mul(u, v)):
             total[k] += c
     assert arith.poly_normalize(total) == [r]
+
+
+def cramer_bezout_cofactors(f, g):
+    # reference: the Sylvester-type system M x = det(M) e_0 of
+    # arith.bezout_cofactors solved by Cramer's rule, one determinant per
+    # cofactor, x_i = det M_i with column i of M replaced by e_0
+    f, g = arith.poly_normalize(f), arith.poly_normalize(g)
+    n, m = arith.poly_degree(f), arith.poly_degree(g)
+    rows = [
+        [f[t - i] if 0 <= t - i <= n else 0 for i in range(m)]
+        + [g[t - j] if 0 <= t - j <= m else 0 for j in range(n)]
+        for t in range(n + m)
+    ]
+    res = int(arith.frac_det(rows))
+    if res == 0:
+        raise ValueError("polynomials share a root")
+    sol = [
+        int(arith.frac_det([row[:i] + [int(t == 0)] + row[i + 1 :] for t, row in enumerate(rows)]))
+        for i in range(n + m)
+    ]
+    return sol[:m], sol[m:], res
+
+
+def fraction_charpoly(rows):
+    # reference: Faddeev-LeVerrier over Fractions, constant-first and monic
+    m = [[Fraction(x) for x in row] for row in rows]
+    d = len(m)
+    coeffs = [Fraction(0)] * d + [Fraction(1)]
+    aux = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        prod = [[sum(m[i][t] * aux[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
+        ck = -sum(prod[i][i] for i in range(d)) / k
+        coeffs[d - k] = ck
+        aux = [[prod[i][j] + (ck if i == j else 0) for j in range(d)] for i in range(d)]
+    return coeffs
 
 
 def assert_encloses_reference(coeffs, roots):
@@ -404,6 +445,39 @@ class TestExactLinearAlgebra:
         assert abs(r) == int(curve.delta) ** 2
         assert len(a) <= 3 and len(b) <= 4
         assert_bezout_identity(f, g, a, b, r)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5))
+    def test_bezout_matches_cramer(self, a_invs):
+        # one elimination and a back-substitution give Cramer's cofactors,
+        # for the duplication pair of a random curve in both orders and for
+        # the reversed pair t^4 (F, G)(1/t)
+        try:
+            curve = ellcurve.weierstrass_curve(*a_invs)
+        except SingularCurve:
+            assume(False)
+        f, g = ellcurve._duplication_polys(curve)
+        for pair in ((f, g), (g, f), (f[::-1], g[::-1]), (g[::-1], f[::-1])):
+            assert arith.bezout_cofactors(*pair) == cramer_bezout_cofactors(*pair)
+
+    def test_bezout_of_polynomials_sharing_a_root(self):
+        with pytest.raises(ValueError, match="share a root"):
+            arith.bezout_cofactors([-1, 0, 1], [1, 1])  # x^2 - 1 and x + 1
+
+    @settings(max_examples=50)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.lists(
+                st.lists(st.fractions(-50, 50, max_denominator=12), min_size=d, max_size=d),
+                min_size=d,
+                max_size=d,
+            )
+        )
+    )
+    def test_charpoly_matches_fraction_faddeev_leverrier(self, rows):
+        cp = arith.charpoly(rows)
+        assert cp == fraction_charpoly(rows)
+        assert all(type(c) is Fraction for c in cp)
 
 
 class TestFactorBudget:

@@ -575,7 +575,7 @@ class TestVerifyBounds:
     @pytest.mark.parametrize(
         "option, value",
         [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1")]
-        + [("--northcott-bound", "nan"), ("--northcott-bound", "inf")],
+        + [("--northcott-bound", v) for v in ("nan", "inf", "0", "-1")],
     )
     @pytest.mark.parametrize("rank_zero", [False, True], ids=["bundled", "ep"])
     def test_non_finite_or_non_positive_exit_2(self, option, value, rank_zero, ep_corpus, capsys):

@@ -404,6 +404,51 @@ def test_minimal_model_law(which, u, r, s, t):
     assert mm.to_minimal(ec.transform_point(point, u, r, s, t)) == mm_base.to_minimal(point)
 
 
+def fraction_minimal_model(curve):
+    # reference: the minimal model with (u, r, s, t) solved over Fractions
+    # from the input's a1, a2, a3, checked on all five a-invariants
+    den = math.lcm(*(a.denominator for a in curve.a_invariants))
+    c4, c6, delta = int(curve.c4 * den**4), int(curve.c6 * den**6), int(curve.delta * den**12)
+    factored = arith.factorize(delta)
+    exps = {}
+    for p, e in factored.factors:
+        cands = [e // 12] + [v // w for v, w in ((ec._vp(c4, p), 4), (ec._vp(c6, p), 6)) if v is not None]
+        if min(cands) > 0:
+            exps[p] = min(cands)
+    if 3 in exps and ec._vp(c6, 3) is not None and ec._vp(c6, 3) - 6 * exps[3] == 2:
+        exps[3] -= 1
+    while True:
+        u = math.prod(p**d for p, d in exps.items())
+        c4m, c6m = c4 // u**4, c6 // u**6
+        if ec._kraus_ok_at_2(c4m, c6m):
+            break
+        exps[2] = exps.get(2, 0) - 1
+    minimal = ec.weierstrass_curve(*ec._model_from_c_invariants(c4m, c6m))
+    u = Fraction(u, den)
+    s = (u * minimal.a1 - curve.a1) / 2
+    r = (u**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s) / 3
+    t = (u**3 * minimal.a3 - curve.a3 - r * curve.a1) / 2
+    assert ec.transform_curve(curve, u, r, s, t).a_invariants == minimal.a_invariants
+    factors = tuple((p, e - 12 * exps.get(p, 0)) for p, e in factored.factors if e > 12 * exps.get(p, 0))
+    return minimal, u, r, s, t, arith.Factorization(factored.sign, factors)
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(0, len(MINIMAL_BASES) - 1),
+    st.sampled_from([Fraction(1, k) for k in range(1, 7)] + list(range(2, 7))),
+    st.fractions(-6, 6, max_denominator=3),
+    st.fractions(-6, 6, max_denominator=3),
+    st.fractions(-6, 6, max_denominator=3),
+)
+def test_minimal_model_matches_the_fraction_reference(which, u, r, s, t):
+    # the integer solve returns the change and the delta_min factorization
+    # of the Fraction one, on integral and non-integral models alike
+    curve = ec.transform_curve(MINIMAL_BASES[which][0], u, r, s, t)
+    mm = ec.minimal_model(curve)
+    assert (mm.curve, mm.u, mm.r, mm.s, mm.t, mm.delta_factors) == fraction_minimal_model(curve)
+
+
 class TestReductionData:
     def test_37a(self):
         rd = ec.reduction_data(ec.minimal_model(E37))
