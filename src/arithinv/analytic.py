@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -30,8 +30,7 @@ SQRT3_HALF = math.sqrt(3) / 2
 BOUNDARY_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ReducedTau:
+class ReducedTau(NamedTuple):
     value: mpc
     transform: tuple  # ((a, b), (c, d)) with det 1, value = (a*orig + b)/(c*orig + d)
 
@@ -206,8 +205,7 @@ def _agm(a, b):
     raise AgmNoConvergence("AGM did not converge")
 
 
-@dataclass(frozen=True)
-class PeriodData:
+class PeriodData(NamedTuple):
     omega1: mpf  # real period
     omega2: mpc  # second basis period, Im(omega2/omega1) > 0
     tau: ReducedTau

@@ -21,8 +21,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -135,8 +135,7 @@ def from_fixed_pair(x, y, bits):
 ROOT_TOL = 1e-18  # the largest error radius poly_roots returns
 
 
-@dataclass(frozen=True)
-class ComplexApprox:
+class ComplexApprox(NamedTuple):
     """A complex value with an absolute error radius covering both parts."""
 
     real: mpf
@@ -375,9 +374,18 @@ def _certify_roots(coeffs, pts, bits, n_real):
 # primes and factorization
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_TRIAL_PRIMES = tuple(
-    p for p in range(2, 2**10) if all(p % q for q in range(2, math.isqrt(p) + 1))
-)
+
+
+def _primes_below(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(itertools.compress(range(n), sieve))
+
+
+_TRIAL_PRIMES = _primes_below(2**10)
 
 
 def is_prime(n):
@@ -444,8 +452,7 @@ def _brent_rho(n, budget):
 RHO_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     sign: int
     factors: tuple  # ((prime, exponent), ...) sorted by prime
 

@@ -3,7 +3,9 @@ fixture corpus, plus assembly of per-object check contexts.
 
 `parse_corpus` / `load_corpus` read every record; `read_records` /
 `load_record` read only one record's block and, for a field, its
-declared subfield's.  Both use the same block grammar.
+declared subfield's.  Both use the same block grammar.  The bundled
+corpus is read by path.  Records here and elsewhere are NamedTuples,
+compared by value like tuples; a `CorpusRecord` ignores its ``line``.
 
 Format (UTF-8, ``#`` comments, records separated by blank lines)::
 
@@ -24,9 +26,9 @@ Format (UTF-8, ``#`` comments, records separated by blank lines)::
 
 from __future__ import annotations
 
-import importlib.resources
-from dataclasses import dataclass, field
+import os
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import analytic, ellcurve, ledger, numfield
 from .errors import (
@@ -42,12 +44,11 @@ CURVE_KEYS = ("a", "rank", "gens")
 REQUIRED = {"field": ("poly",), "curve": ("a", "rank")}
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     kind: str  # "field" | "curve"
     label: str
     body: tuple  # ((key, value), ...) in canonical key order
-    line: int = field(default=0, compare=False)
+    line: int = 0  # source line of the header; not part of the record's value
 
     def get(self, key, default=None):
         for k, v in self.body:
@@ -55,12 +56,23 @@ class CorpusRecord:
                 return v
         return default
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] == other[:3]
 
-@dataclass(frozen=True)
-class Corpus:
+    def __ne__(self, other):  # tuple's own != would compare line too
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:3])
+
+
+class Corpus(NamedTuple):
     records: tuple
-    fields: dict = field(compare=False)  # label -> field record, in corpus order
-    curves: dict = field(compare=False)  # label -> curve record, in corpus order
+    fields: dict  # label -> field record, in corpus order
+    curves: dict  # label -> curve record, in corpus order
 
 
 def _content(raw):
@@ -199,16 +211,11 @@ def emit_corpus(records):
     return "\n\n".join(blocks) + "\n"
 
 
-def bundled_corpus_text():
-    return (
-        importlib.resources.files("arithinv").joinpath("data/corpus.txt").read_text()
-    )
+BUNDLED_CORPUS = os.path.join(os.path.dirname(__file__), "data", "corpus.txt")
 
 
 def _corpus_text(path):
-    if path is None:
-        return bundled_corpus_text()
-    with open(path, encoding="utf-8") as handle:
+    with open(BUNDLED_CORPUS if path is None else path, encoding="utf-8") as handle:
         return handle.read()
 
 
@@ -325,8 +332,7 @@ def field_stats(corpus):
     ]
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(NamedTuple):
     """Everything computed for one curve record, each invariant once."""
 
     model: ellcurve.MinimalModel

@@ -32,8 +32,8 @@ Two independent height paths are kept deliberately separate:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf
@@ -52,8 +52,7 @@ TORSION_ORDER_BOUND = 12  # largest torsion order over Q
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(NamedTuple):
     a1: Fraction
     a2: Fraction
     a3: Fraction
@@ -117,8 +116,7 @@ def _integral_model(a_invs):
 # points and the group law
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: Fraction | None = None
     y: Fraction | None = None
 
@@ -301,14 +299,8 @@ def _moved_a_invariants(a, r, s, t):
     )
 
 
-def transform_curve(curve, u, r, s, t):
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
-    u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-    moved = _moved_a_invariants(curve.a_invariants, r, s, t)
-    return weierstrass_curve(*(v / u**w for v, w in zip(moved, (1, 2, 3, 4, 6))))
-
-
 def transform_point(point, u, r, s, t):
+    """The point on the model of x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
     if point.is_infinity:
         return point
     u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
@@ -317,8 +309,7 @@ def transform_point(point, u, r, s, t):
     return Point(x, y)
 
 
-@dataclass(frozen=True)
-class MinimalModel:
+class MinimalModel(NamedTuple):
     """A global minimal model, the (u, r, s, t) taking the input model to
     it, and the factorization of its discriminant delta_min."""
 
@@ -430,16 +421,14 @@ def minimal_model(curve):
 # reduction data
 
 
-@dataclass(frozen=True)
-class PrimeReduction:
+class PrimeReduction(NamedTuple):
     p: int
     v_delta: int
     kind: str  # "multiplicative" | "additive"
     stable: bool  # potentially multiplicative: v_p(j) < 0
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(NamedTuple):
     primes: tuple
     n0: int
     n_stable: int
@@ -774,8 +763,7 @@ def canonical_height_doubling(curve, point, tol=1e-6):
     return value, bound
 
 
-@dataclass(frozen=True)
-class MordellWeilBasis:
+class MordellWeilBasis(NamedTuple):
     gram: tuple  # rows of the pairing matrix
     regulator: float
 

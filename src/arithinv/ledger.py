@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import analytic, arith
 from .errors import DependentPoints, NotASubfield
@@ -23,8 +23,7 @@ PASS_EPS = 1e-9
 PI = math.pi
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     object_label: str
     lhs: float
@@ -70,8 +69,7 @@ CONSTANTS = Constants()
 # per-object contexts assembled by the corpus layer
 
 
-@dataclass(frozen=True)
-class FieldStats:
+class FieldStats(NamedTuple):
     label: str
     degree: int
     r1: int
@@ -88,8 +86,7 @@ class FieldStats:
         return self.r1 + self.r2 - 1
 
 
-@dataclass(frozen=True)
-class CurveStats:
+class CurveStats(NamedTuple):
     label: str
     n0: int
     semistable: bool
@@ -259,8 +256,7 @@ def report_lang_silverman(cs):
 # successive minima of the height lattice
 
 
-@dataclass(frozen=True)
-class MinimaResult:
+class MinimaResult(NamedTuple):
     minima: tuple  # lambda_1 <= ... <= lambda_m
     witnesses: tuple  # independent integer coefficient vectors
     exact: bool

@@ -14,8 +14,8 @@ is found from its certified real roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf
@@ -31,8 +31,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(NamedTuple):
     label: str
     poly: tuple  # integer coefficients, constant first, monic
     degree: int
@@ -175,8 +174,7 @@ def log_embedding(field, coeffs):
 # unit systems and the regulator
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(NamedTuple):
     units: tuple  # unit coefficient vectors (tuples of Fraction)
     log_matrix: tuple  # rows of weighted log embeddings (tuples of mpf)
 
@@ -187,16 +185,17 @@ def unit_system(field, units_coeffs):
     rows = []
     for coeffs in units_coeffs:
         c = tuple(_as_coeffs(field, coeffs))
+        shown = " ".join(str(x) for x in c)  # as the corpus writes it
         cp = element_charpoly(field, c)
         if any(x.denominator != 1 for x in cp):
             raise InvariantError(
-                "%s: supplied unit is not an algebraic integer: %s" % (field.label, c)
+                "%s: supplied unit is not an algebraic integer: %s" % (field.label, shown)
             )
         if abs(cp[0]) != 1:  # N(alpha) = (-1)^d cp(0)
-            raise InvariantError("%s: supplied element is not a unit: %s" % (field.label, c))
+            raise InvariantError("%s: supplied element is not a unit: %s" % (field.label, shown))
         row = log_embedding(field, c)
         if abs(float(mpmath.fsum(row))) > 1e-9:
-            raise InvariantError("%s: unit log row does not sum to 0: %s" % (field.label, c))
+            raise InvariantError("%s: unit log row does not sum to 0: %s" % (field.label, shown))
         units.append(c)
         rows.append(tuple(row))
     return UnitSystem(tuple(units), tuple(rows))
@@ -258,8 +257,7 @@ def regulator(field, units):
 # field records and the CM regulator comparison
 
 
-@dataclass(frozen=True)
-class FieldRecord:
+class FieldRecord(NamedTuple):
     field: NumberField
     units: UnitSystem | None = None
     subfield_label: str | None = None
@@ -280,8 +278,7 @@ def field_regulator(record):
     return regulator(field, units)
 
 
-@dataclass(frozen=True)
-class CmVerdict:
+class CmVerdict(NamedTuple):
     is_cm: bool
     s: int | None
     ratio: float | None

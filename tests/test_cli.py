@@ -278,7 +278,7 @@ class TestOnePass:
         # query for another field must not build it
         path = tmp_path / "corpus.txt"
         bad = "\nfield Qr211\npoly = -211 0 1\n"
-        path.write_text(corpus.bundled_corpus_text() + bad)
+        path.write_text(Path(corpus.BUNDLED_CORPUS).read_text() + bad)
         assert cli.main(["field", "Q_sqrt2"]) == 0
         want = capsys.readouterr().out
         assert cli.main(["field", "Q_sqrt2", "--corpus", str(path)]) == 0
@@ -304,10 +304,13 @@ class TestOnePass:
 
     def test_unit_error_names_the_field(self, tmp_path, capsys):
         path = tmp_path / "corpus.txt"
-        path.write_text(corpus.bundled_corpus_text() + "\nfield Qr211\npoly = -211 0 1\n")
+        path.write_text(Path(corpus.BUNDLED_CORPUS).read_text() + "\nfield Qr211\npoly = -211 0 1\n")
         assert cli.main(["verify", "--corpus", str(path)]) == 2
         err = capsys.readouterr().err
         assert "Qr211" in err and "unit log row does not sum to 0" in err
+        # the unit reads as the corpus writes it, not as Fraction reprs
+        assert err.rstrip().endswith(": 278354373650 19162705353"), err
+        assert "Fraction(" not in err
 
     @pytest.mark.parametrize(
         "argv", [["curve", "37a"], ["verify"]], ids=["curve", "verify"]
@@ -604,6 +607,21 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_footprint():
+    # records are NamedTuples and the bundled corpus is read by path, so
+    # start-up loads neither dataclasses (with inspect) nor importlib.resources;
+    # -S keeps site .pth hooks from importing them before the package does
+    path = [str(Path(cli.__file__).parents[1]), str(Path(mpmath.__file__).parents[1])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import arithinv.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_commands_run_without_numpy():

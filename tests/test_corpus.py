@@ -170,3 +170,26 @@ class TestRecordRead:
         full = corpus.parse_corpus(text)
         assert corpus.read_records(text, "curve", "good").records == (full.curves["good"],)
         assert corpus.read_records(text, "field", "good").records == (full.fields["good"],)
+
+
+class TestRecordValue:
+    """Records are NamedTuples: they compare by value like tuples, except
+    that a CorpusRecord's source line is not part of its value."""
+
+    RECORD = CorpusRecord("curve", "good", (("a", "0 0 1 -1 0"), ("rank", "1")), 1)
+
+    def test_line_is_not_compared_or_hashed(self):
+        moved = CorpusRecord(*self.RECORD[:3], line=7)
+        assert moved == self.RECORD and not moved != self.RECORD
+        assert hash(moved) == hash(self.RECORD)
+
+    def test_body_is_compared(self):
+        other = CorpusRecord("curve", "good", (("a", "0 0 1 -1 0"), ("rank", "2")), 1)
+        assert other != self.RECORD and not other == self.RECORD
+
+    def test_comments_and_blank_lines_leave_the_corpus_equal(self):
+        field = "field K\npoly = -2 0 1\n"
+        plain = corpus.parse_corpus(GOOD + "\n" + field)
+        spaced = corpus.parse_corpus("# lead\n\n" + GOOD + "\n# between\n\n\n" + field + "\n# end\n")
+        assert [r.line for r in plain.records] != [r.line for r in spaced.records]
+        assert spaced == plain and not spaced != plain

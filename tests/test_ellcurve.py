@@ -22,6 +22,21 @@ from arithinv.errors import (
     SingularCurve,
 )
 
+
+def transform_curve(curve, u, r, s, t):
+    """The model of x = u^2 x' + r, y = u^3 y' + s u^2 x' + t (Silverman,
+    AEC III.1, Table 3.1), written out apart from ellcurve's own change."""
+    u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
+    a1, a2, a3, a4, a6 = curve.a_invariants
+    return ec.weierstrass_curve(
+        (a1 + 2 * s) / u,
+        (a2 - s * a1 + 3 * r - s * s) / u**2,
+        (a3 + r * a1 + 2 * t) / u**3,
+        (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
+        (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
+    )
+
+
 E37 = ec.weierstrass_curve(0, 0, 1, -1, 0)
 E389 = ec.weierstrass_curve(0, 1, 1, -2, 0)
 E5077 = ec.weierstrass_curve(0, 0, 1, -7, 6)
@@ -210,7 +225,7 @@ class TestTorsion:
         square = int(curve.delta) ** 2
         assert abs(arith.bezout_cofactors(F, G)[2]) == square
         assert square % arith.bezout_cofactors(F[::-1], G[::-1])[2] == 0
-        scaled = ec.transform_curve(curve, u, 0, 0, 0)
+        scaled = transform_curve(curve, u, 0, 0, 0)
         p = ec.transform_point(ec.Point.of(x, y), u, 0, 0, 0)
         assert ec.is_torsion(scaled, p) == mazur_reference(scaled, p)
 
@@ -225,7 +240,7 @@ class TestTorsion:
         # u = 4 turns (-1, 0) into (-1/16, 0), where 4x is not integral;
         # on the integral model it is (-1, 0) again
         for u in (2, 4):
-            curve = ec.transform_curve(EJ0, u, 0, 0, 0)
+            curve = transform_curve(EJ0, u, 0, 0, 0)
             assert not curve.is_integral
             for x, y in EJ0_TORSION:
                 p = ec.transform_point(ec.Point.of(x, y), u, 0, 0, 0)
@@ -244,7 +259,7 @@ def repeated_add(curve, k, point):
 
 # a model with non-integral a_i: 37a moved by (u, r, s, t) = (3, 1/2, 1/3, 1/5)
 MOVE = (3, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
-E37_MOVED = ec.transform_curve(E37, *MOVE)
+E37_MOVED = transform_curve(E37, *MOVE)
 # integral and non-integral base points (5 P on 37a, 2 P_1 on 5077a), the
 # three singular-reduction points of TestOracle, and a non-integral model
 SCALAR_POINTS = [
@@ -269,7 +284,7 @@ TORSION_POINTS = [
     (EJ0, ec.Point.of(0, 1), 3),
     (E15, ec.Point.of(1, 2), 4),
     (EJ0, ec.Point.of(2, 3), 6),
-    (ec.transform_curve(EJ0, 2, 0, 0, 0), ec.transform_point(ec.Point.of(2, -3), 2, 0, 0, 0), 6),
+    (transform_curve(EJ0, 2, 0, 0, 0), ec.transform_point(ec.Point.of(2, -3), 2, 0, 0, 0), 6),
 ]
 
 
@@ -331,7 +346,7 @@ class TestMinimalModel:
         mm = ec.minimal_model(e)
         assert mm.u == 1 and mm.curve.a_invariants == e.a_invariants
         assert (3, 12) in mm.delta_factors.factors
-        big = ec.minimal_model(ec.transform_curve(e, Fraction(1, 3), 0, 0, 0))
+        big = ec.minimal_model(transform_curve(e, Fraction(1, 3), 0, 0, 0))
         assert big.u == 3 and big.curve.a_invariants == e.a_invariants
         with pytest.raises(InvariantError, match="no integral model"):
             ec._model_from_c_invariants(int(e.c4) // 3**4, int(e.c6) // 3**6)
@@ -342,7 +357,7 @@ class TestMinimalModel:
         assert mm.u == 1 and e.delta == -270000
 
     def test_rational_model_with_shifts(self):
-        scaled = ec.transform_curve(E37, Fraction(1, 3), 1, 2, 5)
+        scaled = transform_curve(E37, Fraction(1, 3), 1, 2, 5)
         mm = ec.minimal_model(scaled)
         assert mm.curve.a_invariants == E37.a_invariants
         assert scaled.delta == mm.u**12 * mm.curve.delta
@@ -357,7 +372,7 @@ class TestMinimalModel:
             for _ in range(4):
                 u = rng.choice([2, 3, 5, 6, 12])
                 r, s, t = rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-3, 3)
-                scaled = ec.transform_curve(base, Fraction(1, u), r, s, t)
+                scaled = transform_curve(base, Fraction(1, u), r, s, t)
                 mm = ec.minimal_model(scaled)
                 assert mm.curve.delta == base.delta
 
@@ -367,7 +382,7 @@ class TestMinimalModel:
         kraus = ec.weierstrass_curve(0, 0, 0, 0, -(2**4) * 3**6)
         for base in (E37, E389, EJ0, EJ1728, kraus):
             for u in (1, 2, 3, 6, Fraction(1, 6), Fraction(1, 12)):
-                mm = ec.minimal_model(ec.transform_curve(base, u, 1, 0, 1))
+                mm = ec.minimal_model(transform_curve(base, u, 1, 0, 1))
                 assert mm.delta_factors == arith.factorize(int(mm.curve.delta))
 
 
@@ -397,7 +412,7 @@ def test_minimal_model_law(which, u, r, s, t):
     # point goes back to the base's point on it
     base, point = MINIMAL_BASES[which]
     mm_base = ec.minimal_model(base)
-    mm = ec.minimal_model(ec.transform_curve(base, u, r, s, t))
+    mm = ec.minimal_model(transform_curve(base, u, r, s, t))
     assert mm.curve.a_invariants == mm_base.curve.a_invariants
     assert mm.delta_factors == mm_base.delta_factors
     assert ec.reduction_data(mm) == ec.reduction_data(mm_base)
@@ -428,7 +443,7 @@ def fraction_minimal_model(curve):
     s = (u * minimal.a1 - curve.a1) / 2
     r = (u**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s) / 3
     t = (u**3 * minimal.a3 - curve.a3 - r * curve.a1) / 2
-    assert ec.transform_curve(curve, u, r, s, t).a_invariants == minimal.a_invariants
+    assert transform_curve(curve, u, r, s, t).a_invariants == minimal.a_invariants
     factors = tuple((p, e - 12 * exps.get(p, 0)) for p, e in factored.factors if e > 12 * exps.get(p, 0))
     return minimal, u, r, s, t, arith.Factorization(factored.sign, factors)
 
@@ -444,7 +459,7 @@ def fraction_minimal_model(curve):
 def test_minimal_model_matches_the_fraction_reference(which, u, r, s, t):
     # the integer solve returns the change and the delta_min factorization
     # of the Fraction one, on integral and non-integral models alike
-    curve = ec.transform_curve(MINIMAL_BASES[which][0], u, r, s, t)
+    curve = transform_curve(MINIMAL_BASES[which][0], u, r, s, t)
     mm = ec.minimal_model(curve)
     assert (mm.curve, mm.u, mm.r, mm.s, mm.t, mm.delta_factors) == fraction_minimal_model(curve)
 
@@ -588,7 +603,7 @@ class TestFaltingsHeight:
             assert h_plus(curve) >= 0
 
     def test_model_invariance(self):
-        scaled = ec.transform_curve(E37, Fraction(1, 5), 2, 1, 0)
+        scaled = transform_curve(E37, Fraction(1, 5), 2, 1, 0)
         assert h_plus(scaled) == pytest.approx(h_plus(E37), abs=1e-9)
 
 
@@ -746,7 +761,7 @@ class TestHeightLaws:
         # u = 1/k multiplies a_i by k^i, so the new model stays integral
         curve, gen, h = bundled_generators()[which]
         u = Fraction(1, k)
-        moved = ec.transform_curve(curve, u, r, s, t)
+        moved = transform_curve(curve, u, r, s, t)
         assert moved.is_integral
         hm = ec.canonical_height(moved, ec.transform_point(gen, u, r, s, t))
         assert abs(hm - h) <= 2 * ec.DEFAULT_TOL
@@ -836,7 +851,7 @@ class TestPadicSeries:
         except SingularCurve:
             assume(False)
         v = Fraction(1, u)
-        curve = ec.transform_curve(curve, v, 0, 0, 0)
+        curve = transform_curve(curve, v, 0, 0, 0)
         point = ec.scalar_mul(curve, k, ec.transform_point(ec.Point.of(x, y), v, 0, 0, 0))
         assume(not point.is_infinity)
         hd = ec._height_data(curve)
@@ -983,7 +998,7 @@ class TestOracle:
         curve, gen, _ = oracle_generator(which)
         point = ec.scalar_mul(curve, k, gen)
         value, bound = ec.canonical_height_doubling(curve, point)
-        moved = ec.transform_curve(curve, u, r, s, t)
+        moved = transform_curve(curve, u, r, s, t)
         moved_value, moved_bound = ec.canonical_height_doubling(
             moved, ec.transform_point(point, u, r, s, t)
         )
