@@ -7,9 +7,11 @@ real components) or rhombic (negative discriminant, one component), and
 the rhombic case reduces to two real AGMs after one complex square root.
 From the certified roots to q (AGM inputs, AGM, tau and its reduction,
 the delta series) the lattice runs on fixed-point integers; mpmath
-supplies pi, exp and log and holds the returned values.  The lattice is
-checked by its discriminant: (2 pi / omega1')^12 delta(tau) must give
-the model's Delta.
+supplies pi, exp and log, and delta(tau) is kept as its logarithm.  The
+lattice is checked by its discriminant in double precision: 12 log(2 pi /
+omega1') + log delta(tau) must give log Delta of the model mod 2 pi i,
+with log omega1' read from the integer AGM means, so no magnitude is
+converted to a float.
 The ledger's scaled-discriminant term runs in doubles, within a stated
 bound.
 """
@@ -21,7 +23,7 @@ import math
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mpc, mpf
+from mpmath import mpc
 
 from . import arith, prec
 from .errors import AgmNoConvergence, NotUpperHalfPlane, TauNotReduced
@@ -106,15 +108,16 @@ def _cmul(ar, ai, br, bi, bits):
 
 
 def delta_q_series(z):
-    """Modular discriminant at z, Im z > 0, by Euler's pentagonal series.
+    """log delta(z), Im z > 0, by Euler's pentagonal series.
 
-    delta = q (sum_k (-1)^k q^(k(3k-1)/2))^24 over all integers k (Cohen,
-    A Course in Computational Algebraic Number Theory, Sec. 7.4).  The sum
-    runs on fixed-point Gaussian integers and is multiplied by q in mpmath
-    at the end, so its relative accuracy does not depend on |q|.  It is
-    about prod (1 - q^n), of size about exp(-pi / (12 Im z)) (the eta
-    function), so the fixed point carries 0.38 / Im z bits beyond the
-    working precision + 40 against that cancellation.
+    delta = q S^24 with S = sum_k (-1)^k q^(k(3k-1)/2) over all integers k
+    (Cohen, A Course in Computational Algebraic Number Theory, Sec. 7.4),
+    so log delta = 2 pi i z + 24 log S, up to a multiple of 2 pi i (the
+    imaginary part is not reduced).  The sum runs on fixed-point Gaussian
+    integers and q enters only through 2 pi i z, so the accuracy does not
+    depend on |q|.  S is about prod (1 - q^n), of size about exp(-pi /
+    (12 Im z)) (the eta function), so the fixed point carries 0.38 / Im z
+    bits beyond the working precision + 40 against that cancellation.
 
     Each power q^e is a product tree of e copies of the fixed-point q
     (within one unit).  A product of two values of modulus < 1 adds their
@@ -122,17 +125,20 @@ def delta_q_series(z):
     the summed powers give the rounding bound err.  The terms left after
     the smallest unsummed exponent e are bounded by tail = 2|q|^e / (1 -
     |q|); summing stops once 24 (tail + err) < 2^-(prec.bits() + 8)
-    (|partial sum| - tail - err).  That bounds the relative error of the
-    24th power by 2^-(prec.bits() + 7), and the final product in mpmath
-    at prec.bits() + 30 adds less than 2^-(prec.bits() + 25).
+    (|partial sum| - tail - err).  That bounds the error of 24 log S by
+    2^-(prec.bits() + 7), and the logarithm and the sum, each rounded in
+    mpmath at prec.bits() + 30, add less than 2^-(prec.bits() + 25) (24
+    |log S| + 2 pi |z|).
 
-    q = exp(2 pi i z) is rounded to a fixed-point Gaussian integer within
-    one unit in each part (|q| < 1, so bits + 4 relative bits suffice).
+    2 pi i z is taken at bits + 4, and q = exp(2 pi i z) is rounded to a
+    fixed-point Gaussian integer within one unit in each part (|q| < 1,
+    so bits + 4 relative bits suffice).
     """
     y = float(mpmath.im(z))
     bits = prec.bits() + 40 + math.ceil(0.38 / y)
     with mpmath.workprec(bits + 4):
-        q = mpmath.exp(2j * mpmath.pi * z)
+        w = 2j * mpmath.pi * z
+        q = mpmath.exp(w)
     qr, qi = arith.to_fixed(q.real, bits), arith.to_fixed(q.imag, bits)
     # 1 / (1 - |q|) <= c / 2^32, with |q| = exp(-2 pi Im tau)
     c = int(2**32 / -math.expm1(-2 * math.pi * y) * (1 + 2**-40)) + 1
@@ -161,7 +167,7 @@ def delta_q_series(z):
     else:
         raise AgmNoConvergence("q-series truncation did not converge")
     with prec.working(30):
-        return q * arith.from_fixed_pair(tr, ti, bits) ** 24
+        return w + 24 * mpmath.log(arith.from_fixed_pair(tr, ti, bits))
 
 
 def log_scaled_discriminant(tau):
@@ -206,11 +212,43 @@ def _agm(a, b):
 
 
 class PeriodData(NamedTuple):
-    omega1: mpf  # real period
-    omega2: mpc  # second basis period, Im(omega2/omega1) > 0
     tau: ReducedTau
     roots: tuple  # arith.ComplexApprox roots of 4x^3 + b2 x^2 + 2 b4 x + b6
-    delta: mpc  # delta(tau) by delta_q_series, summed once for the lattice check and h+
+    log_delta: mpc  # log delta(tau) by delta_q_series, summed once for the lattice check and h+
+    m1: int  # the AGM means M1, M2 of agm_periods as fixed-point integers at 2^-scale
+    m2: int
+    scale: int
+    rectangular: bool  # Delta > 0: two real components
+
+    @property
+    def omega1(self):
+        """The real period pi / M1, formed when read."""
+        with prec.working(20):
+            return mpmath.pi / arith.from_fixed(self.m1, self.scale)
+
+    @property
+    def omega2(self):
+        """The second basis period, Im(omega2 / omega1) > 0: i pi / M2, or
+        (omega1 + i pi / M2) / 2 for a rhombic lattice; formed when read."""
+        with prec.working(20):
+            g = mpmath.pi / arith.from_fixed(self.m2, self.scale)
+            return mpc(0, g) if self.rectangular else mpc(self.omega1, g) / 2
+
+
+def _lattice_residual(periods, model_delta):
+    # log((2 pi / omega1')^12 delta(tau) / Delta) in doubles for the int
+    # Delta = model_delta, its imaginary part reduced to [-pi, pi]; see
+    # agm_periods.  atan2 takes x and y scaled down by one power of 2, so
+    # neither overflows a float.
+    m1, m2 = periods.m1, periods.m2
+    half, den = (0, m2) if periods.rectangular else (1, 2 * m2)
+    (_, _), (c, d) = periods.tau.transform
+    x, y = c * half * m2 + d * den, c * m1
+    s = 1 << max(0, max(abs(x), abs(y)).bit_length() - 60)
+    modulus = math.log(2 * m1 * den) - periods.scale * math.log(2) - math.log(x * x + y * y) / 2
+    model = complex(math.log(abs(model_delta)), math.pi if model_delta < 0 else 0.0)
+    r = 12 * complex(modulus, -math.atan2(y / s, x / s)) + complex(periods.log_delta) - model
+    return complex(r.real, math.remainder(r.imag, 2 * math.pi))
 
 
 def agm_periods(curve):
@@ -224,10 +262,22 @@ def agm_periods(curve):
     The certified roots are dyadics, so all of it runs on integers, the
     smaller AGM input at 2^(prec.bits() + 21) units or more; the larger
     of Re sqrt(+-w) = sqrt((|w| +- Re w) / 2) is an isqrt, the other |Im
-    w| / 2 over it.  With omega1' = c omega2 + d omega1, (c, d) the bottom
-    row of tau.transform, (2 pi / omega1')^12 delta(tau) must match the
-    model's Delta to 1e-6 relative; that checks omega1, omega2, the
-    reduction and the q-series at once.
+    w| / 2 over it.  The periods themselves are formed only when read.
+
+    The lattice is checked by its discriminant: with omega1' = c omega2 +
+    d omega1 = omega1 (c tau0 + d), (c, d) the bottom row of
+    tau.transform, 12 (log 2 pi - log omega1') + log delta(tau) must match
+    log Delta of the model mod 2 pi i to 1e-6, in modulus and phase; that
+    checks the AGM means, the reduction and the q-series at once.  It runs
+    in doubles: 2 pi / omega1' = 2 m1 den / (2^scale (x + iy)) for the
+    integer means m1, m2 at 2^-scale, den = m2 and x = d m2 (Delta > 0)
+    or den = 2 m2 and x = (c + 2d) m2, and y = c m1.  So log omega1' is
+    math.log of integers and an atan2, and log Delta is math.log of an
+    int: no magnitude becomes a float.  Each log, and log delta(tau)
+    rounded to a double, is within a few units of 2^-53 times its size,
+    about 1e-12 absolute for sizes below 10^3 (integers below 1400 bits);
+    there the sum, with its factor 12, is within 1e-10, far inside the
+    1e-6 tolerance.
     """
     b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
     cubic = [b6, 2 * b4, b2, 4]
@@ -252,13 +302,8 @@ def agm_periods(curve):
     # F of reduce_to_fundamental_domain, as log2(1 / Im tau0) < len(den) - len(m1) + 1
     bits = p + 40 + 2 * max(0, den.bit_length() - m1.bit_length() + 1)
     tau = _reduce_fixed(half << (bits - 1), (2 * (m1 << bits) + den) // (2 * den), bits)
-    with prec.working(20):  # the AGM inputs are at 2^-t, so M1, M2 = m1, m2 2^-(t + 1)
-        omega1, g = mpmath.pi / arith.from_fixed(m1, t + 1), mpmath.pi / arith.from_fixed(m2, t + 1)
-        omega2 = mpc(0, g) if curve.delta > 0 else mpc(omega1, g) / 2
-    delta = delta_q_series(tau.value)
-    (_, _), (c, d) = tau.transform
-    with prec.working(30):
-        disc = (2 * mpmath.pi / (c * omega2 + d * omega1)) ** 12 * delta
-        if abs(disc - int(curve.delta)) > 1e-6 * abs(int(curve.delta)):
-            raise AgmNoConvergence("period lattice does not reproduce the model discriminant")
-    return PeriodData(omega1, omega2, tau, tuple(roots), delta)
+    # the AGM inputs are at 2^-t, so M1, M2 = m1, m2 2^-(t + 1)
+    periods = PeriodData(tau, tuple(roots), delta_q_series(tau.value), m1, m2, t + 1, curve.delta > 0)
+    if abs(_lattice_residual(periods, int(curve.delta))) > 1e-6:
+        raise AgmNoConvergence("period lattice does not reproduce the model discriminant")
+    return periods

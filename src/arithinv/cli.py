@@ -87,10 +87,21 @@ def render_csv(rows, header):
     return buf.getvalue()
 
 
+# json.dumps takes the pure-Python encoder whenever indent is given
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def render_json(rows, header):
-    payload = {
-        "header": header,
-        "rows": [
+    """json.dumps({"header": header, "rows": rows}, sort_keys=True,
+    indent=2) + "\n", byte for byte.
+
+    The rows are encoded in one call with a separator that breaks the line
+    and indents, then each row's braces go on lines of their own: every
+    value is a scalar and an encoded string holds no raw newline, so each
+    "},\n      {" of the text is a row boundary.
+    """
+    text = _ROW_ENCODER.encode(
+        [
             {
                 "check_id": r.check_id,
                 "object": r.object_label,
@@ -101,9 +112,13 @@ def render_json(rows, header):
                 "note": r.note,
             }
             for r in rows
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        ]
+    )
+    if rows:
+        body = text[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        text = "[\n    {\n      %s\n    }\n  ]" % body
+    head = json.dumps(header, sort_keys=True, indent=2).replace("\n", "\n  ")
+    return '{\n  "header": %s,\n  "rows": %s\n}\n' % (head, text)
 
 
 RENDERERS = {"text": render_text, "csv": render_csv, "json": render_json}

@@ -815,12 +815,13 @@ def faltings_height_plus(mm, periods):
     """(1/12)(log |delta_min| - log(|delta(tau)| (2 Im tau)^6)) over Q.
 
     mm is the global minimal model and periods its AGM period lattice
-    (``analytic.agm_periods(mm.curve)``), which carries delta(tau).
+    (``analytic.agm_periods(mm.curve)``), which carries log delta(tau);
+    log |delta(tau)| is its real part, read at prec.bits() + 30.
     Always >= 0.
     """
     with prec.working(30):
-        scaled = abs(periods.delta) * (2 * periods.tau.im) ** 6
-        value = (mpmath.log(abs(int(mm.curve.delta))) - mpmath.log(scaled)) / 12
+        log_scaled = mpmath.re(periods.log_delta) + 6 * mpmath.log(2 * periods.tau.im)
+        value = (mpmath.log(abs(int(mm.curve.delta))) - log_scaled) / 12
     return float(value)
 
 

@@ -31,6 +31,13 @@ def moebius(matrix, z):
     return (a * z + b) / (c * z + d)
 
 
+def delta_at(z):
+    """delta(z) from the logarithm delta_q_series returns, exponentiated
+    at prec.bits() + 30, the precision it is returned at."""
+    with prec.working(30):
+        return mpmath.exp(analytic.delta_q_series(z))
+
+
 def sample_reduced(rng):
     while True:
         re = rng.uniform(-0.5, 0.4999)
@@ -158,7 +165,7 @@ class TestModularDiscriminant:
         with mpmath.workprec(90):
             eta_i = mpmath.gamma(mpmath.mpf(1) / 4) / (2 * mpmath.pi ** mpmath.mpf(0.75))
             expected = eta_i**24
-        got = analytic.delta_q_series(mpmath.mpc(0, 1))
+        got = delta_at(mpmath.mpc(0, 1))
         assert abs(mpmath.im(got)) < 1e-15
         assert abs(mpmath.re(got) - expected) < 1e-9
         # third, independent route: q = e^(-2 pi) directly
@@ -170,14 +177,14 @@ class TestModularDiscriminant:
 
     def test_translation_invariance(self):
         z = mpmath.mpc(0.3, 1.1)
-        d1 = analytic.delta_q_series(z)
-        d2 = analytic.delta_q_series(z + 1)
+        d1 = delta_at(z)
+        d2 = delta_at(z + 1)
         assert abs(d1 - d2) <= 1e-15 * abs(d1)
 
     def test_s_transformation_weight(self):
         z = mpmath.mpc(0.2, 1.1)
-        lhs = abs(analytic.delta_q_series(-1 / z))
-        rhs = abs(z) ** 12 * abs(analytic.delta_q_series(z))
+        lhs = abs(delta_at(-1 / z))
+        rhs = abs(z) ** 12 * abs(delta_at(z))
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
     def test_tau_keeps_its_precision(self):
@@ -187,8 +194,8 @@ class TestModularDiscriminant:
             prec.set_precision(200)
             with mpmath.workprec(200):
                 tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.sqrt(2))
-            got = analytic.delta_q_series(tau)
-            assert got != analytic.delta_q_series(complex(tau))
+            got = delta_at(tau)
+            assert got != delta_at(complex(tau))
             with mpmath.workprec(300):
                 tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.sqrt(2))
                 q = mpmath.exp(2j * mpmath.pi * tau)
@@ -210,8 +217,8 @@ class TestModularDiscriminant:
             if mat == ((1, 0), (0, 1)):
                 continue
             w = moebius(mat, z)
-            v1 = abs(analytic.delta_q_series(z)) * mpmath.im(z) ** 6
-            v2 = abs(analytic.delta_q_series(w)) * mpmath.im(w) ** 6
+            v1 = abs(delta_at(z)) * mpmath.im(z) ** 6
+            v2 = abs(delta_at(w)) * mpmath.im(w) ** 6
             assert abs(v1 - v2) <= 1e-9 * v1
             done += 1
 
@@ -289,7 +296,7 @@ def test_delta_matches_the_product_law(re, im):
     # the pentagonal series against a 300-bit direct product q prod (1 - q^n)^24,
     # inside the fundamental domain and outside it (Im tau down to 0.3)
     z = mpmath.mpc(re, im)
-    got = analytic.delta_q_series(z)
+    got = delta_at(z)
     with mpmath.workprec(300):
         q = mpmath.exp(2j * mpmath.pi * z)
         product, qn = mpmath.mpc(1), q
@@ -308,7 +315,7 @@ def test_delta_near_the_real_axis(re, im):
     # a 400-bit product q prod (1 - q^n)^24 whose dropped factors have
     # |q^n| < 2^-100 (together less than 2^-95 relative)
     z = mpmath.mpc(re, im)
-    got = analytic.delta_q_series(z)
+    got = delta_at(z)
     with mpmath.workprec(400):
         q = mpmath.exp(2j * mpmath.pi * z)
         product, qn = mpmath.mpc(1), q
@@ -396,23 +403,30 @@ def near_double_curves():
 
 
 def assert_periods_match_reference(curve):
-    # omega1, omega2 and tau within 2^-prec relative of 400 bits; delta(tau)
-    # within 2^-(prec - 8): delta_q_series' bound 2^-(prec + 7) and the
-    # error of tau through d log delta / d tau = 2 pi i E2(tau); and the
-    # check agm_periods makes, (2 pi / omega1')^12 delta(tau) = Delta_E with
-    # omega1' = c omega2 + d omega1 from the bottom row (c, d) of the
-    # reduction matrix, to the same 2^-(prec - 8)
+    # omega1, omega2 and tau within 2^-prec relative of 400 bits; log
+    # delta(tau) within 2^-(prec - 8) mod 2 pi i, a relative bound on
+    # delta(tau): delta_q_series' bound 2^-(prec + 7) and the error of tau
+    # through d log delta / d tau = 2 pi i E2(tau).  Then the identity
+    # agm_periods checks, in its reference form at prec + 30 bits:
+    # (2 pi / omega1')^12 delta(tau) = Delta_E with omega1' = c omega2 + d
+    # omega1 from the bottom row (c, d) of the reduction matrix, to the
+    # same 2^-(prec - 8); the double-precision log residual of agm_periods
+    # must agree with this one's logarithm within 1e-9
     pd = analytic.agm_periods(curve)
     omega1, omega2, tau, delta = reference_periods(curve, pd.tau.transform)
     eta = mpmath.mpf(2) ** -prec.bits()
     assert abs(pd.omega1 - omega1) <= eta * abs(omega1)
     assert abs(pd.omega2 - omega2) <= eta * abs(omega2)
     assert abs(pd.tau.value - tau) <= eta * abs(tau)
-    assert abs(pd.delta - delta) <= 2**8 * eta * abs(delta)
+    with mpmath.workprec(400):
+        diff = pd.log_delta - mpmath.log(delta)
+        assert abs(mpmath.mpc(diff.real, math.remainder(diff.imag, 2 * math.pi))) <= 2**8 * eta
     (_, _), (c, d) = pd.tau.transform
     with mpmath.workprec(prec.bits() + 30):
-        val = (2 * mpmath.pi / (c * pd.omega2 + d * pd.omega1)) ** 12 * pd.delta
+        val = (2 * mpmath.pi / (c * pd.omega2 + d * pd.omega1)) ** 12 * mpmath.exp(pd.log_delta)
         assert abs(val - curve.delta) <= 2**8 * eta * abs(curve.delta)
+        residual = complex(mpmath.log(val / curve.delta))
+    assert abs(analytic._lattice_residual(pd, curve.delta) - residual) <= 1e-9
 
 
 @settings(max_examples=120)
@@ -472,13 +486,48 @@ class TestLatticeDiscriminantIdentity:
             pd = analytic.agm_periods(curve)
             tau0 = pd.omega2 / pd.omega1
             with mpmath.workprec(100):
-                val = analytic.delta_q_series(tau0) * (2 * mpmath.pi / pd.omega1) ** 12
+                val = mpmath.exp(analytic.delta_q_series(tau0)) * (2 * mpmath.pi / pd.omega1) ** 12
             target = int(curve.delta)
             assert abs(val - target) <= 1e-12 * abs(target)
 
     def test_a_wrong_delta_is_a_named_failure(self, monkeypatch):
         # delta(tau) off by 1e-3 relative breaks the identity
         exact = analytic.delta_q_series
-        monkeypatch.setattr(analytic, "delta_q_series", lambda z: exact(z) * (1 + 1e-3))
+        monkeypatch.setattr(analytic, "delta_q_series", lambda z: exact(z) + math.log(1 + 1e-3))
         with pytest.raises(AgmNoConvergence, match="model discriminant"):
             analytic.agm_periods(curve_stub(0, 0, 1, -1, 0))
+
+    def test_a_wrong_phase_is_a_named_failure(self, monkeypatch):
+        # delta(tau) turned by 1e-3 radians keeps its modulus, so only the
+        # phase of the check can catch it
+        curve = curve_stub(0, 0, 1, -1, 0)
+        pd = analytic.agm_periods(curve)
+        residual = analytic._lattice_residual(pd._replace(log_delta=pd.log_delta + 1e-3j), curve.delta)
+        assert abs(residual.real) < 1e-9 and abs(residual.imag - 1e-3) < 1e-9
+        exact = analytic.delta_q_series
+        monkeypatch.setattr(analytic, "delta_q_series", lambda z: exact(z) + 1e-3j)
+        with pytest.raises(AgmNoConvergence, match="model discriminant"):
+            analytic.agm_periods(curve)
+
+    def test_huge_discriminant_has_no_overflow(self):
+        # Delta of y^2 = x^3 - 10^120 x + 1 has 1200 bits, beyond any double:
+        # the lattice check and h+ take its logarithm from the int.  The
+        # model is minimal (c6 = -864: v2 = 5, v3 = 3 and 5 does not divide
+        # it), so h+ needs no factorization.  Against 300 bits to 2^-prec
+        # relative, plus the rounding of the returned double
+        from arithinv import ellcurve as ec
+
+        curve = ec.weierstrass_curve(0, 0, 0, -(10**120), 1)
+        assert abs(int(curve.delta)).bit_length() > 1024
+        with mpmath.workprec(300):
+            reference = mpmath.mpf("69.60489693031920648584812803003743283980")
+        for bits in (prec.bits(), 200):
+            before = prec.bits()
+            try:
+                prec.set_precision(bits)
+                pd = analytic.agm_periods(curve)
+                h = ec.faltings_height_plus(ec.MinimalModel(curve, 1, 0, 0, 0, None), pd)
+            finally:
+                prec.set_precision(before)
+            with mpmath.workprec(300):
+                assert abs(h - reference) <= (2.0**-bits + 2.0**-53) * reference

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from arithinv import cli, corpus, numfield
+from arithinv import cli, corpus, ledger, numfield
 from arithinv.errors import (
     DanglingSubfieldRef,
     DuplicateLabel,
@@ -181,6 +182,65 @@ class TestCli:
         path.write_text("curve x\nrank = 0\n")
         assert cli.main(["verify", "--corpus", str(path)]) == 2
         assert "missing key" in capsys.readouterr().err
+
+
+def reference_json(rows, header):
+    """The report layout render_json keeps: json.dumps with indent=2."""
+    payload = {
+        "header": header,
+        "rows": [
+            {
+                "check_id": r.check_id,
+                "object": r.object_label,
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "margin": r.margin,
+                "verdict": r.verdict,
+                "note": r.note,
+            }
+            for r in rows
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonLayout:
+    def _verify(self, monkeypatch, capsys, argv):
+        # the report of `inv verify --format json` and the rows it renders
+        seen = []
+        run = ledger.run_checks
+
+        def recording(*args, **kwargs):
+            seen.append(run(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(ledger, "run_checks", recording)
+        cli.main(["verify", "--format", "json"] + argv)
+        return capsys.readouterr().out, seen[0]
+
+    def test_bundled_report(self, monkeypatch, capsys):
+        out, rows = self._verify(monkeypatch, capsys, [])
+        assert len(rows) > 100
+        assert out == reference_json(rows, cli.report_header())
+
+    def test_a_selection_with_no_rows(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "q.txt"
+        path.write_text("field Q\npoly = 0 1\ndisc = 1\nw = 2\nr0 = 0\n")
+        out, rows = self._verify(monkeypatch, capsys, ["--checks", "semistable_height", "--corpus", str(path)])
+        assert rows == []
+        assert out == reference_json(rows, cli.report_header())
+
+    def test_awkward_values(self):
+        # non-finite floats, non-ASCII text, quotes and backslashes, and
+        # notes that look like a row boundary once encoded
+        rows = [
+            ledger.CheckResult("a", "Q(\u221a2) \u00e9", math.nan, math.inf, -math.inf, "fail", "},\n      {"),
+            ledger.CheckResult("b", "x", 0.1, 2, -1e-300, "pass", 'say "},"\\ \n}'),
+            ledger.CheckResult("c", "", 1.0, 1.0, 0.0, "report-only"),
+        ]
+        header = cli.report_header()
+        for some in (rows[:1], rows):
+            assert cli.render_json(some, header) == reference_json(some, header)
 
 
 HARD_CURVES = Path(__file__).resolve().parent / "data" / "hard_curves.txt"

@@ -237,6 +237,18 @@ class TestRegulator:
         rec = numfield.FieldRecord(K)
         assert numfield.field_regulator(rec) == pytest.approx(0.4812118250, abs=1e-9)
 
+    def test_pell_on_orders_of_index_f(self):
+        # x^2 - 45 and x^2 + x - 11 have b^2 - 4c = 6^2 * 5 and 3^2 * 5, and
+        # x^2 - 12 has 2^2 * 12: the unit is read through field.disc
+        for poly, disc, reg in [
+            ((-45, 0, 1), 5, math.log((1 + math.sqrt(5)) / 2)),
+            ((-11, 1, 1), 5, math.log((1 + math.sqrt(5)) / 2)),
+            ((-12, 0, 1), 12, math.log(2 + math.sqrt(3))),
+        ]:
+            K = numfield.number_field("K", poly)
+            assert K.disc == disc
+            assert numfield.field_regulator(numfield.FieldRecord(K)) == pytest.approx(reg, abs=1e-12)
+
     def test_missing_units(self):
         K = make_plastic()
         with pytest.raises(MissingUnits):
