@@ -6,10 +6,10 @@ emits ready-to-append corpus records for the rank-zero family.
 
 ``field L`` and ``curve L`` read only the corpus block of L and of its
 declared subfield (``corpus.load_record``); ``verify`` parses and
-validates the whole file.  Each call of `main` builds only the root
-parser (``--precision`` and the command name) and the parser of the
-command it runs, from the ``COMMANDS`` table, and ``--precision`` holds
-for that call only.
+validates the whole file.  Each parser, the root one (``--precision``
+and the command name) and one per command from the ``COMMANDS`` table,
+is built once per process, on first use, and ``--precision`` holds for
+one call of `main` only.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or
 input errors.
@@ -185,10 +185,12 @@ def cmd_verify(args):
         raise InvariantError("--tol must be positive and finite")
     if not 0 < args.northcott_bound < math.inf:  # every regulator is positive
         raise InvariantError("--northcott-bound must be positive and finite")
+    selected = None if args.checks is None else args.checks.split(",")
+    if selected is not None and "" in selected:  # "" is a prefix of every id
+        raise InvariantError("--checks must not hold an empty check id")
     corp = corpus.load_corpus(args.corpus)
     fields = corpus.field_stats(corp)
     curves = corpus.curve_stats(corp, tol=args.tol)
-    selected = args.checks.split(",") if args.checks else None
     rows = ledger.run_checks(
         fields, curves, selected=selected, northcott_bound=args.northcott_bound
     )
@@ -241,8 +243,8 @@ def _family_arguments(parser):
 
 
 # name -> (one-line help, adds the command's arguments, handler's name).  The
-# handler is looked up when its parser is built, so a wrapper put on the
-# module function (as the benchmark's tracer does) sees the call.
+# handler is looked up by name when the command runs, so a wrapper put on
+# the module function later (as the benchmark's tracer does) sees the call.
 COMMANDS = {
     "field": ("print number field invariants", _label_arguments, "cmd_field"),
     "curve": ("print elliptic curve invariants", _label_arguments, "cmd_curve"),
@@ -250,18 +252,30 @@ COMMANDS = {
     "family": ("emit corpus records for a curve family", _family_arguments, "cmd_family"),
 }
 
+# command (None for the root) -> its parser; a parser depends on no input
+_PARSERS = {}
+
 
 def build_parser(command=None):
     """The parser of `inv COMMAND ...`, or of `inv` itself when command is None.
 
-    The root parser reads --precision and the command name and leaves the
-    rest of the line to the command's parser.
+    Each parser is built on first use and reused for the rest of the
+    process.  argparse makes its help formatter when it prints, so help
+    and usage text still wrap to the terminal width of that moment.
     """
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = _new_parser(command)
+    return parser
+
+
+def _new_parser(command):
+    """The root parser reads --precision and the command name and leaves the
+    rest of the line to the command's parser."""
     if command is not None:
-        _, add_arguments, handler = COMMANDS[command]
+        _, add_arguments, _ = COMMANDS[command]
         parser = argparse.ArgumentParser(prog="inv " + command)
         add_arguments(parser)
-        parser.set_defaults(func=globals()[handler])
         return parser
     parser = argparse.ArgumentParser(
         prog="inv",
@@ -295,10 +309,12 @@ def main(argv=None):
     """Run one `inv` command line; --precision holds for this call only."""
     args = parse_args(argv)
     before = prec.bits()
-    if args.precision is not None:
-        prec.set_precision(args.precision)
     try:
-        return args.func(args)
+        if args.precision is not None:
+            if args.precision < prec.MIN_BITS:
+                raise InvariantError("--precision must be at least %d" % prec.MIN_BITS)
+            prec.set_precision(args.precision)
+        return globals()[COMMANDS[args.command][2]](args)
     except (InvariantError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -608,6 +608,8 @@ def expand_selection(tokens):
     """Map filter tokens to check ids: exact ids, aliases, or prefixes."""
     wanted = set()
     for token in tokens:
+        if not token:  # a prefix of every id, so it would select them all
+            raise ValueError("empty check id")
         if token in _CHECK_ALIASES:
             wanted.update(_CHECK_ALIASES[token])
         elif token in ALL_CHECKS:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -303,6 +304,15 @@ class TestPrecisionFlag:
         assert json.loads(capsys.readouterr().out)["header"]["precision_bits"] == before
         # restored on an error exit too
         assert cli.main(["--precision", "200", "curve", "nosuch"]) == 2
+        assert prec.bits() == before
+
+    @pytest.mark.parametrize("bits", ["12", "0", "-3"])
+    def test_precision_below_the_floor_exit_2(self, bits, capsys):
+        from arithinv import prec
+
+        before = prec.bits()
+        assert cli.main(["--precision", bits, "curve", "37a"]) == 2
+        assert capsys.readouterr() == ("", "error: --precision must be at least %d\n" % prec.MIN_BITS)
         assert prec.bits() == before
 
     def test_precision_floor(self):
@@ -626,6 +636,63 @@ class TestSurface:
         assert (out.returncode, out.stdout, out.stderr) == (0, golden["curve"]["37a"], "")
 
 
+class TestParserReuse:
+    """Each parser is built once per process; the handler is found at dispatch."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_parsers(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSERS", {})
+
+    def test_two_calls_build_two_parsers(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert cli.main(["curve", "37a"]) == 0
+        assert cli.main(["curve", "37a"]) == 0
+        assert built == ["inv", "inv curve"]
+
+    def test_handler_patched_after_a_call_runs(self, monkeypatch, capsys):
+        assert cli.main(["curve", "37a"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_curve", lambda args: seen.append(args.label) or 7)
+        assert cli.main(["curve", "37a"]) == 7
+        assert seen == ["37a"]
+
+    def test_help_wraps_to_the_width_when_printed(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "40")
+        assert cli.main(["curve", "37a"]) == 0
+        monkeypatch.setenv("COLUMNS", "80")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curve", "--help"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == (0, HELP["curve"], "")
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        code = """if True:
+            import argparse
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting(self, *args, **kwargs):
+                built.append(1)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            from arithinv import cli
+            before = len(built)
+            cli.build_parser()
+            print(before, len(built))
+        """
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0 1"
+
+
 class TestVerifyBounds:
     @pytest.fixture
     def ep_corpus(self, tmp_path, capsys):
@@ -652,6 +719,17 @@ class TestUnknownCheckToken:
     def test_unknown_check_exit_2(self, capsys):
         assert cli.main(["verify", "--checks", "nosuchcheck"]) == 2
         assert "nosuchcheck" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("checks", ["", ",", "friedman,", "friedman,,hermite_minkowski_a"])
+    def test_empty_check_id_exit_2(self, checks, capsys):
+        # an empty token is a prefix of every id, so it must not select them all
+        assert cli.main(["verify", "--checks", checks]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --checks "), err
+
+    def test_one_check_selects_its_rows(self, capsys):
+        assert cli.main(["verify", "--checks", "friedman"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "# 17 rows: 17 pass"
 
 
 class TestMissingCorpusFile:

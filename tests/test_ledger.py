@@ -507,3 +507,8 @@ class TestSelectionTokens:
     def test_prefix(self, fstats, cstats):
         rows = ledger.run_checks(fstats, cstats, selected=["northcott"])
         assert {r.check_id for r in rows} == {"northcott_fields", "northcott_curves"}
+
+    def test_empty_token_is_an_error(self):
+        # "" is a prefix of every check id
+        with pytest.raises(ValueError, match="empty check id"):
+            ledger.expand_selection(["friedman", ""])
