@@ -252,7 +252,7 @@ def _lattice_residual(periods, model_delta):
 
 
 def agm_periods(curve):
-    """Period lattice of the real embedding of an integral curve over Q.
+    """Period lattice of the real embedding of a curve (an integral model) over Q.
 
     Delta > 0: omega1 = pi / M1, omega2 = i pi / M2, M1 = M(sqrt(e1 - e3),
     sqrt(e1 - e2)), M2 = M(sqrt(e1 - e3), sqrt(e2 - e3)), tau0 = i M1 / M2.
@@ -279,8 +279,7 @@ def agm_periods(curve):
     there the sum, with its factor 12, is within 1e-10, far inside the
     1e-6 tolerance.
     """
-    b2, b4, b6 = int(curve.b2), int(curve.b4), int(curve.b6)
-    cubic = [b6, 2 * b4, b2, 4]
+    cubic = [curve.b6, 2 * curve.b4, curve.b2, 4]
     roots = arith.poly_roots(cubic)
     B, p = arith._fixed_point_bits(cubic), prec.bits()
     if curve.delta > 0:
@@ -304,6 +303,6 @@ def agm_periods(curve):
     tau = _reduce_fixed(half << (bits - 1), (2 * (m1 << bits) + den) // (2 * den), bits)
     # the AGM inputs are at 2^-t, so M1, M2 = m1, m2 2^-(t + 1)
     periods = PeriodData(tau, tuple(roots), delta_q_series(tau.value), m1, m2, t + 1, curve.delta > 0)
-    if abs(_lattice_residual(periods, int(curve.delta))) > 1e-6:
+    if abs(_lattice_residual(periods, curve.delta)) > 1e-6:
         raise AgmNoConvergence("period lattice does not reproduce the model discriminant")
     return periods

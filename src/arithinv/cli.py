@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from . import __version__, analytic, corpus, ellcurve, ledger, numfield, prec
@@ -160,7 +161,7 @@ def cmd_curve(args):
         "curve %s" % args.label,
         "  minimal model   a = [%s]  (u = %s)"
         % (", ".join(str(a) for a in mm.curve.a_invariants), mm.u),
-        "  delta_min       %d" % int(mm.curve.delta),
+        "  delta_min       %d" % mm.curve.delta,
     ]
     for pr in red.primes:
         rows.append(
@@ -185,9 +186,10 @@ def cmd_verify(args):
         raise InvariantError("--tol must be positive and finite")
     if not 0 < args.northcott_bound < math.inf:  # every regulator is positive
         raise InvariantError("--northcott-bound must be positive and finite")
-    selected = None if args.checks is None else args.checks.split(",")
-    if selected is not None and "" in selected:  # "" is a prefix of every id
+    tokens = None if args.checks is None else args.checks.split(",")
+    if tokens is not None and "" in tokens:  # "" is a prefix of every id
         raise InvariantError("--checks must not hold an empty check id")
+    selected = None if tokens is None else ledger.expand_selection(tokens)  # ahead of the corpus
     corp = corpus.load_corpus(args.corpus)
     fields = corpus.field_stats(corp)
     curves = corpus.curve_stats(corp, tol=args.tol)
@@ -314,7 +316,12 @@ def main(argv=None):
             if args.precision < prec.MIN_BITS:
                 raise InvariantError("--precision must be at least %d" % prec.MIN_BITS)
             prec.set_precision(args.precision)
-        return globals()[COMMANDS[args.command][2]](args)
+        code = globals()[COMMANDS[args.command][2]](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: exit quietly with 128 + SIGPIPE, as `yes | head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the final flush
+        return 141
     except (InvariantError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

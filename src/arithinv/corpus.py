@@ -281,7 +281,8 @@ def build_field_record(corpus, label):
 
 
 def build_curve_data(corpus, label):
-    """The record, its curve, minimal model, rank and generators on that model."""
+    """The record, its minimal model, rank and generators mapped to that
+    model and checked there (it holds them exactly when the parsed one does)."""
     rec = corpus.curves.get(label)
     if rec is None:
         raise UnknownLabel("no curve labelled '%s'" % label)
@@ -295,15 +296,14 @@ def build_curve_data(corpus, label):
     if len(gens) != rank:
         message = "curve '%s': rank = %d, but gens lists %d" % (label, rank, len(gens))
         raise ParseError(message, rec.line)
-    curve = ellcurve.weierstrass_curve(*a_invs)
-    for point in gens:
-        if not ellcurve.on_curve(curve, point):
+    mm = ellcurve.minimal_model(a_invs)
+    gens_min = tuple(mm.to_minimal(p) for p in gens)
+    for point, moved in zip(gens, gens_min):
+        if not ellcurve.on_curve(mm.curve, moved):
             raise PointNotOnCurve(
                 "curve '%s': generator %s is not on the curve" % (label, point)
             )
-    mm = ellcurve.minimal_model(curve)
-    gens_min = tuple(mm.to_minimal(p) for p in gens)
-    return rec, curve, mm, rank, gens_min
+    return rec, mm, rank, gens_min
 
 
 def field_record_stats(record, subrecord):
@@ -343,7 +343,7 @@ class CurveInvariants(NamedTuple):
 
 def curve_stats_one(corpus, label, tol=ellcurve.DEFAULT_TOL):
     """CurveInvariants of a single curve record."""
-    _, _, mm, rank, gens_min = build_curve_data(corpus, label)
+    _, mm, rank, gens_min = build_curve_data(corpus, label)
     reduction = ellcurve.reduction_data(mm)
     periods = analytic.agm_periods(mm.curve)
     h_plus = ellcurve.faltings_height_plus(mm, periods)

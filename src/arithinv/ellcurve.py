@@ -8,6 +8,10 @@ polarization, a single auditable constant: <P,P> = HEIGHT_SCALE *
 hhat_x(P) with HEIGHT_SCALE = 3/2 (the x-function has degree 2, the
 polarization degree 3).
 
+A curve is an integral model: `WeierstrassCurve` holds its a-, b- and
+c-invariants and delta as integers.  A rational model is read once, by
+`minimal_model`, whose `to_minimal` maps its points onto the minimal model.
+
 Two independent height paths are kept deliberately separate:
 
 * the primary path decomposes hhat_x place by place -- an archimedean
@@ -53,42 +57,35 @@ DEFAULT_TOL = 1e-9
 
 
 class WeierstrassCurve(NamedTuple):
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
-    b2: Fraction
-    b4: Fraction
-    b6: Fraction
-    b8: Fraction
-    c4: Fraction
-    c6: Fraction
-    delta: Fraction
+    a1: int
+    a2: int
+    a3: int
+    a4: int
+    a6: int
+    b2: int
+    b4: int
+    b6: int
+    b8: int
+    c4: int
+    c6: int
+    delta: int
 
     @property
     def a_invariants(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    @property
-    def is_integral(self):
-        return all(a.denominator == 1 for a in self.a_invariants)
-
 
 def weierstrass_curve(a1, a2, a3, a4, a6):
-    """Derived b/c invariants and discriminant from a1..a6 (exact).
+    """The integral model with these a-invariants: b/c invariants and
+    discriminant, on integers.
 
-    With d the lcm of the denominators, a_i d^i is an integer, so every
-    invariant of weight w is formed on integers and divided by d^w once.
+    Each a_i is an int or a Fraction with denominator 1; a rational model
+    goes through `minimal_model` instead.
     """
-    a_invs = tuple(Fraction(a) for a in (a1, a2, a3, a4, a6))
-    d, a = _integral_model(a_invs)
-    weighted = zip(_integer_invariants(*a), (2, 4, 6, 8, 4, 6, 12))
-    return WeierstrassCurve(*a_invs, *(Fraction(v, d**w) for v, w in weighted))
-
-
-def _integer_invariants(a1, a2, a3, a4, a6):
-    """(b2, b4, b6, b8, c4, c6, delta) of an integral model, on integers."""
+    a_invs = (a1, a2, a3, a4, a6)
+    if any(a.denominator != 1 for a in a_invs):
+        raise InvariantError("a-invariants [%s] are not integral" % ", ".join(map(str, a_invs)))
+    a1, a2, a3, a4, a6 = (a.numerator for a in a_invs)
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -100,15 +97,13 @@ def _integer_invariants(a1, a2, a3, a4, a6):
         raise SingularCurve("discriminant vanishes")
     assert 4 * b8 == b2 * b6 - b4 * b4
     assert c4**3 - c6**2 == 1728 * delta
-    return b2, b4, b6, b8, c4, c6, delta
+    return WeierstrassCurve(a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, delta)
 
 
 def _integral_model(a_invs):
     """d, the lcm of the denominators of a1..a6, and the integers a_i d^i:
     the integral model x' = d^2 x, y' = d^3 y."""
     d = math.lcm(*[a.denominator for a in a_invs])
-    if d == 1:
-        return 1, [a.numerator for a in a_invs]
     return d, [a.numerator * (d**w // a.denominator) for a, w in zip(a_invs, (1, 2, 3, 4, 6))]
 
 
@@ -133,13 +128,13 @@ INFINITY = Point()
 
 
 def on_curve(curve, point):
-    """Exact membership on integers: (d^2 x, d^3 y) on the model a_i d^i of
-    `_integral_model`, its equation times D^3 F^2 for x = X/D, y = Y/F."""
+    """Exact membership on integers: the curve's equation times D^3 F^2
+    for x = X/D, y = Y/F."""
     if point.is_infinity:
         return True
-    d, (a1, a2, a3, a4, a6) = _integral_model(curve.a_invariants)
-    X, D = point.x.numerator * d * d, point.x.denominator
-    Y, F = point.y.numerator * d**3, point.y.denominator
+    a1, a2, a3, a4, a6 = curve.a_invariants
+    X, D = point.x.numerator, point.x.denominator
+    Y, F = point.y.numerator, point.y.denominator
     lhs = D * D * Y * (Y * D + a1 * X * F + a3 * D * F)
     rhs = F * F * (X**3 + D * (a2 * X * X + D * (a4 * X + a6 * D)))
     return lhs == rhs
@@ -187,20 +182,19 @@ def _add(curve, p, q):
 def scalar_mul(curve, n, point):
     """n * point by double-and-add on integer Jacobian coordinates.
 
-    On the integral model a_i d^i (`_integral_model`) a point is x =
-    X/Z^2, y = Y/Z^3 with X, Y and Z integers.  The chain divides only
-    exactly; one Fraction per coordinate reduces the result, which x/d^2,
-    y/d^3 maps back.
+    On the integral model a point is x = X/Z^2, y = Y/Z^3 with X, Y and
+    Z integers.  The chain divides only exactly; one Fraction per
+    coordinate reduces the result.
     """
     _require_on_curve(curve, point)
     if n < 0:
         n, point = -n, negate(curve, point)
     if n == 0 or point.is_infinity:
         return INFINITY
-    d, a = _integral_model(curve.a_invariants)
-    x, y = point.x * d * d, point.y * d**3  # X/e^2 and Y/e^3 in lowest terms
+    a = curve.a_invariants
+    x, y = point  # X/e^2 and Y/e^3 in lowest terms
     base = acc = (x.numerator, y.numerator, y.denominator // x.denominator)
-    kept = base[2] * int(curve.delta * d**12)
+    kept = base[2] * curve.delta
     for bit in bin(n)[3:]:
         acc = _jacobian_add(a, acc, acc, kept)
         if bit == "1":
@@ -208,7 +202,7 @@ def scalar_mul(curve, n, point):
     if acc is None:
         return INFINITY
     X, Y, Z = acc
-    return Point(Fraction(X, (Z * d) ** 2), Fraction(Y, (Z * d) ** 3))
+    return Point(Fraction(X, Z * Z), Fraction(Y, Z**3))
 
 
 def _jacobian_add(a, p, q, kept):
@@ -253,8 +247,7 @@ def _jacobian_add(a, p, q, kept):
 def is_torsion(curve, point):
     """Exact torsion test: some multiple nP = O with n <= 12 (Mazur bound).
 
-    The test runs on the integral model a_i d^i of `_integral_model` at
-    (d^2 x, d^3 y).  There every torsion point has 4x integral (Silverman,
+    On an integral model every torsion point has 4x integral (Silverman,
     AEC VII.3.4), and multiples of a torsion point are torsion, so the
     loop stops at the first multiple with 4x not in Z.  Before it, 2P is
     read from the duplication forms on integers: x(2P) = F_h/G_h at
@@ -263,9 +256,6 @@ def is_torsion(curve, point):
     _require_on_curve(curve, point)
     if point.is_infinity:
         return True
-    d, a = _integral_model(curve.a_invariants)
-    if d > 1:
-        curve, point = weierstrass_curve(*a), Point(point.x * d * d, point.y * d**3)
     X, Z = point.x.numerator, point.x.denominator
     if 4 % Z:
         return False
@@ -288,7 +278,7 @@ def is_torsion(curve, point):
 
 def _moved_a_invariants(a, r, s, t):
     # u^i a_i' after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t: the a_i'
-    # for u = 1, exact on ints and Fractions alike
+    # for u = 1, on integers
     a1, a2, a3, a4, a6 = a
     return (
         a1 + 2 * s,
@@ -363,8 +353,9 @@ def _vp(n, p):
     return v
 
 
-def minimal_model(curve):
-    """Global minimal model over Q with the change of coordinates.
+def minimal_model(a_invariants):
+    """Global minimal model over Q of rational a-invariants, with the change
+    of coordinates from them: the one reader of a rational model.
 
     Works on the integral model a_i den^i of `_integral_model` (x =
     x'/den^2, y = y'/den^3) and its integer c4, c6 and delta.  From them
@@ -378,8 +369,8 @@ def minimal_model(curve):
     prod p^d_p, gives delta_min's exactly: the exponent of p is e_p -
     12 d_p, and primes with exponent 0 drop.
     """
-    den, a = _integral_model(curve.a_invariants)
-    _, _, _, _, c4, c6, delta = _integer_invariants(*a)
+    den, a = _integral_model(a_invariants)
+    *_, c4, c6, delta = weierstrass_curve(*a)
 
     factored = arith.factorize(delta)
     exps = {}  # the largest d_p with p^(12 d_p) | delta, p^(4 d_p) | c4 and p^(6 d_p) | c6
@@ -443,11 +434,10 @@ def reduction_data(mm):
     kind is multiplicative exactly when v_p(c4) = 0; a bad prime is
     stable when v_p(j) < 0 (bad reduction survives every base change).
     """
-    c4 = int(mm.curve.c4)
     rows = []
     n0 = n_st = n_uns = 1
     for p, e in mm.delta_factors.factors:
-        vc4 = _vp(c4, p)
+        vc4 = _vp(mm.curve.c4, p)
         multiplicative = vc4 == 0
         vj = None if vc4 is None else 3 * vc4 - e  # v_p(j), j = c4^3 / delta
         stable = vj is not None and vj < 0
@@ -476,16 +466,13 @@ def _coeff_l1(coeffs):
 def _duplication_polys(curve):
     """(F, G), low degree first, with x(2P) = F(x)/G(x) on an integral
     model; G equals (2y + a1 x + a3)^2."""
-    b2, b4, b6, b8 = (b.numerator for b in (curve.b2, curve.b4, curve.b6, curve.b8))
-    return [-b8, -2 * b6, -b4, 0, 1], [b6, 2 * b4, b2, 4, 0]
+    return [-curve.b8, -2 * curve.b6, -curve.b4, 0, 1], [curve.b6, 2 * curve.b4, curve.b2, 4, 0]
 
 
 class _HeightData:
     """Per-curve certificates of the primary height path (cached)."""
 
     def __init__(self, curve):
-        if not curve.is_integral:
-            raise InvariantError("height computations need an integral model")
         self.F, self.G = _duplication_polys(curve)
         a1, b1c, r1 = arith.bezout_cofactors(self.F, self.G)
         a2, b2c, r2 = arith.bezout_cofactors(self.F[::-1], self.G[::-1])  # t^4 (F, G)(1/t)
@@ -497,7 +484,7 @@ class _HeightData:
         self.mu_bound_inf = max(math.log(c_hi), -math.log(c_lo), 0.0)
         # Res(F, G) = +-delta^2 and the reversed pair's resultant divides
         # it, so R = v_p(Res(F, G)) = 2 v_p(delta) weights each bad prime
-        self.bad = [(p, 2 * e) for p, e in arith.factorize(int(curve.delta)).factors]
+        self.bad = [(p, 2 * e) for p, e in arith.factorize(curve.delta).factors]
 
 
 _height_cache = {}
@@ -645,7 +632,7 @@ def _bad_local_height(curve, point, row):
     def v(n):
         return math.inf if n == 0 else _vp(n, p)
 
-    a1, a2, a3, a4 = (int(c) for c in curve.a_invariants[:4])
+    a1, a2, a3, a4, _ = curve.a_invariants
     a = v(3 * X * X + 2 * a2 * X * D + a4 * D * D - a1 * Y * e)
     b = v(2 * Y + a1 * X * e + a3 * e * D)
     if a <= 0 or b <= 0:
@@ -654,7 +641,7 @@ def _bad_local_height(curve, point, row):
         n = row.v_delta
         m = min(b, Fraction(n, 2))
         return -m * (n - m) / (2 * n)
-    b2, b4, b6, b8 = (int(c) for c in (curve.b2, curve.b4, curve.b6, curve.b8))
+    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
     c = v(3 * X**4 + D * (b2 * X**3 + D * (3 * b4 * X * X + D * (3 * b6 * X + b8 * D))))
     if c >= 3 * b:
         return Fraction(-b, 3)
@@ -745,7 +732,7 @@ def canonical_height_doubling(curve, point, tol=1e-6):
     _require_on_curve(curve, point)
     if point.is_infinity:
         return 0.0, 0.0
-    mm = minimal_model(curve)
+    mm = minimal_model(curve.a_invariants)
     model, q = mm.curve, mm.to_minimal(point)
     if is_torsion(model, q):
         return 0.0, 0.0
@@ -753,7 +740,7 @@ def canonical_height_doubling(curve, point, tol=1e-6):
     bad = reduction_data(mm).primes
     den = _strip_primes(q.x.denominator, [row.p for row in bad])
     with prec.working(20):
-        total = lam_inf + mpmath.log(abs(int(model.delta))) / 12 + mpmath.log(den) / 2
+        total = lam_inf + mpmath.log(abs(model.delta)) / 12 + mpmath.log(den) / 2
         for row in bad:
             total += _bad_local_height(model, q, row) * mpmath.log(row.p)
         value = float(2 * total)
@@ -821,7 +808,7 @@ def faltings_height_plus(mm, periods):
     """
     with prec.working(30):
         log_scaled = mpmath.re(periods.log_delta) + 6 * mpmath.log(2 * periods.tau.im)
-        value = (mpmath.log(abs(int(mm.curve.delta))) - log_scaled) / 12
+        value = (mpmath.log(abs(mm.curve.delta)) - log_scaled) / 12
     return float(value)
 
 

@@ -53,7 +53,7 @@ class TestParse:
         rec = c.curves["37a"]
         assert rec.get("rank") == "1"
         assert rec.get("gens") == "0,0"
-        _, curve, mm, rank, gens = corpus.build_curve_data(c, "37a")
+        _, mm, rank, gens = corpus.build_curve_data(c, "37a")
         assert rank == 1 and len(gens) == 1
 
     def test_missing_key_names_it(self):
@@ -730,6 +730,38 @@ class TestUnknownCheckToken:
     def test_one_check_selects_its_rows(self, capsys):
         assert cli.main(["verify", "--checks", "friedman"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "# 17 rows: 17 pass"
+
+
+class TestChecksBeforeCorpus:
+    def test_unknown_check_before_the_corpus_is_read(self, tmp_path, monkeypatch, capsys):
+        # the corpus would fail to parse; the unknown id is reported first
+        path = tmp_path / "bad.txt"
+        path.write_text("curve x\na = 0 0 1\nrank = 0\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(corpus, "load_corpus", never)
+        assert cli.main(["verify", "--checks", "nosuch", "--corpus", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: unknown check 'nosuch'\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # a reader that closes the pipe before the first write, as `| head -0`
+    # does: no error message, and 128 + SIGPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arithinv.cli", "curve", "37a"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")
 
 
 class TestMissingCorpusFile:

@@ -8,6 +8,7 @@ included) and raise the same errors.
 """
 
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from arithinv.errors import (
     DanglingSubfieldRef,
     DuplicateLabel,
     ParseError,
+    PointNotOnCurve,
     UnknownLabel,
 )
 
@@ -193,3 +195,34 @@ class TestRecordValue:
         spaced = corpus.parse_corpus("# lead\n\n" + GOOD + "\n# between\n\n\n" + field + "\n# end\n")
         assert [r.line for r in plain.records] != [r.line for r in spaced.records]
         assert spaced == plain and not spaced != plain
+
+
+HARD_CURVES = Path(__file__).resolve().parent / "data" / "hard_curves.txt"
+
+
+class TestCurveData:
+    """`build_curve_data` reads a record's model once, by `minimal_model`."""
+
+    def test_minimal_model_fields_are_ints(self, bundled):
+        # rational (nonint_37a) and non-minimal (scaled_389a) inputs included
+        for corp in (bundled, corpus.load_corpus(HARD_CURVES)):
+            for label in corp.curves:
+                _, mm, rank, gens = corpus.build_curve_data(corp, label)
+                assert all(type(v) is int for v in mm.curve), label
+                assert len(gens) == rank
+
+    def test_generator_off_a_rational_model(self):
+        # checked on the minimal model, named as parsed
+        text = "curve nonint\na = 0 0 1/8 -1/16 0\nrank = 1\ngens = 1,1\n"
+        with pytest.raises(PointNotOnCurve) as exc:
+            corpus.build_curve_data(corpus.parse_corpus(text), "nonint")
+        assert str(exc.value) == (
+            "curve 'nonint': generator Point(x=Fraction(1, 1), y=Fraction(1, 1)) is not on the curve"
+        )
+
+    def test_generator_on_a_rational_model(self):
+        # (0, 0) on the u = 2 model of 37a is (0, 0) on 37a
+        text = "curve nonint\na = 0 0 1/8 -1/16 0\nrank = 1\ngens = 0,0\n"
+        _, mm, _, gens = corpus.build_curve_data(corpus.parse_corpus(text), "nonint")
+        assert mm.curve.a_invariants == (0, 0, 1, -1, 0) and str(mm.u) == "1/2"
+        assert gens == ((0, 0),)

@@ -23,12 +23,14 @@ from arithinv.errors import (
 )
 
 
-def transform_curve(curve, u, r, s, t):
-    """The model of x = u^2 x' + r, y = u^3 y' + s u^2 x' + t (Silverman,
-    AEC III.1, Table 3.1), written out apart from ellcurve's own change."""
+def transform_curve(a_invariants, u, r, s, t):
+    """The a-invariants of the model of x = u^2 x' + r, y = u^3 y' + s u^2
+    x' + t (Silverman, AEC III.1, Table 3.1), written out apart from
+    ellcurve's own change.  They are rational: `ec.minimal_model` reads
+    them, and `ec.weierstrass_curve` only when they are integral."""
     u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-    a1, a2, a3, a4, a6 = curve.a_invariants
-    return ec.weierstrass_curve(
+    a1, a2, a3, a4, a6 = a_invariants
+    return (
         (a1 + 2 * s) / u,
         (a2 - s * a1 + 3 * r - s * s) / u**2,
         (a3 + r * a1 + 2 * t) / u**3,
@@ -48,16 +50,16 @@ ORACLE_PINS = Path(__file__).resolve().parent / "data" / "oracle_pins.json"
 HEIGHT_PINS = Path(__file__).resolve().parent / "data" / "height_pins.json"
 
 
-def h_plus(curve):
+def h_plus(a_invariants):
     """h+ of any model, through its minimal model and AGM periods."""
-    mm = ec.minimal_model(curve)
+    mm = ec.minimal_model(a_invariants)
     return ec.faltings_height_plus(mm, analytic.agm_periods(mm.curve))
 
 
 class TestInvariants:
     def test_37a(self):
         assert (E37.delta, E37.c4) == (37, 48)
-        assert E37.c4**3 / E37.delta == Fraction(110592, 37)  # j
+        assert Fraction(E37.c4**3, E37.delta) == Fraction(110592, 37)  # j
         assert (E37.b2, E37.b4, E37.b6, E37.b8) == (0, -2, 1, -1)
 
     def test_389a(self):
@@ -85,6 +87,18 @@ class TestInvariants:
     def test_singular_rejected(self):
         with pytest.raises(SingularCurve):
             ec.weierstrass_curve(0, 0, 0, 0, 0)
+
+    def test_integral_fractions_build_the_int_curve(self):
+        # the benchmark passes Fraction(a) for each a-invariant
+        curve = ec.weierstrass_curve(*map(Fraction, (0, 0, 1, -1, 0)))
+        assert curve == E37
+        assert all(type(v) is int for v in curve + E37)
+
+    def test_rational_model_rejected(self):
+        # a rational model is read by minimal_model, not built as a curve
+        with pytest.raises(InvariantError, match=r"a-invariants \[0, 0, 1/8, -1/16, 0\] are not integral"):
+            ec.weierstrass_curve(0, 0, Fraction(1, 8), Fraction(-1, 16), 0)
+        assert ec.minimal_model((0, 0, Fraction(1, 8), Fraction(-1, 16), 0)).curve == E37
 
 
 class TestGroupLaw:
@@ -133,7 +147,7 @@ E15_TORSION = [  # Z/2 x Z/4
 class TestTorsion:
     def test_two_torsion_with_nonintegral_x(self):
         # 4x is integral on an integral model, x need not be
-        assert E15.delta == 225 and E15.is_integral
+        assert E15.delta == 225
         p = ec.Point.of(Fraction(-1, 4), Fraction(1, 8))
         assert ec.scalar_mul(E15, 2, p).is_infinity
         assert ec.is_torsion(E15, p)
@@ -213,8 +227,8 @@ class TestTorsion:
     )
     def test_resultants_and_torsion_of_scaled_models(self, a, x, y, u):
         # the height weights rest on Res(F, G) = +-delta^2, with the
-        # reversed pair's resultant dividing it; is_torsion maps the model
-        # scaled by u (non-integral for u > 1) back to its integral model
+        # reversed pair's resultant dividing it; is_torsion agrees with the
+        # reference on the model scaled by 1/u (non-minimal for u > 1)
         a1, a2, a3, a4 = a
         a6 = y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x
         try:
@@ -222,11 +236,12 @@ class TestTorsion:
         except SingularCurve:
             assume(False)
         F, G = ec._duplication_polys(curve)
-        square = int(curve.delta) ** 2
+        square = curve.delta**2
         assert abs(arith.bezout_cofactors(F, G)[2]) == square
         assert square % arith.bezout_cofactors(F[::-1], G[::-1])[2] == 0
-        scaled = transform_curve(curve, u, 0, 0, 0)
-        p = ec.transform_point(ec.Point.of(x, y), u, 0, 0, 0)
+        v = Fraction(1, u)
+        scaled = ec.weierstrass_curve(*transform_curve(curve.a_invariants, v, 0, 0, 0))
+        p = ec.transform_point(ec.Point.of(x, y), v, 0, 0, 0)
         assert ec.is_torsion(scaled, p) == mazur_reference(scaled, p)
 
     def test_doubling_rejects_without_addition(self, monkeypatch):
@@ -238,15 +253,17 @@ class TestTorsion:
 
     def test_nonintegral_model_keeps_the_full_loop(self):
         # u = 4 turns (-1, 0) into (-1/16, 0), where 4x is not integral;
-        # on the integral model it is (-1, 0) again
+        # minimal_model reads that rational model, and to_minimal takes
+        # each point back to (-1, 0) and the rest of Z/6 on y^2 = x^3 + 1
         for u in (2, 4):
-            curve = transform_curve(EJ0, u, 0, 0, 0)
-            assert not curve.is_integral
+            mm = ec.minimal_model(transform_curve(EJ0.a_invariants, u, 0, 0, 0))
+            assert mm.curve == EJ0 and mm.u == Fraction(1, u)
             for x, y in EJ0_TORSION:
-                p = ec.transform_point(ec.Point.of(x, y), u, 0, 0, 0)
-                assert ec.on_curve(curve, p) and ec.is_torsion(curve, p)
-            gen = ec.transform_point(ec.Point.of(2, 3), u, 0, 0, 0)
-            assert ec.scalar_mul(curve, 6, gen).is_infinity
+                p = mm.to_minimal(ec.transform_point(ec.Point.of(x, y), u, 0, 0, 0))
+                assert p == ec.Point.of(x, y)
+                assert ec.on_curve(mm.curve, p) and ec.is_torsion(mm.curve, p)
+            gen = mm.to_minimal(ec.transform_point(ec.Point.of(2, 3), u, 0, 0, 0))
+            assert ec.scalar_mul(mm.curve, 6, gen).is_infinity
 
 
 def repeated_add(curve, k, point):
@@ -257,11 +274,15 @@ def repeated_add(curve, k, point):
     return total
 
 
-# a model with non-integral a_i: 37a moved by (u, r, s, t) = (3, 1/2, 1/3, 1/5)
+# a model with non-integral a_i: 37a moved by (u, r, s, t) = (3, 1/2, 1/3, 1/5),
+# and its minimal model as minimal_model reads it
 MOVE = (3, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
-E37_MOVED = transform_curve(E37, *MOVE)
+E37_MOVED = transform_curve(E37.a_invariants, *MOVE)
+MM37_MOVED = ec.minimal_model(E37_MOVED)
+MMJ0_SCALED = ec.minimal_model(transform_curve(EJ0.a_invariants, 2, 0, 0, 0))
 # integral and non-integral base points (5 P on 37a, 2 P_1 on 5077a), the
-# three singular-reduction points of TestOracle, and a non-integral model
+# three singular-reduction points of TestOracle, and P37 read from a
+# non-integral model
 SCALAR_POINTS = [
     (curve, ec.Point.of(*g))
     for curve, g in [
@@ -275,22 +296,26 @@ SCALAR_POINTS = [
         (ec.weierstrass_curve(0, 0, 0, -108, 513), (-12, 9)),
         (ec.weierstrass_curve(0, 0, 0, -198, -5103), (24, 63)),
     ]
-] + [(E37_MOVED, ec.transform_point(P37, *MOVE))]
+] + [(MM37_MOVED.curve, MM37_MOVED.to_minimal(ec.transform_point(P37, *MOVE)))]
 # torsion points with their orders: 2-torsion with integral and with
-# non-integral x, orders 3, 4 and 6, and Z/6 on a non-integral model
+# non-integral x, orders 3, 4 and 6, and Z/6 read from a non-integral model
 TORSION_POINTS = [
     (EJ0, ec.Point.of(-1, 0), 2),
     (E15, ec.Point.of(Fraction(-1, 4), Fraction(1, 8)), 2),
     (EJ0, ec.Point.of(0, 1), 3),
     (E15, ec.Point.of(1, 2), 4),
     (EJ0, ec.Point.of(2, 3), 6),
-    (transform_curve(EJ0, 2, 0, 0, 0), ec.transform_point(ec.Point.of(2, -3), 2, 0, 0, 0), 6),
+    (MMJ0_SCALED.curve, MMJ0_SCALED.to_minimal(ec.transform_point(ec.Point.of(2, -3), 2, 0, 0, 0)), 6),
 ]
 
 
 class TestScalarMul:
     def test_nonintegral_model(self):
-        assert not E37_MOVED.is_integral
+        # the moved model is no curve; its minimal model is 37a, where
+        # the moved P37 lands on P37 again
+        with pytest.raises(InvariantError, match="not integral"):
+            ec.weierstrass_curve(*E37_MOVED)
+        assert SCALAR_POINTS[-1] == (E37, P37)
         assert ec.on_curve(*SCALAR_POINTS[-1])
 
     @settings(max_examples=60)
@@ -317,24 +342,22 @@ class TestScalarMul:
 
 class TestMinimalModel:
     def test_37a_already_minimal(self):
-        mm = ec.minimal_model(E37)
+        mm = ec.minimal_model(E37.a_invariants)
         assert mm.u == 1 and mm.curve.a_invariants == E37.a_invariants
 
     def test_scaled_round_trip(self):
         # y^2 = x^3 - 16 is minimal (the 2-adic condition blocks u=2);
         # scaling x,y by u = 6 multiplies a6 by 6^6
         small = ec.weierstrass_curve(0, 0, 0, 0, -16)
-        assert ec.minimal_model(small).u == 1
-        big = ec.weierstrass_curve(0, 0, 0, 0, -16 * 6**6)
-        mm = ec.minimal_model(big)
+        assert ec.minimal_model(small.a_invariants).u == 1
+        mm = ec.minimal_model((0, 0, 0, 0, -16 * 6**6))
         assert mm.u == 6
         assert mm.curve.delta == small.delta == -110592
 
     def test_kraus_blocks_naive_reduction(self):
         # v_3(delta) = 15 >= 12 here, so the curve is *not* minimal: the
         # 3-adic reduction is admissible and delta drops by 3^12
-        e = ec.weierstrass_curve(0, 0, 0, 0, -(2**4) * 3**6)
-        mm = ec.minimal_model(e)
+        mm = ec.minimal_model((0, 0, 0, 0, -(2**4) * 3**6))
         assert mm.u == 3
         assert mm.curve.delta == -(2**12) * 3**3
 
@@ -342,28 +365,29 @@ class TestMinimalModel:
         # y^2 = x^3 + 81x + 243: v_3(c4, c6, delta) = (5, 8, 12), but
         # removing 3^12 would leave v_3(c6) = 2, which no integral model has
         e = ec.weierstrass_curve(0, 0, 0, 81, 243)
-        assert (ec._vp(int(e.c4), 3), ec._vp(int(e.c6), 3), ec._vp(int(e.delta), 3)) == (5, 8, 12)
-        mm = ec.minimal_model(e)
+        assert (ec._vp(e.c4, 3), ec._vp(e.c6, 3), ec._vp(e.delta, 3)) == (5, 8, 12)
+        mm = ec.minimal_model(e.a_invariants)
         assert mm.u == 1 and mm.curve.a_invariants == e.a_invariants
         assert (3, 12) in mm.delta_factors.factors
-        big = ec.minimal_model(transform_curve(e, Fraction(1, 3), 0, 0, 0))
+        big = ec.minimal_model(transform_curve(e.a_invariants, Fraction(1, 3), 0, 0, 0))
         assert big.u == 3 and big.curve.a_invariants == e.a_invariants
         with pytest.raises(InvariantError, match="no integral model"):
-            ec._model_from_c_invariants(int(e.c4) // 3**4, int(e.c6) // 3**6)
+            ec._model_from_c_invariants(e.c4 // 3**4, e.c6 // 3**6)
 
     def test_ep5_minimal(self):
         e = ec.weierstrass_curve(0, 0, 0, 0, 25)
-        mm = ec.minimal_model(e)
+        mm = ec.minimal_model(e.a_invariants)
         assert mm.u == 1 and e.delta == -270000
 
     def test_rational_model_with_shifts(self):
-        scaled = transform_curve(E37, Fraction(1, 3), 1, 2, 5)
+        scaled = transform_curve(E37.a_invariants, Fraction(1, 3), 1, 2, 5)
         mm = ec.minimal_model(scaled)
         assert mm.curve.a_invariants == E37.a_invariants
-        assert scaled.delta == mm.u**12 * mm.curve.delta
+        model = ec.weierstrass_curve(*scaled)  # u = 1/3 and integral r, s, t
+        assert model.delta == mm.u**12 * mm.curve.delta
         u, r, s, t = mm.u, mm.r, mm.s, mm.t  # the inverse change takes P37 back
         p_back = ec.transform_point(P37, 1 / u, -r / u**2, -s / u, (r * s - t) / u**3)
-        assert ec.on_curve(scaled, p_back)
+        assert ec.on_curve(model, p_back)
         assert mm.to_minimal(p_back) == P37
 
     def test_random_scale_round_trips(self):
@@ -372,7 +396,7 @@ class TestMinimalModel:
             for _ in range(4):
                 u = rng.choice([2, 3, 5, 6, 12])
                 r, s, t = rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-3, 3)
-                scaled = transform_curve(base, Fraction(1, u), r, s, t)
+                scaled = transform_curve(base.a_invariants, Fraction(1, u), r, s, t)
                 mm = ec.minimal_model(scaled)
                 assert mm.curve.delta == base.delta
 
@@ -382,19 +406,20 @@ class TestMinimalModel:
         kraus = ec.weierstrass_curve(0, 0, 0, 0, -(2**4) * 3**6)
         for base in (E37, E389, EJ0, EJ1728, kraus):
             for u in (1, 2, 3, 6, Fraction(1, 6), Fraction(1, 12)):
-                mm = ec.minimal_model(transform_curve(base, u, 1, 0, 1))
-                assert mm.delta_factors == arith.factorize(int(mm.curve.delta))
+                mm = ec.minimal_model(transform_curve(base.a_invariants, u, 1, 0, 1))
+                assert mm.delta_factors == arith.factorize(mm.curve.delta)
 
 
 HARD_CURVES = corpus.load_corpus(Path(__file__).resolve().parent / "data" / "hard_curves.txt")
 # bases for the minimal-model law, each with a point on it: the bundled rank
-# 1-3 curves and the hard set's j = 0 and j = 1728 curves (additive at 2 and 3)
+# 1-3 curves and the hard set's j = 0 and j = 1728 curves (additive at 2 and
+# 3, minimal as given, so u = 1 and the points are the records' own)
 MINIMAL_BASES = [
     (E37, ec.Point.of(0, 0)),
     (E389, ec.Point.of(0, 0)),
     (E5077, ec.Point.of(0, 2)),
-    (corpus.build_curve_data(HARD_CURVES, "j0_add23")[1], ec.Point.of(0, 2)),
-    (corpus.build_curve_data(HARD_CURVES, "j1728_add23")[1], ec.Point.of(3, 0)),
+    (corpus.build_curve_data(HARD_CURVES, "j0_add23")[1].curve, ec.Point.of(0, 2)),
+    (corpus.build_curve_data(HARD_CURVES, "j1728_add23")[1].curve, ec.Point.of(3, 0)),
 ]
 
 
@@ -409,21 +434,24 @@ MINIMAL_BASES = [
 def test_minimal_model_law(which, u, r, s, t):
     # any rational (u, r, s, t) with u > 0, non-integral models included:
     # the same minimal model, discriminant and reduction data, and the moved
-    # point goes back to the base's point on it
+    # point goes back to the base's point on it; the minimal model is ints
     base, point = MINIMAL_BASES[which]
-    mm_base = ec.minimal_model(base)
-    mm = ec.minimal_model(transform_curve(base, u, r, s, t))
+    mm_base = ec.minimal_model(base.a_invariants)
+    mm = ec.minimal_model(transform_curve(base.a_invariants, u, r, s, t))
+    assert all(type(v) is int for v in mm.curve)
     assert mm.curve.a_invariants == mm_base.curve.a_invariants
     assert mm.delta_factors == mm_base.delta_factors
     assert ec.reduction_data(mm) == ec.reduction_data(mm_base)
     assert mm.to_minimal(ec.transform_point(point, u, r, s, t)) == mm_base.to_minimal(point)
 
 
-def fraction_minimal_model(curve):
+def fraction_minimal_model(a_invariants):
     # reference: the minimal model with (u, r, s, t) solved over Fractions
-    # from the input's a1, a2, a3, checked on all five a-invariants
-    den = math.lcm(*(a.denominator for a in curve.a_invariants))
-    c4, c6, delta = int(curve.c4 * den**4), int(curve.c6 * den**6), int(curve.delta * den**12)
+    # from the input's a1, a2, a3, checked on all five a-invariants; the
+    # invariants are read on the model scaled by 1/den, which is integral
+    den = math.lcm(*(a.denominator for a in a_invariants))
+    integral = ec.weierstrass_curve(*transform_curve(a_invariants, Fraction(1, den), 0, 0, 0))
+    c4, c6, delta = integral.c4, integral.c6, integral.delta
     factored = arith.factorize(delta)
     exps = {}
     for p, e in factored.factors:
@@ -440,10 +468,11 @@ def fraction_minimal_model(curve):
         exps[2] = exps.get(2, 0) - 1
     minimal = ec.weierstrass_curve(*ec._model_from_c_invariants(c4m, c6m))
     u = Fraction(u, den)
-    s = (u * minimal.a1 - curve.a1) / 2
-    r = (u**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s) / 3
-    t = (u**3 * minimal.a3 - curve.a3 - r * curve.a1) / 2
-    assert transform_curve(curve, u, r, s, t).a_invariants == minimal.a_invariants
+    a1, a2, a3, _, _ = a_invariants
+    s = (u * minimal.a1 - a1) / 2
+    r = (u**2 * minimal.a2 - a2 + s * a1 + s * s) / 3
+    t = (u**3 * minimal.a3 - a3 - r * a1) / 2
+    assert transform_curve(a_invariants, u, r, s, t) == minimal.a_invariants
     factors = tuple((p, e - 12 * exps.get(p, 0)) for p, e in factored.factors if e > 12 * exps.get(p, 0))
     return minimal, u, r, s, t, arith.Factorization(factored.sign, factors)
 
@@ -459,35 +488,35 @@ def fraction_minimal_model(curve):
 def test_minimal_model_matches_the_fraction_reference(which, u, r, s, t):
     # the integer solve returns the change and the delta_min factorization
     # of the Fraction one, on integral and non-integral models alike
-    curve = transform_curve(MINIMAL_BASES[which][0], u, r, s, t)
-    mm = ec.minimal_model(curve)
-    assert (mm.curve, mm.u, mm.r, mm.s, mm.t, mm.delta_factors) == fraction_minimal_model(curve)
+    a_invariants = transform_curve(MINIMAL_BASES[which][0].a_invariants, u, r, s, t)
+    mm = ec.minimal_model(a_invariants)
+    assert (mm.curve, mm.u, mm.r, mm.s, mm.t, mm.delta_factors) == fraction_minimal_model(a_invariants)
 
 
 class TestReductionData:
     def test_37a(self):
-        rd = ec.reduction_data(ec.minimal_model(E37))
+        rd = ec.reduction_data(ec.minimal_model(E37.a_invariants))
         assert rd.n0 == 37 and rd.n_stable == 37 and rd.n_unstable == 1
         assert rd.semistable
         (row,) = rd.primes
         assert row.kind == "multiplicative" and row.stable and row.v_delta == 1
 
     def test_j0(self):
-        rd = ec.reduction_data(ec.minimal_model(EJ0))
+        rd = ec.reduction_data(ec.minimal_model(EJ0.a_invariants))
         assert {r.p for r in rd.primes} == {2, 3}
         assert all(r.kind == "additive" and not r.stable for r in rd.primes)
         assert rd.n0 == 6 and rd.n_unstable == 6 and rd.n_stable == 1
         assert not rd.semistable
 
     def test_j1728(self):
-        rd = ec.reduction_data(ec.minimal_model(EJ1728))
+        rd = ec.reduction_data(ec.minimal_model(EJ1728.a_invariants))
         assert [r.p for r in rd.primes] == [2]
         assert rd.primes[0].kind == "additive" and not rd.primes[0].stable
         assert rd.n0 == 2
 
     def test_product_identity(self):
         for curve in (E37, E389, E5077, EJ0, EJ1728):
-            rd = ec.reduction_data(ec.minimal_model(curve))
+            rd = ec.reduction_data(ec.minimal_model(curve.a_invariants))
             assert rd.n0 == rd.n_stable * rd.n_unstable
             assert rd.semistable == all(r.kind == "multiplicative" for r in rd.primes)
 
@@ -587,24 +616,24 @@ class TestPairingAndRegulator:
 
 class TestFaltingsHeight:
     def test_37a_semistable_bound(self):
-        h = h_plus(E37)
+        h = h_plus(E37.a_invariants)
         assert h >= math.log(37) / 12 > 0.30089
 
     def test_j1728_bounds(self):
-        h = h_plus(EJ1728)
+        h = h_plus(EJ1728.a_invariants)
         assert h >= 0
         assert h >= math.log(2) / 12**8
 
     def test_ep5(self):
-        assert h_plus(ec.weierstrass_curve(0, 0, 0, 0, 25)) >= 0
+        assert h_plus((0, 0, 0, 0, 25)) >= 0
 
     def test_nonnegative_corpus(self):
         for curve in (E37, E389, E5077, EJ0, EJ1728):
-            assert h_plus(curve) >= 0
+            assert h_plus(curve.a_invariants) >= 0
 
     def test_model_invariance(self):
-        scaled = transform_curve(E37, Fraction(1, 5), 2, 1, 0)
-        assert h_plus(scaled) == pytest.approx(h_plus(E37), abs=1e-9)
+        scaled = transform_curve(E37.a_invariants, Fraction(1, 5), 2, 1, 0)
+        assert h_plus(scaled) == pytest.approx(h_plus(E37.a_invariants), abs=1e-9)
 
 
 class TestEpFamily:
@@ -627,7 +656,7 @@ class TestCorpusHeightPaths:
         tol = 1e-6
         pairs = 0
         for label in bundled.curves:
-            _, _, mm, rank, gens = corpus_mod.build_curve_data(bundled, label)
+            _, mm, rank, gens = corpus_mod.build_curve_data(bundled, label)
             for g in gens:
                 primary = ec.canonical_height(mm.curve, g, tol)
                 oracle, err = ec.canonical_height_doubling(mm.curve, g, tol)
@@ -668,12 +697,15 @@ class TestGroupLawValidation:
                 call()
 
     def test_on_curve_of_a_nonintegral_model(self):
-        # d = lcm(6, 3, 2, 1, 3) = 6: the test runs on the model a_i 6^i
-        curve = ec.weierstrass_curve(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 1, Fraction(-2, 3))
+        # d = lcm(6, 3, 2, 1, 3) = 6: minimal_model reads the rational
+        # model, and (1, 1) on it is mapped once onto the minimal model
+        a = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 1, Fraction(-2, 3))
+        mm = ec.minimal_model(a)
+        gen = mm.to_minimal(ec.Point.of(1, 1))
         for k in (1, 3, -2):
-            q = ec.scalar_mul(curve, k, ec.Point.of(1, 1))
-            assert ec.on_curve(curve, q)
-            assert not ec.on_curve(curve, ec.Point(q.x, q.y + Fraction(1, 6**3)))
+            q = ec.scalar_mul(mm.curve, k, gen)
+            assert ec.on_curve(mm.curve, q)
+            assert not ec.on_curve(mm.curve, ec.Point(q.x, q.y + Fraction(1, q.y.denominator)))
 
     def test_inputs_checked_once(self, monkeypatch):
         # the loops add exact multiples of checked points without re-checking
@@ -707,9 +739,9 @@ class TestGeneralWeierstrassForm:
         assert abs(hp - ho) <= 1e-7 + err
         h2 = ec.canonical_height(e, ec.scalar_mul(e, 2, p), 1e-10)
         assert abs(h2 - 4 * hp) < 1e-8
-        rd = ec.reduction_data(ec.minimal_model(e))
+        rd = ec.reduction_data(ec.minimal_model(e.a_invariants))
         assert rd.semistable and rd.n0 == 65
-        assert h_plus(e) >= math.log(65) / 12
+        assert h_plus(e.a_invariants) >= math.log(65) / 12
 
 
 class TestHeightPrecisionStability:
@@ -723,7 +755,7 @@ class TestHeightPrecisionStability:
             ec._height_cache.clear()
             high = ec.canonical_height(E37, P37, 1e-12)
             assert abs(base - high) < 1e-12
-            hf_base = h_plus(E37)
+            hf_base = h_plus(E37.a_invariants)
             assert abs(hf_base - 0.4947612684920057) < 1e-12
         finally:
             prec.set_precision(before)
@@ -736,7 +768,7 @@ def bundled_generators():
     bundled = corpus.load_corpus()
     out = []
     for label in sorted(bundled.curves):
-        _, _, mm, _, gens = corpus.build_curve_data(bundled, label)
+        _, mm, _, gens = corpus.build_curve_data(bundled, label)
         out += [(mm.curve, g, ec.canonical_height(mm.curve, g)) for g in gens]
     return tuple(out)
 
@@ -759,10 +791,10 @@ class TestHeightLaws:
     )
     def test_model_change_invariance(self, which, k, r, s, t):
         # u = 1/k multiplies a_i by k^i, so the new model stays integral
+        # (weierstrass_curve rejects any other)
         curve, gen, h = bundled_generators()[which]
         u = Fraction(1, k)
-        moved = transform_curve(curve, u, r, s, t)
-        assert moved.is_integral
+        moved = ec.weierstrass_curve(*transform_curve(curve.a_invariants, u, r, s, t))
         hm = ec.canonical_height(moved, ec.transform_point(gen, u, r, s, t))
         assert abs(hm - h) <= 2 * ec.DEFAULT_TOL
 
@@ -789,7 +821,7 @@ SERIES_POINTS = (
 
 def res_weight(curve, p):
     """v_p(Res(F, G)) = 2 v_p(delta), the R of the p-adic series."""
-    return 2 * ec._vp(int(curve.delta), p)
+    return 2 * ec._vp(curve.delta, p)
 
 
 class TestPadicSeries:
@@ -851,7 +883,7 @@ class TestPadicSeries:
         except SingularCurve:
             assume(False)
         v = Fraction(1, u)
-        curve = transform_curve(curve, v, 0, 0, 0)
+        curve = ec.weierstrass_curve(*transform_curve(curve.a_invariants, v, 0, 0, 0))
         point = ec.scalar_mul(curve, k, ec.transform_point(ec.Point.of(x, y), v, 0, 0, 0))
         assume(not point.is_infinity)
         hd = ec._height_data(curve)
@@ -994,13 +1026,14 @@ class TestOracle:
         st.fractions(-20, 20, max_denominator=6),
     )
     def test_model_change_invariance(self, which, k, u, r, s, t):
-        # any (u, r, s, t): non-integral and non-minimal models included
+        # any (u, r, s, t): non-integral and non-minimal models included,
+        # each read by minimal_model with the moved point by to_minimal
         curve, gen, _ = oracle_generator(which)
         point = ec.scalar_mul(curve, k, gen)
         value, bound = ec.canonical_height_doubling(curve, point)
-        moved = transform_curve(curve, u, r, s, t)
+        moved = ec.minimal_model(transform_curve(curve.a_invariants, u, r, s, t))
         moved_value, moved_bound = ec.canonical_height_doubling(
-            moved, ec.transform_point(point, u, r, s, t)
+            moved.curve, moved.to_minimal(ec.transform_point(point, u, r, s, t))
         )
         assert abs(moved_value - value) <= bound + moved_bound
 
@@ -1039,8 +1072,9 @@ class TestOracle:
     def test_singular_reduction_cases(self, a, point, local):
         curve = ec.weierstrass_curve(*a)
         pt = ec.Point.of(*point)
-        assert ec.minimal_model(curve).u == 1
-        got = {row.p: ec._bad_local_height(curve, pt, row) for row in ec.reduction_data(ec.minimal_model(curve)).primes}
+        mm = ec.minimal_model(curve.a_invariants)
+        assert mm.u == 1
+        got = {row.p: ec._bad_local_height(curve, pt, row) for row in ec.reduction_data(mm).primes}
         assert {p: v for p, v in got.items() if v} == local
         for k in (1, 2, 3):
             assert_paths_agree(curve, ec.scalar_mul(curve, k, pt))
