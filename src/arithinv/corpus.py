@@ -301,7 +301,7 @@ def build_curve_data(corpus, label):
     for point, moved in zip(gens, gens_min):
         if not ellcurve.on_curve(mm.curve, moved):
             raise PointNotOnCurve(
-                "curve '%s': generator %s is not on the curve" % (label, point)
+                "curve '%s': generator %s,%s is not on the curve" % (label, point.x, point.y)
             )
     return rec, mm, rank, gens_min
 

@@ -5,6 +5,15 @@ always ``lhs >= rhs`` with ``margin = lhs - rhs`` and a pass verdict iff
 ``margin >= -1e-9``.  Checks whose constant is only known to exist
 (rather than stated) are report-only: they publish the implied constant
 and never fail.
+
+`CHECKS` declares each check once: its row ids, its scope and its
+function's name, looked up when it runs, so a wrapper put on the function
+later (as the benchmark's tracer does) sees the call.  A scope says what
+the function is called on: nothing ("constant"), each field or curve,
+each field and its declared subfield ("field pair"), every field or curve
+and the Northcott bound ("fields", "curves"), or each record, keeping the
+corpus minimum ("field minimum", "curve minimum").  It reads the stats of
+the kind it starts with; `reads` gives the kinds a selection reads.
 """
 
 from __future__ import annotations
@@ -553,63 +562,56 @@ def check_analytic_estimates():
     return [series_row, nonneg_row]
 
 
+def _scan(check_id, hits, bound, what):
+    hits = sorted(hits)
+    note = "%s <= %g: %s" % (what, bound, ", ".join(hits) or "(none)")
+    return _report(check_id, "(corpus)", float(len(hits)), bound, note)
+
+
 def northcott_fields(field_stats, bound):
-    hits = sorted(f.label for f in field_stats if not f.is_cm and f.regulator <= bound)
-    return _report(
-        "northcott_fields",
-        "(corpus)",
-        float(len(hits)),
-        bound,
-        "non-CM fields with R <= %g: %s" % (bound, ", ".join(hits) or "(none)"),
-    )
+    hits = (f.label for f in field_stats if not f.is_cm and f.regulator <= bound)
+    return _scan("northcott_fields", hits, bound, "non-CM fields with R")
 
 
 def northcott_curves(curve_stats, bound):
-    hits = sorted(
-        c.label for c in curve_stats if c.rank > 0 and c.regulator <= bound
-    )
-    return _report(
-        "northcott_curves",
-        "(corpus)",
-        float(len(hits)),
-        bound,
-        "positive-rank curves with Reg <= %g: %s" % (bound, ", ".join(hits) or "(none)"),
-    )
+    hits = (c.label for c in curve_stats if c.rank > 0 and c.regulator <= bound)
+    return _scan("northcott_curves", hits, bound, "positive-rank curves with Reg")
 
 
 # ---------------------------------------------------------------------------
 # the full run
 
 
-ALL_CHECKS = (
-    "analytic_nonneg",
-    "analytic_series",
-    "friedman",
-    "friedman_skoruppa",
-    "general_height",
-    "hermite_minkowski_a",
-    "hermite_minkowski_b",
-    "injectivity_main",
-    "injectivity_matrix",
-    "lang_silverman_c4",
-    "minkowski_minima",
-    "northcott_curves",
-    "northcott_fields",
-    "rank_bound",
-    "regulator_c10",
-    "semistable_height",
-    "silverman_friedman_c3",
+# (ids of its rows, scope, function name) per check, in the order of its rows
+CHECKS = (
+    (("analytic_nonneg", "analytic_series"), "constant", "check_analytic_estimates"),
+    (("hermite_minkowski_a", "hermite_minkowski_b"), "field", "check_hermite_minkowski"),
+    (("friedman",), "field", "check_friedman"),
+    (("silverman_friedman_c3",), "field", "report_silverman_friedman"),
+    (("friedman_skoruppa",), "field pair", "check_friedman_skoruppa"),
+    (("silverman_friedman_c3",), "field minimum", "implied_c3"),
+    (("semistable_height",), "curve", "check_semistable_height_bound"),
+    (("general_height",), "curve", "check_general_height_bound"),
+    (("injectivity_main", "injectivity_matrix"), "curve", "check_injectivity_theorem"),
+    (("rank_bound",), "curve", "check_rank_bound"),
+    (("lang_silverman_c4",), "curve", "report_lang_silverman"),
+    (("minkowski_minima", "regulator_c10"), "curve", "check_regulator_theorem"),
+    (("lang_silverman_c4",), "curve minimum", "implied_c4"),
+    (("northcott_fields",), "fields", "northcott_fields"),
+    (("northcott_curves",), "curves", "northcott_curves"),
 )
+
+ALL_CHECKS = tuple(sorted({i for ids, _, _ in CHECKS for i in ids}))
 
 _CHECK_ALIASES = {"hm": ("hermite_minkowski_a", "hermite_minkowski_b")}
 
 
 def expand_selection(tokens):
     """Map filter tokens to check ids: exact ids, aliases, or prefixes."""
+    if "" in tokens:  # a prefix of every id, so it would select them all
+        raise ValueError("--checks must not hold an empty check id")
     wanted = set()
     for token in tokens:
-        if not token:  # a prefix of every id, so it would select them all
-            raise ValueError("empty check id")
         if token in _CHECK_ALIASES:
             wanted.update(_CHECK_ALIASES[token])
         elif token in ALL_CHECKS:
@@ -622,51 +624,47 @@ def expand_selection(tokens):
     return wanted
 
 
+def _selection(selected):
+    """The selected check ids (all for None) and the checks that make one."""
+    wanted = set(ALL_CHECKS) if selected is None else expand_selection(selected)
+    return wanted, [check for check in CHECKS if not wanted.isdisjoint(check[0])]
+
+
+def reads(selected=None):
+    """The kinds of record, of "field" and "curve", whose stats the selected
+    checks read; a bad token raises as in expand_selection."""
+    _, checks = _selection(selected)
+    return {kind for _, scope, _ in checks for kind in ("field", "curve") if scope.startswith(kind)}
+
+
+def _corpus_minimum(check_id, implied):
+    """The report row of the least of the per-record implied constants, if any."""
+    values = [v for v in implied if v is not None]
+    note = "corpus minimum of implied %s" % check_id.rsplit("_", 1)[1]  # c3, c4
+    return [_report(check_id, "(corpus)", min(values), 0.0, note)] if values else []
+
+
 def run_checks(field_stats, curve_stats, selected=None, northcott_bound=1.0):
-    """All checks over the corpus, deterministically sorted by (id, object)."""
-    field_stats = list(field_stats)
-    curve_stats = list(curve_stats)
-    by_label = {f.label: f for f in field_stats}
+    """The rows of the selected checks (all by default) over the corpus,
+    deterministically sorted by (id, object); only the checks that make a
+    selected row run."""
+    wanted, checks = _selection(selected)
+    fields, curves = list(field_stats), list(curve_stats)
+    named = {f.label: f for f in fields}
+    calls = {
+        "constant": [()],
+        "field": [(f,) for f in fields],
+        "field pair": [(f, named[f.subfield_label]) for f in fields if f.subfield_label in named],
+        "curve": [(c,) for c in curves],
+        "fields": [(fields, northcott_bound)],
+        "curves": [(curves, northcott_bound)],
+    }
     rows = []
-    rows.extend(check_analytic_estimates())
-    for fs in field_stats:
-        rows.extend(check_hermite_minkowski(fs))
-        rows.append(check_friedman(fs))
-        rows.append(report_silverman_friedman(fs))
-        if fs.subfield_label and fs.subfield_label in by_label:
-            rows.append(check_friedman_skoruppa(fs, by_label[fs.subfield_label]))
-    c3_values = [v for v in (implied_c3(f) for f in field_stats) if v is not None]
-    if c3_values:
-        rows.append(
-            _report(
-                "silverman_friedman_c3",
-                "(corpus)",
-                min(c3_values),
-                0.0,
-                "corpus minimum of implied c3",
-            )
-        )
-    for cs in curve_stats:
-        rows.append(check_semistable_height_bound(cs))
-        rows.append(check_general_height_bound(cs))
-        rows.extend(check_injectivity_theorem(cs))
-        rows.append(check_rank_bound(cs))
-        rows.append(report_lang_silverman(cs))
-        rows.extend(check_regulator_theorem(cs))
-    c4_values = [v for v in (implied_c4(c) for c in curve_stats) if v is not None]
-    if c4_values:
-        rows.append(
-            _report(
-                "lang_silverman_c4",
-                "(corpus)",
-                min(c4_values),
-                0.0,
-                "corpus minimum of implied c4",
-            )
-        )
-    rows.append(northcott_fields(field_stats, northcott_bound))
-    rows.append(northcott_curves(curve_stats, northcott_bound))
-    if selected is not None:
-        wanted = expand_selection(selected)
-        rows = [r for r in rows if r.check_id in wanted]
+    for ids, scope, name in checks:
+        made = [globals()[name](*args) for args in calls[scope.removesuffix(" minimum")]]
+        if scope.endswith(" minimum"):
+            made = _corpus_minimum(ids[0], made)
+        for out in made:  # a check makes one row or a list of them
+            rows += out if isinstance(out, list) else [out]
+    rows = [r for r in rows if r.check_id in wanted]
     return sorted(rows, key=lambda r: (r.check_id, r.object_label))

@@ -724,8 +724,7 @@ class TestUnknownCheckToken:
     def test_empty_check_id_exit_2(self, checks, capsys):
         # an empty token is a prefix of every id, so it must not select them all
         assert cli.main(["verify", "--checks", checks]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: --checks "), err
+        assert capsys.readouterr() == ("", "error: --checks must not hold an empty check id\n")
 
     def test_one_check_selects_its_rows(self, capsys):
         assert cli.main(["verify", "--checks", "friedman"]) == 0
@@ -744,6 +743,51 @@ class TestChecksBeforeCorpus:
         monkeypatch.setattr(corpus, "load_corpus", never)
         assert cli.main(["verify", "--checks", "nosuch", "--corpus", str(path)]) == 2
         assert capsys.readouterr() == ("", "error: unknown check 'nosuch'\n")
+
+
+QR211 = "\nfield Qr211\npoly = -211 0 1\n"  # fails its unit check at 80 bits
+
+
+class TestVerifyBuildsWhatItReads:
+    """`inv verify --checks` builds only the stats that its checks read."""
+
+    @pytest.mark.parametrize(
+        "checks, unread",
+        [
+            ("friedman", ["curve_stats"]),
+            ("rank_bound", ["field_stats"]),
+            ("analytic", ["field_stats", "curve_stats"]),
+        ],
+    )
+    def test_unread_stats_are_not_built(self, checks, unread, monkeypatch, capsys):
+        assert cli.main(["verify", "--checks", checks]) == 0
+        want = capsys.readouterr()
+
+        def never(*args, **kwargs):
+            raise AssertionError("built stats that no selected check reads")
+
+        for name in unread:
+            monkeypatch.setattr(corpus, name, never)
+        assert cli.main(["verify", "--checks", checks]) == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize(
+        "checks, code, last",
+        [
+            ("rank_bound", 0, "# 9 rows: 9 pass"),
+            ("analytic", 0, "# 2 rows: 2 pass"),
+            ("friedman", 2, "error: Qr211: unit log row does not sum to 0: 278354373650 19162705353"),
+        ],
+        ids=["rank_bound", "analytic", "friedman"],
+    )
+    def test_a_field_that_fails_to_build_aborts_only_field_checks(
+        self, checks, code, last, tmp_path, capsys
+    ):
+        path = tmp_path / "corpus.txt"
+        path.write_text(Path(corpus.BUNDLED_CORPUS).read_text() + QR211)
+        assert cli.main(["verify", "--checks", checks, "--corpus", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert (out + err).splitlines()[-1] == last
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

@@ -216,9 +216,7 @@ class TestCurveData:
         text = "curve nonint\na = 0 0 1/8 -1/16 0\nrank = 1\ngens = 1,1\n"
         with pytest.raises(PointNotOnCurve) as exc:
             corpus.build_curve_data(corpus.parse_corpus(text), "nonint")
-        assert str(exc.value) == (
-            "curve 'nonint': generator Point(x=Fraction(1, 1), y=Fraction(1, 1)) is not on the curve"
-        )
+        assert str(exc.value) == "curve 'nonint': generator 1,1 is not on the curve"
 
     def test_generator_on_a_rational_model(self):
         # (0, 0) on the u = 2 model of 37a is (0, 0) on 37a

@@ -19,6 +19,27 @@ def rows_for(rows, check_id):
     return [r for r in rows if r.check_id == check_id]
 
 
+ALL_CHECK_IDS = (
+    "analytic_nonneg",
+    "analytic_series",
+    "friedman",
+    "friedman_skoruppa",
+    "general_height",
+    "hermite_minkowski_a",
+    "hermite_minkowski_b",
+    "injectivity_main",
+    "injectivity_matrix",
+    "lang_silverman_c4",
+    "minkowski_minima",
+    "northcott_curves",
+    "northcott_fields",
+    "rank_bound",
+    "regulator_c10",
+    "semistable_height",
+    "silverman_friedman_c3",
+)
+
+
 class TestConstants:
     def test_c5_over_q(self):
         c5 = ledger.CONSTANTS.c5(1, 0.0)
@@ -512,3 +533,52 @@ class TestSelectionTokens:
         # "" is a prefix of every check id
         with pytest.raises(ValueError, match="empty check id"):
             ledger.expand_selection(["friedman", ""])
+
+    def test_all_checks(self):
+        assert ledger.ALL_CHECKS == ALL_CHECK_IDS
+
+    @pytest.mark.parametrize(
+        "token",
+        ALL_CHECK_IDS + ("hm", "analytic", "hermite", "injectivity", "northcott", "lang", "f"),
+    )
+    def test_a_selection_is_the_full_run_filtered(self, token, fstats, cstats):
+        # a selection makes exactly the rows of the full run that it selects
+        wanted = ledger.expand_selection([token])
+        full = [r for r in ledger.run_checks(fstats, cstats) if r.check_id in wanted]
+        assert full
+        assert ledger.run_checks(fstats, cstats, selected=[token]) == full
+
+    @pytest.mark.parametrize(
+        "selected, kinds",
+        [
+            (None, {"field", "curve"}),
+            (["analytic"], set()),
+            (["friedman_skoruppa"], {"field"}),
+            (["silverman_friedman_c3"], {"field"}),
+            (["rank_bound", "lang"], {"curve"}),
+            (["northcott_fields", "analytic_series"], {"field"}),
+            (["northcott"], {"field", "curve"}),
+        ],
+    )
+    def test_reads(self, selected, kinds):
+        assert ledger.reads(selected) == kinds
+
+    def test_reads_rejects_what_expand_selection_rejects(self):
+        for tokens in (["nope"], ["friedman", ""]):
+            with pytest.raises(ValueError):
+                ledger.reads(tokens)
+
+    def test_a_check_patched_after_a_run_is_called(self, fstats, cstats, monkeypatch):
+        # the table names its functions, so a wrapper put on the module
+        # function later (as the benchmark's tracer does) sees every call
+        rows = ledger.run_checks(fstats, cstats)
+        seen = []
+        friedman = ledger.check_friedman
+
+        def counting(fs):
+            seen.append(fs.label)
+            return friedman(fs)
+
+        monkeypatch.setattr(ledger, "check_friedman", counting)
+        assert ledger.run_checks(fstats, cstats) == rows
+        assert seen == [f.label for f in fstats]
