@@ -1,19 +1,19 @@
 """Upper-half-plane analytics: fundamental-domain reduction, the modular
-discriminant q-series, AGM period lattices, injectivity diameter.
+discriminant in doubles, AGM period lattices, injectivity diameter.
 
 Only the single archimedean place of Q is ever needed: curves live over
 Q, so their period lattices are rectangular (positive discriminant, two
 real components) or rhombic (negative discriminant, one component), and
 the rhombic case reduces to two real AGMs after one complex square root.
-From the certified roots to q (AGM inputs, AGM, tau and its reduction,
-the delta series) the lattice runs on fixed-point integers; mpmath
-supplies pi, exp and log, and delta(tau) is kept as its logarithm.  The
-lattice is checked by its discriminant in double precision: 12 log(2 pi /
-omega1') + log delta(tau) must give log Delta of the model mod 2 pi i,
-with log omega1' read from the integer AGM means, so no magnitude is
-converted to a float.
-The ledger's scaled-discriminant term runs in doubles, within a stated
-bound.
+From the certified roots to tau (AGM inputs, AGM, tau and its reduction)
+the lattice runs on fixed-point integers, and no series is summed at the
+working precision.  The lattice is checked by its discriminant in double
+precision: 12 log(2 pi / omega1') + log delta(tau) must give log Delta of
+the model mod 2 pi i, with log omega1' read from the integer AGM means,
+so no magnitude is converted to a float.  That identity makes h+ a
+function of omega1' and Im tau alone, so log delta(tau) is needed only
+for the check, and the ledger's scaled-discriminant term; both run in
+doubles, within stated bounds.
 """
 
 from __future__ import annotations
@@ -99,95 +99,42 @@ def _reduce_fixed(x, y, bits):
 
 
 # ---------------------------------------------------------------------------
-# q-series
+# the modular discriminant in doubles
 
 
-def _cmul(ar, ai, br, bi, bits):
-    # product of two fixed-point Gaussian integers, each part rounded down
-    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+def log_delta(tau):
+    """log delta(tau) for a reduced tau, as a complex double.
 
-
-def delta_q_series(z):
-    """log delta(z), Im z > 0, by Euler's pentagonal series.
-
-    delta = q S^24 with S = sum_k (-1)^k q^(k(3k-1)/2) over all integers k
-    (Cohen, A Course in Computational Algebraic Number Theory, Sec. 7.4),
-    so log delta = 2 pi i z + 24 log S, up to a multiple of 2 pi i (the
-    imaginary part is not reduced).  The sum runs on fixed-point Gaussian
-    integers and q enters only through 2 pi i z, so the accuracy does not
-    depend on |q|.  S is about prod (1 - q^n), of size about exp(-pi /
-    (12 Im z)) (the eta function), so the fixed point carries 0.38 / Im z
-    bits beyond the working precision + 40 against that cancellation.
-
-    Each power q^e is a product tree of e copies of the fixed-point q
-    (within one unit).  A product of two values of modulus < 1 adds their
-    errors and rounds by less than 2 units, so q^e is within 4e units, and
-    the summed powers give the rounding bound err.  The terms left after
-    the smallest unsummed exponent e are bounded by tail = 2|q|^e / (1 -
-    |q|); summing stops once 24 (tail + err) < 2^-(prec.bits() + 8)
-    (|partial sum| - tail - err).  That bounds the error of 24 log S by
-    2^-(prec.bits() + 7), and the logarithm and the sum, each rounded in
-    mpmath at prec.bits() + 30, add less than 2^-(prec.bits() + 25) (24
-    |log S| + 2 pi |z|).
-
-    2 pi i z is taken at bits + 4, and q = exp(2 pi i z) is rounded to a
-    fixed-point Gaussian integer within one unit in each part (|q| < 1,
-    so bits + 4 relative bits suffice).
-    """
-    y = float(mpmath.im(z))
-    bits = prec.bits() + 40 + math.ceil(0.38 / y)
-    with mpmath.workprec(bits + 4):
-        w = 2j * mpmath.pi * z
-        q = mpmath.exp(w)
-    qr, qi = arith.to_fixed(q.real, bits), arith.to_fixed(q.imag, bits)
-    # 1 / (1 - |q|) <= c / 2^32, with |q| = exp(-2 pi Im tau)
-    c = int(2**32 / -math.expm1(-2 * math.pi * y) * (1 + 2**-40)) + 1
-    q2 = _cmul(qr, qi, qr, qi, bits)
-    q3 = _cmul(*q2, qr, qi, bits)
-    q4 = _cmul(*q2, *q2, bits)
-    # q^(k(3k-1)/2), q^(k(3k+1)/2) and their steps q^(3k+1), q^(3k+2), from k = 1
-    (lr, li), (hr, hi), (slr, sli), (shr, shi) = (qr, qi), q2, q4, _cmul(*q4, qr, qi, bits)
-    tr, ti, err = 1 << bits, 0, 0
-    for k in range(1, 200001):
-        if k % 2:
-            tr, ti = tr - lr - hr, ti - li - hi
-        else:
-            tr, ti = tr + lr + hr, ti + li + hi
-        err += 12 * k * k  # 4 (k(3k-1)/2 + k(3k+1)/2)
-        lr, li = _cmul(lr, li, slr, sli, bits)
-        hr, hi = _cmul(hr, hi, shr, shi, bits)
-        slr, sli = _cmul(slr, sli, *q3, bits)
-        shr, shi = _cmul(shr, shi, *q3, bits)
-        # (tail + err) 2^32 in units, with the unsummed q^e within 4e units,
-        # against |partial sum| 2^32 from below
-        e = (k + 1) * (3 * k + 2) // 2
-        bound = 2 * (math.isqrt(lr * lr + li * li) + 1 + 4 * e) * c + (err << 32)
-        if (24 * bound) << (prec.bits() + 8) < (math.isqrt(tr * tr + ti * ti) << 32) - bound:
-            break
-    else:
-        raise AgmNoConvergence("q-series truncation did not converge")
-    with prec.working(30):
-        return w + 24 * mpmath.log(arith.from_fixed_pair(tr, ti, bits))
-
-
-def log_scaled_discriminant(tau):
-    """log(|delta(tau)| (2 Im tau)^6) for a reduced tau, in double precision.
-
-    Since delta = q prod (1 - q^n)^24, the value is -2 pi Im tau + 24
-    sum_n log|1 - q^n| + 6 log(2 Im tau) exactly; each log|1 - w| is
-    log1p(|w|^2 - 2 Re w) / 2, so no term loses digits.  On the
-    fundamental domain |q| <= exp(-pi sqrt(3)) < 0.0044, so the terms past
-    n = 10 add less than 1e-25, and the rounding error of the double sum
-    is below 2^-50 (2 pi Im tau + 6 |log(2 Im tau)| + 1).
+    Since delta = q prod (1 - q^n)^24, log delta = 2 pi i tau + 24 sum_n
+    log(1 - q^n), each log(1 - w) taken as (log1p(|w|^2 - 2 Re w) / 2,
+    atan2(-Im w, 1 - Re w)), so no term loses digits.  On the fundamental
+    domain |q| <= exp(-pi sqrt(3)) < 0.0044, so the terms past n = 10 add
+    less than 1e-25, and the sum of the logs is the principal log of the
+    product.  The real part is within 1e-25 + 2^-50 (2 pi Im tau + 1) of
+    -2 pi Im tau + 24 log|prod (1 - q^n)|, and the imaginary part within
+    1e-25 + 2^-50 (2 pi |Re tau| + 1) of 2 pi Re tau + 24 arg prod (1 -
+    q^n); the imaginary part is not reduced mod 2 pi.
     """
     z = complex(tau.value if isinstance(tau, ReducedTau) else tau)
     if not z.imag > 0:
         raise NotUpperHalfPlane("Im tau must be positive")
     if not z.imag >= SQRT3_HALF - BOUNDARY_EPS:
-        raise TauNotReduced("scaled discriminant wants a reduced tau")
+        raise TauNotReduced("log delta wants a reduced tau")
     q = cmath.exp(2j * math.pi * z)
-    terms = [math.log1p(abs(w) ** 2 - 2 * w.real) for w in (q**n for n in range(1, 11))]
-    return -2 * math.pi * z.imag + 12 * math.fsum(terms) + 6 * math.log(2 * z.imag)
+    powers = [q**n for n in range(1, 11)]
+    modulus = math.fsum(math.log1p(abs(w) ** 2 - 2 * w.real) for w in powers)
+    phase = math.fsum(math.atan2(-w.imag, 1 - w.real) for w in powers)
+    return complex(-2 * math.pi * z.imag + 12 * modulus, 2 * math.pi * z.real + 24 * phase)
+
+
+def log_scaled_discriminant(tau):
+    """log(|delta(tau)| (2 Im tau)^6) for a reduced tau, in double precision.
+
+    The real part of log_delta plus 6 log(2 Im tau): within 1e-25 +
+    2^-50 (2 pi Im tau + 6 |log(2 Im tau)| + 1) of the exact value.
+    """
+    z = complex(tau.value if isinstance(tau, ReducedTau) else tau)
+    return log_delta(z).real + 6 * math.log(2 * z.imag)
 
 
 def injectivity_diameter(tau):
@@ -212,9 +159,12 @@ def _agm(a, b):
 
 
 class PeriodData(NamedTuple):
+    """The checked lattice of agm_periods: the reduced tau, the roots and
+    the integer AGM means, from which h+ and the lattice check read
+    omega1' (omega1_prime)."""
+
     tau: ReducedTau
     roots: tuple  # arith.ComplexApprox roots of 4x^3 + b2 x^2 + 2 b4 x + b6
-    log_delta: mpc  # log delta(tau) by delta_q_series, summed once for the lattice check and h+
     m1: int  # the AGM means M1, M2 of agm_periods as fixed-point integers at 2^-scale
     m2: int
     scale: int
@@ -235,19 +185,31 @@ class PeriodData(NamedTuple):
             return mpc(0, g) if self.rectangular else mpc(self.omega1, g) / 2
 
 
+def omega1_prime(periods):
+    """Integers (x, y, den) with 2 pi / omega1' = 2 m1 den / (2^scale (x + iy)).
+
+    omega1' = c omega2 + d omega1 = omega1 (c tau0 + d), (c, d) the bottom
+    row of tau.transform: den = m2 and x = d m2 (Delta > 0), or den = 2 m2
+    and x = (c + 2d) m2; y = c m1.  The one reading of omega1' from the
+    integer AGM means, for the lattice check and for h+.
+    """
+    m1, m2 = periods.m1, periods.m2
+    half, den = (0, m2) if periods.rectangular else (1, 2 * m2)
+    (_, _), (c, d) = periods.tau.transform
+    return c * half * m2 + d * den, c * m1, den
+
+
 def _lattice_residual(periods, model_delta):
     # log((2 pi / omega1')^12 delta(tau) / Delta) in doubles for the int
     # Delta = model_delta, its imaginary part reduced to [-pi, pi]; see
     # agm_periods.  atan2 takes x and y scaled down by one power of 2, so
     # neither overflows a float.
-    m1, m2 = periods.m1, periods.m2
-    half, den = (0, m2) if periods.rectangular else (1, 2 * m2)
-    (_, _), (c, d) = periods.tau.transform
-    x, y = c * half * m2 + d * den, c * m1
+    x, y, den = omega1_prime(periods)
     s = 1 << max(0, max(abs(x), abs(y)).bit_length() - 60)
-    modulus = math.log(2 * m1 * den) - periods.scale * math.log(2) - math.log(x * x + y * y) / 2
+    modulus = math.log(2 * periods.m1 * den) - periods.scale * math.log(2)
+    modulus -= math.log(x * x + y * y) / 2
     model = complex(math.log(abs(model_delta)), math.pi if model_delta < 0 else 0.0)
-    r = 12 * complex(modulus, -math.atan2(y / s, x / s)) + complex(periods.log_delta) - model
+    r = 12 * complex(modulus, -math.atan2(y / s, x / s)) + log_delta(periods.tau) - model
     return complex(r.real, math.remainder(r.imag, 2 * math.pi))
 
 
@@ -264,17 +226,15 @@ def agm_periods(curve):
     of Re sqrt(+-w) = sqrt((|w| +- Re w) / 2) is an isqrt, the other |Im
     w| / 2 over it.  The periods themselves are formed only when read.
 
-    The lattice is checked by its discriminant: with omega1' = c omega2 +
-    d omega1 = omega1 (c tau0 + d), (c, d) the bottom row of
-    tau.transform, 12 (log 2 pi - log omega1') + log delta(tau) must match
-    log Delta of the model mod 2 pi i to 1e-6, in modulus and phase; that
-    checks the AGM means, the reduction and the q-series at once.  It runs
-    in doubles: 2 pi / omega1' = 2 m1 den / (2^scale (x + iy)) for the
-    integer means m1, m2 at 2^-scale, den = m2 and x = d m2 (Delta > 0)
-    or den = 2 m2 and x = (c + 2d) m2, and y = c m1.  So log omega1' is
-    math.log of integers and an atan2, and log Delta is math.log of an
-    int: no magnitude becomes a float.  Each log, and log delta(tau)
-    rounded to a double, is within a few units of 2^-53 times its size,
+    The lattice is checked by its discriminant: 12 log(2 pi / omega1') +
+    log delta(tau) must match log Delta of the model mod 2 pi i to 1e-6, in
+    modulus and phase, with omega1' = c omega2 + d omega1 read from the
+    integer means by omega1_prime; that checks the AGM means and the
+    reduction at once, and it is what lets h+ be read from omega1' alone
+    (ellcurve.faltings_height_plus).  It runs in doubles: log omega1' is
+    math.log of integers and an atan2, log Delta is math.log of an int,
+    and log delta(tau) is log_delta, so no magnitude becomes a float.  Each
+    log, and log_delta, is within a few units of 2^-53 times its size,
     about 1e-12 absolute for sizes below 10^3 (integers below 1400 bits);
     there the sum, with its factor 12, is within 1e-10, far inside the
     1e-6 tolerance.
@@ -302,7 +262,7 @@ def agm_periods(curve):
     bits = p + 40 + 2 * max(0, den.bit_length() - m1.bit_length() + 1)
     tau = _reduce_fixed(half << (bits - 1), (2 * (m1 << bits) + den) // (2 * den), bits)
     # the AGM inputs are at 2^-t, so M1, M2 = m1, m2 2^-(t + 1)
-    periods = PeriodData(tau, tuple(roots), delta_q_series(tau.value), m1, m2, t + 1, curve.delta > 0)
+    periods = PeriodData(tau, tuple(roots), m1, m2, t + 1, curve.delta > 0)
     if abs(_lattice_residual(periods, curve.delta)) > 1e-6:
         raise AgmNoConvergence("period lattice does not reproduce the model discriminant")
     return periods

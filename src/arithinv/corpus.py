@@ -81,10 +81,16 @@ def _content(raw):
 
 
 def _header(lines, start):
-    """(kind, label) of the header line lines[start]."""
+    """(kind, label) of the header line lines[start].
+
+    A label may not start with '(': the ledger names its corpus-wide rows
+    "(corpus)", so such a label could pass for one of them.
+    """
     parts = _content(lines[start]).split()
     if len(parts) != 2 or parts[0] not in REQUIRED:
         raise ParseError("expected 'field <label>' or 'curve <label>'", start + 1)
+    if parts[1].startswith("("):
+        raise ParseError("label '%s' may not start with '('" % parts[1], start + 1)
     return parts[0], parts[1]
 
 
@@ -171,7 +177,7 @@ def _read_block(lines, kind, label):
     ]
     if not starts:
         return None
-    rec, _ = _block(lines, starts[0], kind, label)
+    rec, _ = _block(lines, starts[0], *_header(lines, starts[0]))
     if len(starts) > 1:
         raise _duplicate(kind, label, starts[0] + 1, starts[1] + 1)
     return rec
@@ -346,7 +352,7 @@ def curve_stats_one(corpus, label, tol=ellcurve.DEFAULT_TOL):
     _, mm, rank, gens_min = build_curve_data(corpus, label)
     reduction = ellcurve.reduction_data(mm)
     periods = analytic.agm_periods(mm.curve)
-    h_plus = ellcurve.faltings_height_plus(mm, periods)
+    h_plus = ellcurve.faltings_height_plus(periods)
     mw = ellcurve.mw_regulator(mm.curve, list(gens_min), rank, tol)
     stats = ledger.CurveStats(
         label=label,

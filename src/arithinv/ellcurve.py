@@ -798,18 +798,30 @@ def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
 # the nonnegative differential height
 
 
-def faltings_height_plus(mm, periods):
+def faltings_height_plus(periods):
     """(1/12)(log |delta_min| - log(|delta(tau)| (2 Im tau)^6)) over Q.
 
-    mm is the global minimal model and periods its AGM period lattice
-    (``analytic.agm_periods(mm.curve)``), which carries log delta(tau);
-    log |delta(tau)| is its real part, read at prec.bits() + 30.
-    Always >= 0.
+    periods is the AGM period lattice of the global minimal model
+    (``analytic.agm_periods(mm.curve)``), which has checked delta_min =
+    (2 pi / omega1')^12 delta(tau).  So h+ = log |2 pi / omega1'| - log(2
+    Im tau) / 2: half of one log, at prec.bits() + 30, of a rational read
+    exactly from the integer AGM means (analytic.omega1_prime) and the
+    fixed-point Im tau.  Always >= 0.
+
+    Error budget, in units of 2^-prec.bits(): each AGM stops once its
+    iterates agree to 2^-(prec + 12) relative, on inputs of at least prec
+    + 20 bits, so m1, m2 and |x + iy| are within 2^-11 relative and log
+    |2 pi / omega1'| within 2^-9; Im tau, reduced at prec + 20 relative
+    bits, adds 2^-21; rounding the rational and its log adds 2^-28 (1 +
+    h+).  In all about 2^-(prec + 8).
     """
+    x, y, den = analytic.omega1_prime(periods)
+    _, man, exp, _ = periods.tau.im._mpf_  # Im tau = man 2^exp
+    # |2 pi / omega1'|^2 / (2 Im tau) = (2 m1 den)^2 / ((x^2 + y^2) man) 2^-shift
+    num, shift = (2 * periods.m1 * den) ** 2, 2 * periods.scale + 1 + exp
     with prec.working(30):
-        log_scaled = mpmath.re(periods.log_delta) + 6 * mpmath.log(2 * periods.tau.im)
-        value = (mpmath.log(abs(mm.curve.delta)) - log_scaled) / 12
-    return float(value)
+        ratio = mpmath.ldexp(mpmath.mpf(num) / ((x * x + y * y) * man), -shift)
+        return float(mpmath.log(ratio) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -219,12 +219,28 @@ def pell_unit_system(field):
     return unit_system(field, [(Fraction(t * f + u * b, 2 * f), Fraction(u, f))])
 
 
+def _det_forms(log_matrix, n):
+    # |det| of the bordered n x n matrix and of its minor, exact (Bareiss)
+    # on the log rows read as the dyadic rationals they are, each rounded
+    # once to the working precision
+    libmp = mpmath.libmp
+    rows = [[Fraction(*libmp.to_rational(x._mpf_)) for x in row] for row in log_matrix]
+    bordered = abs(arith.frac_det(rows + [[Fraction(1, n)] * n]))
+    minor = abs(arith.frac_det([row[:-1] for row in rows]))
+    return [
+        mpmath.mp.make_mpf(libmp.from_rational(d.numerator, d.denominator, mpmath.mp.prec, "n"))
+        for d in (bordered, minor)
+    ]
+
+
 def regulator(field, units):
     """|det| of the bordered unit-log matrix; 1.0 for unit rank 0.
 
     The (r1+r2)-square matrix has the weighted unit logs as its first r
     rows and the constant row 1/(r1+r2) at the bottom; the r x r minor
     obtained by deleting the last row and column must agree to 1e-10.
+    Both determinants are exact (arith.frac_det) on the log rows taken as
+    the dyadic rationals they are, each rounded once to prec.bits() + 20.
     """
     r = unit_rank(field)
     n = field.r1 + field.r2
@@ -236,18 +252,14 @@ def regulator(field, units):
     if r == 0:
         return 1.0
     with prec.working(20):
-        rows = [list(row) for row in units.log_matrix]
-        bordered = mpmath.matrix(rows + [[mpf(1) / n] * n])
-        det_b = abs(mpmath.det(bordered))
-        minor = mpmath.matrix([row[:-1] for row in rows])
-        det_m = abs(mpmath.det(minor))
+        det_b, det_m = _det_forms(units.log_matrix, n)
         if abs(det_b - det_m) > 1e-10:
             raise InvariantError(
                 "%s: regulator determinant forms disagree: %s vs %s"
                 % (field.label, det_b, det_m)
             )
         hadamard = 1.0
-        for row in rows:
+        for row in units.log_matrix:
             hadamard *= math.sqrt(sum(float(x) ** 2 for x in row))
         if float(det_b) < 1e-12 * max(1.0, hadamard):
             raise DependentUnits("%s: unit log rows are numerically dependent" % field.label)

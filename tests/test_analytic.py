@@ -31,11 +31,79 @@ def moebius(matrix, z):
     return (a * z + b) / (c * z + d)
 
 
-def delta_at(z):
+def _cmul(ar, ai, br, bi, bits):
+    # product of two fixed-point Gaussian integers, each part rounded down
+    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+
+
+def delta_q_series(z, bits=400):
+    """log delta(z), Im z > 0, by Euler's pentagonal series: the oracle
+    for log delta, at any tau and to 2^-(bits + 7).
+
+    delta = q S^24 with S = sum_k (-1)^k q^(k(3k-1)/2) over all integers k
+    (Cohen, A Course in Computational Algebraic Number Theory, Sec. 7.4),
+    so log delta = 2 pi i z + 24 log S, up to a multiple of 2 pi i (the
+    imaginary part is not reduced).  The sum runs on fixed-point Gaussian
+    integers and q enters only through 2 pi i z, so the accuracy does not
+    depend on |q|.  S is about prod (1 - q^n), of size about exp(-pi /
+    (12 Im z)) (the eta function), so the fixed point carries 0.38 / Im z
+    bits beyond bits + 40 against that cancellation.
+
+    Each power q^e is a product tree of e copies of the fixed-point q
+    (within one unit).  A product of two values of modulus < 1 adds their
+    errors and rounds by less than 2 units, so q^e is within 4e units, and
+    the summed powers give the rounding bound err.  The terms left after
+    the smallest unsummed exponent e are bounded by tail = 2|q|^e / (1 -
+    |q|); summing stops once 24 (tail + err) < 2^-(bits + 8) (|partial
+    sum| - tail - err).  That bounds the error of 24 log S by 2^-(bits +
+    7), and the logarithm and the sum, each rounded in mpmath at bits +
+    30, add less than 2^-(bits + 25) (24 |log S| + 2 pi |z|).
+
+    2 pi i z is taken at the fixed point's precision + 4, and q = exp(2 pi
+    i z) is rounded to a fixed-point Gaussian integer within one unit in
+    each part (|q| < 1, so that many relative bits suffice).
+    """
+    y = float(mpmath.im(z))
+    fixed = bits + 40 + math.ceil(0.38 / y)
+    with mpmath.workprec(fixed + 4):
+        w = 2j * mpmath.pi * z
+        q = mpmath.exp(w)
+    qr, qi = arith.to_fixed(q.real, fixed), arith.to_fixed(q.imag, fixed)
+    # 1 / (1 - |q|) <= c / 2^32, with |q| = exp(-2 pi Im tau)
+    c = int(2**32 / -math.expm1(-2 * math.pi * y) * (1 + 2**-40)) + 1
+    q2 = _cmul(qr, qi, qr, qi, fixed)
+    q3 = _cmul(*q2, qr, qi, fixed)
+    q4 = _cmul(*q2, *q2, fixed)
+    # q^(k(3k-1)/2), q^(k(3k+1)/2) and their steps q^(3k+1), q^(3k+2), from k = 1
+    (lr, li), (hr, hi), (slr, sli), (shr, shi) = (qr, qi), q2, q4, _cmul(*q4, qr, qi, fixed)
+    tr, ti, err = 1 << fixed, 0, 0
+    for k in range(1, 200001):
+        if k % 2:
+            tr, ti = tr - lr - hr, ti - li - hi
+        else:
+            tr, ti = tr + lr + hr, ti + li + hi
+        err += 12 * k * k  # 4 (k(3k-1)/2 + k(3k+1)/2)
+        lr, li = _cmul(lr, li, slr, sli, fixed)
+        hr, hi = _cmul(hr, hi, shr, shi, fixed)
+        slr, sli = _cmul(slr, sli, *q3, fixed)
+        shr, shi = _cmul(shr, shi, *q3, fixed)
+        # (tail + err) 2^32 in units, with the unsummed q^e within 4e units,
+        # against |partial sum| 2^32 from below
+        e = (k + 1) * (3 * k + 2) // 2
+        bound = 2 * (math.isqrt(lr * lr + li * li) + 1 + 4 * e) * c + (err << 32)
+        if (24 * bound) << (bits + 8) < (math.isqrt(tr * tr + ti * ti) << 32) - bound:
+            break
+    else:
+        raise AssertionError("q-series truncation did not converge")
+    with mpmath.workprec(bits + 30):
+        return w + 24 * mpmath.log(arith.from_fixed_pair(tr, ti, fixed))
+
+
+def delta_at(z, bits=400):
     """delta(z) from the logarithm delta_q_series returns, exponentiated
-    at prec.bits() + 30, the precision it is returned at."""
-    with prec.working(30):
-        return mpmath.exp(analytic.delta_q_series(z))
+    at bits + 30, the precision it is returned at."""
+    with mpmath.workprec(bits + 30):
+        return mpmath.exp(delta_q_series(z, bits))
 
 
 def sample_reduced(rng):
@@ -189,24 +257,19 @@ class TestModularDiscriminant:
 
     def test_tau_keeps_its_precision(self):
         # a 200-bit tau must not be rounded to 53 bits on the way in
-        before = prec.bits()
-        try:
-            prec.set_precision(200)
-            with mpmath.workprec(200):
-                tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.sqrt(2))
-            got = delta_at(tau)
-            assert got != delta_at(complex(tau))
-            with mpmath.workprec(300):
-                tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.sqrt(2))
-                q = mpmath.exp(2j * mpmath.pi * tau)
-                product, qn = mpmath.mpc(1), q
-                while abs(qn) > mpmath.mpf(2) ** -320:
-                    product *= (1 - qn) ** 24
-                    qn *= q
-                ref = q * product
-                assert abs(got - ref) < 1e-40 * abs(ref)
-        finally:
-            prec.set_precision(before)
+        with mpmath.workprec(200):
+            tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.sqrt(2))
+        got = delta_at(tau, 200)
+        assert got != delta_at(complex(tau), 200)
+        with mpmath.workprec(300):
+            tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.sqrt(2))
+            q = mpmath.exp(2j * mpmath.pi * tau)
+            product, qn = mpmath.mpc(1), q
+            while abs(qn) > mpmath.mpf(2) ** -320:
+                product *= (1 - qn) ** 24
+                qn *= q
+            ref = q * product
+            assert abs(got - ref) < 1e-40 * abs(ref)
 
     def test_orbit_invariance_sampled(self):
         rng = random.Random(17)
@@ -289,6 +352,23 @@ def test_log_scaled_discriminant_law(re, im):
     # on the fundamental domain, against 200 bits within the stated bound
     assume(re * re + im * im >= 1)
     assert_scaled_discriminant_within_bound(complex(re, im))
+
+
+@example((0.0, 1.0))  # i
+@example((0.5, SQRT3_HALF))  # rho
+@example((-0.5, SQRT3_HALF))
+@given(reduced_points())
+def test_log_delta_law(point):
+    # log_delta against the 400-bit oracle within its docstring's bounds,
+    # in both parts, the phase mod 2 pi
+    z = complex(*point)
+    got = analytic.log_delta(z)
+    ref = delta_q_series(mpmath.mpc(z))
+    with mpmath.workprec(400):
+        diff = mpmath.mpc(got) - ref
+        phase = diff.imag - 2 * mpmath.pi * mpmath.nint(diff.imag / (2 * mpmath.pi))
+        assert abs(diff.real) <= 1e-25 + 2.0**-50 * (2 * math.pi * z.imag + 1)
+        assert abs(phase) <= 1e-25 + 2.0**-50 * (2 * math.pi * abs(z.real) + 1)
 
 
 @given(st.floats(-2, 2), st.floats(0.3, 4))
@@ -404,9 +484,10 @@ def near_double_curves():
 
 def assert_periods_match_reference(curve):
     # omega1, omega2 and tau within 2^-prec relative of 400 bits; log
-    # delta(tau) within 2^-(prec - 8) mod 2 pi i, a relative bound on
-    # delta(tau): delta_q_series' bound 2^-(prec + 7) and the error of tau
-    # through d log delta / d tau = 2 pi i E2(tau).  Then the identity
+    # delta at the computed tau (the 400-bit oracle delta_q_series) within
+    # 2^-(prec - 8) mod 2 pi i of the reference, a relative bound on
+    # delta(tau) from the error of tau through d log delta / d tau = 2 pi i
+    # E2(tau).  Then the identity
     # agm_periods checks, in its reference form at prec + 30 bits:
     # (2 pi / omega1')^12 delta(tau) = Delta_E with omega1' = c omega2 + d
     # omega1 from the bottom row (c, d) of the reduction matrix, to the
@@ -418,12 +499,13 @@ def assert_periods_match_reference(curve):
     assert abs(pd.omega1 - omega1) <= eta * abs(omega1)
     assert abs(pd.omega2 - omega2) <= eta * abs(omega2)
     assert abs(pd.tau.value - tau) <= eta * abs(tau)
+    log_delta = delta_q_series(pd.tau.value)
     with mpmath.workprec(400):
-        diff = pd.log_delta - mpmath.log(delta)
+        diff = log_delta - mpmath.log(delta)
         assert abs(mpmath.mpc(diff.real, math.remainder(diff.imag, 2 * math.pi))) <= 2**8 * eta
     (_, _), (c, d) = pd.tau.transform
     with mpmath.workprec(prec.bits() + 30):
-        val = (2 * mpmath.pi / (c * pd.omega2 + d * pd.omega1)) ** 12 * mpmath.exp(pd.log_delta)
+        val = (2 * mpmath.pi / (c * pd.omega2 + d * pd.omega1)) ** 12 * mpmath.exp(log_delta)
         assert abs(val - curve.delta) <= 2**8 * eta * abs(curve.delta)
         residual = complex(mpmath.log(val / curve.delta))
     assert abs(analytic._lattice_residual(pd, curve.delta) - residual) <= 1e-9
@@ -444,6 +526,51 @@ def test_agm_periods_law(a, bits):
     try:
         prec.set_precision(bits or before)
         assert_periods_match_reference(curve)
+    finally:
+        prec.set_precision(before)
+
+
+def assert_h_plus_matches_oracle(curve):
+    # h+ of the model's lattice within 2^-prec relative of (1/12)(log |Delta|
+    # - Re log delta(tau) - 6 log(2 Im tau)) at its reduced tau, log delta
+    # by the 400-bit oracle, plus the rounding of the returned double
+    from arithinv import ellcurve as ec
+
+    pd = analytic.agm_periods(curve)
+    h = ec.faltings_height_plus(pd)
+    tau = pd.tau.value
+    log_delta = delta_q_series(tau)
+    with mpmath.workprec(400):
+        ref = (mpmath.log(abs(curve.delta)) - log_delta.real - 6 * mpmath.log(2 * tau.imag)) / 12
+        assert abs(h - ref) <= (2.0 ** -prec.bits() + 2.0**-53) * ref
+
+
+@settings(max_examples=60)
+@given(near_double_curves(), st.sampled_from((None, 200)))
+@example((0, 10**12, 0, 0, 1), None)
+@example((0, 10**12, 0, 0, -1), 200)
+def test_faltings_height_plus_law(a, bits):
+    # the curves of test_agm_periods_law, about half at 200 bits
+    curve = curve_stub(*a)
+    assume(curve.delta != 0)
+    before = prec.bits()
+    try:
+        prec.set_precision(bits or before)
+        assert_h_plus_matches_oracle(curve)
+    finally:
+        prec.set_precision(before)
+
+
+@pytest.mark.parametrize("bits", [None, 200])
+def test_faltings_height_plus_on_the_bundled_curves(bundled, bits):
+    from arithinv import corpus
+
+    before = prec.bits()
+    try:
+        prec.set_precision(bits or before)
+        for label in bundled.curves:
+            _, mm, _, _ = corpus.build_curve_data(bundled, label)
+            assert_h_plus_matches_oracle(mm.curve)
     finally:
         prec.set_precision(before)
 
@@ -486,14 +613,14 @@ class TestLatticeDiscriminantIdentity:
             pd = analytic.agm_periods(curve)
             tau0 = pd.omega2 / pd.omega1
             with mpmath.workprec(100):
-                val = mpmath.exp(analytic.delta_q_series(tau0)) * (2 * mpmath.pi / pd.omega1) ** 12
+                val = mpmath.exp(delta_q_series(tau0)) * (2 * mpmath.pi / pd.omega1) ** 12
             target = int(curve.delta)
             assert abs(val - target) <= 1e-12 * abs(target)
 
     def test_a_wrong_delta_is_a_named_failure(self, monkeypatch):
         # delta(tau) off by 1e-3 relative breaks the identity
-        exact = analytic.delta_q_series
-        monkeypatch.setattr(analytic, "delta_q_series", lambda z: exact(z) + math.log(1 + 1e-3))
+        exact = analytic.log_delta
+        monkeypatch.setattr(analytic, "log_delta", lambda tau: exact(tau) + math.log(1 + 1e-3))
         with pytest.raises(AgmNoConvergence, match="model discriminant"):
             analytic.agm_periods(curve_stub(0, 0, 1, -1, 0))
 
@@ -502,16 +629,17 @@ class TestLatticeDiscriminantIdentity:
         # phase of the check can catch it
         curve = curve_stub(0, 0, 1, -1, 0)
         pd = analytic.agm_periods(curve)
-        residual = analytic._lattice_residual(pd._replace(log_delta=pd.log_delta + 1e-3j), curve.delta)
+        exact = analytic.log_delta
+        monkeypatch.setattr(analytic, "log_delta", lambda tau: exact(tau) + 1e-3j)
+        residual = analytic._lattice_residual(pd, curve.delta)
         assert abs(residual.real) < 1e-9 and abs(residual.imag - 1e-3) < 1e-9
-        exact = analytic.delta_q_series
-        monkeypatch.setattr(analytic, "delta_q_series", lambda z: exact(z) + 1e-3j)
         with pytest.raises(AgmNoConvergence, match="model discriminant"):
             analytic.agm_periods(curve)
 
     def test_huge_discriminant_has_no_overflow(self):
         # Delta of y^2 = x^3 - 10^120 x + 1 has 1200 bits, beyond any double:
-        # the lattice check and h+ take its logarithm from the int.  The
+        # the lattice check takes its logarithm from the int, and h+ reads
+        # only the integer AGM means and tau.  The
         # model is minimal (c6 = -864: v2 = 5, v3 = 3 and 5 does not divide
         # it), so h+ needs no factorization.  Against 300 bits to 2^-prec
         # relative, plus the rounding of the returned double
@@ -526,7 +654,7 @@ class TestLatticeDiscriminantIdentity:
             try:
                 prec.set_precision(bits)
                 pd = analytic.agm_periods(curve)
-                h = ec.faltings_height_plus(ec.MinimalModel(curve, 1, 0, 0, 0, None), pd)
+                h = ec.faltings_height_plus(pd)
             finally:
                 prec.set_precision(before)
             with mpmath.workprec(300):

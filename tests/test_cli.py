@@ -184,6 +184,15 @@ class TestCli:
         assert cli.main(["verify", "--corpus", str(path)]) == 2
         assert "missing key" in capsys.readouterr().err
 
+    def test_aggregate_label_exit_2(self, tmp_path, capsys):
+        # a record labelled "(corpus)" would print beside the corpus-wide rows
+        path = tmp_path / "agg.txt"
+        path.write_text("field (corpus)\npoly = -2 0 1\n\nfield Q5\npoly = -5 0 1\n")
+        assert cli.main(["verify", "--checks", "silverman", "--corpus", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1: label '(corpus)' may not start with '('" in captured.err
+
 
 def reference_json(rows, header):
     """The report layout render_json keeps: json.dumps with indent=2."""

@@ -167,6 +167,27 @@ class TestRecordRead:
         read = corpus.read_records(text, "curve", "good")
         assert read.records == corpus.parse_corpus(text).records
 
+    def test_aggregate_label_is_reserved(self):
+        # the ledger names its corpus-wide rows "(corpus)"; a record may not
+        # take that name, in the full parse or in the record read
+        text = "field (corpus)\npoly = -2 0 1\n\nfield Q5\npoly = -5 0 1\n"
+        assert _same_error(text, "field", "(corpus)") == (
+            ParseError,
+            "line 1: label '(corpus)' may not start with '('",
+            1,
+        )
+        # a record elsewhere still reads, as any bad block elsewhere
+        assert len(corpus.read_records(text, "field", "Q5").records) == 1
+
+    def test_label_starting_with_a_parenthesis_is_rejected_at_its_line(self):
+        text = GOOD + "\n" + GOOD.replace("curve good", "curve (x")
+        message = "line 6: label '(x' may not start with '('"
+        assert _same_error(text, "curve", "(x") == (ParseError, message, 6)
+        # a subfield read through its reference is checked too
+        sub = "field A\npoly = -2 0 1\nsubfield = (s)\n\nfield (s)\npoly = -5 0 1\n"
+        with pytest.raises(ParseError, match="line 5: label '\\(s\\)'"):
+            corpus.read_records(sub, "field", "A")
+
     def test_kinds_have_separate_labels(self):
         text = "field good\npoly = -2 0 1\n\n" + GOOD
         full = corpus.parse_corpus(text)

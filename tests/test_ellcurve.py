@@ -53,7 +53,7 @@ HEIGHT_PINS = Path(__file__).resolve().parent / "data" / "height_pins.json"
 def h_plus(a_invariants):
     """h+ of any model, through its minimal model and AGM periods."""
     mm = ec.minimal_model(a_invariants)
-    return ec.faltings_height_plus(mm, analytic.agm_periods(mm.curve))
+    return ec.faltings_height_plus(analytic.agm_periods(mm.curve))
 
 
 class TestInvariants:

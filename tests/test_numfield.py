@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arithinv import arith, corpus, numfield
+from arithinv import arith, corpus, numfield, prec
 from arithinv.errors import (
     DependentUnits,
     InvariantError,
@@ -324,6 +324,53 @@ def unit_power_product(K, base, exps):
     return out
 
 
+def assert_det_forms_match_mpmath(field, units):
+    # both determinant forms against mpmath.det of the same rows at 400
+    # bits, within 2^-(prec + 10) relative; R is the bordered form
+    n = field.r1 + field.r2
+    with prec.working(20):
+        det_b, det_m = numfield._det_forms(units.log_matrix, n)
+    with mpmath.workprec(400):
+        rows = [list(row) for row in units.log_matrix]
+        ref_b = abs(mpmath.det(mpmath.matrix(rows + [[mpmath.mpf(1) / n] * n])))
+        ref_m = abs(mpmath.det(mpmath.matrix([row[:-1] for row in rows])))
+        eta = mpmath.mpf(2) ** -(prec.bits() + 10)
+        assert abs(det_b - ref_b) <= eta * ref_b
+        assert abs(det_m - ref_m) <= eta * ref_m
+    try:
+        assert numfield.regulator(field, units) == float(det_b)
+    except InvariantError as exc:
+        assert "forms disagree" in str(exc)
+
+
+def test_regulator_matches_mpmath_det_on_the_bundled_fields(bundled):
+    checked = 0
+    for label in bundled.fields:
+        rec = corpus.build_field_record(bundled, label)
+        if numfield.unit_rank(rec.field) == 0:
+            continue
+        assert_det_forms_match_mpmath(rec.field, rec.units or numfield.pell_unit_system(rec.field))
+        checked += 1
+    assert checked >= 9
+
+
+def test_regulator_matches_mpmath_det_on_real_quadratic_fields():
+    # every squarefree m < 500 whose Pell unit system builds at the working
+    # precision (the others fail on their log rows, before any determinant)
+    checked = 0
+    for m in range(2, 500):
+        if any(m % (p * p) == 0 for p in range(2, 23)):
+            continue
+        field = quadratic(m)
+        try:
+            units = numfield.pell_unit_system(field)
+        except InvariantError:
+            continue
+        assert_det_forms_match_mpmath(field, units)
+        checked += 1
+    assert checked >= 200
+
+
 class TestVerifyCm:
     def test_zeta5_over_sqrt5(self):
         K = make_zeta5()
@@ -395,8 +442,6 @@ class TestVolumeIdentityRank2:
 
 class TestPrecisionStability:
     def test_regulator_stable_under_higher_precision(self):
-        from arithinv import prec
-
         before = prec.bits()
         try:
             K = quadratic(2)
