@@ -11,9 +11,9 @@ resultant: norms and discriminants are determinants of multiplication
 matrices in :mod:`arithinv.numfield`.  ``fractions.Fraction`` carries
 only exact inputs and results.
 Approximate work runs on fixed-point integers where it loops (root
-polishing here, the q-series and the AGM in :mod:`arithinv.analytic`),
-with precisions derived from :mod:`arithinv.prec`; mpmath values and the
-double-precision root seeds enter and leave exactly.
+polishing here, the AGM in :mod:`arithinv.analytic`), with precisions
+from :mod:`arithinv.prec`; mpmath values and the double-precision root
+seeds enter exactly, and the roots leave as integers.
 """
 
 from __future__ import annotations
@@ -122,32 +122,24 @@ def from_fixed_pair(x, y, bits):
 
 
 # ---------------------------------------------------------------------------
-# certified root finding on Gaussian integers at the fixed point 2^-P, P the
-# working precision + 80 bits + 20 guard bits + the largest coefficient's
-# bit length: double-precision Durand-Kerner seeds every root, Durand-Kerner
-# sweeps polish them, real roots are Newton-polished on the real axis (the
-# exact Sturm count says how many are real), and conjugate pairs are made
-# exact.  p(z) 2^(nP) is an exact integer Horner, so each correction is one
-# rounded Gaussian division, and each radius deg |p(z)| / |p'(z)| is
-# evaluated exactly at the returned dyadic point and rounded up.  The discs
-# must be pairwise disjoint, so the n discs hold n distinct roots.
+# certified root finding on integers at the fixed point 2^-P (poly_roots):
+# one polish keeps real roots real and conjugate pairs exactly conjugate
 
 ROOT_TOL = 1e-18  # the largest error radius poly_roots returns
 
 
 class ComplexApprox(NamedTuple):
-    """A complex value with an absolute error radius covering both parts."""
+    """(x + iy) 2^-bits for ints x, y, with an absolute error radius err
+    covering both parts.  real and imag, exact mpfs, and value, their mpc
+    at the caller's working precision, are formed when read."""
 
-    real: mpf
-    imag: mpf
+    x: int
+    y: int
+    bits: int
     err: float
-
-    @property
-    def value(self):
-        return mpc(self.real, self.imag)
-
-    def __repr__(self):
-        return "ComplexApprox(%s, %s, err=%.3g)" % (self.real, self.imag, self.err)
+    real = property(lambda self: from_fixed(self.x, self.bits))
+    imag = property(lambda self: from_fixed(self.y, self.bits))
+    value = property(lambda self: mpc(self.real, self.imag))
 
 
 def _fixed_point_bits(coeffs):
@@ -269,26 +261,38 @@ def _double_seeds(coeffs, bits):
     return [(to_fixed(y.real, s + bits), to_fixed(y.imag, s + bits)) for y in ys]
 
 
-def _durand_kerner(coeffs, zs, bits):
-    # Gauss-Seidel Weierstrass sweeps on Gaussian integers: the correction
-    # p(z_k) / (a_n prod_j (z_k - z_j)) is V / (a_n D) in units of 2^-bits,
-    # with V = p(z_k) 2^(n bits) and D = prod_j (z_k - z_j) 2^((n-1) bits),
-    # rounded to the nearest Gaussian integer.  Done once no step exceeds
-    # one unit in either part.
-    lead = coeffs[-1]
+def _split(zs, n_real, tol):
+    # (real roots, pair representatives) if each point (x, y) lies within
+    # tol(x, y) of the real axis, or has Im > tol and a conjugate mate to
+    # within tol, and n_real of them are real; else None
+    tols = [tol(x, y) for x, y in zs]
+    reals = [x for (x, y), t in zip(zs, tols) if abs(y) <= t]
+    pairs = [(x, y) for i, ((x, y), t) in enumerate(zip(zs, tols)) if y > t and any(
+        abs(x - u) <= t and abs(y + v) <= t for j, (u, v) in enumerate(zs) if j != i)]
+    return (reals, pairs) if len(reals) == n_real and n_real + 2 * len(pairs) == len(zs) else None
+
+
+def _step(coeffs, x, y, wr, wi, bits):
+    # p(z) / W at z = (x + iy) 2^-bits, W = (wr + i wi) 2^-((n-1) bits),
+    # rounded to the nearest Gaussian integer
+    den = wr * wr + wi * wi
+    if not den:
+        raise NoConvergence("root polish: two approximations met")
+    vr, vi = _horner_fixed(coeffs, x, y, bits)
+    return (2 * (vr * wr + vi * wi) + den) // (2 * den), (2 * (vi * wr - vr * wi) + den) // (2 * den)
+
+
+def _durand_kerner_complex(coeffs, zs, bits):
+    # Gauss-Seidel Weierstrass sweeps on Gaussian integers, W(z_k) = a_n
+    # prod_j (z_k - z_j), until no step exceeds one unit in either part
     for _ in range(400):
         converged = True
         for k, (x, y) in enumerate(zs):
-            wr, wi = lead, 0
+            wr, wi = coeffs[-1], 0
             for j, (u, v) in enumerate(zs):
                 if j != k:
                     wr, wi = wr * (x - u) - wi * (y - v), wr * (y - v) + wi * (x - u)
-            den = wr * wr + wi * wi
-            if not den:
-                raise NoConvergence("root polish: two approximations met")
-            vr, vi = _horner_fixed(coeffs, x, y, bits)
-            sr = (2 * (vr * wr + vi * wi) + den) // (2 * den)
-            si = (2 * (vi * wr - vr * wi) + den) // (2 * den)
+            sr, si = _step(coeffs, x, y, wr, wi, bits)
             zs[k] = (x - sr, y - si)
             converged = converged and abs(sr) <= 1 and abs(si) <= 1
         if converged:
@@ -296,78 +300,92 @@ def _durand_kerner(coeffs, zs, bits):
     raise NoConvergence("root polish: Durand-Kerner did not converge")
 
 
+def _durand_kerner(coeffs, reals, pairs, bits):
+    # Gauss-Seidel Weierstrass sweeps on _split's split, in units of 2^-bits,
+    # over the other real roots x_j and representatives w = u + iv: W(x) =
+    # a_n prod (x - x_j) prod ((x - u)^2 + v^2) for a real x, and W(z) = a_n
+    # (2iy) prod (z - x_j) prod (z - w)(z - conj w) for z = x + iy.  Done once
+    # no step exceeds one unit.
+    lead = coeffs[-1]
+    for _ in range(400):
+        converged = True
+        for k, x in enumerate(reals):
+            w = lead * math.prod(x - u for j, u in enumerate(reals) if j != k)
+            w *= math.prod((x - u) ** 2 + v * v for u, v in pairs)
+            if not w:
+                raise NoConvergence("root polish: two approximations met")
+            step = (2 * _horner_fixed(coeffs, x, 0, bits)[0] + w) // (2 * w)
+            reals[k] = x - step
+            converged = converged and abs(step) <= 1
+        for k, (x, y) in enumerate(pairs):
+            wr, wi = 0, 2 * lead * y
+            for u in reals:
+                wr, wi = wr * (x - u) - wi * y, wr * y + wi * (x - u)
+            for j, (u, v) in enumerate(pairs):
+                if j != k:  # (z - u)^2 + v^2
+                    a, b = (x - u) ** 2 - y * y + v * v, 2 * (x - u) * y
+                    wr, wi = wr * a - wi * b, wr * b + wi * a
+            sr, si = _step(coeffs, x, y, wr, wi, bits)
+            pairs[k] = (x - sr, y - si)
+            converged = converged and abs(sr) <= 1 and abs(si) <= 1
+        if converged:
+            return reals, pairs
+    raise NoConvergence("root polish: Durand-Kerner did not converge")
+
+
 def poly_roots(coeffs):
     """All complex roots of a squarefree integer polynomial, certified.
 
     Seed: Durand-Kerner in double precision on the polynomial rescaled by
-    Fujiwara's root bound, which puts every root in the unit disc.  Polish:
-    Durand-Kerner on Gaussian integers at the fixed point 2^-P, where P
-    holds 20 guard bits plus the largest coefficient's bit length above the
-    working precision + 80, so the absolute stopping rule is relative to the
-    largest root the Cauchy bound allows.  Certify: the exact Sturm count
-    splits the roots into real ones, which are Newton-polished, and
-    conjugate pairs, which are made exact; every radius is deg |p| / |p'|
-    evaluated exactly at the returned dyadic point and rounded up, and the
-    n discs are pairwise disjoint, so they hold n distinct roots.
+    Fujiwara's root bound, which puts every root in the unit disc.  Split:
+    with the exact Sturm count, into real roots and one member, Im > 0, of
+    each conjugate pair, once every seed lies on the real axis or has a
+    conjugate mate, to 2^-30 relative; seeds that leave a cluster unresolved
+    are first polished as Gaussian integers and split at convergence.
+    Polish: Durand-Kerner on the split, real roots in real arithmetic and
+    each pair once, at the fixed point 2^-P, P the working precision +
+    80 + 20 guard bits + the largest coefficient's bit length, so the
+    absolute stopping rule is relative to the largest root the Cauchy bound
+    allows.  Certify: every radius is deg |p| / |p'| evaluated exactly at
+    the returned dyadic point and rounded up, and the n discs are pairwise
+    disjoint, so they hold n distinct roots.
 
-    Real roots come first (ascending), then conjugate pairs sorted by
-    real part, each pair as (Im > 0 representative, its conjugate).
-    Every returned error radius is <= ROOT_TOL.
+    Returns ComplexApprox roots at 2^-P, each radius <= ROOT_TOL: the real
+    ones ascending, then the conjugate pairs by real part, each as (its Im
+    > 0 member, the exact conjugate).
     """
     coeffs = poly_normalize(coeffs)
-    n = poly_degree(coeffs)
-    if n < 1:
+    if len(coeffs) < 2:
         raise NoConvergence("degree must be >= 1")
     squarefree, n_real = _sturm(coeffs)
     if not squarefree:
         raise NotSquarefree("polynomial has repeated roots")
     bits = _fixed_point_bits(coeffs)
-    zs = _double_seeds(coeffs, bits)
-    return _certify_roots(coeffs, _durand_kerner(coeffs, zs, bits), bits, n_real)
-
-
-def _certify_roots(coeffs, pts, bits, n_real):
-    # pts are Gaussian integers at the fixed point 2^-bits of poly_roots, and
-    # the exact Sturm count splits them into real and complex.  Each root is
-    # rounded to the working precision + 80 bits before its radius is
-    # evaluated.
-    dcoeffs = poly_deriv(coeffs)
-    order = sorted(range(len(pts)), key=lambda i: abs(pts[i][1]))
-    real_idx, cplx_idx = order[:n_real], order[n_real:]
-
-    discs = []
-    for x in sorted(pts[i][0] for i in real_idx):
-        for _ in range(6):  # Newton polish on the real axis, to one unit
-            dv = _horner_fixed(dcoeffs, x, 0, bits)[0]
-            if dv == 0:
-                break
-            step = (2 * _horner_fixed(coeffs, x, 0, bits)[0] + dv) // (2 * dv)
-            x -= step
-            if abs(step) <= 1:
-                break
-        x = _to_working(x)
-        err = _root_radius(coeffs, dcoeffs, x, 0, bits)
-        if not err <= ROOT_TOL:
-            raise NoConvergence("root certificate: real root radius %.3g > ROOT_TOL" % err)
-        discs.append((x, 0, err))
-
-    upper = sorted(pts[i] for i in cplx_idx if pts[i][1] > 0)
-    lower = [pts[i] for i in cplx_idx if pts[i][1] <= 0]
-    if 2 * len(upper) != len(cplx_idx):
+    seeds = _double_seeds(coeffs, bits)
+    split = _split(seeds, n_real, lambda x, y: max(abs(x), abs(y)) >> 30)
+    if split is None:  # a near-multiple root the double-precision seeds do not resolve
+        split = _split(_durand_kerner_complex(coeffs, seeds, bits), n_real, lambda x, y: 16)
+    if split is None:
         raise NoConvergence("root certificate: non-real seeds are not conjugate pairs")
-    for x, y in upper:
-        mate = min(lower, key=lambda v: (v[0] - x) ** 2 + (v[1] + y) ** 2)
-        lower.remove(mate)
-        x, y = _to_working((x + mate[0]) >> 1), _to_working((y - mate[1]) >> 1)
-        # the pair (x, y), (x, -y) is exactly conjugate
+    return _certify_roots(coeffs, *_durand_kerner(coeffs, *split, bits), bits)
+
+
+def _certify_roots(coeffs, reals, pairs, bits):
+    # each root is rounded to the working precision + 80 bits, then certified
+    dcoeffs = poly_deriv(coeffs)
+    discs = []
+    for x, y, kind in [(x, 0, "real") for x in sorted(reals)] + [(*z, "complex") for z in sorted(pairs)]:
+        if kind == "complex" and y <= 0:
+            raise NoConvergence("root certificate: non-real seeds are not conjugate pairs")
+        x, y = _to_working(x), _to_working(y)
         err = _root_radius(coeffs, dcoeffs, x, y, bits)
         if not err <= ROOT_TOL:
-            raise NoConvergence("root certificate: complex root radius %.3g > ROOT_TOL" % err)
-        discs += [(x, y, err), (x, -y, err)]
+            raise NoConvergence("root certificate: %s root radius %.3g > ROOT_TOL" % (kind, err))
+        discs += [(x, y, err), (x, -y, err)] if y else [(x, 0, err)]
     for a, b in itertools.combinations(discs, 2):
         if not _apart(a, b, bits):
             raise NoConvergence("root certificate: two root discs overlap")
-    return [ComplexApprox(from_fixed(x, bits), from_fixed(y, bits), err) for x, y, err in discs]
+    return [ComplexApprox(x, y, bits, err) for x, y, err in discs]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +477,8 @@ class Factorization(NamedTuple):
 
 def factorize(n, rho_budget=RHO_BUDGET):
     """Factor a nonzero integer: trial division by the primes below 2^10,
-    stopping once p^2 exceeds the cofactor; each cofactor that is_prime
+    stopping once p^2 exceeds the cofactor; a cofactor below 1031^2 (1031
+    the next prime) is then prime, and each larger one that is_prime
     rejects is split at its square root if it is a square, else by Brent's
     rho (BIT 20, 1980), whose steps rho_budget bounds per call."""
     if n == 0:
@@ -481,7 +500,7 @@ def factorize(n, rho_budget=RHO_BUDGET):
         v = stack.pop()
         if v == 1:
             continue
-        if is_prime(v):
+        if v < 1031**2 or is_prime(v):
             factors[v] = factors.get(v, 0) + 1
             continue
         r = math.isqrt(v)  # a square cofactor, as of p^4 in a discriminant, needs no rho

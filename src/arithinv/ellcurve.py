@@ -813,7 +813,8 @@ def faltings_height_plus(periods):
     + 20 bits, so m1, m2 and |x + iy| are within 2^-11 relative and log
     |2 pi / omega1'| within 2^-9; Im tau, reduced at prec + 20 relative
     bits, adds 2^-21; rounding the rational and its log adds 2^-28 (1 +
-    h+).  In all about 2^-(prec + 8).
+    h+).  In all about 2^-(prec + 8), with the roots counted as exact; see
+    analytic.agm_periods for their radii against the least root gap.
     """
     x, y, den = analytic.omega1_prime(periods)
     _, man, exp, _ = periods.tau.im._mpf_  # Im tau = man 2^exp

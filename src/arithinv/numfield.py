@@ -44,8 +44,7 @@ class NumberField(NamedTuple):
     @property
     def places(self):
         """One root per archimedean place: r1 reals then r2 pair representatives."""
-        reps = [e for e in self.embeddings[self.r1 :] if e.imag > 0]
-        return tuple(self.embeddings[: self.r1]) + tuple(reps)
+        return tuple(self.embeddings[: self.r1]) + tuple(e for e in self.embeddings[self.r1 :] if e.y > 0)
 
     @property
     def place_weights(self):
@@ -90,11 +89,11 @@ def number_field(label, poly, disc=None, w=None):
     if poly[-1] != 1:
         raise InvariantError("defining polynomial must be monic")
     roots = arith.poly_roots(poly)  # raises NotSquarefree
-    r1 = sum(1 for r in roots if r.imag == 0)
+    r1 = sum(1 for r in roots if r.y == 0)
     r2 = (d - r1) // 2
     if d > 1:
         # the root of least |t| is named, the positive one first
-        candidates = {int(mpmath.nint(r.real)) for r in roots[:r1]}
+        candidates = {(r.x + (1 << (r.bits - 1))) >> r.bits for r in roots[:r1]}
         for t in sorted(candidates, key=lambda t: (abs(t), -t)):
             if arith.poly_eval(poly, t) == 0:
                 raise InvariantError("defining polynomial is reducible (root %d)" % t)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -557,6 +558,28 @@ def test_faltings_height_plus_law(a, bits):
     try:
         prec.set_precision(bits or before)
         assert_h_plus_matches_oracle(curve)
+    finally:
+        prec.set_precision(before)
+
+
+@settings(max_examples=60)
+@given(near_double_curves(), st.sampled_from((None, 200)))
+@example((0, 10**12, 0, 0, 1), None)
+@example((0, 10**12, 0, 0, -1), 200)
+def test_root_radii_are_small_against_the_least_root_gap(a, bits):
+    # the 2^-(prec + 8) budgets of agm_periods and h+ count the roots as
+    # exact dyadics: an error err in the roots moves the AGM inputs by about
+    # err / gap relative, so every radius is at most 2^-(prec + 16) of the
+    # least root gap
+    curve = curve_stub(*a)
+    assume(curve.delta != 0)
+    before = prec.bits()
+    try:
+        prec.set_precision(bits or before)
+        roots = analytic.agm_periods(curve).roots
+        with mpmath.workprec(prec.bits() + 100):
+            gap = min(abs(r.value - s.value) for r, s in itertools.combinations(roots, 2))
+            assert max(r.err for r in roots) <= mpmath.ldexp(gap, -(prec.bits() + 16))
     finally:
         prec.set_precision(before)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arithinv import arith, ellcurve
@@ -36,6 +36,13 @@ def bisect_root(coeffs, lo, hi, iters=80):
 
 def recompose(f):
     return f.sign * math.prod(p**e for p, e in f.factors)
+
+
+def next_prime(n):
+    # the least prime >= n, by trial division
+    while n < 2 or any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
 
 
 def poly_mul(f, g):
@@ -176,6 +183,40 @@ def test_float_seed_halves_round_magnitude_up():
         assert arith.to_fixed(math.ldexp(y, -70), 70) == fixed
 
 
+def near_cluster(E, d, s, d2, far=(1,)):
+    """(x - E)(x - E - d) ((x - E - s)^2 + d2^2) far, each near factor left
+    out when its d is None."""
+    poly = list(far)
+    if d is not None:
+        poly = poly_mul(poly, poly_mul([-E, 1], [-E - d, 1]))
+    if d2 is not None:
+        c = E + s
+        poly = poly_mul(poly, [c * c + d2 * d2, -2 * c, 1])
+    return poly
+
+
+@st.composite
+def split_test_polys(draw):
+    """Products of a near-double real pair (x - E)(x - E - d), a near-real
+    conjugate pair (x - E - s)^2 + d2^2 (at least one of the two), and 1-3
+    far integer roots or quadratics; |E| <= 10^18 and d, d2, |s| <= 5."""
+    near = draw(st.sampled_from(["real", "pair", "both"]))
+    d = draw(st.integers(1, 5)) if near != "pair" else None
+    d2 = draw(st.integers(1, 5)) if near != "real" else None
+    factors = [near_cluster(draw(st.integers(-(10**18), 10**18)), d, draw(st.integers(-5, 5)), d2)]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            factors.append([-draw(st.integers(-(10**18), 10**18)), 1])
+        else:
+            b = draw(st.integers(-(10**9), 10**9))
+            factors.append([draw(st.integers(-(10**18), 10**18)), b, 1])
+    poly = [1]
+    for f in factors:
+        poly = poly_mul(poly, f)
+    assume(arith._sturm(poly)[0])
+    return poly
+
+
 class TestPolyRoots:
     def test_sqrt2(self):
         roots = arith.poly_roots([-2, 0, 1])
@@ -269,11 +310,57 @@ class TestPolyRoots:
             arith.poly_roots(cubic)
 
     def test_two_seeds_on_one_root_do_not_certify(self):
-        # both real seeds sit on sqrt(2); each disc alone is a valid certificate
+        # both real approximations sit on sqrt(2); each disc alone is a
+        # valid certificate
         bits = arith._fixed_point_bits([-2, 0, 1])
         x = math.isqrt(2 << (2 * bits))  # floor(sqrt(2) 2^bits)
         with pytest.raises(NoConvergence, match="overlap"):
-            arith._certify_roots([-2, 0, 1], [(x, 0), (x, 0)], bits, 2)
+            arith._certify_roots([-2, 0, 1], [x, x], [], bits)
+
+    @settings(max_examples=100)
+    @given(split_test_polys())
+    # a near-double real pair beside a near-real pair, 10^18 out
+    @example(near_cluster(-630319492837316608, 2, -3, 1))
+    # far conjugate pairs and real roots nearer the axis than the cluster's seeds
+    @example(near_cluster(-663414220596583823, 5, 4, 5, [339121102153223186, 228119958, 1]))
+    @example(
+        near_cluster(
+            -407113269278990492,
+            4,
+            0,
+            5,
+            [-204083802617612399700024930396584709, -47467359686149384107781548, -288105298958187844, -1247165780, 1],
+        )
+    )
+    # a near-real pair whose seeds lie on and below the axis
+    @example(near_cluster(-182572982766647022, None, 0, 3, [762465043583286528, -573858553, 1]))
+    def test_split_polish_on_clusters_law(self, coeffs):
+        # real roots first, as many as the Sturm count, then exact conjugate
+        # pairs (Im > 0 representative first), every radius <= ROOT_TOL, and
+        # each root of the reference in exactly one disc
+        roots = arith.poly_roots(coeffs)
+        n_real = arith._sturm(coeffs)[1]
+        assert len(roots) == len(coeffs) - 1
+        assert all(r.y == 0 for r in roots[:n_real])
+        assert [r.x for r in roots[:n_real]] == sorted(r.x for r in roots[:n_real])
+        for w, v in zip(roots[n_real::2], roots[n_real + 1 :: 2]):
+            assert w.y > 0 and (v.x, v.y) == (w.x, -w.y)
+        assert all(r.err <= arith.ROOT_TOL for r in roots)
+        assert_encloses_reference(coeffs, roots)
+
+    def test_only_unresolved_clusters_take_the_complex_polish(self, monkeypatch):
+        # isolated roots go straight to the split polish; a near-double root
+        # leaves seeds neither real nor conjugate, so every root is first
+        # polished as a Gaussian integer
+        calls = []
+        polish = arith._durand_kerner_complex
+        monkeypatch.setattr(arith, "_durand_kerner_complex", lambda *a: calls.append(1) or polish(*a))
+        for coeffs in ([-2, 0, 1], [1, 0, 1], [-1, -1, 0, 1], [4 * 37**2, 0, 0, 4], [1, 1, 1, 1, 1]):
+            arith.poly_roots(coeffs)
+        assert calls == []
+        for coeffs in (near_cluster(10**18, 1, 0, None), near_cluster(10**18, None, 0, 1)):
+            assert_encloses_reference(coeffs, arith.poly_roots(coeffs))
+        assert calls == [1, 1]
 
     def test_sturm_counts(self):
         # (squarefree, number of distinct real roots)
@@ -556,6 +643,34 @@ class TestFactorizeLaws:
         assert all(math.isqrt(n) ** 2 != n for n in seen)
         if j == 0 and k in (1, 2, 4, 8):
             assert seen == []
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(arith._TRIAL_PRIMES), st.integers(1, 4)), max_size=4),
+        st.lists(st.tuples(st.integers(1031, 2**20).map(next_prime), st.integers(1, 4)), max_size=3),
+    )
+    def test_cofactors_below_1031_squared_skip_miller_rabin(self, small, large):
+        # a cofactor that trial division by the primes below 2^10 leaves,
+        # and that is below 1031^2, is prime without is_prime's test
+        powers = {}
+        for p, e in small + large:
+            powers[p] = powers.get(p, 0) + e
+        n = math.prod(p**e for p, e in powers.items())
+        seen = []
+        is_prime = arith.is_prime
+
+        def counting(m):
+            seen.append(m)
+            return is_prime(m)
+
+        arith.is_prime = counting
+        try:
+            f = arith.factorize(n)
+        finally:
+            arith.is_prime = is_prime
+        assert recompose(f) == n
+        assert f.factors == tuple(sorted(powers.items()))
+        assert all(arith.is_prime(p) for p, _ in f.factors)
+        assert all(m >= 1031**2 for m in seen)
 
     def test_psi12_is_composite(self):
         # psi_12, the least strong pseudoprime to the prime bases 2..37
