@@ -51,28 +51,15 @@ def _matmul(m1, m2):
     return ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
 
 
-def reduce_to_fundamental_domain(tau):
-    """Canonical SL2(Z) representative: |Re| <= 1/2, |tau| >= 1 (Cohen,
-    GTM 138, Alg. 7.4.2).
-
-    Ties: Re in [-1/2, 1/2) off the unit circle; on the circle the
-    representative with Re >= 0 is chosen (so the left corner maps to
-    the right corner).  The walk runs on integers at 2^-F, F = prec.bits()
-    + 40 + 2 ceil(log2(1 / Im tau))^+, which keeps prec + 20 relative bits
-    through the inversions' amplification Im tau_final / Im tau.
-    """
-    if not isinstance(tau, mpc):  # an mpc keeps its own precision
-        with prec.working():
-            tau = mpc(tau)
-    if not mpmath.im(tau) > 0:
-        raise NotUpperHalfPlane("Im tau must be positive")
-    bits = prec.bits() + 40 + 2 * max(0, 1 - mpmath.frexp(mpmath.im(tau))[1])
-    return _reduce_fixed(arith.to_fixed(tau.real, bits), arith.to_fixed(tau.imag, bits), bits)
-
-
 def _reduce_fixed(x, y, bits):
-    # reduce_to_fundamental_domain on (x + iy) 2^-bits: comparisons with
-    # eps = num / den are exact, -1/z = -conj(z) / |z|^2 rounds to nearest
+    """Canonical SL2(Z) representative of tau = (x + iy) 2^-bits, y > 0:
+    |Re| <= 1/2, |tau| >= 1 (Cohen, GTM 138, Alg. 7.4.2).  Ties: Re in
+    [-1/2, 1/2) off the unit circle, Re >= 0 on it (the left corner maps to
+    the right one).  Comparisons with eps = BOUNDARY_EPS are exact, and
+    -1/z = -conj(z) / |z|^2 rounds to nearest.  bits = prec.bits() + 40 +
+    2 ceil(log2(1 / Im tau))^+ keeps prec + 20 relative bits through the
+    inversions' amplification Im tau_final / Im tau.
+    """
     num, den = BOUNDARY_EPS.as_integer_ratio()
     one, mat = 1 << bits, ((1, 0), (0, 1))
     for _ in range(10000):
@@ -263,7 +250,7 @@ def agm_periods(curve):
         small = (v + big) // (2 * big)
         m1, m2 = _agm(big if u >= 0 else small, root), _agm(small if u >= 0 else big, root)
         half, den = 1, 2 * m2
-    # F of reduce_to_fundamental_domain, as log2(1 / Im tau0) < len(den) - len(m1) + 1
+    # the bits _reduce_fixed asks for, as log2(1 / Im tau0) < len(den) - len(m1) + 1
     bits = p + 40 + 2 * max(0, den.bit_length() - m1.bit_length() + 1)
     tau = _reduce_fixed(half << (bits - 1), (2 * (m1 << bits) + den) // (2 * den), bits)
     # the AGM inputs are at 2^-t, so M1, M2 = m1, m2 2^-(t + 1)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mpc, mpf
+from mpmath import mpc
 
 from . import prec
 from .errors import FactorBudgetExceeded, NoConvergence, NotADiscriminant, NotSquarefree
@@ -93,18 +93,15 @@ def _sturm(coeffs):
 
 # ---------------------------------------------------------------------------
 # fixed point: an int n stands for n 2^-bits, and a pair (x, y) of ints for
-# the Gaussian (x + iy) 2^-bits.  mpmath values enter and leave exactly.
+# the Gaussian (x + iy) 2^-bits.  Float seeds enter and mpmath values
+# leave exactly.
 
 
 def to_fixed(x, bits):
-    """round(x 2^bits) for a real mpf or a float, taken exactly; the
-    magnitude is rounded half up."""
-    if isinstance(x, float):
-        num, den = x.as_integer_ratio()  # den is a power of 2
-        negative, man, shift = num < 0, abs(num), bits + 1 - den.bit_length()
-    else:
-        negative, man, exp, _ = (x if isinstance(x, mpf) else mpf(x))._mpf_
-        shift = exp + bits
+    """round(x 2^bits) for a float, taken exactly; the magnitude is rounded
+    half up."""
+    num, den = x.as_integer_ratio()  # den is a power of 2
+    negative, man, shift = num < 0, abs(num), bits + 1 - den.bit_length()
     n = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
     return -n if negative else n
 

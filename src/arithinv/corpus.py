@@ -11,12 +11,12 @@ Format (UTF-8, ``#`` comments, records separated by blank lines)::
 
     field <label>
     poly = c0 c1 ... cd        # integers, constant first, monic
-    disc = <int>               # optional for degree <= 2
-    w = <int>                  # roots of unity, optional (default 6 for
-                               # disc -3, 4 for disc -4, else 2)
+    disc = <int>               # nonzero, optional for degree <= 2
+    w = <int>                  # roots of unity, even > 0, optional (default
+                               # 6 for disc -3, 4 for disc -4, else 2)
     units = q0 q1 ... ; ...    # optional; power-basis rationals per unit
     subfield = <label>         # optional certificate
-    r0 = <int>                 # optional max proper-subfield unit rank
+    r0 = <int>                 # optional max proper-subfield unit rank, <= K's
 
     curve <label>
     a = a1 a2 a3 a4 a6         # rationals
@@ -34,6 +34,7 @@ from . import analytic, ellcurve, ledger, numfield
 from .errors import (
     DanglingSubfieldRef,
     DuplicateLabel,
+    InvariantError,
     ParseError,
     PointNotOnCurve,
     UnknownLabel,
@@ -253,7 +254,7 @@ def _parse_units(value):
 
 def _parse_points(value):
     pairs = [chunk.split(",") for chunk in value.split(";")] if value else []
-    return [ellcurve.Point.of(x, y) for x, y in pairs]
+    return [(Fraction(x), Fraction(y)) for x, y in pairs]
 
 
 def _parsed(rec, key, parse):
@@ -280,6 +281,9 @@ def build_field_record(corpus, label):
     K = numfield.number_field(
         label, poly, disc=_parsed(rec, "disc", int), w=_parsed(rec, "w", int)
     )
+    if r0 is not None and not 0 <= r0 <= numfield.unit_rank(K):
+        bound = "a proper subfield's unit rank is at most K's, %d" % numfield.unit_rank(K)
+        raise InvariantError("field %s: bad r0 = %d (%s)" % (label, r0, bound))
     units = numfield.unit_system(K, unit_vecs) if unit_vecs is not None else None
     if r0 is None and len(poly) <= 3:
         r0 = 0
@@ -303,13 +307,16 @@ def build_curve_data(corpus, label):
         message = "curve '%s': rank = %d, but gens lists %d" % (label, rank, len(gens))
         raise ParseError(message, rec.line)
     mm = ellcurve.minimal_model(a_invs)
-    gens_min = tuple(mm.to_minimal(p) for p in gens)
-    for point, moved in zip(gens, gens_min):
-        if not ellcurve.on_curve(mm.curve, moved):
-            raise PointNotOnCurve(
-                "curve '%s': generator %s,%s is not on the curve" % (label, point.x, point.y)
-            )
-    return rec, mm, rank, gens_min
+    gens_min = []
+    for x, y in gens:
+        try:
+            point = mm.to_minimal(x, y)
+        except PointNotOnCurve:  # the image has no integral form
+            point = None
+        if point is None or not ellcurve.on_curve(mm.curve, point):
+            raise PointNotOnCurve("curve '%s': generator %s,%s is not on the curve" % (label, x, y))
+        gens_min.append(point)
+    return rec, mm, rank, tuple(gens_min)
 
 
 def field_record_stats(record, subrecord):

@@ -9,8 +9,11 @@ hhat_x(P) with HEIGHT_SCALE = 3/2 (the x-function has degree 2, the
 polarization degree 3).
 
 A curve is an integral model: `WeierstrassCurve` holds its a-, b- and
-c-invariants and delta as integers.  A rational model is read once, by
-`minimal_model`, whose `to_minimal` maps its points onto the minimal model.
+c-invariants and delta as integers.  A point is the integer triple
+(X, Y, Z) with x = X/Z^2 and y = Y/Z^3, and one group law, on those
+Jacobian triples, adds, multiplies and tests for torsion.  A rational
+model is read once, by `minimal_model`, and rational coordinates once, by
+its `to_minimal`, which maps them to a point of the minimal model.
 
 Two independent height paths are kept deliberately separate:
 
@@ -112,97 +115,100 @@ def _integral_model(a_invs):
 
 
 class Point(NamedTuple):
-    x: Fraction | None = None
-    y: Fraction | None = None
+    """x = X/Z^2 and y = Y/Z^3 on integers, Z = 0 being O.  Normal form: Z
+    > 0, and no w > 1 has w^2 | X, w^3 | Y and w | Z; on an integral model
+    Z is then the e of x = X/e^2, y = Y/e^3 in lowest terms (Silverman,
+    AEC VII.3), and gcd(X, Z) = 1."""
+
+    X: int
+    Y: int
+    Z: int
 
     @property
     def is_infinity(self):
-        return self.x is None
+        return self.Z == 0
+
+    @property
+    def x(self):
+        return Fraction(self.X, self.Z * self.Z)
+
+    @property
+    def y(self):
+        return Fraction(self.Y, self.Z**3)
 
     @classmethod
     def of(cls, x, y):
-        return cls(Fraction(x), Fraction(y))
+        """(x, y) with den(x) = e^2 and den(y) = e^3, as on an integral model."""
+        x, y = Fraction(x), Fraction(y)
+        e, rem = divmod(y.denominator, x.denominator)
+        if rem or x.denominator != e * e:
+            raise PointNotOnCurve("point %s,%s is on no integral model" % (x, y))
+        return cls(x.numerator, y.numerator, e)
 
 
-INFINITY = Point()
+INFINITY = Point(1, 1, 0)
+
+
+def _normalized(triple):
+    """The Point of a Jacobian triple, None being O.  A triple of a point
+    of an integral model is (X w^2, Y w^3, Z w) for its normal form (X, Y,
+    Z) and an integer w, and gcd(X, Z) = 1, so w^2 = gcd(X w^2, Z^2 w^2)."""
+    if triple is None:
+        return INFINITY
+    X, Y, Z = triple
+    w = math.isqrt(math.gcd(X, Z * Z)) * (-1 if Z < 0 else 1)
+    return Point(X // (w * w), Y // w**3, Z // w)
 
 
 def on_curve(curve, point):
-    """Exact membership on integers: the curve's equation times D^3 F^2
-    for x = X/D, y = Y/F."""
-    if point.is_infinity:
-        return True
+    """Exact membership on integers: Y^2 + a1 XYZ + a3 YZ^3 = X^3 + a2 X^2 Z^2
+    + a4 XZ^4 + a6 Z^6, which O = (1, 1, 0) satisfies."""
     a1, a2, a3, a4, a6 = curve.a_invariants
-    X, D = point.x.numerator, point.x.denominator
-    Y, F = point.y.numerator, point.y.denominator
-    lhs = D * D * Y * (Y * D + a1 * X * F + a3 * D * F)
-    rhs = F * F * (X**3 + D * (a2 * X * X + D * (a4 * X + a6 * D)))
-    return lhs == rhs
+    X, Y, Z = point
+    zz = Z * Z
+    return Y * (Y + a1 * X * Z + a3 * zz * Z) == X**3 + zz * (a2 * X * X + zz * (a4 * X + a6 * zz))
 
 
 def _require_on_curve(curve, point):
     if not on_curve(curve, point):
-        raise PointNotOnCurve("point %s is not on the curve" % (point,))
+        raise PointNotOnCurve("point %s,%s is not on the curve" % (point.x, point.y))
 
 
 def negate(curve, point):
     if point.is_infinity:
         return point
-    return Point(point.x, -point.y - curve.a1 * point.x - curve.a3)
+    X, Y, Z = point
+    return Point(X, -Y - curve.a1 * X * Z - curve.a3 * Z**3, Z)
 
 
 def add(curve, p, q):
-    """Exact chord-tangent addition of two points checked to lie on the curve."""
+    """p + q, exactly, of two points checked to lie on the curve."""
     _require_on_curve(curve, p)
     _require_on_curve(curve, q)
-    return _add(curve, p, q)
+    return _sum(curve, p, q)
 
 
-def _add(curve, p, q):
-    # unchecked: exact chord-tangent sums of points on the curve stay on it
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    a1, a2, a3, a4 = curve.a1, curve.a2, curve.a3, curve.a4
-    if p.x == q.x:
-        if q.y == -p.y - a1 * p.x - a3:
-            return INFINITY
-        lam = (3 * p.x * p.x + 2 * a2 * p.x + a4 - a1 * p.y) / (
-            2 * p.y + a1 * p.x + a3
-        )
-    else:
-        lam = (q.y - p.y) / (q.x - p.x)
-    nu = p.y - lam * p.x
-    x3 = lam * lam + a1 * lam - a2 - p.x - q.x
-    y3 = -(lam + a1) * x3 - nu - a3
-    return Point(x3, y3)
+def _sum(curve, p, q):
+    # unchecked: the group law keeps points of the curve on it
+    if p.is_infinity or q.is_infinity:
+        return q if p.is_infinity else p
+    return _normalized(_jacobian_add(curve.a_invariants, p, q, q.Z * curve.delta))
 
 
 def scalar_mul(curve, n, point):
-    """n * point by double-and-add on integer Jacobian coordinates.
-
-    On the integral model a point is x = X/Z^2, y = Y/Z^3 with X, Y and
-    Z integers.  The chain divides only exactly; one Fraction per
-    coordinate reduces the result.
-    """
+    """n * point by double-and-add on the triples, normalized once at the end."""
     _require_on_curve(curve, point)
     if n < 0:
         n, point = -n, negate(curve, point)
     if n == 0 or point.is_infinity:
         return INFINITY
-    a = curve.a_invariants
-    x, y = point  # X/e^2 and Y/e^3 in lowest terms
-    base = acc = (x.numerator, y.numerator, y.denominator // x.denominator)
-    kept = base[2] * curve.delta
+    a, kept = curve.a_invariants, point.Z * curve.delta
+    acc = point
     for bit in bin(n)[3:]:
         acc = _jacobian_add(a, acc, acc, kept)
         if bit == "1":
-            acc = _jacobian_add(a, acc, base, kept)
-    if acc is None:
-        return INFINITY
-    X, Y, Z = acc
-    return Point(Fraction(X, Z * Z), Fraction(Y, Z**3))
+            acc = _jacobian_add(a, acc, point, kept)
+    return _normalized(acc)
 
 
 def _jacobian_add(a, p, q, kept):
@@ -247,27 +253,27 @@ def _jacobian_add(a, p, q, kept):
 def is_torsion(curve, point):
     """Exact torsion test: some multiple nP = O with n <= 12 (Mazur bound).
 
-    On an integral model every torsion point has 4x integral (Silverman,
-    AEC VII.3.4), and multiples of a torsion point are torsion, so the
-    loop stops at the first multiple with 4x not in Z.  Before it, 2P is
-    read from the duplication forms on integers: x(2P) = F_h/G_h at
-    x = X/Z, so a torsion P has G_h = 0 (2P = O) or G_h | 4 F_h.
+    On an integral model every torsion point has Z^2 | 4 (Silverman, AEC
+    VII.3.4), and multiples of a torsion point are torsion, so the loop
+    stops at the first multiple with Z^2 not dividing 4.  Before it, 2P is
+    read from the duplication forms on integers: x(2P) = F_h/G_h at x =
+    X/Z^2, so a torsion P has G_h = 0 (2P = O) or G_h | 4 F_h.
     """
     _require_on_curve(curve, point)
     if point.is_infinity:
         return True
-    X, Z = point.x.numerator, point.x.denominator
-    if 4 % Z:
+    X, _, Z = point
+    if 4 % (Z * Z):
         return False
-    f, g = _forms(*_duplication_polys(curve), X, Z)
+    f, g = _forms(*_duplication_polys(curve), X, Z * Z)
     if g and 4 * f % g:
         return False
     q = point
     for _ in range(TORSION_ORDER_BOUND):
-        q = _add(curve, q, point)
+        q = _sum(curve, q, point)
         if q.is_infinity:
             return True
-        if 4 % q.x.denominator:
+        if 4 % (q.Z * q.Z):
             return False
     return False
 
@@ -289,14 +295,10 @@ def _moved_a_invariants(a, r, s, t):
     )
 
 
-def transform_point(point, u, r, s, t):
-    """The point on the model of x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
-    if point.is_infinity:
-        return point
+def transform_point(x, y, u, r, s, t):
+    """The pair (x', y') of x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
     u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-    x = (point.x - r) / u**2
-    y = (point.y - s * (point.x - r) - t) / u**3
-    return Point(x, y)
+    return (x - r) / u**2, (y - s * (x - r) - t) / u**3
 
 
 class MinimalModel(NamedTuple):
@@ -310,8 +312,10 @@ class MinimalModel(NamedTuple):
     t: Fraction
     delta_factors: arith.Factorization
 
-    def to_minimal(self, point):
-        return transform_point(point, self.u, self.r, self.s, self.t)
+    def to_minimal(self, x, y):
+        """The Point of the minimal model at the input model's (x, y): the one
+        reader of rational coordinates (PointNotOnCurve if not integral)."""
+        return Point.of(*transform_point(x, y, self.u, self.r, self.s, self.t))
 
 
 def _kraus_ok_at_2(c4, c6):
@@ -508,18 +512,18 @@ def _forms(F, G, X, Z):
     return f, g
 
 
-def _arch_series(hd, x0, terms):
+def _arch_series(hd, X, D, terms):
     """log max(1,|x_0|) + sum_(n<terms) 4^-(n+1) log(max(|F|,|G|)(x_n) / max(1,|x_n|)^4).
 
-    With x_n = X_n/Z_n and (X_(n+1), Z_(n+1)) = (F_h, G_h)(X_n, Z_n)
-    unreduced, the n-th summand is 4^-(n+1) log M_(n+1) - 4^-n log M_n for
-    M_n = max(|X_n|, |Z_n|), so the sum telescopes to 4^-terms log M_terms
-    - log Z_0.  X and Z are integers truncated to the working precision
+    With x_n = X_n/Z_n, x_0 = X/D in lowest terms, and (X_(n+1), Z_(n+1))
+    = (F_h, G_h)(X_n, Z_n) unreduced, the n-th summand is 4^-(n+1) log
+    M_(n+1) - 4^-n log M_n for M_n = max(|X_n|, |Z_n|), so the sum
+    telescopes to 4^-terms log M_terms - log D.  X and Z are integers truncated to the working precision
     times a shared 2^e; F_h and G_h are quartic, so e becomes 4 (e + shift).
     A Z truncated to 0 is x = infinity, which doubles to itself.
     """
     bits = mpmath.mp.prec
-    X, Z, e = x0.numerator, x0.denominator, 0
+    Z, e = D, 0
     for _ in range(terms):
         shift = max(max(abs(X), abs(Z)).bit_length() - bits, 0)
         X, Z = X >> shift, Z >> shift
@@ -530,22 +534,23 @@ def _arch_series(hd, x0, terms):
             )
         X, Z, e = f, g, 4 * (e + shift)
     top = mpmath.log(max(abs(X), abs(Z))) + e * mpmath.ln2
-    return mpmath.ldexp(top, -2 * terms) - mpmath.log(x0.denominator)
+    return mpmath.ldexp(top, -2 * terms) - mpmath.log(D)
 
 
-def _orbit_valuations(hd, x0, p, R, terms):
+def _orbit_valuations(hd, X, D, p, R, terms):
     """Yield m_n, the power of p stripped at each step of the duplication orbit.
 
-    With x_n = X/Z for p-coprime integers X and Z, x_(n+1) = F_h/G_h for
-    the quartic forms F_h = Z^4 F(X/Z) and G_h = Z^4 G(X/Z), and m_n =
-    min(v_p F_h, v_p G_h).  Forms A, B with A F_h + B G_h = Res(F, G) X^7,
-    and another pair with Res(F, G) Z^7, give m_n <= v_p(Res(F, G)) = R,
-    the weight of p in `_HeightData.bad`.  Step n runs mod p^((terms - n) R
-    + 1), so X and Z keep more than R known digits and m_n is exact; as
-    m_n <= R, dividing by p^(m_n) leaves the next step's modulus known.
+    With x_0 = X/D in lowest terms and x_n = X/Z for p-coprime integers X
+    and Z, x_(n+1) = F_h/G_h for the quartic forms F_h = Z^4 F(X/Z) and
+    G_h = Z^4 G(X/Z), and m_n = min(v_p F_h, v_p G_h).  Forms A, B with A
+    F_h + B G_h = Res(F, G) X^7, and another pair with Res(F, G) Z^7, give
+    m_n <= v_p(Res(F, G)) = R, the weight of p in `_HeightData.bad`.  Step
+    n runs mod p^((terms - n) R + 1), so X and Z keep more than R known
+    digits and m_n is exact; as m_n <= R, dividing by p^(m_n) leaves the
+    next step's modulus known.
     """
     mod = p ** (terms * R + 1)
-    X, Z = x0.numerator % mod, x0.denominator % mod
+    X, Z = X % mod, D % mod
     for _ in range(terms):
         f, g = (v % mod for v in _forms(hd.F, hd.G, X, Z))
         m = 0
@@ -556,8 +561,8 @@ def _orbit_valuations(hd, x0, p, R, terms):
         yield m
 
 
-def _padic_series(hd, x0, p, R, terms):
-    """Exact truncated local series: returns Fraction coefficient of log p.
+def _padic_series(hd, X, D, p, R, terms):
+    """Exact truncated local series at x_0 = X/D: returns Fraction coefficient of log p.
 
     The summand -min(v F(x_n), v G(x_n)) + 4 min(0, v x_n) of the affine
     series is -m_n, since the 4 v_p(Z) terms cancel.  The sum
@@ -568,8 +573,8 @@ def _padic_series(hd, x0, p, R, terms):
     VII.2.1), so every later m is 0 too.
     """
     den = weight = 4**terms
-    num = _vp(x0.denominator, p) * den
-    for m in _orbit_valuations(hd, x0, p, R, terms):
+    num = _vp(D, p) * den
+    for m in _orbit_valuations(hd, X, D, p, R, terms):
         if m == 0:
             break
         weight //= 4
@@ -596,7 +601,7 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
     if point.is_infinity or is_torsion(curve, point):  # is_torsion checks the point
         return 0.0
     hd = _height_data(curve)
-    x0 = point.x
+    X, D = point.X, point.Z * point.Z  # x in lowest terms
 
     bad_primes = [p for p, _ in hd.bad]
     n_series = 1 + len(hd.bad)
@@ -606,12 +611,12 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
         5, math.ceil(math.log(max(hd.mu_bound_inf, 1e-9) / (3 * tail_each)) / math.log(4))
     )
     with prec.working(3 * terms_inf + 60):
-        total = _arch_series(hd, x0, terms_inf)
-        den_good = _strip_primes(x0.denominator, bad_primes)
+        total = _arch_series(hd, X, D, terms_inf)
+        den_good = _strip_primes(D, bad_primes)
         total += mpmath.log(den_good)
         for p, R in hd.bad:
             terms_p = max(5, math.ceil(math.log(R * math.log(p) / (3 * tail_each)) / math.log(4)))
-            coeff = _padic_series(hd, x0, p, R, terms_p)
+            coeff = _padic_series(hd, X, D, p, R, terms_p)
             total += (mpf(coeff.numerator) / coeff.denominator) * mpmath.log(p)
         return float(total)
 
@@ -620,14 +625,15 @@ def _bad_local_height(curve, point, row):
     """Silverman (1988) Thm 5.2: lambda_p(P) / log p on a model minimal at p.
 
     On the integral model x = X/e^2 and y = Y/e^3 in lowest terms.  If p
-    divides e, P reduces to O and lambda_p = v_p(e^2)/2.  Otherwise e is
-    a p-unit, so A, B and C are the valuations of the integer forms below.
+    divides e, P reduces to O and lambda_p = v_p(e^2)/2 = v_p(e).
+    Otherwise e is a p-unit, so A, B and C are the valuations of the
+    integer forms below.
     """
     p = row.p
-    X, D = point.x.numerator, point.x.denominator
-    if D % p == 0:
-        return Fraction(_vp(D, p), 2)
-    Y, e = point.y.numerator, point.y.denominator // D
+    X, Y, e = point
+    if e % p == 0:
+        return Fraction(_vp(e, p))
+    D = e * e
 
     def v(n):
         return math.inf if n == 0 else _vp(n, p)
@@ -663,7 +669,7 @@ def _archimedean_local_height(curve, periods, point, tol):
     with prec.working(20):
         pi = mpmath.pi
         eta = mpf(2) ** -prec.bits()  # inputs carry at least prec.bits() + 10 bits
-        x = mpf(point.x.numerator) / point.x.denominator
+        x = mpf(point.X) / (point.Z * point.Z)
         if curve.delta > 0:
             e3, e2, e1 = [r.real for r in roots]
         else:
@@ -733,12 +739,12 @@ def canonical_height_doubling(curve, point, tol=1e-6):
     if point.is_infinity:
         return 0.0, 0.0
     mm = minimal_model(curve.a_invariants)
-    model, q = mm.curve, mm.to_minimal(point)
+    model, q = mm.curve, mm.to_minimal(point.x, point.y)
     if is_torsion(model, q):
         return 0.0, 0.0
     lam_inf, bound = _archimedean_local_height(model, analytic.agm_periods(model), q, tol)
     bad = reduction_data(mm).primes
-    den = _strip_primes(q.x.denominator, [row.p for row in bad])
+    den = _strip_primes(q.Z * q.Z, [row.p for row in bad])
     with prec.working(20):
         total = lam_inf + mpmath.log(abs(model.delta)) / 12 + mpmath.log(den) / 2
         for row in bad:
@@ -779,7 +785,7 @@ def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
     for i in range(m):
         gram[i][i] = scale * heights[i]
         for k in range(i + 1, m):
-            hsum = canonical_height(curve, _add(curve, points[i], points[k]), tol)
+            hsum = canonical_height(curve, _sum(curve, points[i], points[k]), tol)
             val = (scale / 2) * (hsum - heights[i] - heights[k])
             gram[i][k] = gram[k][i] = val
     pivots = arith.ldl_pivots(gram)

@@ -111,6 +111,8 @@ def number_field(label, poly, disc=None, w=None):
             disc = 1
         else:
             raise InvariantError("field discriminant must be supplied for degree > 2")
+    if disc == 0:
+        raise InvariantError("field %s: bad disc = 0 (a field discriminant is nonzero)" % label)
     q, r = divmod(dpoly, disc)
     if r != 0 or q <= 0 or math.isqrt(q) ** 2 != q:
         raise InvariantError(
@@ -118,8 +120,8 @@ def number_field(label, poly, disc=None, w=None):
         )
     if w is None:
         w = {-3: 6, -4: 4}.get(disc, 2) if d == 2 else 2
-    if w % 2 != 0:
-        raise InvariantError("root-of-unity count must be even")
+    if w <= 0 or w % 2 != 0:
+        raise InvariantError("field %s: bad w = %d (a root-of-unity count is positive and even)" % (label, w))
     return NumberField(label, poly, d, r1, r2, int(disc), int(w), tuple(roots))
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from arithinv import analytic, arith, ledger, prec
 from arithinv.analytic import SQRT3_HALF
 from arithinv.errors import AgmNoConvergence, NotUpperHalfPlane, TauNotReduced
+from test_arith import fixed_reference
 
 
 def curve_stub(a1, a2, a3, a4, a6):
@@ -69,7 +70,7 @@ def delta_q_series(z, bits=400):
     with mpmath.workprec(fixed + 4):
         w = 2j * mpmath.pi * z
         q = mpmath.exp(w)
-    qr, qi = arith.to_fixed(q.real, fixed), arith.to_fixed(q.imag, fixed)
+    qr, qi = fixed_reference(q.real, fixed), fixed_reference(q.imag, fixed)
     # 1 / (1 - |q|) <= c / 2^32, with |q| = exp(-2 pi Im tau)
     c = int(2**32 / -math.expm1(-2 * math.pi * y) * (1 + 2**-40)) + 1
     q2 = _cmul(qr, qi, qr, qi, fixed)
@@ -131,20 +132,31 @@ def random_word(rng, z, max_len=8):
     return mat
 
 
+def reduce_tau(tau):
+    """analytic._reduce_fixed on tau, taken exactly at the fixed point it
+    asks for; the walk wants Im tau > 0."""
+    with prec.working():
+        tau = mpmath.mpc(tau)
+    if not mpmath.im(tau) > 0:
+        raise NotUpperHalfPlane("Im tau must be positive")
+    bits = prec.bits() + 40 + 2 * max(0, 1 - mpmath.frexp(mpmath.im(tau))[1])
+    return analytic._reduce_fixed(fixed_reference(tau.real, bits), fixed_reference(tau.imag, bits), bits)
+
+
 class TestReduction:
     def test_already_reduced(self):
-        red = analytic.reduce_to_fundamental_domain(mpmath.mpc(0.3, 2))
+        red = reduce_tau(mpmath.mpc(0.3, 2))
         assert red.transform == ((1, 0), (0, 1))
         assert complex(red.value) == complex(0.3, 2)
 
     def test_translation(self):
-        red = analytic.reduce_to_fundamental_domain(mpmath.mpc(5.3, 2))
+        red = reduce_tau(mpmath.mpc(5.3, 2))
         assert red.transform == ((1, -5), (0, 1))
         assert abs(red.value - mpmath.mpc(0.3, 2)) < 1e-12
 
     def test_s_move(self):
         z = -1 / mpmath.mpc(0.3, 2)
-        red = analytic.reduce_to_fundamental_domain(z)
+        red = reduce_tau(z)
         assert abs(red.value - mpmath.mpc(0.3, 2)) < 1e-10
         # Moebius identity of the recorded transform
         assert abs(moebius(red.transform, z) - red.value) < 1e-10
@@ -152,7 +164,7 @@ class TestReduction:
     def test_corner_convention(self):
         # the left corner is moved to the right corner of the circle arc
         rho = mpmath.mpc(-0.5, math.sqrt(3) / 2)
-        red = analytic.reduce_to_fundamental_domain(rho)
+        red = reduce_tau(rho)
         assert float(red.re) == pytest.approx(0.5, abs=1e-9)
 
     def test_idempotent_on_words(self):
@@ -161,19 +173,21 @@ class TestReduction:
             z = sample_reduced(rng)
             mat = random_word(rng, z)
             moved = moebius(mat, z)
-            red = analytic.reduce_to_fundamental_domain(moved)
+            red = reduce_tau(moved)
             assert abs(red.value - z) < 1e-9
             det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
             assert det == 1
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(NotUpperHalfPlane):
-            analytic.reduce_to_fundamental_domain(mpmath.mpc(0.3, -2))
+            reduce_tau(mpmath.mpc(0.3, -2))
+        with pytest.raises(NotUpperHalfPlane):
+            analytic.log_delta(complex(0.3, -2))
 
 
 def reference_reduce(z):
     # the fundamental-domain walk in mpmath at the working precision + 20
-    # bits, with the tie-breaks of reduce_to_fundamental_domain
+    # bits, with the tie-breaks of analytic._reduce_fixed
     eps = analytic.BOUNDARY_EPS
     mat = ((1, 0), (0, 1))
     with prec.working(20):
@@ -221,7 +235,7 @@ def test_integer_reduction_law(point, shifts):
             tau0 = -1 / (tau0 + n)
     tau0 = mpmath.mpc(complex(tau0))
     assume(mpmath.im(tau0) >= 1e-6 and abs(mpmath.re(tau0)) <= 1e3)
-    red = analytic.reduce_to_fundamental_domain(tau0)
+    red = reduce_tau(tau0)
     assert red.transform == reference_reduce(tau0)[1]
     with mpmath.workprec(400):
         exact = moebius(red.transform, tau0)
@@ -340,7 +354,7 @@ class TestLogScaledDiscriminant:
 
     def test_takes_every_tau_type(self):
         z = complex(0.25, 1.5)
-        reduced = analytic.reduce_to_fundamental_domain(z)
+        reduced = reduce_tau(z)
         values = {
             analytic.log_scaled_discriminant(w)
             for w in (z, mpmath.mpc(z), reduced)
@@ -414,7 +428,7 @@ def test_real_agm_matches_mpmath(ratio, exponent):
     a = mpmath.ldexp(mpmath.mpf(1.5), exponent)
     b = a * ratio
     s = prec.bits() + 21 - mpmath.frexp(min(a, b))[1]
-    got = arith.from_fixed(analytic._agm(arith.to_fixed(a, s), arith.to_fixed(b, s)), s + 1)
+    got = arith.from_fixed(analytic._agm(fixed_reference(a, s), fixed_reference(b, s)), s + 1)
     with mpmath.workprec(300):
         ref = mpmath.agm(a, b)
         assert abs(got - ref) <= mpmath.mpf(2) ** -prec.bits() * ref
@@ -600,7 +614,7 @@ def test_faltings_height_plus_on_the_bundled_curves(bundled, bits):
 
 def rho_at(re, im):
     """The injectivity diameter of the ReducedTau of re + i im."""
-    return analytic.injectivity_diameter(analytic.reduce_to_fundamental_domain(mpmath.mpc(re, im)))
+    return analytic.injectivity_diameter(reduce_tau(mpmath.mpc(re, im)))
 
 
 class TestInjectivityDiameter:

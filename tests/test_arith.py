@@ -158,6 +158,14 @@ def test_integer_sturm_chain_law(roots, squares, lead):
     assert arith._sturm(poly_mul(poly, factors[-1]))[0] is False
 
 
+def fixed_reference(x, bits):
+    """round(x 2^bits) of a float or an mpf, the magnitude rounded half up,
+    in exact rationals."""
+    negative, man, exp, _ = (x if isinstance(x, mpmath.mpf) else mpmath.mpf(x))._mpf_
+    n = math.floor(man * Fraction(2) ** (exp + bits) + Fraction(1, 2))
+    return -n if negative else n
+
+
 @given(
     st.integers(-(2**53) + 1, 2**53 - 1),
     st.integers(-10, 60),
@@ -168,14 +176,12 @@ def test_float_seed_to_fixed_is_exact(m, below, s, bits):
     # |y| = |m| 2^-(s + bits + below): whole units for below <= 0, and
     # magnitudes under one unit (exact halves at below = 1 and m odd) above
     y = math.ldexp(m, -(s + bits + below))
-    expected = arith.to_fixed(mpmath.ldexp(mpmath.mpf(y), s), bits)
-    assert arith.to_fixed(y, s + bits) == expected
+    assert arith.to_fixed(y, s + bits) == fixed_reference(y, s + bits)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 64), st.integers(0, 300))
 def test_any_float_seed_to_fixed_is_exact(y, s, bits):
-    expected = arith.to_fixed(mpmath.ldexp(mpmath.mpf(y), s), bits)
-    assert arith.to_fixed(y, s + bits) == expected
+    assert arith.to_fixed(y, s + bits) == fixed_reference(y, s + bits)
 
 
 def test_float_seed_halves_round_magnitude_up():

@@ -817,6 +817,32 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     assert (proc.wait(), err) == (141, b"")
 
 
+BAD_FIELDS = {
+    "Kd0": ("field Kd0\npoly = -2 0 0 1\ndisc = 0\n", "bad disc = 0"),
+    "Kw0": ("field Kw0\npoly = -2 0 1\nw = 0\n", "bad w = 0"),
+    "Kwm": ("field Kwm\npoly = -2 0 1\nw = -2\n", "bad w = -2"),
+    "Kr0": ("field Kr0\npoly = -2 0 1\nr0 = -3\n", "bad r0 = -3"),
+}
+
+
+class TestBadFieldInputs:
+    """Inputs that divided by zero or forged a verdict are named input errors."""
+
+    @pytest.mark.parametrize("label", sorted(BAD_FIELDS))
+    @pytest.mark.parametrize("command", ["verify", "field"])
+    def test_exit_2_with_one_error_line(self, tmp_path, label, command):
+        text, key = BAD_FIELDS[label]
+        path = tmp_path / "corpus.txt"
+        path.write_text(text)
+        argv = [command] + ([label] if command == "field" else []) + ["--corpus", str(path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        command = [sys.executable, "-m", "arithinv.cli"] + argv
+        out = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("error: field %s: %s " % (label, key)), out.stderr
+        assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+
+
 class TestMissingCorpusFile:
     def test_missing_file_exit_2(self, capsys):
         assert cli.main(["verify", "--corpus", "/does/not/exist"]) == 2

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithinv import corpus
+from arithinv import corpus, ellcurve, numfield
 from arithinv.corpus import CURVE_KEYS, FIELD_KEYS, CorpusRecord
 from arithinv.errors import (
     DanglingSubfieldRef,
     DuplicateLabel,
+    InvariantError,
     ParseError,
     PointNotOnCurve,
     UnknownLabel,
@@ -221,6 +222,21 @@ class TestRecordValue:
 HARD_CURVES = Path(__file__).resolve().parent / "data" / "hard_curves.txt"
 
 
+class TestFieldData:
+    @pytest.mark.parametrize("r0", [-3, -1, 2])
+    def test_r0_outside_the_unit_rank_rejected(self, r0):
+        # a proper subfield's unit rank never exceeds K's, which is 1 here
+        text = "field K\npoly = -2 0 1\nr0 = %d\n" % r0
+        message = r"^field K: bad r0 = %d \(.* unit rank is at most K's, 1\)$" % r0
+        with pytest.raises(InvariantError, match=message):
+            corpus.build_field_record(corpus.parse_corpus(text), "K")
+
+    def test_bundled_r0_in_range(self, bundled):
+        for label in bundled.fields:
+            record = corpus.build_field_record(bundled, label)
+            assert record.r0 is None or 0 <= record.r0 <= numfield.unit_rank(record.field)
+
+
 class TestCurveData:
     """`build_curve_data` reads a record's model once, by `minimal_model`."""
 
@@ -239,9 +255,17 @@ class TestCurveData:
             corpus.build_curve_data(corpus.parse_corpus(text), "nonint")
         assert str(exc.value) == "curve 'nonint': generator 1,1 is not on the curve"
 
+    def test_generator_with_no_integral_image(self):
+        # (1/3, 0) maps to (4/3, 0) on 37a, which no point of an integral
+        # model has: the same error, in the corpus's text
+        text = "curve nonint\na = 0 0 1/8 -1/16 0\nrank = 1\ngens = 1/3,0\n"
+        with pytest.raises(PointNotOnCurve) as exc:
+            corpus.build_curve_data(corpus.parse_corpus(text), "nonint")
+        assert str(exc.value) == "curve 'nonint': generator 1/3,0 is not on the curve"
+
     def test_generator_on_a_rational_model(self):
         # (0, 0) on the u = 2 model of 37a is (0, 0) on 37a
         text = "curve nonint\na = 0 0 1/8 -1/16 0\nrank = 1\ngens = 0,0\n"
         _, mm, _, gens = corpus.build_curve_data(corpus.parse_corpus(text), "nonint")
         assert mm.curve.a_invariants == (0, 0, 1, -1, 0) and str(mm.u) == "1/2"
-        assert gens == ((0, 0),)
+        assert gens == (ellcurve.Point.of(0, 0),)

@@ -76,6 +76,17 @@ class TestConstruction:
         with pytest.raises(InvariantError):
             numfield.number_field("bad", (1, 1, 1, 1, 1), disc=121)
 
+    def test_zero_disc_rejected(self):
+        with pytest.raises(InvariantError, match=r"^field Kd0: bad disc = 0 "):
+            numfield.number_field("Kd0", (-2, 0, 0, 1), disc=0)
+
+    @pytest.mark.parametrize("w", [0, -2, 3])
+    def test_w_positive_and_even(self, w):
+        # w = 0 divided the regulator by zero, and w = -2 read as a
+        # counterexample to Friedman's bound
+        with pytest.raises(InvariantError, match=r"^field Kw: bad w = %d " % w):
+            numfield.number_field("Kw", (-2, 0, 1), w=w)
+
     def test_reducible_rejected(self):
         with pytest.raises(InvariantError, match=r"reducible \(root 1\)"):
             numfield.number_field("red", (-1, 0, 1), disc=1)  # (x-1)(x+1)
