@@ -13,7 +13,8 @@ only exact inputs and results.
 Approximate work runs on fixed-point integers where it loops (root
 polishing here, the AGM in :mod:`arithinv.analytic`), with precisions
 from :mod:`arithinv.prec`; mpmath values and the double-precision root
-seeds enter exactly, and the roots leave as integers.
+seeds, found on the Sturm count's split into real roots and conjugate
+pairs, enter exactly, and the roots leave as integers.
 """
 
 from __future__ import annotations
@@ -89,6 +90,14 @@ def _sturm(coeffs):
     at_minus = [(1 if p[-1] > 0 else -1) * (-1) ** poly_degree(p) for p in chain if p]
     squarefree = len(chain[-1]) == 1
     return squarefree, variations(at_minus) - variations(at_plus)
+
+
+def real_root_count(coeffs):
+    """The real roots of a squarefree integer polynomial, counted exactly."""
+    squarefree, n_real = _sturm(coeffs)
+    if not squarefree:
+        raise NotSquarefree("polynomial has repeated roots")
+    return n_real
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +201,11 @@ def _apart(a, b, bits):
     return ((x - u) ** 2 + (y - v) ** 2) * den * den > (num * num) << (2 * bits)
 
 
-def _double_seeds(coeffs, bits):
-    # Double-precision roots of p(2^s y) / (a_n 2^(s n)), scaled back by 2^s
-    # exactly, as Gaussian integers at the fixed point 2^-bits.  By
-    # Fujiwara's bound every root has |x| < 2^s, so the rescaled polynomial
-    # is monic with every other coefficient of size < 1/2 and all its roots
-    # in the unit disc: nothing overflows, no large root is lost, and
-    # Durand-Kerner (Weierstrass) steps in Python complex run until every
-    # step is below 2^-50 of its root.  A near-double root comes out as two
-    # seeds about sqrt(eps) apart, often a conjugate pair straddling two real
-    # roots (or two reals straddling a pair), from which the polish never
-    # converges.  So a seed within 2^-20 relative of an earlier one moves by
-    # 2^-20 of its size in a direction generic for each index, and the
-    # iteration's repulsion separates the cluster.
+def _double_seeds(coeffs, n_real, bits):
+    # The split (real roots, pair representatives) for _durand_kerner, by
+    # the same sweeps in doubles on p(2^s y) / (a_n 2^(s n)), whose roots
+    # all lie in the unit disc by Fujiwara's bound |x| < 2^s: nothing
+    # overflows and no large root is lost.  Scaled back by 2^s exactly.
     n = len(coeffs) - 1
     top = abs(coeffs[-1]).bit_length() - 1  # |a_n| >= 2^top
     s = 1 + max(
@@ -212,14 +213,15 @@ def _double_seeds(coeffs, bits):
         default=0,
     )
     scaled = []
-    for k in range(n, -1, -1):  # highest power first; each value has size <= 1
+    for k in range(n - 1, -1, -1):  # highest power first, after the leading 1
         e = s * (n - k)
         scaled.append(coeffs[k] / (coeffs[-1] << e) if e >= 0 else (coeffs[k] << -e) / coeffs[-1])
     # Start on circles whose radii are the slopes of the Newton polygon,
     # the upper convex hull of (k, log |a_k|), so roots of every size have
     # seeds near them (Bini, Numer. Algorithms 13, 1996); a zero constant
-    # term is a simple root at 0.  The angles are generic, so no two seeds
-    # are conjugate.
+    # term is a simple root at 0.  Of the points at generic angles, the
+    # n_real nearest the real axis move onto it, to their circle on their
+    # side, and the pairs take those farthest from it.
     hull = []
     for k, c in enumerate(coeffs):
         if c:
@@ -235,38 +237,52 @@ def _double_seeds(coeffs, bits):
         radius = math.exp(min((log0 - log1) / (k1 - k0) - s * math.log(2), 0.0))
         for j in range(k1 - k0):
             ys.append(radius * cmath.exp(1j * ((2 * math.pi * j + 1.9) / (k1 - k0) + 0.4 * k0)))
-    for _ in range(100):  # sweeps; the integer polish goes on from any seeds
-        converged = True
-        for k, y in enumerate(ys):
-            num = den = 1.0
-            for c in scaled[1:]:
-                num = num * y + c
-            for j, other in enumerate(ys):
-                if j != k:
-                    den *= y - other
-            step = num / den if abs(den) > 2.0**-1000 else 2.0**-20
-            y -= step
-            if abs(y) > 1:  # back to the disc, which no root leaves
-                y /= abs(y)
-            ys[k] = y
-            converged = converged and abs(step) <= 2.0**-50 * abs(y)
-        if converged:
-            break
+    ys.sort(key=lambda y: abs(y.imag) / abs(y) if y else 0.0)
+    split = [math.copysign(abs(y), y.real) for y in ys[:n_real]] + [
+        complex(y.real, abs(y.imag)) for y in ys[n_real + (n - n_real) // 2 :]
+    ]
+    noise = [n * 2.0**-50 * abs(c) for c in [1.0] + scaled][::-1]
+
+    def sweep(ys, singles):
+        # Sweeps as _durand_kerner's (ys[singles:] stand for pairs) until each
+        # step is below 2^-26 of its seed, so the next would be below 2^-52,
+        # or |p| is below its rounding bound n 2^-50 sum |a_k| |y|^k (clusters)
+        for _ in range(100):
+            done = True
+            for k, y in enumerate(ys):
+                num, den = 1.0, 1.0 if k < singles else 2j * y.imag
+                for c in scaled:
+                    num = num * y + c
+                for j, u in enumerate(ys):
+                    if j != k:
+                        den *= y - u if j < singles else (y - u.real) ** 2 + u.imag**2
+                step = num / den if abs(den) > 2.0**-1000 else 2.0**-20
+                done = done and (abs(step) <= 2.0**-26 * abs(y) or abs(num) <= poly_eval(noise, abs(y)))
+                y -= step
+                if abs(y) > 1:  # back to the disc, which no root leaves
+                    y /= abs(y)
+                ys[k] = y if k < singles else complex(y.real, abs(y.imag))  # a pair by either member
+            if done:
+                return True
+        return False
+
+    if sweep(split, n_real):  # the reals in real arithmetic
+        zs = [(to_fixed(y.real, s + bits), to_fixed(y.imag, s + bits)) for y in split]
+        return [x for x, _ in zs[:n_real]], zs[n_real:]
+    # Unsettled, as at some near-multiple roots: the n circle points sweep as
+    # single seeds, move 2^-20 apart (in a generic direction) where within
+    # 2^-20 relative, are polished as Gaussian integers and split to 16 units.
+    sweep(ys, n)
     for k in range(1, n):
         if any(abs(ys[k] - y) <= 2.0**-20 * max(abs(ys[k]), abs(y)) for y in ys[:k]):
             ys[k] += 2.0**-20 * max(abs(ys[k]), 2.0**-20) * (0.4 + 0.9j) ** k
-    return [(to_fixed(y.real, s + bits), to_fixed(y.imag, s + bits)) for y in ys]
-
-
-def _split(zs, n_real, tol):
-    # (real roots, pair representatives) if each point (x, y) lies within
-    # tol(x, y) of the real axis, or has Im > tol and a conjugate mate to
-    # within tol, and n_real of them are real; else None
-    tols = [tol(x, y) for x, y in zs]
-    reals = [x for (x, y), t in zip(zs, tols) if abs(y) <= t]
-    pairs = [(x, y) for i, ((x, y), t) in enumerate(zip(zs, tols)) if y > t and any(
-        abs(x - u) <= t and abs(y + v) <= t for j, (u, v) in enumerate(zs) if j != i)]
-    return (reals, pairs) if len(reals) == n_real and n_real + 2 * len(pairs) == len(zs) else None
+    zs = [(to_fixed(y.real, s + bits), to_fixed(y.imag, s + bits)) for y in ys]
+    zs = _durand_kerner_complex(coeffs, zs, bits)
+    reals = [x for x, y in zs if abs(y) <= 16]
+    pairs = [(x, y) for x, y in zs if y > 16 and any(abs(x - u) <= 16 and abs(y + v) <= 16 for u, v in zs)]
+    if len(reals) != n_real or n_real + 2 * len(pairs) != n:
+        raise NoConvergence("root certificate: non-real seeds are not conjugate pairs")
+    return reals, pairs
 
 
 def _step(coeffs, x, y, wr, wi, bits):
@@ -298,11 +314,11 @@ def _durand_kerner_complex(coeffs, zs, bits):
 
 
 def _durand_kerner(coeffs, reals, pairs, bits):
-    # Gauss-Seidel Weierstrass sweeps on _split's split, in units of 2^-bits,
-    # over the other real roots x_j and representatives w = u + iv: W(x) =
-    # a_n prod (x - x_j) prod ((x - u)^2 + v^2) for a real x, and W(z) = a_n
-    # (2iy) prod (z - x_j) prod (z - w)(z - conj w) for z = x + iy.  Done once
-    # no step exceeds one unit.
+    # Gauss-Seidel Weierstrass sweeps on _double_seeds' split, in units of
+    # 2^-bits, over the other real roots x_j and representatives w = u + iv:
+    # W(x) = a_n prod (x - x_j) prod ((x - u)^2 + v^2) for a real x, and
+    # W(z) = a_n (2iy) prod (z - x_j) prod (z - w)(z - conj w) for z = x +
+    # iy.  Done once no step exceeds one unit.
     lead = coeffs[-1]
     for _ in range(400):
         converged = True
@@ -323,7 +339,7 @@ def _durand_kerner(coeffs, reals, pairs, bits):
                     a, b = (x - u) ** 2 - y * y + v * v, 2 * (x - u) * y
                     wr, wi = wr * a - wi * b, wr * b + wi * a
             sr, si = _step(coeffs, x, y, wr, wi, bits)
-            pairs[k] = (x - sr, y - si)
+            pairs[k] = (x - sr, abs(y - si))  # either member stands for the pair
             converged = converged and abs(sr) <= 1 and abs(si) <= 1
         if converged:
             return reals, pairs
@@ -333,19 +349,20 @@ def _durand_kerner(coeffs, reals, pairs, bits):
 def poly_roots(coeffs):
     """All complex roots of a squarefree integer polynomial, certified.
 
-    Seed: Durand-Kerner in double precision on the polynomial rescaled by
-    Fujiwara's root bound, which puts every root in the unit disc.  Split:
-    with the exact Sturm count, into real roots and one member, Im > 0, of
-    each conjugate pair, once every seed lies on the real axis or has a
-    conjugate mate, to 2^-30 relative; seeds that leave a cluster unresolved
-    are first polished as Gaussian integers and split at convergence.
-    Polish: Durand-Kerner on the split, real roots in real arithmetic and
-    each pair once, at the fixed point 2^-P, P the working precision +
-    80 + 20 guard bits + the largest coefficient's bit length, so the
-    absolute stopping rule is relative to the largest root the Cauchy bound
-    allows.  Certify: every radius is deg |p| / |p'| evaluated exactly at
-    the returned dyadic point and rounded up, and the n discs are pairwise
-    disjoint, so they hold n distinct roots.
+    Seed on the split: the exact Sturm count gives n_real real roots and
+    (n - n_real)/2 conjugate pairs, and Durand-Kerner in double precision
+    on the polynomial rescaled into the unit disc (Fujiwara's bound) runs
+    on n_real real seeds in real arithmetic and one seed, Im > 0, per pair.
+    Unsettled after 100 sweeps, all n start again as single complex seeds,
+    nudged 2^-20 apart where they nearly meet, are polished as Gaussian
+    integers and split at convergence.  Polish: Durand-Kerner on the split,
+    real roots in real arithmetic and each pair once, at the fixed point
+    2^-P, P the working precision + 80 + 20 guard bits + the largest
+    coefficient's bit length, so the absolute stopping rule is relative to
+    the largest root the Cauchy bound allows.  Certify: every radius is
+    deg |p| / |p'| evaluated exactly at the returned dyadic point and
+    rounded up, and the n discs are pairwise disjoint, so they hold n
+    distinct roots.
 
     Returns ComplexApprox roots at 2^-P, each radius <= ROOT_TOL: the real
     ones ascending, then the conjugate pairs by real part, each as (its Im
@@ -354,17 +371,9 @@ def poly_roots(coeffs):
     coeffs = poly_normalize(coeffs)
     if len(coeffs) < 2:
         raise NoConvergence("degree must be >= 1")
-    squarefree, n_real = _sturm(coeffs)
-    if not squarefree:
-        raise NotSquarefree("polynomial has repeated roots")
+    n_real = real_root_count(coeffs)
     bits = _fixed_point_bits(coeffs)
-    seeds = _double_seeds(coeffs, bits)
-    split = _split(seeds, n_real, lambda x, y: max(abs(x), abs(y)) >> 30)
-    if split is None:  # a near-multiple root the double-precision seeds do not resolve
-        split = _split(_durand_kerner_complex(coeffs, seeds, bits), n_real, lambda x, y: 16)
-    if split is None:
-        raise NoConvergence("root certificate: non-real seeds are not conjugate pairs")
-    return _certify_roots(coeffs, *_durand_kerner(coeffs, *split, bits), bits)
+    return _certify_roots(coeffs, *_durand_kerner(coeffs, *_double_seeds(coeffs, n_real, bits), bits), bits)
 
 
 def _certify_roots(coeffs, reals, pairs, bits):
@@ -372,13 +381,11 @@ def _certify_roots(coeffs, reals, pairs, bits):
     dcoeffs = poly_deriv(coeffs)
     discs = []
     for x, y, kind in [(x, 0, "real") for x in sorted(reals)] + [(*z, "complex") for z in sorted(pairs)]:
-        if kind == "complex" and y <= 0:
-            raise NoConvergence("root certificate: non-real seeds are not conjugate pairs")
         x, y = _to_working(x), _to_working(y)
         err = _root_radius(coeffs, dcoeffs, x, y, bits)
         if not err <= ROOT_TOL:
             raise NoConvergence("root certificate: %s root radius %.3g > ROOT_TOL" % (kind, err))
-        discs += [(x, y, err), (x, -y, err)] if y else [(x, 0, err)]
+        discs += [(x, y, err), (x, -y, err)] if kind == "complex" else [(x, 0, err)]  # y > 0 or they meet
     for a, b in itertools.combinations(discs, 2):
         if not _apart(a, b, bits):
             raise NoConvergence("root certificate: two root discs overlap")

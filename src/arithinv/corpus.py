@@ -244,17 +244,24 @@ def _parse_ints(value):
     return [int(tok) for tok in value.split()]
 
 
-def _parse_fractions(value):
-    return [Fraction(tok) for tok in value.split()]
+def _rational(tok):
+    try:  # an int for an integral token, else its Fraction
+        return int(tok)
+    except ValueError:
+        return Fraction(tok)
+
+
+def _parse_rationals(value):
+    return [_rational(tok) for tok in value.split()]
 
 
 def _parse_units(value):
-    return [_parse_fractions(chunk) for chunk in value.split(";")]
+    return [_parse_rationals(chunk) for chunk in value.split(";")]
 
 
 def _parse_points(value):
     pairs = [chunk.split(",") for chunk in value.split(";")] if value else []
-    return [(Fraction(x), Fraction(y)) for x, y in pairs]
+    return [(_rational(x), _rational(y)) for x, y in pairs]
 
 
 def _parsed(rec, key, parse):
@@ -296,7 +303,7 @@ def build_curve_data(corpus, label):
     rec = corpus.curves.get(label)
     if rec is None:
         raise UnknownLabel("no curve labelled '%s'" % label)
-    a_invs = _parsed(rec, "a", _parse_fractions)
+    a_invs = _parsed(rec, "a", _parse_rationals)
     if len(a_invs) != 5:
         raise ParseError("curve '%s': need 5 coefficients a1 a2 a3 a4 a6" % label, rec.line)
     rank = _parsed(rec, "rank", int)

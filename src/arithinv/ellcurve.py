@@ -139,7 +139,7 @@ class Point(NamedTuple):
     @classmethod
     def of(cls, x, y):
         """(x, y) with den(x) = e^2 and den(y) = e^3, as on an integral model."""
-        x, y = Fraction(x), Fraction(y)
+        x, y = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (x, y))
         e, rem = divmod(y.denominator, x.denominator)
         if rem or x.denominator != e * e:
             raise PointNotOnCurve("point %s,%s is on no integral model" % (x, y))
@@ -295,27 +295,34 @@ def _moved_a_invariants(a, r, s, t):
     )
 
 
+def _exact_quotient(a, b):
+    return a // b if type(a) is int and type(b) is int and not a % b else Fraction(a, b)
+
+
 def transform_point(x, y, u, r, s, t):
-    """The pair (x', y') of x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
-    u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-    return (x - r) / u**2, (y - s * (x - r) - t) / u**3
+    """The pair (x', y') of x = u^2 x' + r, y = u^3 y' + s u^2 x' + t; ints stay ints."""
+    x = x - r
+    return _exact_quotient(x, u * u), _exact_quotient(y - s * x - t, u**3)
 
 
 class MinimalModel(NamedTuple):
-    """A global minimal model, the (u, r, s, t) taking the input model to
-    it, and the factorization of its discriminant delta_min."""
+    """A global minimal model, the change (u, r, s, t) = (U/den, R/den^2,
+    S/den, T/den^3) taking the input model to it as the integers (U, R, S,
+    T) of its integral model, and the factorization of delta_min."""
 
     curve: WeierstrassCurve
-    u: Fraction
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    den: int
+    change: tuple  # (U, R, S, T)
     delta_factors: arith.Factorization
+    u = property(lambda self: Fraction(self.change[0], self.den))
+    r = property(lambda self: Fraction(self.change[1], self.den**2))
+    s = property(lambda self: Fraction(self.change[2], self.den))
+    t = property(lambda self: Fraction(self.change[3], self.den**3))
 
     def to_minimal(self, x, y):
         """The Point of the minimal model at the input model's (x, y): the one
         reader of rational coordinates (PointNotOnCurve if not integral)."""
-        return Point.of(*transform_point(x, y, self.u, self.r, self.s, self.t))
+        return Point.of(*transform_point(x * self.den**2, y * self.den**3, *self.change))
 
 
 def _kraus_ok_at_2(c4, c6):
@@ -408,8 +415,7 @@ def minimal_model(a_invariants):
             if e > 12 * exps.get(p, 0)
         ),
     )
-    change = (Fraction(u, den), Fraction(r, den**2), Fraction(s, den), Fraction(t, den**3))
-    return MinimalModel(weierstrass_curve(*m), *change, delta_min)
+    return MinimalModel(weierstrass_curve(*m), den, (u, r, s, t), delta_min)
 
 
 # ---------------------------------------------------------------------------

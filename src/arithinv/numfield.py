@@ -32,6 +32,8 @@ from .errors import (
 
 
 class NumberField(NamedTuple):
+    """Q[x]/(poly), r1 from the exact Sturm count.  Its embeddings, poly's
+    certified roots, are solved on their first read and kept in `roots`."""
     label: str
     poly: tuple  # integer coefficients, constant first, monic
     degree: int
@@ -39,16 +41,14 @@ class NumberField(NamedTuple):
     r2: int
     disc: int
     w: int  # number of roots of unity
-    embeddings: tuple  # d certified roots, reals first (ascending)
+    roots: list  # [] until the embeddings are first read, then [embeddings]
 
     @property
-    def places(self):
-        """One root per archimedean place: r1 reals then r2 pair representatives."""
-        return tuple(self.embeddings[: self.r1]) + tuple(e for e in self.embeddings[self.r1 :] if e.y > 0)
-
-    @property
-    def place_weights(self):
-        return (1,) * self.r1 + (2,) * self.r2
+    def embeddings(self):
+        """arith.poly_roots(poly): reals ascending, then pairs (Im > 0, conjugate)."""
+        if not self.roots:
+            self.roots.append(tuple(arith.poly_roots(self.poly)))
+        return self.roots[0]
 
 
 def _poly_mult_matrix(poly, c):
@@ -80,7 +80,7 @@ def number_field(label, poly, disc=None, w=None):
     trusted beyond that): a rational root of a monic integer polynomial is
     an integer, and each certified real root lies within arith.ROOT_TOL <
     1/2 of its approximation, so the nearest integer of each real root is
-    the only candidate.
+    the only candidate; that check alone solves for the roots here.
     """
     poly = tuple(arith.poly_normalize(poly))
     d = arith.poly_degree(poly)
@@ -88,15 +88,13 @@ def number_field(label, poly, disc=None, w=None):
         raise InvariantError("defining polynomial must have degree >= 1")
     if poly[-1] != 1:
         raise InvariantError("defining polynomial must be monic")
-    roots = arith.poly_roots(poly)  # raises NotSquarefree
-    r1 = sum(1 for r in roots if r.y == 0)
-    r2 = (d - r1) // 2
-    if d > 1:
-        # the root of least |t| is named, the positive one first
-        candidates = {(r.x + (1 << (r.bits - 1))) >> r.bits for r in roots[:r1]}
-        for t in sorted(candidates, key=lambda t: (abs(t), -t)):
-            if arith.poly_eval(poly, t) == 0:
-                raise InvariantError("defining polynomial is reducible (root %d)" % t)
+    r1 = arith.real_root_count(poly)  # raises NotSquarefree
+    roots = [tuple(arith.poly_roots(poly))] if r1 and d > 1 else []
+    # the root of least |t| is named, the positive one first
+    candidates = {(r.x + (1 << (r.bits - 1))) >> r.bits for r in (roots[0][:r1] if roots else ())}
+    for t in sorted(candidates, key=lambda t: (abs(t), -t)):
+        if arith.poly_eval(poly, t) == 0:
+            raise InvariantError("defining polynomial is reducible (root %d)" % t)
 
     dpoly = int(poly_discriminant(poly))
     if d == 2:
@@ -122,7 +120,7 @@ def number_field(label, poly, disc=None, w=None):
         w = {-3: 6, -4: 4}.get(disc, 2) if d == 2 else 2
     if w <= 0 or w % 2 != 0:
         raise InvariantError("field %s: bad w = %d (a root-of-unity count is positive and even)" % (label, w))
-    return NumberField(label, poly, d, r1, r2, int(disc), int(w), tuple(roots))
+    return NumberField(label, poly, d, r1, (d - r1) // 2, int(disc), int(w), roots)
 
 
 def _fundamental_discriminant(dpoly):
@@ -163,11 +161,11 @@ def log_embedding(field, coeffs):
     c = _as_coeffs(field, coeffs)
     if all(x == 0 for x in c):
         raise ZeroElement("log embedding of 0")
-    out = []
-    with prec.working(20):
-        for weight, place in zip(field.place_weights, field.places):
+    out, roots = [], field.embeddings
+    with prec.working(20):  # one root per place: the r1 reals, then each pair's Im > 0 member
+        for i, place in enumerate(roots[: field.r1] + roots[field.r1 :: 2]):
             val = arith.poly_eval([mpf(x.numerator) / x.denominator for x in c], place.value)
-            out.append(weight * mpmath.log(abs(val)))
+            out.append((1 if i < field.r1 else 2) * mpmath.log(abs(val)))
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from arithinv import analytic, arith, ledger, prec
+from arithinv import analytic, arith, prec
 from arithinv.analytic import SQRT3_HALF
 from arithinv.errors import AgmNoConvergence, NotUpperHalfPlane, TauNotReduced
 from test_arith import fixed_reference
@@ -338,9 +338,22 @@ def assert_scaled_discriminant_within_bound(z):
     assert abs(analytic.log_scaled_discriminant(z) - log_scaled_reference(z)) <= bound
 
 
+def sample_reduced_tau(count, seed=20260809):
+    """i, rho and count seeded points of the fundamental domain: the sample
+    whose least -log(|delta| (2 Im)^6) is ledger.ANALYTIC_NONNEG."""
+    rng = random.Random(seed)
+    points = [complex(0, 1), complex(0.5, math.sqrt(3) / 2)]
+    while len(points) < count + 2:
+        re = rng.uniform(-0.5, 0.4999)
+        im = rng.uniform(0.867, 3.0)
+        if re * re + im * im >= 1.0001:
+            points.append(complex(re, im))
+    return points
+
+
 class TestLogScaledDiscriminant:
     def test_ledger_points_against_200_bits(self):
-        points = ledger._sample_reduced_tau(100)
+        points = sample_reduced_tau(100)
         assert len(points) == 102 and all(isinstance(z, complex) for z in points)
         for z in points:
             assert_scaled_discriminant_within_bound(z)

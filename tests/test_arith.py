@@ -355,18 +355,24 @@ class TestPolyRoots:
         assert_encloses_reference(coeffs, roots)
 
     def test_only_unresolved_clusters_take_the_complex_polish(self, monkeypatch):
-        # isolated roots go straight to the split polish; a near-double root
-        # leaves seeds neither real nor conjugate, so every root is first
-        # polished as a Gaussian integer
+        # the split seeds settle on isolated roots, on a 2-division cubic
+        # whose double sweeps stall at a relative step above 2^-50, and on
+        # near-double roots that doubles see as one cluster: the Sturm count
+        # keeps those seeds split, and the split polish separates them.  A
+        # near-real pair beside a far root leaves the double sweeps
+        # unsettled, and only it is polished as Gaussian integers, once
         calls = []
         polish = arith._durand_kerner_complex
         monkeypatch.setattr(arith, "_durand_kerner_complex", lambda *a: calls.append(1) or polish(*a))
         for coeffs in ([-2, 0, 1], [1, 0, 1], [-1, -1, 0, 1], [4 * 37**2, 0, 0, 4], [1, 1, 1, 1, 1]):
             arith.poly_roots(coeffs)
-        assert calls == []
+        arith.poly_roots([9465, -1384, 4, 4])
         for coeffs in (near_cluster(10**18, 1, 0, None), near_cluster(10**18, None, 0, 1)):
             assert_encloses_reference(coeffs, arith.poly_roots(coeffs))
-        assert calls == [1, 1]
+        assert calls == []
+        unresolved = near_cluster(10**18, None, 0, 1, [3, 1])
+        assert_encloses_reference(unresolved, arith.poly_roots(unresolved))
+        assert calls == [1]
 
     def test_sturm_counts(self):
         # (squarefree, number of distinct real roots)

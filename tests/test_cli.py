@@ -1,4 +1,6 @@
 import argparse
+import collections
+import fractions
 import json
 import math
 import os
@@ -113,6 +115,27 @@ class TestCli:
         assert cli.main(["verify", "--out", str(out_file)]) == 0
         text = out_file.read_text()
         assert "fail" not in text.split()  # verdict column never says fail
+
+    def test_verify_forms_no_fraction_for_integral_input(self, monkeypatch, capsys):
+        # the bundled corpus is integral: its parse, the minimal-model
+        # changes and the generators' move to the minimal models form no
+        # Fraction, and the pass forms 375 in all (571 when each of those
+        # did), each counted at its first caller outside fractions
+        made = collections.Counter()
+        new = fractions.Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename == fractions.__file__:
+                frame = frame.f_back
+            made[os.path.basename(frame.f_code.co_filename), frame.f_code.co_name] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+        assert cli.main(["verify"]) == 0
+        readers = {"minimal_model", "transform_point", "_exact_quotient", "to_minimal", "of"}
+        assert [key for key in made if key[0] == "corpus.py" or key[1] in readers] == []
+        assert sum(made.values()) <= 375
 
     def test_verify_checks_filter(self, capsys):
         assert cli.main(["verify", "--checks", "hermite_minkowski_a,friedman"]) == 0

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithinv import arith, ellcurve, ledger
+from arithinv import analytic, arith, ellcurve, ledger
+from test_analytic import sample_reduced_tau
 
 
 def stats_by_label(rows):
@@ -449,6 +450,16 @@ class TestMinimaLaws:
 
 
 class TestAnalyticEstimates:
+    def test_constants_recomputed(self):
+        # the rows are emitted from two constants; both recomputed here as
+        # the ledger once computed them on every run, to the last bit
+        series = math.fsum(math.log1p(math.exp(-math.sqrt(3) * math.pi * n)) for n in range(1, 80))
+        assert series.hex() == ledger.ANALYTIC_SERIES.hex()
+        points = sample_reduced_tau(100)
+        assert len(points) == 102
+        worst = min(-analytic.log_scaled_discriminant(z) for z in points)
+        assert worst.hex() == ledger.ANALYTIC_NONNEG.hex()
+
     def test_rows(self):
         series_row, nonneg_row = ledger.check_analytic_estimates()
         assert series_row.verdict == "pass"

@@ -103,6 +103,34 @@ class TestConstruction:
             corpus.build_field_record(parsed, "red")  # (x + big)(x^2 + 1)
 
 
+class TestRootsWhereRead:
+    def test_number_field_solves_only_for_the_rational_root_check(self, monkeypatch):
+        # Q and the imaginary quadratics have no real place to check and no
+        # unit to embed; Q(sqrt 2) solves for its rational-root check, and
+        # its Pell unit reads the same roots
+        calls = []
+        solve = arith.poly_roots
+        monkeypatch.setattr(arith, "poly_roots", lambda poly: calls.append(poly) or solve(poly))
+        for K in (numfield.number_field("Q", (0, 1), disc=1), quadratic(-1), quadratic(-7)):
+            assert K.roots == []
+        assert calls == []
+        K = quadratic(2)
+        assert len(calls) == 1
+        numfield.field_regulator(numfield.FieldRecord(K))
+        assert len(calls) == 1
+
+    def test_unit_system_solves_a_totally_complex_field_once(self, monkeypatch):
+        calls = []
+        solve = arith.poly_roots
+        monkeypatch.setattr(arith, "poly_roots", lambda poly: calls.append(poly) or solve(poly))
+        K = make_zeta5()
+        assert calls == []
+        eps = [0, 0, -1, -1]
+        units = numfield.unit_system(K, [eps, invert_unit(K, eps)])
+        numfield.regulator(K, numfield.UnitSystem(units.units[:1], units.log_matrix[:1]))
+        assert calls == [K.poly]
+
+
 class TestUnitRank:
     def test_examples(self):
         assert numfield.unit_rank(numfield.number_field("Q", (0, 1), disc=1)) == 0
@@ -203,6 +231,8 @@ def test_norm_and_discriminant_match_the_certified_roots(poly, alpha):
     dpoly = numfield.poly_discriminant(poly)
     # a quadratic field computes its own disc and rejects any other
     K = numfield.number_field("K", poly, disc=None if len(poly) == 3 else int(dpoly))
+    # the roots are solved on the first read of the embeddings, then kept
+    assert bool(K.roots) == (K.r1 > 0) and K.embeddings is K.embeddings
     alpha = alpha[: K.degree]
     exact = element_norm(K, alpha)
     with mpmath.workprec(200):
