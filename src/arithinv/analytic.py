@@ -12,8 +12,7 @@ precision: 12 log(2 pi / omega1') + log delta(tau) must give log Delta of
 the model mod 2 pi i, with log omega1' read from the integer AGM means,
 so no magnitude is converted to a float.  That identity makes h+ a
 function of omega1' and Im tau alone, so log delta(tau) is needed only
-for the check, and the ledger's scaled-discriminant term; both run in
-doubles, within stated bounds.
+for the check, which runs in doubles, within stated bounds.
 """
 
 from __future__ import annotations
@@ -112,16 +111,6 @@ def log_delta(tau):
     modulus = math.fsum(math.log1p(abs(w) ** 2 - 2 * w.real) for w in powers)
     phase = math.fsum(math.atan2(-w.imag, 1 - w.real) for w in powers)
     return complex(-2 * math.pi * z.imag + 12 * modulus, 2 * math.pi * z.real + 24 * phase)
-
-
-def log_scaled_discriminant(tau):
-    """log(|delta(tau)| (2 Im tau)^6) for a reduced tau, in double precision.
-
-    The real part of log_delta plus 6 log(2 Im tau): within 1e-25 +
-    2^-50 (2 pi Im tau + 6 |log(2 Im tau)| + 1) of the exact value.
-    """
-    z = complex(tau.value if isinstance(tau, ReducedTau) else tau)
-    return log_delta(z).real + 6 * math.log(2 * z.imag)
 
 
 def injectivity_diameter(tau):

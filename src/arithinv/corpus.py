@@ -5,18 +5,21 @@ fixture corpus, plus assembly of per-object check contexts.
 `load_record` read only one record's block and, for a field, its
 declared subfield's.  Both use the same block grammar.  The bundled
 corpus is read by path.  Records here and elsewhere are NamedTuples,
-compared by value like tuples; a `CorpusRecord` ignores its ``line``.
+compared by value as tuples, so a `CorpusRecord`'s ``line`` is part of
+its value; ``r[:3]`` is the record without it.
 
 Format (UTF-8, ``#`` comments, records separated by blank lines)::
 
     field <label>
     poly = c0 c1 ... cd        # integers, constant first, monic
     disc = <int>               # nonzero, optional for degree <= 2
-    w = <int>                  # roots of unity, even > 0, optional (default
-                               # 6 for disc -3, 4 for disc -4, else 2)
+    w = <int>                  # roots of unity, even > 0; checked where the
+                               # field fixes it, required for a totally
+                               # complex field of degree > 2
     units = q0 q1 ... ; ...    # optional; power-basis rationals per unit
     subfield = <label>         # optional certificate
-    r0 = <int>                 # optional max proper-subfield unit rank, <= K's
+    r0 = <int>                 # optional max proper-subfield unit rank, <= K's;
+                               # 0 for Q and prime degree
 
     curve <label>
     a = a1 a2 a3 a4 a6         # rationals
@@ -30,7 +33,7 @@ import os
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import analytic, ellcurve, ledger, numfield
+from . import analytic, arith, ellcurve, ledger, numfield
 from .errors import (
     DanglingSubfieldRef,
     DuplicateLabel,
@@ -49,25 +52,13 @@ class CorpusRecord(NamedTuple):
     kind: str  # "field" | "curve"
     label: str
     body: tuple  # ((key, value), ...) in canonical key order
-    line: int = 0  # source line of the header; not part of the record's value
+    line: int = 0  # source line of the header
 
     def get(self, key, default=None):
         for k, v in self.body:
             if k == key:
                 return v
         return default
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:3] == other[:3]
-
-    def __ne__(self, other):  # tuple's own != would compare line too
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash(self[:3])
 
 
 class Corpus(NamedTuple):
@@ -209,7 +200,9 @@ def read_records(text, kind, label):
 
 
 def emit_corpus(records):
-    """Canonical text for records; parse(emit(r)) == r."""
+    """Canonical text for records; a round trip holds up to ``line``:
+    [r[:3] for r in parse_corpus(emit_corpus(records)).records] ==
+    [r[:3] for r in records]."""
     blocks = []
     for rec in records:
         lines = ["%s %s" % (rec.kind, rec.label)]
@@ -291,9 +284,12 @@ def build_field_record(corpus, label):
     if r0 is not None and not 0 <= r0 <= numfield.unit_rank(K):
         bound = "a proper subfield's unit rank is at most K's, %d" % numfield.unit_rank(K)
         raise InvariantError("field %s: bad r0 = %d (%s)" % (label, r0, bound))
-    units = numfield.unit_system(K, unit_vecs) if unit_vecs is not None else None
-    if r0 is None and len(poly) <= 3:
+    if K.degree == 1 or arith.is_prime(K.degree):  # Q is the one proper subfield
+        if r0 not in (None, 0):
+            bound = "a field of prime degree has no proper subfield but Q"
+            raise InvariantError("field %s: bad r0 = %d (%s)" % (label, r0, bound))
         r0 = 0
+    units = numfield.unit_system(K, unit_vecs) if unit_vecs is not None else None
     return numfield.FieldRecord(K, units, rec.get("subfield"), r0)
 
 

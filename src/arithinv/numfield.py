@@ -74,8 +74,11 @@ def number_field(label, poly, disc=None, w=None):
 
     The discriminant is computed for degree <= 2, where a supplied one
     must agree, and supplied otherwise; disc(poly) = disc * f^2 checks it.
-    The root-of-unity count w defaults to 6 for disc -3, 4 for disc -4
-    (the quadratic fields with extra roots of unity) and 2 otherwise.
+    The root-of-unity count w is worked out where the field fixes it, and
+    a supplied w must agree: a real embedding sends every root of unity
+    to +-1, so a field with a real place has w = 2, and an imaginary
+    quadratic field has w = 6 (disc -3), 4 (disc -4) or 2.  A totally
+    complex field of degree > 2 must supply w, positive and even.
     Irreducibility is only checked through rational roots (the corpus is
     trusted beyond that): a rational root of a monic integer polynomial is
     an integer, and each certified real root lies within arith.ROOT_TOL <
@@ -116,10 +119,16 @@ def number_field(label, poly, disc=None, w=None):
         raise InvariantError(
             "disc(poly) = %d is not disc * square for supplied disc %d" % (dpoly, disc)
         )
-    if w is None:
-        w = {-3: 6, -4: 4}.get(disc, 2) if d == 2 else 2
-    if w <= 0 or w % 2 != 0:
+    if w is not None and (w <= 0 or w % 2 != 0):
         raise InvariantError("field %s: bad w = %d (a root-of-unity count is positive and even)" % (label, w))
+    if r1 or d == 2:  # the field fixes w
+        fixed = 2 if r1 else {-3: 6, -4: 4}.get(disc, 2)
+        if w is not None and w != fixed:
+            shape = "a field with a real place" if r1 else "the quadratic field of disc %d" % disc
+            raise InvariantError("field %s: bad w = %d (%s has w = %d)" % (label, w, shape, fixed))
+        w = fixed
+    elif w is None:
+        raise InvariantError("field %s: missing w (a totally complex field of degree > 2 states it)" % label)
     return NumberField(label, poly, d, r1, (d - r1) // 2, int(disc), int(w), roots)
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithinv import analytic, arith, ellcurve, ledger
-from test_analytic import sample_reduced_tau
+from arithinv import arith, ellcurve, ledger
+from test_analytic import log_scaled_discriminant, sample_reduced_tau
 
 
 def stats_by_label(rows):
@@ -457,7 +457,7 @@ class TestAnalyticEstimates:
         assert series.hex() == ledger.ANALYTIC_SERIES.hex()
         points = sample_reduced_tau(100)
         assert len(points) == 102
-        worst = min(-analytic.log_scaled_discriminant(z) for z in points)
+        worst = min(-log_scaled_discriminant(z) for z in points)
         assert worst.hex() == ledger.ANALYTIC_NONNEG.hex()
 
     def test_rows(self):

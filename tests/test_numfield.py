@@ -87,6 +87,31 @@ class TestConstruction:
         with pytest.raises(InvariantError, match=r"^field Kw: bad w = %d " % w):
             numfield.number_field("Kw", (-2, 0, 1), w=w)
 
+    @pytest.mark.parametrize(
+        "poly, disc, w, fixed, shape",
+        [
+            ((-2, 0, 1), None, 4, 2, "a field with a real place"),
+            ((-1, -1, 0, 1), -23, 6, 2, "a field with a real place"),
+            ((1, 0, 1), None, 2, 4, "the quadratic field of disc -4"),
+            ((1, 1, 1), None, 4, 6, "the quadratic field of disc -3"),
+            ((7, 0, 1), None, 4, 2, "the quadratic field of disc -7"),
+        ],
+    )
+    def test_w_where_the_field_fixes_it(self, poly, disc, w, fixed, shape):
+        # a real embedding sends every root of unity to +-1; an overstated
+        # w would halve R/w in Friedman's bound
+        message = r"^field Kw: bad w = %d \(%s has w = %d\)$" % (w, shape, fixed)
+        with pytest.raises(InvariantError, match=message):
+            numfield.number_field("Kw", poly, disc=disc, w=w)
+        assert numfield.number_field("Kw", poly, disc=disc, w=fixed).w == fixed
+        assert numfield.number_field("Kw", poly, disc=disc).w == fixed
+
+    def test_totally_complex_above_degree_2_states_w(self):
+        # Q(zeta5) has 10 roots of unity: a default of 2 would inflate R/w fivefold
+        with pytest.raises(InvariantError, match=r"^field Qz5: missing w "):
+            numfield.number_field("Qz5", (1, 1, 1, 1, 1), disc=125)
+        assert make_zeta5().w == 10
+
     def test_reducible_rejected(self):
         with pytest.raises(InvariantError, match=r"reducible \(root 1\)"):
             numfield.number_field("red", (-1, 0, 1), disc=1)  # (x-1)(x+1)
@@ -229,8 +254,11 @@ def test_norm_and_discriminant_match_the_certified_roots(poly, alpha):
     # 1e-13, and each product is within 1e-12 prod (1 + |factor|) of the
     # exact value.
     dpoly = numfield.poly_discriminant(poly)
-    # a quadratic field computes its own disc and rejects any other
-    K = numfield.number_field("K", poly, disc=None if len(poly) == 3 else int(dpoly))
+    # a quadratic field computes its own disc and w and rejects any other;
+    # above degree 2 a totally complex field states w (2 agrees with the w
+    # a real place fixes), though the law reads neither
+    above2 = len(poly) > 3
+    K = numfield.number_field("K", poly, disc=int(dpoly) if above2 else None, w=2 if above2 else None)
     # the roots are solved on the first read of the embeddings, then kept
     assert bool(K.roots) == (K.r1 > 0) and K.embeddings is K.embeddings
     alpha = alpha[: K.degree]
