@@ -206,8 +206,6 @@ def cmd_verify(args):
 
 
 def cmd_family(args):
-    if args.kind != "ep":
-        raise InvariantError("unknown family '%s'" % args.kind)
     records = []
     for label, a_invariants in ellcurve.ep_family(args.pmax):
         records.append(

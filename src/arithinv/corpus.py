@@ -17,7 +17,7 @@ Format (UTF-8, ``#`` comments, records separated by blank lines)::
                                # field fixes it, required for a totally
                                # complex field of degree > 2
     units = q0 q1 ... ; ...    # optional; power-basis rationals per unit
-    subfield = <label>         # optional certificate
+    subfield = <label>         # optional certificate; degree a proper divisor of K's
     r0 = <int>                 # optional max proper-subfield unit rank, <= K's;
                                # 0 for Q and prime degree
 
@@ -29,6 +29,7 @@ Format (UTF-8, ``#`` comments, records separated by blank lines)::
 
 from __future__ import annotations
 
+import contextlib
 import os
 from fractions import Fraction
 from typing import NamedTuple
@@ -38,6 +39,7 @@ from .errors import (
     DanglingSubfieldRef,
     DuplicateLabel,
     InvariantError,
+    NotASubfield,
     ParseError,
     PointNotOnCurve,
     UnknownLabel,
@@ -259,15 +261,27 @@ def _parse_points(value):
 
 def _parsed(rec, key, parse):
     """parse(value of key in rec), or None if rec has no such key; a value
-    that parse rejects raises ParseError naming the record and the key."""
+    that parse rejects raises ParseError naming the key."""
     value = rec.get(key)
     if value is None:
         return None
     try:
         return parse(value)
     except (ValueError, ZeroDivisionError) as exc:
-        message = "%s '%s': bad %s = %s (%s)" % (rec.kind, rec.label, key, value, exc)
-        raise ParseError(message, rec.line) from None
+        raise ParseError("bad %s = %s (%s)" % (key, value, exc), rec.line) from None
+
+
+@contextlib.contextmanager
+def _named(kind, label):
+    """A block that puts "kind 'label': " before the message of any
+    InvariantError raised in it (a ParseError's line number stays first).
+    Each build stage of a record runs in one, so every build error names its
+    record here, and no message below it carries a label."""
+    try:
+        yield
+    except InvariantError as exc:
+        exc.args = ("%s '%s': %s" % (kind, label, exc.args[0]),)
+        raise
 
 
 def build_field_record(corpus, label):
@@ -275,21 +289,20 @@ def build_field_record(corpus, label):
     rec = corpus.fields.get(label)
     if rec is None:
         raise UnknownLabel("no field labelled '%s'" % label)
-    poly = _parsed(rec, "poly", _parse_ints)
-    unit_vecs = _parsed(rec, "units", _parse_units)
-    r0 = _parsed(rec, "r0", int)
-    K = numfield.number_field(
-        label, poly, disc=_parsed(rec, "disc", int), w=_parsed(rec, "w", int)
-    )
-    if r0 is not None and not 0 <= r0 <= numfield.unit_rank(K):
-        bound = "a proper subfield's unit rank is at most K's, %d" % numfield.unit_rank(K)
-        raise InvariantError("field %s: bad r0 = %d (%s)" % (label, r0, bound))
-    if K.degree == 1 or arith.is_prime(K.degree):  # Q is the one proper subfield
-        if r0 not in (None, 0):
-            bound = "a field of prime degree has no proper subfield but Q"
-            raise InvariantError("field %s: bad r0 = %d (%s)" % (label, r0, bound))
-        r0 = 0
-    units = numfield.unit_system(K, unit_vecs) if unit_vecs is not None else None
+    with _named("field", label):
+        poly = _parsed(rec, "poly", _parse_ints)
+        unit_vecs = _parsed(rec, "units", _parse_units)
+        r0 = _parsed(rec, "r0", int)
+        K = numfield.number_field(label, poly, disc=_parsed(rec, "disc", int), w=_parsed(rec, "w", int))
+        if r0 is not None and not 0 <= r0 <= numfield.unit_rank(K):
+            bound = "a proper subfield's unit rank is at most K's, %d" % numfield.unit_rank(K)
+            raise InvariantError("bad r0 = %d (%s)" % (r0, bound))
+        if K.degree == 1 or arith.is_prime(K.degree):  # Q is the one proper subfield
+            if r0 not in (None, 0):
+                bound = "a field of prime degree has no proper subfield but Q"
+                raise InvariantError("bad r0 = %d (%s)" % (r0, bound))
+            r0 = 0
+        units = numfield.unit_system(K, unit_vecs) if unit_vecs is not None else None
     return numfield.FieldRecord(K, units, rec.get("subfield"), r0)
 
 
@@ -299,32 +312,39 @@ def build_curve_data(corpus, label):
     rec = corpus.curves.get(label)
     if rec is None:
         raise UnknownLabel("no curve labelled '%s'" % label)
-    a_invs = _parsed(rec, "a", _parse_rationals)
-    if len(a_invs) != 5:
-        raise ParseError("curve '%s': need 5 coefficients a1 a2 a3 a4 a6" % label, rec.line)
-    rank = _parsed(rec, "rank", int)
-    gens = _parsed(rec, "gens", _parse_points) or []
-    if rank < 0:
-        raise ParseError("curve '%s': bad rank = %d (negative)" % (label, rank), rec.line)
-    if len(gens) != rank:
-        message = "curve '%s': rank = %d, but gens lists %d" % (label, rank, len(gens))
-        raise ParseError(message, rec.line)
-    mm = ellcurve.minimal_model(a_invs)
-    gens_min = []
-    for x, y in gens:
-        try:
-            point = mm.to_minimal(x, y)
-        except PointNotOnCurve:  # the image has no integral form
-            point = None
-        if point is None or not ellcurve.on_curve(mm.curve, point):
-            raise PointNotOnCurve("curve '%s': generator %s,%s is not on the curve" % (label, x, y))
-        gens_min.append(point)
+    with _named("curve", label):
+        a_invs = _parsed(rec, "a", _parse_rationals)
+        if len(a_invs) != 5:
+            raise ParseError("need 5 coefficients a1 a2 a3 a4 a6", rec.line)
+        rank = _parsed(rec, "rank", int)
+        gens = _parsed(rec, "gens", _parse_points) or []
+        if rank < 0:
+            raise ParseError("bad rank = %d (negative)" % rank, rec.line)
+        if len(gens) != rank:
+            raise ParseError("rank = %d, but gens lists %d" % (rank, len(gens)), rec.line)
+        mm = ellcurve.minimal_model(a_invs)
+        gens_min = []
+        for x, y in gens:
+            try:
+                point = mm.to_minimal(x, y)
+            except PointNotOnCurve:  # the image has no integral form
+                point = None
+            if point is None or not ellcurve.on_curve(mm.curve, point):
+                raise PointNotOnCurve("generator %s,%s is not on the curve" % (x, y))
+            gens_min.append(point)
     return rec, mm, rank, tuple(gens_min)
 
 
 def field_record_stats(record, subrecord):
-    """FieldStats of a field record; subrecord is its declared subfield's or None."""
+    """FieldStats of a field record; subrecord is its declared subfield's or
+    None, and its degree must be a proper divisor of the field's."""
     K = record.field
+    with _named("field", K.label):
+        d0 = subrecord.field.degree if subrecord is not None else None
+        if d0 is not None and (d0 == K.degree or K.degree % d0):
+            message = "subfield %s has degree %d, not a proper divisor of %d"
+            raise NotASubfield(message % (record.subfield_label, d0, K.degree))
+        regulator = numfield.field_regulator(record)
     return ledger.FieldStats(
         label=K.label,
         degree=K.degree,
@@ -332,7 +352,7 @@ def field_record_stats(record, subrecord):
         r2=K.r2,
         disc=K.disc,
         w=K.w,
-        regulator=numfield.field_regulator(record),
+        regulator=regulator,
         r0=record.r0,
         subfield_label=record.subfield_label,
         is_cm=subrecord is not None and numfield.is_cm_shape(K, subrecord.field),
@@ -360,10 +380,11 @@ class CurveInvariants(NamedTuple):
 def curve_stats_one(corpus, label, tol=ellcurve.DEFAULT_TOL):
     """CurveInvariants of a single curve record."""
     _, mm, rank, gens_min = build_curve_data(corpus, label)
-    reduction = ellcurve.reduction_data(mm)
-    periods = analytic.agm_periods(mm.curve)
-    h_plus = ellcurve.faltings_height_plus(periods)
-    mw = ellcurve.mw_regulator(mm.curve, list(gens_min), rank, tol)
+    with _named("curve", label):
+        reduction = ellcurve.reduction_data(mm)
+        periods = analytic.agm_periods(mm.curve)
+        h_plus = ellcurve.faltings_height_plus(periods)
+        mw = ellcurve.mw_regulator(mm.curve, list(gens_min), rank, tol)
     stats = ledger.CurveStats(
         label=label,
         n0=reduction.n0,

@@ -80,11 +80,12 @@ class DependentPoints(InvariantError):
 # corpus / cli
 
 class ParseError(InvariantError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = "line %d: %s" % (line, message)
+    def __init__(self, message, line):
         super().__init__(message)
         self.line = line
+
+    def __str__(self):  # the line first, also once the corpus names the record in args
+        return "line %d: %s" % (self.line, self.args[0])
 
 
 class DuplicateLabel(ParseError):

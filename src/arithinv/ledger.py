@@ -24,7 +24,7 @@ import operator
 from typing import NamedTuple
 
 from . import arith
-from .errors import DependentPoints, NotASubfield
+from .errors import DependentPoints
 
 PASS_EPS = 1e-9
 
@@ -109,26 +109,29 @@ class CurveStats(NamedTuple):
 # number field checks
 
 
+def _beyond_doubles(n):
+    """(the double nearest sqrt(n), inf) for an integer n beyond the double
+    range, and (inf, inf) where sqrt(n) is beyond it too.  sqrt(n) / 2^j
+    lies in [r, r + 1) with r of 64 bits or more, so r rounded to odd (its
+    last bit set where the root is inexact) rounds to the nearest double."""
+    j = n.bit_length() // 2 - 64
+    r = math.isqrt(n >> 2 * j)
+    try:
+        return float((r | (r * r << 2 * j != n)) << j), math.inf
+    except OverflowError:
+        return math.inf, math.inf
+
+
 def check_hermite_minkowski(fs):
     """|D|^(1/2) >= (pi/4)^r2 d^d/d!  and, for d >= 2, |D| >= (pi/3)(3pi/4)^(d-1)."""
     d = fs.degree
-    out = [
-        _judge(
-            "hermite_minkowski_a",
-            fs.label,
-            math.sqrt(abs(fs.disc)),
-            (PI / 4) ** fs.r2 * d**d / math.factorial(d),
-        )
-    ]
+    try:
+        root, size = math.sqrt(abs(fs.disc)), float(abs(fs.disc))
+    except OverflowError:  # no double holds |D|
+        root, size = _beyond_doubles(abs(fs.disc))
+    out = [_judge("hermite_minkowski_a", fs.label, root, (PI / 4) ** fs.r2 * d**d / math.factorial(d))]
     if d >= 2:
-        out.append(
-            _judge(
-                "hermite_minkowski_b",
-                fs.label,
-                float(abs(fs.disc)),
-                (PI / 3) * (3 * PI / 4) ** (d - 1),
-            )
-        )
+        out.append(_judge("hermite_minkowski_b", fs.label, size, (PI / 3) * (3 * PI / 4) ** (d - 1)))
     return out
 
 
@@ -141,23 +144,13 @@ def check_friedman(fs):
 
 
 def check_friedman_skoruppa(fs_top, fs_sub):
-    """R_L / R_K >= (c1 c2^[L:K])^[K:Q] for a certified subfield K of L."""
-    if fs_top.subfield_label != fs_sub.label:
-        raise NotASubfield(
-            "%s does not declare %s as subfield" % (fs_top.label, fs_sub.label)
-        )
-    if fs_top.degree % fs_sub.degree:
-        raise NotASubfield("degree of %s does not divide" % fs_sub.label)
+    """R_L / R_K >= (c1 c2^[L:K])^[K:Q] for a certified subfield K of L;
+    the corpus checks that [K:Q] properly divides [L:Q]."""
     rel_degree = fs_top.degree // fs_sub.degree
     rhs = (CONSTANTS.fs_c1 * CONSTANTS.fs_c2**rel_degree) ** fs_sub.degree
     note = "relative degree %d; bound %.3e" % (rel_degree, rhs)
-    return _judge(
-        "friedman_skoruppa",
-        "%s/%s" % (fs_top.label, fs_sub.label),
-        fs_top.regulator / fs_sub.regulator,
-        rhs,
-        note,
-    )
+    label = "%s/%s" % (fs_top.label, fs_sub.label)
+    return _judge("friedman_skoruppa", label, fs_top.regulator / fs_sub.regulator, rhs, note)
 
 
 def implied_c3(fs):

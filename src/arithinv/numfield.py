@@ -103,9 +103,7 @@ def number_field(label, poly, disc=None, w=None):
     if d == 2:
         fundamental = _fundamental_discriminant(dpoly)
         if disc is not None and disc != fundamental:
-            raise InvariantError(
-                "field %s: supplied disc %d is not the field discriminant %d" % (label, disc, fundamental)
-            )
+            raise InvariantError("supplied disc %d is not the field discriminant %d" % (disc, fundamental))
         disc = fundamental
     elif disc is None:
         if d == 1:
@@ -113,22 +111,22 @@ def number_field(label, poly, disc=None, w=None):
         else:
             raise InvariantError("field discriminant must be supplied for degree > 2")
     if disc == 0:
-        raise InvariantError("field %s: bad disc = 0 (a field discriminant is nonzero)" % label)
+        raise InvariantError("bad disc = 0 (a field discriminant is nonzero)")
     q, r = divmod(dpoly, disc)
     if r != 0 or q <= 0 or math.isqrt(q) ** 2 != q:
         raise InvariantError(
             "disc(poly) = %d is not disc * square for supplied disc %d" % (dpoly, disc)
         )
     if w is not None and (w <= 0 or w % 2 != 0):
-        raise InvariantError("field %s: bad w = %d (a root-of-unity count is positive and even)" % (label, w))
+        raise InvariantError("bad w = %d (a root-of-unity count is positive and even)" % w)
     if r1 or d == 2:  # the field fixes w
         fixed = 2 if r1 else {-3: 6, -4: 4}.get(disc, 2)
         if w is not None and w != fixed:
             shape = "a field with a real place" if r1 else "the quadratic field of disc %d" % disc
-            raise InvariantError("field %s: bad w = %d (%s has w = %d)" % (label, w, shape, fixed))
+            raise InvariantError("bad w = %d (%s has w = %d)" % (w, shape, fixed))
         w = fixed
     elif w is None:
-        raise InvariantError("field %s: missing w (a totally complex field of degree > 2 states it)" % label)
+        raise InvariantError("missing w (a totally complex field of degree > 2 states it)")
     return NumberField(label, poly, d, r1, (d - r1) // 2, int(disc), int(w), roots)
 
 
@@ -196,14 +194,12 @@ def unit_system(field, units_coeffs):
         shown = " ".join(str(x) for x in c)  # as the corpus writes it
         cp = element_charpoly(field, c)
         if any(x.denominator != 1 for x in cp):
-            raise InvariantError(
-                "%s: supplied unit is not an algebraic integer: %s" % (field.label, shown)
-            )
+            raise InvariantError("supplied unit is not an algebraic integer: %s" % shown)
         if abs(cp[0]) != 1:  # N(alpha) = (-1)^d cp(0)
-            raise InvariantError("%s: supplied element is not a unit: %s" % (field.label, shown))
+            raise InvariantError("supplied element is not a unit: %s" % shown)
         row = log_embedding(field, c)
         if abs(float(mpmath.fsum(row))) > 1e-9:
-            raise InvariantError("%s: unit log row does not sum to 0: %s" % (field.label, shown))
+            raise InvariantError("unit log row does not sum to 0: %s" % shown)
         units.append(c)
         rows.append(tuple(row))
     return UnitSystem(tuple(units), tuple(rows))
@@ -219,7 +215,7 @@ def pell_unit_system(field):
     theta.
     """
     if field.degree != 2 or field.r1 != 2:
-        raise MissingUnits("automatic units only for real quadratic fields")
+        raise MissingUnits("no units supplied (they are found only for real quadratic fields)")
     c, b, _ = field.poly
     D = field.disc
     f = math.isqrt((b * b - 4 * c) // D)
@@ -254,23 +250,18 @@ def regulator(field, units):
     n = field.r1 + field.r2
     got = len(units.units) if units is not None else 0
     if got != r:
-        raise WrongUnitCount(
-            "%s: expected %d independent units, got %d" % (field.label, r, got)
-        )
+        raise WrongUnitCount("expected %d independent units, got %d" % (r, got))
     if r == 0:
         return 1.0
     with prec.working(20):
         det_b, det_m = _det_forms(units.log_matrix, n)
         if abs(det_b - det_m) > 1e-10:
-            raise InvariantError(
-                "%s: regulator determinant forms disagree: %s vs %s"
-                % (field.label, det_b, det_m)
-            )
+            raise InvariantError("regulator determinant forms disagree: %s vs %s" % (det_b, det_m))
         hadamard = 1.0
         for row in units.log_matrix:
             hadamard *= math.sqrt(sum(float(x) ** 2 for x in row))
         if float(det_b) < 1e-12 * max(1.0, hadamard):
-            raise DependentUnits("%s: unit log rows are numerically dependent" % field.label)
+            raise DependentUnits("unit log rows are numerically dependent")
         return float(det_b)
 
 
@@ -290,13 +281,7 @@ def field_regulator(record):
     field = record.field
     if unit_rank(field) == 0:
         return 1.0
-    units = record.units
-    if units is None:
-        if field.degree == 2 and field.r1 == 2:
-            units = pell_unit_system(field)
-        else:
-            raise MissingUnits("no units supplied for %s" % field.label)
-    return regulator(field, units)
+    return regulator(field, pell_unit_system(field) if record.units is None else record.units)
 
 
 class CmVerdict(NamedTuple):

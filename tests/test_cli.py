@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from arithinv import cli, corpus, ledger, numfield
+from arithinv import arith, cli, corpus, ledger, numfield
 from arithinv.errors import (
     DanglingSubfieldRef,
     DuplicateLabel,
@@ -295,6 +295,12 @@ class TestHardCurves:
             "scaled_389a",
             "big_gen_37a",
             "r4_234446a",
+            "gen51_37a",
+            "gen52_37a",
+            "gen53_37a",
+            "gen54_37a",
+            "gen55_37a",
+            "gen56_37a",
         ],
     )
     def test_curve_query_succeeds(self, label, capsys):
@@ -564,7 +570,7 @@ class TestRecordRead:
         # of the polynomial is an input error, not a fail row of a bound
         # that the declared value would forge
         text = "field K\npoly = %s\ndisc = %d\n" % (poly, disc)
-        message = "error: field K: supplied disc %d is not the field discriminant %d\n" % (disc, D)
+        message = "error: field 'K': supplied disc %d is not the field discriminant %d\n" % (disc, D)
         for argv in (["field", "K"], ["verify"]):
             assert self._run(tmp_path, capsys, text, argv) == (2, "", message), argv
 
@@ -809,7 +815,7 @@ class TestVerifyBuildsWhatItReads:
         [
             ("rank_bound", 0, "# 9 rows: 9 pass"),
             ("analytic", 0, "# 2 rows: 2 pass"),
-            ("friedman", 2, "error: Qr211: unit log row does not sum to 0: 278354373650 19162705353"),
+            ("friedman", 2, "error: field 'Qr211': unit log row does not sum to 0: 278354373650 19162705353"),
         ],
         ids=["rank_bound", "analytic", "friedman"],
     )
@@ -866,8 +872,97 @@ class TestBadFieldInputs:
         command = [sys.executable, "-m", "arithinv.cli"] + argv
         out = subprocess.run(command, capture_output=True, text=True, env=env)
         assert (out.returncode, out.stdout) == (2, "")
-        assert out.stderr.startswith("error: field %s: %s " % (label, key)), out.stderr
+        assert out.stderr.startswith("error: field '%s': %s " % (label, key)), out.stderr
         assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+
+
+Q_SQRT2 = "field Q_sqrt2\npoly = -2 0 1\n\n"
+
+# label -> (corpus text, the error line), one bad record per layer: a
+# malformed value, the field's data, its units, its regulator at 80 bits,
+# its r0, its subfield link, and a curve's model, generators, lattice and
+# record shape
+BUILD_ERRORS = {
+    "Km": (
+        "field Km\npoly = -2 0 x\n",
+        "line 1: field 'Km': bad poly = -2 0 x (invalid literal for int() with base 10: 'x')",
+    ),
+    "Kd0": (BAD_FIELDS["Kd0"][0], "field 'Kd0': bad disc = 0 (a field discriminant is nonzero)"),
+    "K3": (
+        "field Q\npoly = 0 1\n\nfield K3\npoly = 3 0 0 1\n\nfield K2\npoly = 2 0 0 1\ndisc = -108\n",
+        "field 'K3': field discriminant must be supplied for degree > 2",
+    ),
+    "Kn": ("field Kn\npoly = -2 0 1\nunits = 2 0\n", "field 'Kn': supplied element is not a unit: 2 0"),
+    "Qr211": (
+        "field Qr211\npoly = -211 0 1\n",
+        "field 'Qr211': unit log row does not sum to 0: 278354373650 19162705353",
+    ),
+    "Kr1": (
+        BAD_FIELDS["Kr1"][0],
+        "field 'Kr1': bad r0 = 1 (a field of prime degree has no proper subfield but Q)",
+    ),
+    # x^3 - 2 over Q(sqrt 2): 2 does not divide 3
+    "K": (
+        Q_SQRT2 + "field K\npoly = -2 0 0 1\ndisc = -108\nunits = -1 1\nsubfield = Q_sqrt2\n",
+        "field 'K': subfield Q_sqrt2 has degree 2, not a proper divisor of 3",
+    ),
+    # Q(sqrt 2) is no subfield of Q(sqrt 3): a subfield of equal degree is the field
+    "Q_sqrt3": (
+        Q_SQRT2 + "field Q_sqrt3\npoly = -3 0 1\nsubfield = Q_sqrt2\n",
+        "field 'Q_sqrt3': subfield Q_sqrt2 has degree 2, not a proper divisor of 2",
+    ),
+    "sing": ("curve sing\na = 0 0 0 0 0\nrank = 0\n", "curve 'sing': discriminant vanishes"),
+    "off": ("curve off\na = 0 0 1 -1 0\nrank = 1\ngens = 1,1\n", "curve 'off': generator 1,1 is not on the curve"),
+    "dep": (
+        "curve dep\na = 0 0 1 -1 0\nrank = 2\ngens = 0,0 ; 1,0\n",
+        "curve 'dep': pairing Gram matrix is not positive semidefinite",
+    ),
+    # a fault the parser places keeps its line first
+    "bad": (
+        "curve good\na = 0 0 1 -1 0\nrank = 0\n\n# bad\ncurve bad\na = 0 0 1 -1 0\nrank = 2\ngens = 1,0\n",
+        "line 6: curve 'bad': rank = 2, but gens lists 1",
+    ),
+}
+
+
+class TestBuildErrorsNameTheirRecord:
+    """Every error raised while building a record is one `error:` line that
+    names the record once, whichever layer raised it."""
+
+    @pytest.mark.parametrize("label", list(BUILD_ERRORS))
+    @pytest.mark.parametrize("command", ["verify", "query"])
+    def test_one_error_line(self, tmp_path, capsys, label, command):
+        text, line = BUILD_ERRORS[label]
+        path = tmp_path / "corpus.txt"
+        path.write_text(text)
+        kind = next(k for k in ("field", "curve") if "%s %s\n" % (k, label) in text)
+        argv = ["verify"] if command == "verify" else [kind, label]
+        assert cli.main(argv + ["--corpus", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: %s\n" % line)
+        assert err.count("'%s'" % label) == 1
+
+
+# x^2 + p for p = 2^1100 + 2191, the least prime above 2^1100: no double
+# holds its discriminant
+KBIG_P = 2**1100 + 2191
+KBIG = "field Kbig\npoly = %d 0 1\n" % KBIG_P
+
+
+class TestDiscriminantBeyondDoubles:
+    def test_verify_passes_both_bound_rows(self, tmp_path):
+        assert arith.is_prime(KBIG_P)
+        path = tmp_path / "kbig.txt"
+        path.write_text(KBIG)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        command = [sys.executable, "-m", "arithinv.cli", "verify", "--format", "json", "--corpus", str(path)]
+        out = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert (out.returncode, out.stderr) == (0, "")
+        rows = {r["check_id"]: r for r in json.loads(out.stdout)["rows"] if r["object"] == "Kbig"}
+        # p = 3 mod 4, so D = -p, and sqrt(p) lies within 2^-540 of 2^550
+        assert rows["hermite_minkowski_a"]["lhs"] == 2.0**550
+        assert rows["hermite_minkowski_b"]["lhs"] == math.inf
+        assert {r["verdict"] for r in rows.values() if r["check_id"].startswith("hermite")} == {"pass"}
 
 
 class TestMissingCorpusFile:

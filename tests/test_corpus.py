@@ -228,7 +228,7 @@ class TestFieldData:
     def test_r0_outside_the_unit_rank_rejected(self, r0):
         # a proper subfield's unit rank never exceeds K's, which is 1 here
         text = "field K\npoly = -2 0 1\nr0 = %d\n" % r0
-        message = r"^field K: bad r0 = %d \(.* unit rank is at most K's, 1\)$" % r0
+        message = r"^field 'K': bad r0 = %d \(.* unit rank is at most K's, 1\)$" % r0
         with pytest.raises(InvariantError, match=message):
             corpus.build_field_record(corpus.parse_corpus(text), "K")
 
@@ -237,7 +237,7 @@ class TestFieldData:
         # supplied r0 = 1 would turn Q(sqrt 2)'s silverman_friedman_c3 row
         # into "exponent zero"
         text = "field K\npoly = -2 0 1\nr0 = 1\n"
-        message = r"^field K: bad r0 = 1 \(a field of prime degree has no proper subfield but Q\)$"
+        message = r"^field 'K': bad r0 = 1 \(a field of prime degree has no proper subfield but Q\)$"
         with pytest.raises(InvariantError, match=message):
             corpus.build_field_record(corpus.parse_corpus(text), "K")
         text = "field Q\npoly = 0 1\n\nfield K\npoly = -1 -1 0 1\ndisc = -23\nunits = 0 1 0\n"

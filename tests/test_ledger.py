@@ -73,6 +73,26 @@ class TestHermiteMinkowski:
         assert rows[0].lhs == rows[0].rhs == 1.0
         assert rows[0].verdict == "pass"
 
+    @pytest.mark.parametrize(
+        "disc",
+        [-(2**1100 + 2191), 2**1024 - 1, 2**1024, (2**600 + 1) ** 2, (2**600 - 1) ** 2 + 1, 3 * 2**2045]
+        + [((2**53 + 1) * 2**500) ** 2 + e for e in (-1, 1)],
+        ids=["Kbig", "2^1024-1", "2^1024", "square", "square+1", "3*2^2045", "below-tie", "above-tie"],
+    )
+    def test_disc_beyond_doubles(self, disc):
+        # no double holds |D|, which reads as inf; sqrt|D| reads as the
+        # double nearest it, between the midpoints to its neighbours (the
+        # last two lie just off the midpoint between 2^553 and its successor)
+        fs = ledger.FieldStats("K", 2, 0, 1, disc, 2, 1.0, 0, None, False)
+        a, b = ledger.check_hermite_minkowski(fs)
+        assert b.lhs == math.inf and a.verdict == b.verdict == "pass"
+        lo, x, hi = (int(math.nextafter(a.lhs, t)) for t in (0.0, a.lhs, math.inf))
+        assert (x + lo) ** 2 <= 4 * abs(disc) <= (x + hi) ** 2
+
+    def test_root_beyond_doubles(self):
+        fs = ledger.FieldStats("K", 2, 0, 1, 2**2048, 2, 1.0, 0, None, False)
+        assert [r.lhs for r in ledger.check_hermite_minkowski(fs)] == [math.inf, math.inf]
+
 
 class TestFriedman:
     def test_sqrt2(self, fstats):
@@ -116,11 +136,6 @@ class TestFriedmanSkoruppa:
         row = ledger.check_friedman_skoruppa(by["Q_sqrt2"], by["Q"])
         assert row.lhs == pytest.approx(0.8813735870, abs=1e-9)
         assert row.verdict == "pass"
-
-    def test_not_a_subfield(self, fstats):
-        by = stats_by_label(fstats)
-        with pytest.raises(ledger.NotASubfield):
-            ledger.check_friedman_skoruppa(by["Q_sqrt2"], by["Q_sqrt3"])
 
 
 class TestSilvermanFriedman:

@@ -77,14 +77,14 @@ class TestConstruction:
             numfield.number_field("bad", (1, 1, 1, 1, 1), disc=121)
 
     def test_zero_disc_rejected(self):
-        with pytest.raises(InvariantError, match=r"^field Kd0: bad disc = 0 "):
+        with pytest.raises(InvariantError, match=r"^bad disc = 0 "):
             numfield.number_field("Kd0", (-2, 0, 0, 1), disc=0)
 
     @pytest.mark.parametrize("w", [0, -2, 3])
     def test_w_positive_and_even(self, w):
         # w = 0 divided the regulator by zero, and w = -2 read as a
         # counterexample to Friedman's bound
-        with pytest.raises(InvariantError, match=r"^field Kw: bad w = %d " % w):
+        with pytest.raises(InvariantError, match=r"^bad w = %d " % w):
             numfield.number_field("Kw", (-2, 0, 1), w=w)
 
     @pytest.mark.parametrize(
@@ -100,7 +100,7 @@ class TestConstruction:
     def test_w_where_the_field_fixes_it(self, poly, disc, w, fixed, shape):
         # a real embedding sends every root of unity to +-1; an overstated
         # w would halve R/w in Friedman's bound
-        message = r"^field Kw: bad w = %d \(%s has w = %d\)$" % (w, shape, fixed)
+        message = r"^bad w = %d \(%s has w = %d\)$" % (w, shape, fixed)
         with pytest.raises(InvariantError, match=message):
             numfield.number_field("Kw", poly, disc=disc, w=w)
         assert numfield.number_field("Kw", poly, disc=disc, w=fixed).w == fixed
@@ -108,7 +108,7 @@ class TestConstruction:
 
     def test_totally_complex_above_degree_2_states_w(self):
         # Q(zeta5) has 10 roots of unity: a default of 2 would inflate R/w fivefold
-        with pytest.raises(InvariantError, match=r"^field Qz5: missing w "):
+        with pytest.raises(InvariantError, match=r"^missing w "):
             numfield.number_field("Qz5", (1, 1, 1, 1, 1), disc=125)
         assert make_zeta5().w == 10
 

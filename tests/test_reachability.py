@@ -58,6 +58,8 @@ CORPORA = {
     "kw4.txt": ("field Kw4\npoly = -2 0 1\nw = 4\n", 2),
     "kr1.txt": ("field Kr1\npoly = -2 0 1\nr0 = 1\n", 2),
     "qz5.txt": ("field Qz5\npoly = 1 1 1 1 1\ndisc = 125\nunits = 0 0 -1 -1\n", 2),
+    # x^2 + p, p the least prime above 2^1100: a discriminant beyond the doubles
+    "kbig.txt": ("field Kbig\npoly = %d 0 1\n" % (2**1100 + 2191), 0),
 }
 
 
