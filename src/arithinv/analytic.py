@@ -10,9 +10,9 @@ the lattice runs on fixed-point integers, and no series is summed at the
 working precision.  The lattice is checked by its discriminant in double
 precision: 12 log(2 pi / omega1') + log delta(tau) must give log Delta of
 the model mod 2 pi i, with log omega1' read from the integer AGM means,
-so no magnitude is converted to a float.  That identity makes h+ a
-function of omega1' and Im tau alone, so log delta(tau) is needed only
-for the check, which runs in doubles, within stated bounds.
+so no magnitude is converted to a float.  h+ needs neither: it is read
+from the lattice covolume, that is from the AGM means alone
+(ellcurve.faltings_height_plus).
 """
 
 from __future__ import annotations
@@ -136,8 +136,7 @@ def _agm(a, b):
 
 class PeriodData(NamedTuple):
     """The checked lattice of agm_periods: the reduced tau, the roots and
-    the integer AGM means, from which h+ and the lattice check read
-    omega1' (omega1_prime)."""
+    the integer AGM means."""
 
     tau: ReducedTau
     roots: tuple  # arith.ComplexApprox roots of 4x^3 + b2 x^2 + 2 b4 x + b6
@@ -161,28 +160,20 @@ class PeriodData(NamedTuple):
             return mpc(0, g) if self.rectangular else mpc(self.omega1, g) / 2
 
 
-def omega1_prime(periods):
-    """Integers (x, y, den) with 2 pi / omega1' = 2 m1 den / (2^scale (x + iy)).
-
-    omega1' = c omega2 + d omega1 = omega1 (c tau0 + d), (c, d) the bottom
-    row of tau.transform: den = m2 and x = d m2 (Delta > 0), or den = 2 m2
-    and x = (c + 2d) m2; y = c m1.  The one reading of omega1' from the
-    integer AGM means, for the lattice check and for h+.
-    """
-    m1, m2 = periods.m1, periods.m2
-    half, den = (0, m2) if periods.rectangular else (1, 2 * m2)
-    (_, _), (c, d) = periods.tau.transform
-    return c * half * m2 + d * den, c * m1, den
-
-
 def _lattice_residual(periods, model_delta):
     # log((2 pi / omega1')^12 delta(tau) / Delta) in doubles for the int
     # Delta = model_delta, its imaginary part reduced to [-pi, pi]; see
-    # agm_periods.  atan2 takes x and y scaled down by one power of 2, so
-    # neither overflows a float.
-    x, y, den = omega1_prime(periods)
+    # agm_periods.  omega1' = c omega2 + d omega1 = omega1 (c tau0 + d),
+    # (c, d) the bottom row of tau.transform, so 2 pi / omega1' = 2 m1 den /
+    # (2^scale (x + iy)) for the integers den = m2 and x = d m2 (Delta > 0),
+    # or den = 2 m2 and x = (c + 2d) m2, and y = c m1.  atan2 takes x and y
+    # scaled down by one power of 2, so neither overflows a float.
+    m1, m2 = periods.m1, periods.m2
+    half, den = (0, m2) if periods.rectangular else (1, 2 * m2)
+    (_, _), (c, d) = periods.tau.transform
+    x, y = c * half * m2 + d * den, c * m1
     s = 1 << max(0, max(abs(x), abs(y)).bit_length() - 60)
-    modulus = math.log(2 * periods.m1 * den) - periods.scale * math.log(2)
+    modulus = math.log(2 * m1 * den) - periods.scale * math.log(2)
     modulus -= math.log(x * x + y * y) / 2
     model = complex(math.log(abs(model_delta)), math.pi if model_delta < 0 else 0.0)
     r = 12 * complex(modulus, -math.atan2(y / s, x / s)) + log_delta(periods.tau) - model
@@ -205,20 +196,19 @@ def agm_periods(curve):
     The lattice is checked by its discriminant: 12 log(2 pi / omega1') +
     log delta(tau) must match log Delta of the model mod 2 pi i to 1e-6, in
     modulus and phase, with omega1' = c omega2 + d omega1 read from the
-    integer means by omega1_prime; that checks the AGM means and the
-    reduction at once, and it is what lets h+ be read from omega1' alone
-    (ellcurve.faltings_height_plus).  It runs in doubles: log omega1' is
-    math.log of integers and an atan2, log Delta is math.log of an int,
-    and log delta(tau) is log_delta, so no magnitude becomes a float.  Each
-    log, and log_delta, is within a few units of 2^-53 times its size,
-    about 1e-12 absolute for sizes below 10^3 (integers below 1400 bits);
-    there the sum, with its factor 12, is within 1e-10, far inside the
-    1e-6 tolerance.
+    integer means; that checks the AGM means and the reduction at once,
+    and so ties M1 M2, from which ellcurve.faltings_height_plus reads h+,
+    to Delta.  It runs in doubles: log omega1' is math.log of integers and
+    an atan2, log Delta is math.log of an int, and log delta(tau) is
+    log_delta, so no magnitude becomes a float.  Each log, and log_delta,
+    is within a few units of 2^-53 times its size, about 1e-12 absolute
+    for sizes below 10^3 (integers below 1400 bits); there the sum, with
+    its factor 12, is within 1e-10, far inside the 1e-6 tolerance.
 
-    The budgets here and in ellcurve.faltings_height_plus (2^-(prec + 8))
-    count the roots as exact, though poly_roots promises only err <=
-    ROOT_TOL; err moves the AGM inputs by about err / g relative, g the least
-    root gap.  Nothing checks it at run time; measured, err <= 2^-(prec +
+    The AGM means here and the budget of ellcurve.faltings_height_plus
+    (2^-(prec + 10)) count the roots as exact, though poly_roots promises
+    only err <= ROOT_TOL; err moves the AGM inputs by about err / g
+    relative, g the least root gap.  Nothing checks it at run time; measured, err <= 2^-(prec +
     20.7) g on 400 near-double curves at 80 and 200 bits (tier-1 asserts
     2^-(prec + 16) g), and err <= 1.2e-47 on the bundled curves.
     """

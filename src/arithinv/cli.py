@@ -184,15 +184,13 @@ def cmd_curve(args):
 
 
 def cmd_verify(args):
-    if not 0 < args.tol < math.inf:  # also rejects nan
-        raise InvariantError("--tol must be positive and finite")
     if not 0 < args.northcott_bound < math.inf:  # every regulator is positive
         raise InvariantError("--northcott-bound must be positive and finite")
     selected = None if args.checks is None else args.checks.split(",")
     reads = ledger.reads(selected)  # a bad check id is reported ahead of the corpus
     corp = corpus.load_corpus(args.corpus)
     fields = corpus.field_stats(corp) if "field" in reads else []
-    curves = corpus.curve_stats(corp, tol=args.tol) if "curve" in reads else []
+    curves = corpus.curve_stats(corp) if "curve" in reads else []
     rows = ledger.run_checks(
         fields, curves, selected=selected, northcott_bound=args.northcott_bound
     )
@@ -233,7 +231,6 @@ def _verify_arguments(parser):
     parser.add_argument("--checks", default=None, help="comma-separated check ids")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--tol", type=float, default=ellcurve.DEFAULT_TOL)
     parser.add_argument("--northcott-bound", type=float, default=1.0, help="bound for the scans")
 
 

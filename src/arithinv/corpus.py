@@ -377,14 +377,14 @@ class CurveInvariants(NamedTuple):
     stats: ledger.CurveStats
 
 
-def curve_stats_one(corpus, label, tol=ellcurve.DEFAULT_TOL):
+def curve_stats_one(corpus, label):
     """CurveInvariants of a single curve record."""
     _, mm, rank, gens_min = build_curve_data(corpus, label)
     with _named("curve", label):
         reduction = ellcurve.reduction_data(mm)
         periods = analytic.agm_periods(mm.curve)
         h_plus = ellcurve.faltings_height_plus(periods)
-        mw = ellcurve.mw_regulator(mm.curve, list(gens_min), rank, tol)
+        mw = ellcurve.mw_regulator(mm.curve, list(gens_min), rank)
     stats = ledger.CurveStats(
         label=label,
         n0=reduction.n0,
@@ -398,6 +398,6 @@ def curve_stats_one(corpus, label, tol=ellcurve.DEFAULT_TOL):
     return CurveInvariants(mm, reduction, periods, stats)
 
 
-def curve_stats(corpus, tol=ellcurve.DEFAULT_TOL):
+def curve_stats(corpus):
     """CurveStats rows for every curve record, in corpus order."""
-    return [curve_stats_one(corpus, label, tol).stats for label in corpus.curves]
+    return [curve_stats_one(corpus, label).stats for label in corpus.curves]

@@ -315,9 +315,6 @@ class MinimalModel(NamedTuple):
     change: tuple  # (U, R, S, T)
     delta_factors: arith.Factorization
     u = property(lambda self: Fraction(self.change[0], self.den))
-    r = property(lambda self: Fraction(self.change[1], self.den**2))
-    s = property(lambda self: Fraction(self.change[2], self.den))
-    t = property(lambda self: Fraction(self.change[3], self.den**3))
 
     def to_minimal(self, x, y):
         """The Point of the minimal model at the input model's (x, y): the one
@@ -767,7 +764,7 @@ class MordellWeilBasis(NamedTuple):
     regulator: float
 
 
-def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
+def mw_regulator(curve, points, claimed_rank):
     """Gram determinant of the supplied points under the height pairing.
 
     Empty input gives the empty-determinant convention 1.  The LDL^T
@@ -785,13 +782,13 @@ def mw_regulator(curve, points, claimed_rank, tol=DEFAULT_TOL):
     if claimed_rank == 0:
         return MordellWeilBasis((), 1.0)
     m = len(points)
-    heights = [canonical_height(curve, pt, tol) for pt in points]
+    heights = [canonical_height(curve, pt) for pt in points]
     gram = [[0.0] * m for _ in range(m)]
     scale = float(HEIGHT_SCALE)
     for i in range(m):
         gram[i][i] = scale * heights[i]
         for k in range(i + 1, m):
-            hsum = canonical_height(curve, _sum(curve, points[i], points[k]), tol)
+            hsum = canonical_height(curve, _sum(curve, points[i], points[k]))
             val = (scale / 2) * (hsum - heights[i] - heights[k])
             gram[i][k] = gram[k][i] = val
     pivots = arith.ldl_pivots(gram)
@@ -815,26 +812,25 @@ def faltings_height_plus(periods):
 
     periods is the AGM period lattice of the global minimal model
     (``analytic.agm_periods(mm.curve)``), which has checked delta_min =
-    (2 pi / omega1')^12 delta(tau).  So h+ = log |2 pi / omega1'| - log(2
-    Im tau) / 2: half of one log, at prec.bits() + 30, of a rational read
-    exactly from the integer AGM means (analytic.omega1_prime) and the
-    fixed-point Im tau.  Always >= 0.
+    (2 pi / omega1')^12 delta(tau) on its reduced basis.  So h+ = log |2
+    pi / omega1'| - log(2 Im tau) / 2, and Im tau = A / |omega1'|^2 with A
+    = Im(conj(omega1) omega2) the covolume, which no change of basis
+    moves: h+ = log 2 pi - log(2 A) / 2.  The AGM gives A = pi^2 / (M1 M2)
+    for a rectangular lattice and half that for a rhombic one (Cremona,
+    Algorithms for Modular Elliptic Curves, Sec. 3.7), so h+ = log(2^k M1
+    M2) / 2, k = 1 (Delta > 0) or 2 (Delta < 0): half of one log, at
+    prec.bits() + 30, of the integer m1 m2 times a power of 2.  Always >= 0.
 
     Error budget, in units of 2^-prec.bits(): each AGM stops once its
     iterates agree to 2^-(prec + 12) relative, on inputs of at least prec
-    + 20 bits, so m1, m2 and |x + iy| are within 2^-11 relative and log
-    |2 pi / omega1'| within 2^-9; Im tau, reduced at prec + 20 relative
-    bits, adds 2^-21; rounding the rational and its log adds 2^-28 (1 +
-    h+).  In all about 2^-(prec + 8), with the roots counted as exact; see
-    analytic.agm_periods for their radii against the least root gap.
+    + 20 bits, so m1 and m2 are within 2^-11 relative and h+ within 2^-11;
+    rounding m1 m2 and its log adds 2^-30 (1 + h+).  In all about 2^-(prec
+    + 10), with the roots counted as exact; see analytic.agm_periods for
+    their radii against the least root gap.
     """
-    x, y, den = analytic.omega1_prime(periods)
-    _, man, exp, _ = periods.tau.im._mpf_  # Im tau = man 2^exp
-    # |2 pi / omega1'|^2 / (2 Im tau) = (2 m1 den)^2 / ((x^2 + y^2) man) 2^-shift
-    num, shift = (2 * periods.m1 * den) ** 2, 2 * periods.scale + 1 + exp
+    k = 1 if periods.rectangular else 2
     with prec.working(30):
-        ratio = mpmath.ldexp(mpmath.mpf(num) / ((x * x + y * y) * man), -shift)
-        return float(mpmath.log(ratio) / 2)
+        return float(mpmath.log(mpmath.ldexp(periods.m1 * periods.m2, k - 2 * periods.scale)) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,10 @@ def implied_c3(fs):
     gap = fs.unit_rank - r0
     if gap <= 0:
         return None
-    base = math.log(abs(fs.disc) / fs.degree**fs.degree)
+    try:
+        base = math.log(abs(fs.disc) / fs.degree**fs.degree)
+    except OverflowError:  # no double holds |D| / d^d
+        base = math.log(abs(fs.disc)) - fs.degree * math.log(fs.degree)
     if base <= 0:
         return None
     return fs.regulator * fs.degree ** (2 * fs.degree) * base**-gap

@@ -225,16 +225,10 @@ def pell_unit_system(field):
 
 def _det_forms(log_matrix, n):
     # |det| of the bordered n x n matrix and of its minor, exact (Bareiss)
-    # on the log rows read as the dyadic rationals they are, each rounded
-    # once to the working precision
-    libmp = mpmath.libmp
-    rows = [[Fraction(*libmp.to_rational(x._mpf_)) for x in row] for row in log_matrix]
+    # on the log rows read as the dyadic rationals they are
+    rows = [[Fraction(*mpmath.libmp.to_rational(x._mpf_)) for x in row] for row in log_matrix]
     bordered = abs(arith.frac_det(rows + [[Fraction(1, n)] * n]))
-    minor = abs(arith.frac_det([row[:-1] for row in rows]))
-    return [
-        mpmath.mp.make_mpf(libmp.from_rational(d.numerator, d.denominator, mpmath.mp.prec, "n"))
-        for d in (bordered, minor)
-    ]
+    return bordered, abs(arith.frac_det([row[:-1] for row in rows]))
 
 
 def regulator(field, units):
@@ -244,7 +238,7 @@ def regulator(field, units):
     rows and the constant row 1/(r1+r2) at the bottom; the r x r minor
     obtained by deleting the last row and column must agree to 1e-10.
     Both determinants are exact (arith.frac_det) on the log rows taken as
-    the dyadic rationals they are, each rounded once to prec.bits() + 20.
+    the dyadic rationals they are, and each is rounded once, to a double.
     """
     r = unit_rank(field)
     n = field.r1 + field.r2
@@ -253,16 +247,15 @@ def regulator(field, units):
         raise WrongUnitCount("expected %d independent units, got %d" % (r, got))
     if r == 0:
         return 1.0
-    with prec.working(20):
-        det_b, det_m = _det_forms(units.log_matrix, n)
-        if abs(det_b - det_m) > 1e-10:
-            raise InvariantError("regulator determinant forms disagree: %s vs %s" % (det_b, det_m))
-        hadamard = 1.0
-        for row in units.log_matrix:
-            hadamard *= math.sqrt(sum(float(x) ** 2 for x in row))
-        if float(det_b) < 1e-12 * max(1.0, hadamard):
-            raise DependentUnits("unit log rows are numerically dependent")
-        return float(det_b)
+    det_b, det_m = (float(d) for d in _det_forms(units.log_matrix, n))
+    if abs(det_b - det_m) > 1e-10:
+        raise InvariantError("regulator determinant forms disagree: %s vs %s" % (det_b, det_m))
+    hadamard = 1.0
+    for row in units.log_matrix:
+        hadamard *= math.sqrt(sum(float(x) ** 2 for x in row))
+    if det_b < 1e-12 * max(1.0, hadamard):
+        raise DependentUnits("unit log rows are numerically dependent")
+    return det_b
 
 
 # ---------------------------------------------------------------------------

@@ -571,11 +571,14 @@ def test_agm_periods_law(a, bits):
 def assert_h_plus_matches_oracle(curve):
     # h+ of the model's lattice within 2^-prec relative of (1/12)(log |Delta|
     # - Re log delta(tau) - 6 log(2 Im tau)) at its reduced tau, log delta
-    # by the 400-bit oracle, plus the rounding of the returned double
+    # by the 400-bit oracle, plus the rounding of the returned double.  h+
+    # comes from the covolume, which no reduction of the basis moves, so it
+    # reads no tau: the AGM means alone give it
     from arithinv import ellcurve as ec
 
     pd = analytic.agm_periods(curve)
     h = ec.faltings_height_plus(pd)
+    assert ec.faltings_height_plus(pd._replace(tau=None)) == h
     tau = pd.tau.value
     log_delta = delta_q_series(tau)
     with mpmath.workprec(400):
@@ -604,7 +607,7 @@ def test_faltings_height_plus_law(a, bits):
 @example((0, 10**12, 0, 0, 1), None)
 @example((0, 10**12, 0, 0, -1), 200)
 def test_root_radii_are_small_against_the_least_root_gap(a, bits):
-    # the 2^-(prec + 8) budgets of agm_periods and h+ count the roots as
+    # the AGM means of agm_periods and the budget of h+ count the roots as
     # exact dyadics: an error err in the roots moves the AGM inputs by about
     # err / gap relative, so every radius is at most 2^-(prec + 16) of the
     # least root gap
@@ -699,10 +702,10 @@ class TestLatticeDiscriminantIdentity:
     def test_huge_discriminant_has_no_overflow(self):
         # Delta of y^2 = x^3 - 10^120 x + 1 has 1200 bits, beyond any double:
         # the lattice check takes its logarithm from the int, and h+ reads
-        # only the integer AGM means and tau.  The
-        # model is minimal (c6 = -864: v2 = 5, v3 = 3 and 5 does not divide
-        # it), so h+ needs no factorization.  Against 300 bits to 2^-prec
-        # relative, plus the rounding of the returned double
+        # only the integer AGM means.  The model is minimal (c6 = -864: v2 =
+        # 5, v3 = 3 and 5 does not divide it), so h+ needs no factorization.
+        # Against 300 bits to 2^-prec relative, plus the rounding of the
+        # returned double
         from arithinv import ellcurve as ec
 
         curve = ec.weierstrass_curve(0, 0, 0, -(10**120), 1)

@@ -595,7 +595,7 @@ HELP = {
     ),
     "verify": (
         "usage: inv verify [-h] [--corpus CORPUS] [--checks CHECKS]\n"
-        "                  [--format {text,csv,json}] [--out OUT] [--tol TOL]\n"
+        "                  [--format {text,csv,json}] [--out OUT]\n"
         "                  [--northcott-bound NORTHCOTT_BOUND]\n\n"
         "options:\n"
         "  -h, --help            show this help message and exit\n"
@@ -603,7 +603,6 @@ HELP = {
         "  --checks CHECKS       comma-separated check ids\n"
         "  --format {text,csv,json}\n"
         "  --out OUT\n"
-        "  --tol TOL\n"
         "  --northcott-bound NORTHCOTT_BOUND\n"
         "                        bound for the scans\n"
     ),
@@ -735,7 +734,7 @@ class TestParserReuse:
 class TestVerifyBounds:
     @pytest.fixture
     def ep_corpus(self, tmp_path, capsys):
-        # a rank-0 corpus: no height is computed, so --tol is never used
+        # a rank-0 corpus: no height is computed
         assert cli.main(["family", "ep", "--pmax", "100"]) == 0
         path = tmp_path / "ep.txt"
         path.write_text(capsys.readouterr().out)
@@ -743,8 +742,7 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1")]
-        + [("--northcott-bound", v) for v in ("nan", "inf", "0", "-1")],
+        [("--northcott-bound", v) for v in ("nan", "inf", "0", "-1")],
     )
     @pytest.mark.parametrize("rank_zero", [False, True], ids=["bundled", "ep"])
     def test_non_finite_or_non_positive_exit_2(self, option, value, rank_zero, ep_corpus, capsys):

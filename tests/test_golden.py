@@ -6,8 +6,12 @@ report's printed precision (%.12g); every other output compares byte for
 byte.
 
 The golden files were written by the code before the one-pass pipeline
-refactor.  To rewrite them from the source on the path (only when a
-change to the printed numbers is intended):
+refactor.  invariant_pins.json holds, to the last bit, h+ of every
+bundled, hard and `family ep --pmax 4000` curve and the regulators of
+the bundled fields and of the real quadratic fields Q(sqrt m), m < 1000,
+as written by the code before h+ was read from the lattice covolume and
+the regulator rounded once.  To rewrite them from the source on the path
+(only when a change to the printed or pinned numbers is intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,12 +23,14 @@ from pathlib import Path
 
 import pytest
 
-from arithinv import cli, corpus, prec
+from arithinv import analytic, arith, cli, corpus, ellcurve, numfield, prec
+from arithinv.errors import InvariantError
 
 DATA = Path(__file__).resolve().parent / "data"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 VERIFY = DATA / "golden_verify.json"
 QUERIES = DATA / "golden_queries.json"
+PINS = DATA / "invariant_pins.json"
 
 
 def _run(argv):
@@ -91,9 +97,57 @@ def test_benchmark_reference_matches(monkeypatch):
     assert make_reference.reference() == want
 
 
+def _invariant_pins():
+    """float.hex of h+ at 80 and 200 bits for every bundled, hard and
+    `family ep --pmax 4000` curve; of R at 80 and 200 bits for every
+    bundled field of unit rank >= 1; and of R at 80 bits for every Q(sqrt
+    m), m < 1000 squarefree, whose Pell unit and regulator build there."""
+    curves = {}
+    for name, path in (("bundled", None), ("hard", DATA / "hard_curves.txt")):
+        corp = corpus.load_corpus(path)
+        for label in corp.curves:
+            curves["%s:%s" % (name, label)] = corpus.build_curve_data(corp, label)[1]
+    for label, a_invariants in ellcurve.ep_family(4000):
+        curves["ep:" + label] = ellcurve.minimal_model(a_invariants)
+    bundled = corpus.load_corpus()
+    records = [corpus.build_field_record(bundled, label) for label in bundled.fields]
+    records = [r for r in records if numfield.unit_rank(r.field) >= 1]
+    pins = {}
+    try:
+        for bits in (80, 200):
+            prec.set_precision(bits)
+            pins["h_plus_%d" % bits] = {
+                label: ellcurve.faltings_height_plus(analytic.agm_periods(mm.curve)).hex()
+                for label, mm in curves.items()
+            }
+            pins["regulator_%d" % bits] = {
+                r.field.label: numfield.field_regulator(r).hex() for r in records
+            }
+        prec.set_precision(prec.DEFAULT_BITS)
+        quadratic = {}
+        for m in range(2, 1000):
+            if any(e > 1 for _, e in arith.factorize(m).factors):
+                continue
+            try:
+                field = numfield.number_field("Qr%d" % m, (-m, 0, 1))
+                quadratic[field.label] = numfield.field_regulator(numfield.FieldRecord(field)).hex()
+            except InvariantError:  # a check on the Pell unit or R fails at 80 bits
+                pass
+        pins["regulator_quadratic_80"] = quadratic
+    finally:
+        prec.set_precision(prec.DEFAULT_BITS)
+    return pins
+
+
+def test_invariants_are_pinned_to_the_bit():
+    # the %.12g goldens cannot see a change in the last bit
+    assert _invariant_pins() == json.loads(PINS.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     VERIFY.write_text(_run(["verify", "--format", "json"])[1], encoding="utf-8")
     QUERIES.write_text(
         json.dumps(_queries(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    PINS.write_text(json.dumps(_invariant_pins(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -158,6 +158,13 @@ class TestSilvermanFriedman:
         row = ledger.report_silverman_friedman(stats_by_label(fstats)["Q_plastic"])
         assert "no constant information" in row.note
 
+    def test_disc_beyond_doubles(self):
+        # no double holds |D| / d^d, so its log is read as log|D| - d log d
+        fs = ledger.FieldStats("K", 3, 1, 1, -(2**1100 + 2191), 2, 5.0, 0, None, False)
+        row = ledger.report_silverman_friedman(fs)
+        assert math.isfinite(row.lhs) and row.verdict == "report-only"
+        assert row.lhs == pytest.approx(5.0 * 3**6 / (1100 * math.log(2) - 3 * math.log(3)), rel=1e-12)
+
 
 class TestCurveChecks:
     def test_semistable_37a(self, cstats):
@@ -408,7 +415,7 @@ class TestExactDefiniteness:
         p, q = ellcurve.Point.of(0, 0), ellcurve.Point.of(1, 0)
         heights = {p: 1 / scale, q: -1e-10 / scale}
         monkeypatch.setattr(
-            ellcurve, "canonical_height", lambda curve, pt, tol: heights.get(pt, heights[p] + heights[q])
+            ellcurve, "canonical_height", lambda curve, pt: heights.get(pt, heights[p] + heights[q])
         )
         e389 = ellcurve.weierstrass_curve(0, 1, 1, -2, 0)
         with pytest.raises(ledger.DependentPoints, match="semidefinite"):

@@ -394,18 +394,18 @@ def unit_power_product(K, base, exps):
 
 
 def assert_det_forms_match_mpmath(field, units):
-    # both determinant forms against mpmath.det of the same rows at 400
-    # bits, within 2^-(prec + 10) relative; R is the bordered form
+    # both exact determinant forms against mpmath.det of the same rows at
+    # 400 bits, within 2^-(prec + 10) relative; R is the bordered form
+    # rounded to a double
     n = field.r1 + field.r2
-    with prec.working(20):
-        det_b, det_m = numfield._det_forms(units.log_matrix, n)
+    det_b, det_m = numfield._det_forms(units.log_matrix, n)
     with mpmath.workprec(400):
         rows = [list(row) for row in units.log_matrix]
         ref_b = abs(mpmath.det(mpmath.matrix(rows + [[mpmath.mpf(1) / n] * n])))
         ref_m = abs(mpmath.det(mpmath.matrix([row[:-1] for row in rows])))
         eta = mpmath.mpf(2) ** -(prec.bits() + 10)
-        assert abs(det_b - ref_b) <= eta * ref_b
-        assert abs(det_m - ref_m) <= eta * ref_m
+        for exact, ref in ((det_b, ref_b), (det_m, ref_m)):
+            assert abs(mpmath.mpf(exact.numerator) / exact.denominator - ref) <= eta * ref
     try:
         assert numfield.regulator(field, units) == float(det_b)
     except InvariantError as exc:

@@ -6,7 +6,9 @@ so import-time code counts, and then runs the command set below through
 `cli.main`.  Each code object it enters is mapped to the `def` it comes
 from by file, first line and name; the `def`s come from the package's
 syntax trees, nested ones included.  (`co_qualname` would name them
-directly, but Python 3.10 has none.)
+directly, but Python 3.10 has none.)  A class attribute `name =
+property(lambda self: ...)` counts as a `def` of `Class.name`, mapped by
+the lambda's line and the name `<lambda>`.
 
 A `def` that no command enters fails the gate unless `ALLOWED` names it,
 with the open item that removes it; an `ALLOWED` entry that a command
@@ -82,7 +84,6 @@ def command_set(tmp):
         [["--precision", "200", "verify"], None, 0],
         [["--precision", "90", "verify", "--checks", "friedman"], None, 0],
         [["verify", "--corpus", hard], None, 0],
-        [["verify", "--tol", "nan", "--corpus", ep], None, 2],
         [["verify", "--northcott-bound", "-1", "--corpus", ep], None, 2],
         [["verify", "--checks", "friedman,"], None, 2],
         [["--precision", "12", "curve", "37a"], None, 2],
@@ -124,8 +125,17 @@ print(json.dumps({"codes": codes, "entered": sorted(
 """
 
 
+def _property_lambda(node):
+    """The lambda of `name = property(lambda self: ...)`, else None."""
+    call = node.value if isinstance(node, ast.Assign) else None
+    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "property":
+        return next((a for a in call.args[:1] if isinstance(a, ast.Lambda)), None)
+    return None
+
+
 def package_defs():
-    """{(file, first line, name): "module.qualname"} for every def in the package."""
+    """{(file, first line, name): "module.qualname"} for every def and
+    lambda property in the package."""
     found = {}
 
     def walk(node, file, prefix):
@@ -137,6 +147,9 @@ def package_defs():
                     found[(file, first, child.name)] = name
                 walk(child, file, name)
             else:
+                getter = _property_lambda(child)
+                if getter is not None:
+                    found[(file, getter.lineno, "<lambda>")] = prefix + "." + child.targets[0].id
                 walk(child, file, prefix)
 
     for path in sorted(PACKAGE.glob("*.py")):
