@@ -25,10 +25,12 @@ Two independent height paths are kept deliberately separate:
   (X, Z) <- (Z^4 F(X/Z), Z^4 G(X/Z)).  Unreduced, the real orbit
   telescopes the archimedean series to 4^-N log max(|X_N|, |Z_N|) -
   log Z_0: X and Z are integers truncated to the working precision
-  under a shared power of 2, and one log ends the series.  The p-adic
-  series carries X and Z mod p^K, where the resultant of F and G bounds
-  the digits each step can strip, so K is fixed in advance, and it stops
-  once the orbit reaches the non-singular reduction E_0;
+  under a shared power of 2.  The p-adic series carries X and Z mod
+  p^K, where the resultant of F and G bounds the digits each step can
+  strip, so K is fixed in advance, and it stops once the orbit reaches
+  the non-singular reduction E_0.  log Z_0 cancels against the
+  valuations, so hhat_x takes one log plus one per bad prime whose
+  series is not 0;
 * the oracle path is Silverman's algorithm (Math. Comp. 51, 1988) on
   the global minimal model: a q-series at the elliptic logarithm (Sec. 4,
   from the AGM period lattice) plus the closed forms of his Thm 5.2 in
@@ -505,25 +507,25 @@ def _height_data(curve):
 
 
 def _forms(F, G, X, Z):
-    """(F_h, G_h) = Z^4 (F, G)(X/Z), the duplication map on x = X/Z, by
-    one homogeneous Horner pass."""
-    f, g, zk = F[4], G[4], 1
-    for cf, cg in zip(F[3::-1], G[3::-1]):
-        zk *= Z
-        f = f * X + cf * zk
-        g = g * X + cg * zk
-    return f, g
+    """(F_h, G_h) = Z^4 (F, G)(X/Z) for the (F, G) of `_duplication_polys`:
+    X^4 - b4 X^2 Z^2 - 2 b6 X Z^3 - b8 Z^4 and 4 X^3 Z + b2 X^2 Z^2 + 2 b4
+    X Z^3 + b6 Z^4, exactly, from X^2, Z^2 and XZ in 14 products."""
+    (f0, f1, f2, _, _), (g0, g1, g2, g3, _) = F, G
+    xx, zz, xz = X * X, Z * Z, X * Z
+    f = xx * (xx + f2 * zz) + zz * (f1 * xz + f0 * zz)
+    return f, xz * (g3 * xx + g2 * xz) + zz * (g1 * xz + g0 * zz)
 
 
 def _arch_series(hd, X, D, terms):
-    """log max(1,|x_0|) + sum_(n<terms) 4^-(n+1) log(max(|F|,|G|)(x_n) / max(1,|x_n|)^4).
+    """log max(1,|x_0|) + sum_(n<terms) 4^-(n+1) log(max(|F|,|G|)(x_n) / max(1,|x_n|)^4), plus log D.
 
     With x_n = X_n/Z_n, x_0 = X/D in lowest terms, and (X_(n+1), Z_(n+1))
     = (F_h, G_h)(X_n, Z_n) unreduced, the n-th summand is 4^-(n+1) log
-    M_(n+1) - 4^-n log M_n for M_n = max(|X_n|, |Z_n|), so the sum
-    telescopes to 4^-terms log M_terms - log D.  X and Z are integers truncated to the working precision
-    times a shared 2^e; F_h and G_h are quartic, so e becomes 4 (e + shift).
-    A Z truncated to 0 is x = infinity, which doubles to itself.
+    M_(n+1) - 4^-n log M_n for M_n = max(|X_n|, |Z_n|), so the sum plus
+    log D, which the valuations in `canonical_height` cancel, telescopes
+    to 4^-terms log M_terms.  X and Z are integers truncated to the working
+    precision times a shared 2^e; F_h and G_h are quartic, so e becomes 4
+    (e + shift).  A Z truncated to 0 is x = infinity, which doubles to itself.
     """
     bits = mpmath.mp.prec
     Z, e = D, 0
@@ -536,8 +538,7 @@ def _arch_series(hd, X, D, terms):
                 "hit a two-torsion x-coordinate numerically" if f else "degenerate duplication orbit"
             )
         X, Z, e = f, g, 4 * (e + shift)
-    top = mpmath.log(max(abs(X), abs(Z))) + e * mpmath.ln2
-    return mpmath.ldexp(top, -2 * terms) - mpmath.log(D)
+    return mpmath.ldexp(mpmath.log(mpmath.ldexp(max(abs(X), abs(Z)), e)), -2 * terms)
 
 
 def _orbit_valuations(hd, X, D, p, R, terms):
@@ -565,62 +566,50 @@ def _orbit_valuations(hd, X, D, p, R, terms):
 
 
 def _padic_series(hd, X, D, p, R, terms):
-    """Exact truncated local series at x_0 = X/D: returns Fraction coefficient of log p.
+    """The integer s = 4^terms sum_n 4^-(n+1) m_n of the truncated local series at x_0 = X/D.
 
     The summand -min(v F(x_n), v G(x_n)) + 4 min(0, v x_n) of the affine
-    series is -m_n, since the 4 v_p(Z) terms cancel.  The sum
-    v_p(Z_0) - sum_n 4^-(n+1) m_n is formed over the common denominator
-    4^terms.  It stops at the first m_n = 0: F and G share roots mod p
-    only at the singular x, so m_n = 0 exactly when 2^n P lies in E_0, the
-    points of non-singular reduction.  E_0 is a subgroup (Silverman, AEC
-    VII.2.1), so every later m is 0 too.
+    series is -m_n, since the 4 v_p(Z) terms cancel: the series is v_p(D)
+    - s/4^terms, and v_p(D) cancels in `canonical_height`.  It stops at
+    the first m_n = 0: F and G share roots mod p only at the singular x,
+    so m_n = 0 exactly when 2^n P lies in E_0, the points of non-singular
+    reduction.  E_0 is a subgroup (Silverman, AEC VII.2.1), so every later
+    m is 0 too.
     """
-    den = weight = 4**terms
-    num = _vp(D, p) * den
+    s, weight = 0, 4**terms
     for m in _orbit_valuations(hd, X, D, p, R, terms):
         if m == 0:
             break
         weight //= 4
-        num -= m * weight
-    return Fraction(num, den)
-
-
-def _strip_primes(n, primes):
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n
+        s += m * weight
+    return s
 
 
 def canonical_height(curve, point, tol=DEFAULT_TOL):
     """hhat_x(P) by local decomposition to absolute accuracy tol.
 
     Torsion points (detected exactly) return 0.  The archimedean series
-    runs in the real embedding; each bad prime contributes an exact
-    valuation series along the projective duplication orbit mod p^K;
-    good denominator primes contribute log of the coprime denominator
-    part directly.
+    is 4^-N log M_N - log D, D = Z^2 the denominator of x, each bad prime
+    p adds the valuation series (v_p(D) - s_p) log p, and D's part d prime
+    to delta adds log d.  As D = d prod_p p^v_p(D), this is 4^-N log M_N -
+    sum_p s_p log p: one log, plus one per bad prime with s_p != 0.
     """
     if point.is_infinity or is_torsion(curve, point):  # is_torsion checks the point
         return 0.0
     hd = _height_data(curve)
     X, D = point.X, point.Z * point.Z  # x in lowest terms
-
-    bad_primes = [p for p, _ in hd.bad]
-    n_series = 1 + len(hd.bad)
-    tail_each = tol / (4 * n_series)
+    tail_each = tol / (4 * (1 + len(hd.bad)))
 
     terms_inf = max(
         5, math.ceil(math.log(max(hd.mu_bound_inf, 1e-9) / (3 * tail_each)) / math.log(4))
     )
     with prec.working(3 * terms_inf + 60):
         total = _arch_series(hd, X, D, terms_inf)
-        den_good = _strip_primes(D, bad_primes)
-        total += mpmath.log(den_good)
         for p, R in hd.bad:
             terms_p = max(5, math.ceil(math.log(R * math.log(p) / (3 * tail_each)) / math.log(4)))
-            coeff = _padic_series(hd, X, D, p, R, terms_p)
-            total += (mpf(coeff.numerator) / coeff.denominator) * mpmath.log(p)
+            s = _padic_series(hd, X, D, p, R, terms_p)
+            if s:
+                total -= mpmath.ldexp(s, -2 * terms_p) * mpmath.log(p)
         return float(total)
 
 
@@ -747,7 +736,10 @@ def canonical_height_doubling(curve, point, tol=1e-6):
         return 0.0, 0.0
     lam_inf, bound = _archimedean_local_height(model, analytic.agm_periods(model), q, tol)
     bad = reduction_data(mm).primes
-    den = _strip_primes(q.Z * q.Z, [row.p for row in bad])
+    den = q.Z * q.Z
+    for row in bad:
+        while den % row.p == 0:
+            den //= row.p
     with prec.working(20):
         total = lam_inf + mpmath.log(abs(model.delta)) / 12 + mpmath.log(den) / 2
         for row in bad:

@@ -937,7 +937,9 @@ class TestPadicSeries:
             curve = ec.weierstrass_curve(*[Fraction(a) for a in row["curve"]])
             hd, R = ec._height_data(curve), res_weight(curve, row["p"])
             x = Fraction(row["x"])
-            got = ec._padic_series(hd, x.numerator, x.denominator, row["p"], R, row["terms"])
+            s = ec._padic_series(hd, x.numerator, x.denominator, row["p"], R, row["terms"])
+            # the pins are the whole series v_p(D) - s/4^T
+            got = ec._vp(x.denominator, row["p"]) - Fraction(s, 4 ** row["terms"])
             assert got == Fraction(row["coeff"]), row
         # 38 P on 37a: the bad prime divides the denominator
         assert any(r["p"] == 37 and Fraction(r["x"]).denominator % 37 == 0 for r in rows)
@@ -992,8 +994,8 @@ class TestPadicSeries:
             ms = list(ec._orbit_valuations(hd, point.X, point.Z**2, p, R, 18))
             first = ms.index(0) if 0 in ms else len(ms)
             assert not any(ms[first:]), (p, ms)
-            full = ec._vp(point.x.denominator, p) - sum(Fraction(m, 4 ** (n + 1)) for n, m in enumerate(ms))
-            assert ec._padic_series(hd, point.X, point.Z**2, p, R, 18) == full, p
+            full = sum(Fraction(m, 4 ** (n + 1)) for n, m in enumerate(ms))
+            assert Fraction(ec._padic_series(hd, point.X, point.Z**2, p, R, 18), 4**18) == full, p
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_common_roots_are_singular_x(self, p):
@@ -1042,6 +1044,7 @@ class TestArchSeries:
         with prec.working(3 * terms + 60):  # as canonical_height runs it
             got = ec._arch_series(hd, x0.numerator, x0.denominator, terms)
         with mpmath.workprec(400):
+            got -= mpmath.log(x0.denominator)  # canonical_height cancels it against the valuations
             assert abs(got - reference_arch_series(hd, x0, terms)) <= mpf(2) ** -prec.bits()
 
     def test_x_beyond_the_working_precision(self):
@@ -1051,12 +1054,93 @@ class TestArchSeries:
         with prec.working(40):
             got = ec._arch_series(hd, x0.numerator, x0.denominator, 20)
         with mpmath.workprec(400):
+            got -= mpmath.log(x0.denominator)
             assert abs(got - reference_arch_series(hd, x0, 20)) <= mpf(2) ** -prec.bits()
 
     def test_two_torsion_orbit_is_rejected(self):
         # x = -1 on y^2 = x^3 + 1 doubles to the point at infinity
         with pytest.raises(NoConvergence):
             ec._arch_series(ec._height_data(EJ0), -1, 1, 5)
+
+
+def horner_forms(F, G, X, Z):
+    """(F_h, G_h) = Z^4 (F, G)(X/Z) by one homogeneous Horner pass: 20 products."""
+    f, g, zk = F[4], G[4], 1
+    for cf, cg in zip(F[3::-1], G[3::-1]):
+        zk *= Z
+        f = f * X + cf * zk
+        g = g * X + cg * zk
+    return f, g
+
+
+def decomposed_height(curve, point, tol=ec.DEFAULT_TOL):
+    """hhat_x(P) as the sum of its local series with every log kept:
+    4^-N log M_N - log D + log d + sum_p (v_p(D) - s_p) log p, for D = Z^2
+    and d its part prime to the bad primes.  The same truncations, working
+    precision and order of roundings as `ec.canonical_height`, but the
+    orbits step by `horner_forms` and each coefficient of log p is a Fraction."""
+    if ec.is_torsion(curve, point):
+        return 0.0
+    hd = ec._height_data(curve)
+    X, D = point.X, point.Z**2
+    tail_each = tol / (4 * (1 + len(hd.bad)))
+    terms_inf = max(5, math.ceil(math.log(max(hd.mu_bound_inf, 1e-9) / (3 * tail_each)) / math.log(4)))
+    with prec.working(3 * terms_inf + 60):
+        x, z, e = X, D, 0
+        for _ in range(terms_inf):
+            shift = max(max(abs(x), abs(z)).bit_length() - mpmath.mp.prec, 0)
+            x, z = horner_forms(hd.F, hd.G, x >> shift, z >> shift)
+            e = 4 * (e + shift)
+        top = mpmath.log(max(abs(x), abs(z))) + e * mpmath.ln2
+        total = mpmath.ldexp(top, -2 * terms_inf) - mpmath.log(D)
+        d = D
+        for p, _ in hd.bad:
+            while d % p == 0:
+                d //= p
+        total += mpmath.log(d)
+        for p, R in hd.bad:
+            terms = max(5, math.ceil(math.log(R * math.log(p) / (3 * tail_each)) / math.log(4)))
+            coeff, mod = Fraction(ec._vp(D, p)), p ** (terms * R + 1)
+            x, z = X % mod, D % mod
+            for n in range(terms):
+                f, g = (v % mod for v in horner_forms(hd.F, hd.G, x, z))
+                m = 0
+                while f % p == 0 and g % p == 0:
+                    f, g, m = f // p, g // p, m + 1
+                if m == 0:
+                    break
+                coeff -= Fraction(m, 4 ** (n + 1))
+                x, z, mod = f, g, mod // p**R
+            total += (mpf(coeff.numerator) / coeff.denominator) * mpmath.log(p)
+        return float(total)
+
+
+class TestOneLog:
+    @settings(max_examples=30)
+    @given(st.integers(-40, 40).filter(bool), st.sampled_from((80, 200)))
+    def test_height_equals_the_decomposed_sum_to_the_bit(self, k, bits):
+        # log D and log d cancel against the v_p(D) log p exactly, and the
+        # sum rounds to the same double; every series point runs, since
+        # only the 2-adic and 3-adic orbits on y^2 = x^3 - 108x + 513 keep
+        # m_n > 0 past step 0
+        before = prec.bits()
+        try:
+            prec.set_precision(bits)
+            for curve, (x, y) in SERIES_POINTS:
+                point = ec.scalar_mul(curve, k, ec.Point.of(x, y))
+                got, want = ec.canonical_height(curve, point), decomposed_height(curve, point)
+                assert float.hex(got) == float.hex(want), (curve.a_invariants, k, bits)
+        finally:
+            prec.set_precision(before)
+
+    def test_forms_match_horner(self):
+        rng = random.Random(43)
+        for curve, _ in SERIES_POINTS:
+            F, G = ec._duplication_polys(curve)
+            for _ in range(50):
+                X = rng.randint(-(2**300), 2**300)
+                for Z in (0, rng.randint(-(2**300), 2**300), rng.randint(-9, 9)):
+                    assert ec._forms(F, G, X, Z) == horner_forms(F, G, X, Z), (curve, X, Z)
 
 
 def test_oracle_pinned():
