@@ -5,9 +5,10 @@ Only the single archimedean place of Q is ever needed: curves live over
 Q, so their period lattices are rectangular (positive discriminant, two
 real components) or rhombic (negative discriminant, one component), and
 the rhombic case reduces to two real AGMs after one complex square root.
-From the certified roots to tau (AGM inputs, AGM, tau and its reduction)
-the lattice runs on fixed-point integers, and no series is summed at the
-working precision.  The lattice is checked by its discriminant in double
+Only the real roots of the 2-division cubic are solved for, by certified
+integer Newton (Cremona, Sec. 3.7), and from them to tau (AGM inputs,
+AGM, tau and its reduction) the lattice runs on fixed-point integers, so
+no series is summed at the working precision.  The lattice is checked by its discriminant in double
 precision: 12 log(2 pi / omega1') + log delta(tau) must give log Delta of
 the model mod 2 pi i, with log omega1' read from the integer AGM means,
 so no magnitude is converted to a float.  h+ needs neither: it is read
@@ -135,11 +136,10 @@ def _agm(a, b):
 
 
 class PeriodData(NamedTuple):
-    """The checked lattice of agm_periods: the reduced tau, the roots and
-    the integer AGM means."""
+    """The checked lattice of agm_periods, read from the real roots alone:
+    the reduced tau and the integer AGM means."""
 
     tau: ReducedTau
-    roots: tuple  # arith.ComplexApprox roots of 4x^3 + b2 x^2 + 2 b4 x + b6
     m1: int  # the AGM means M1, M2 of agm_periods as fixed-point integers at 2^-scale
     m2: int
     scale: int
@@ -180,6 +180,71 @@ def _lattice_residual(periods, model_delta):
     return complex(r.real, math.remainder(r.imag, 2 * math.pi))
 
 
+def _cubic(b, x, k):
+    # p = 4x^3 + b2 x^2 + 2 b4 x + b6 and p' at x 2^-k, times 2^3k and 2^2k
+    b2k, b4k = b[0] << k, b[1] << 2 * k + 1
+    q = (4 * x + b2k) * x
+    return (q + b4k) * x + (b[2] << 3 * k), 3 * q - b2k * x + b4k
+
+
+def _double_roots(scaled, three):
+    # the real roots in doubles of y^3 + c2 y^2 + c1 y + c0 (all in |y| < 1)
+    # by Newton from -1 and 1, where p p'' > 0, and from the inflection point
+    # -c2 / 3 for a middle root; a lone root from the end on its side of the
+    # inflection point.  Each run is monotone and ends on its own root.
+    c2, c1, c0 = scaled
+    m = -c2 / 3
+    ys = [-1.0, m, 1.0] if three else [-1.0 if ((m + c2) * m + c1) * m + c0 > 0 else 1.0]
+    for i, y in enumerate(ys):
+        for _ in range(100):
+            d = (3 * y + 2 * c2) * y + c1
+            y -= (step := (((y + c2) * y + c1) * y + c0) / d if d else 0.0)
+            if abs(step) <= 2.0**-48 * abs(y):
+                break
+        ys[i] = y
+    return ys
+
+
+def _root(b, lo, hi, sign, x, k, bits):
+    # The root of p in (lo, hi) 2^-bits, where sign p goes once from - to +:
+    # integer Newton from x 2^-k, each step doubling the bits of x until k =
+    # bits.  Each value of p narrows the bracket; an iterate that leaves it,
+    # or meets p' of the wrong sign, or comes back to an end at k = bits, is
+    # replaced by its midpoint.  At k = bits a step of one unit or less
+    # probes one unit past the root, and the ends, 2 apart, certify it.
+    last, d = 0, 1
+    for _ in range(4 * bits):
+        X = x << bits - k
+        if d <= 0 or not lo <= X <= hi or last == bits and X in (lo, hi):
+            x = X = (lo + hi) >> 1
+            k = bits
+        v, d = _cubic(b, x, k)
+        v, d, last = sign * v, sign * d, k
+        lo, hi = X if v <= 0 else lo, X if v >= 0 else hi
+        if hi - lo <= 2:
+            return (lo + hi) >> 1
+        step = (2 * v + d) // (2 * d) if d > 0 else 0
+        x -= step if k < bits or abs(step) > 1 else step + (1 if v > 0 else -1)
+        shift = min(bits - k, max(x.bit_length(), 1))
+        x, k = x << shift, k + shift
+    raise AgmNoConvergence("2-division root did not converge")
+
+
+def _real_roots(b, three, seeds, bits, s):
+    # The real roots of p at 2^-bits, ascending, each by _root from its seed
+    # in its bracket: (-2^s, 2^s), split for Delta > 0 by the critical points
+    # c- < c+ of p, once p(c-) > 0 > p(c+) is checked; [] if not.
+    bound = 1 << s + bits
+    ends = ((-bound, bound, 1),)
+    if three:
+        r = math.isqrt((b[0] * b[0] - 24 * b[1]) << 2 * bits)
+        lo, hi = (-(b[0] << bits) - r) // 12, (r - (b[0] << bits)) // 12
+        if not _cubic(b, lo, bits)[0] > 0 > _cubic(b, hi, bits)[0]:
+            return []
+        ends = ((-bound, lo, 1), (lo, hi, -1), (hi, bound, 1))
+    return [_root(b, *e, x, k, bits) for e, (x, k) in zip(ends, seeds)]
+
+
 def agm_periods(curve):
     """Period lattice of the real embedding of a curve (an integral model) over Q.
 
@@ -188,10 +253,20 @@ def agm_periods(curve):
     Delta < 0: w = e1 - e2 (Im e2 > 0), M1 = M(Re sqrt(w), |sqrt(w)|), M2
     the same for -w, omega2 = (omega1 + i pi / M2) / 2, tau0 = 1/2 + i M1 /
     (2 M2) (Cremona, Algorithms for Modular Elliptic Curves, Sec. 3.7).
-    The certified roots are dyadics, so all of it runs on integers, the
-    smaller AGM input at 2^(prec.bits() + 21) units or more; the larger
-    of Re sqrt(+-w) = sqrt((|w| +- Re w) / 2) is an isqrt, the other |Im
-    w| / 2 over it.  The periods themselves are formed only when read.
+    Only the real roots of p = 4x^3 + b2 x^2 + 2 b4 x + b6 are solved for,
+    as e1 + 2 Re e2 = -b2 / 4 and |w|^2 = p'(e1) / 4 give 8 Re w = 12 e1 +
+    b2 and 64 (Im w)^2 = 48 e1^2 + 8 b2 e1 + 32 b4 - b2^2.  Each root is
+    seeded in doubles on the Fujiwara-scaled cubic, refined by integer
+    Newton in its bracket between the critical points of p and certified,
+    at 2^-B, by a sign change of p across it +- 1 (_root).  At run time the
+    root differences (Delta > 0) or (Im w)^2 (Delta < 0, where |w| >= 1/2
+    as |Delta| = 64 |w|^4 (Im w)^2 >= 1) must be known to 2^-(prec + 62)
+    relative, so that the AGM inputs carry prec + 60 bits; where a
+    near-double or a near-real pair cancels, B = prec + 64 grows by the
+    bits missing and the roots are refined once more.  All runs on
+    integers, the smaller AGM input at 2^(prec.bits() + 21) units or more;
+    the larger of Re sqrt(+-w) = sqrt((|w| +- Re w) / 2) is an isqrt, the
+    other |Im w| / 2 over it.  The periods are formed only when read.
 
     The lattice is checked by its discriminant: 12 log(2 pi / omega1') +
     log delta(tau) must match log Delta of the model mod 2 pi i to 1e-6, in
@@ -204,26 +279,38 @@ def agm_periods(curve):
     is within a few units of 2^-53 times its size, about 1e-12 absolute
     for sizes below 10^3 (integers below 1400 bits); there the sum, with
     its factor 12, is within 1e-10, far inside the 1e-6 tolerance.
-
-    The AGM means here and the budget of ellcurve.faltings_height_plus
-    (2^-(prec + 10)) count the roots as exact, though poly_roots promises
-    only err <= ROOT_TOL; err moves the AGM inputs by about err / g
-    relative, g the least root gap.  Nothing checks it at run time; measured, err <= 2^-(prec +
-    20.7) g on 400 near-double curves at 80 and 200 bits (tier-1 asserts
-    2^-(prec + 16) g), and err <= 1.2e-47 on the bundled curves.
     """
-    roots = arith.poly_roots([curve.b6, 2 * curve.b4, curve.b2, 4])
-    B, p = roots[0].bits, prec.bits()
-    if curve.delta > 0:
-        e3, e2, e1 = (r.x for r in roots)
+    b = b2, b4, b6 = curve.b2, curve.b4, curve.b6
+    p, B, three = prec.bits(), prec.bits() + 64, curve.delta > 0
+    s, scaled = arith._fujiwara_scaled([b6, 2 * b4, b2, 4])
+    seeds = []
+    for y in _double_roots(scaled, three):  # each to about 50 bits
+        k = min(B, max(0, 50 - s - math.frexp(y)[1]))
+        seeds.append((arith.to_fixed(y, s + k), k))
+    for _ in range(8):  # known: the least checked value over its error bound
+        roots, known = _real_roots(b, three, seeds, B, s), 0
+        if roots and three:
+            e3, e2, e1 = roots
+            known = min(e1 - e2, e2 - e3) // 2  # each root within one unit
+        elif roots:  # 8 Re w at 2^-B, 64 (Im w)^2 at 2^-2B within 8 |u| + 48 units
+            u = 12 * roots[0] + (b2 << B)
+            v2 = (48 * roots[0] + (8 * b2 << B)) * roots[0] + ((32 * b4 - b2 * b2) << 2 * B)
+            known = max(0, v2 // (8 * abs(u) + 48))
+        if known.bit_length() > p + 62:
+            break
+        seeds = [(x, B) for x in roots] or seeds
+        B += p + 66 - known.bit_length() if known > 1 else B  # twice B where the error swamps all
+    else:
+        raise AgmNoConvergence("2-division roots not separated")
+    if three:
         t = max((B + 1) // 2, (2 * p + 44 + B - min(e1 - e2, e2 - e3).bit_length()) // 2)
         r13, r12, r23 = (math.isqrt(d << 2 * t - B) for d in (e1 - e3, e1 - e2, e2 - e3))
         m1, m2 = _agm(r13, r12), _agm(r13, r23)
         half, den = 0, m2  # Re tau0 = half / 2
-    else:
-        u, v = roots[0].x - roots[1].x, roots[1].y  # v = |Im w|
-        t = max((B + 1) // 2, (2 * p + 48 + B + max(abs(u), v).bit_length()) // 2 - v.bit_length())
-        u, v = u << 2 * t - B, v << 2 * t - B
+    else:  # t as from Re w and |Im w| at 2^-B, then both at 2^-2t
+        v = math.isqrt(v2) >> 3
+        t = max((B + 4) // 2, (2 * p + 48 + B + max(abs(u) >> 3, v).bit_length()) // 2 - v.bit_length())
+        u, v = u << 2 * t - B - 3, math.isqrt(v2 << 4 * t - 2 * B - 6)
         w = math.isqrt(u * u + v * v)  # |w| at 2^-2t
         big, root = math.isqrt((w + abs(u)) >> 1), math.isqrt(w)
         small = (v + big) // (2 * big)
@@ -233,7 +320,7 @@ def agm_periods(curve):
     bits = p + 40 + 2 * max(0, den.bit_length() - m1.bit_length() + 1)
     tau = _reduce_fixed(half << (bits - 1), (2 * (m1 << bits) + den) // (2 * den), bits)
     # the AGM inputs are at 2^-t, so M1, M2 = m1, m2 2^-(t + 1)
-    periods = PeriodData(tau, tuple(roots), m1, m2, t + 1, curve.delta > 0)
+    periods = PeriodData(tau, m1, m2, t + 1, three)
     if abs(_lattice_residual(periods, curve.delta)) > 1e-6:
         raise AgmNoConvergence("period lattice does not reproduce the model discriminant")
     return periods

@@ -201,11 +201,10 @@ def _apart(a, b, bits):
     return ((x - u) ** 2 + (y - v) ** 2) * den * den > (num * num) << (2 * bits)
 
 
-def _double_seeds(coeffs, n_real, bits):
-    # The split (real roots, pair representatives) for _durand_kerner, by
-    # the same sweeps in doubles on p(2^s y) / (a_n 2^(s n)), whose roots
-    # all lie in the unit disc by Fujiwara's bound |x| < 2^s: nothing
-    # overflows and no large root is lost.  Scaled back by 2^s exactly.
+def _fujiwara_scaled(coeffs):
+    # (s, the doubles of p(2^s y) / (a_n 2^(s n))), whose roots all lie in
+    # the unit disc by Fujiwara's bound |x| < 2^s: nothing overflows and no
+    # large root is lost
     n = len(coeffs) - 1
     top = abs(coeffs[-1]).bit_length() - 1  # |a_n| >= 2^top
     s = 1 + max(
@@ -216,6 +215,13 @@ def _double_seeds(coeffs, n_real, bits):
     for k in range(n - 1, -1, -1):  # highest power first, after the leading 1
         e = s * (n - k)
         scaled.append(coeffs[k] / (coeffs[-1] << e) if e >= 0 else (coeffs[k] << -e) / coeffs[-1])
+    return s, scaled
+
+
+def _double_seeds(coeffs, n_real, bits):
+    # The split (real roots, pair representatives) for _durand_kerner, by
+    # the same sweeps in doubles on _fujiwara_scaled(p), scaled back by 2^s.
+    n, (s, scaled) = len(coeffs) - 1, _fujiwara_scaled(coeffs)
     # Start on circles whose radii are the slopes of the Newton polygon,
     # the upper convex hull of (k, log |a_k|), so roots of every size have
     # seeds near them (Bini, Numer. Algorithms 13, 1996); a zero constant

@@ -656,7 +656,7 @@ def _archimedean_local_height(curve, periods, point, tol):
     into [0, 1/2] (lambda is even and periodic), so every factor
     |q^n u^{+-1}| is at most |q|^(n - 1/2) <= exp(-pi sqrt 3 (n - 1/2)).
     """
-    roots = periods.roots
+    roots = arith.poly_roots([curve.b6, 2 * curve.b4, curve.b2, 4])
     root_err = max(r.err for r in roots)
     with prec.working(20):
         pi = mpmath.pi
@@ -817,8 +817,8 @@ def faltings_height_plus(periods):
     iterates agree to 2^-(prec + 12) relative, on inputs of at least prec
     + 20 bits, so m1 and m2 are within 2^-11 relative and h+ within 2^-11;
     rounding m1 m2 and its log adds 2^-30 (1 + h+).  In all about 2^-(prec
-    + 10), with the roots counted as exact; see analytic.agm_periods for
-    their radii against the least root gap.
+    + 10), with the AGM inputs at prec + 60 correct bits, which
+    analytic.agm_periods checks at run time.
     """
     k = 1 if periods.rectangular else 2
     with prec.working(30):

@@ -1,7 +1,7 @@
-import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
@@ -602,24 +602,45 @@ def test_faltings_height_plus_law(a, bits):
         prec.set_precision(before)
 
 
+def reference_means(curve):
+    # M1, M2 of agm_periods at 400 bits, from the roots of mpmath.polyroots
+    with mpmath.workprec(400):
+        roots = mpmath.polyroots([4, curve.b2, 2 * curve.b4, curve.b6], maxsteps=200, extraprec=800)
+        if curve.delta > 0:
+            e3, e2, e1 = sorted(mpmath.re(r) for r in roots)
+            r13 = mpmath.sqrt(e1 - e3)
+            return mpmath.agm(r13, mpmath.sqrt(e1 - e2)), mpmath.agm(r13, mpmath.sqrt(e2 - e3))
+        e1 = mpmath.re(min(roots, key=lambda r: abs(mpmath.im(r))))
+        w = e1 - max(roots, key=mpmath.im)  # e1 - e2, Im e2 > 0
+        root = mpmath.sqrt(abs(w))  # |sqrt(w)| = |sqrt(-w)|
+        return mpmath.agm(mpmath.re(mpmath.sqrt(w)), root), mpmath.agm(mpmath.re(mpmath.sqrt(-w)), root)
+
+
 @settings(max_examples=60)
 @given(near_double_curves(), st.sampled_from((None, 200)))
 @example((0, 10**12, 0, 0, 1), None)
 @example((0, 10**12, 0, 0, -1), 200)
-def test_root_radii_are_small_against_the_least_root_gap(a, bits):
-    # the AGM means of agm_periods and the budget of h+ count the roots as
-    # exact dyadics: an error err in the roots moves the AGM inputs by about
-    # err / gap relative, so every radius is at most 2^-(prec + 16) of the
-    # least root gap
+@example((0, 10**40, 0, 0, 1), None)  # Im e2 = 1e-20 beside e1 = -1e40: (Im w)^2 cancels 266 bits
+@example(  # roots near 1e30, where an absolute root radius of 1e-18 is past 80 bits' reach
+    (0, 1, 1, 447175276566107624656032371143450248313874716027392466187076,
+     -233083578500749614272957522333252844967856684166739611148509310957617601161083110263791606),
+    None,
+)
+def test_agm_means_are_within_the_h_plus_budget(a, bits):
+    # the budget of h+ (ellcurve.faltings_height_plus) counts the integer
+    # means m1, m2 as within 2^-(prec + 11) relative of the AGM means of the
+    # exact roots; the run-time precision check of agm_periods is what
+    # gives the AGM inputs their bits where a near-double or near-real pair
+    # cancels
     curve = curve_stub(*a)
     assume(curve.delta != 0)
     before = prec.bits()
     try:
         prec.set_precision(bits or before)
-        roots = analytic.agm_periods(curve).roots
-        with mpmath.workprec(prec.bits() + 100):
-            gap = min(abs(r.value - s.value) for r, s in itertools.combinations(roots, 2))
-            assert max(r.err for r in roots) <= mpmath.ldexp(gap, -(prec.bits() + 16))
+        pd = analytic.agm_periods(curve)
+        with mpmath.workprec(400):
+            for m, ref in zip((pd.m1, pd.m2), reference_means(curve)):
+                assert abs(arith.from_fixed(m, pd.scale) - ref) <= mpmath.ldexp(ref, -(prec.bits() + 11))
     finally:
         prec.set_precision(before)
 
@@ -636,6 +657,85 @@ def test_faltings_height_plus_on_the_bundled_curves(bundled, bits):
             assert_h_plus_matches_oracle(mm.curve)
     finally:
         prec.set_precision(before)
+
+
+def periods_from_all_roots(curve):
+    """agm_periods as it was when its AGM inputs came from all three roots
+    of arith.poly_roots, the complex pair included: the reference that the
+    real-root path reproduces to the bit."""
+    roots = arith.poly_roots([curve.b6, 2 * curve.b4, curve.b2, 4])
+    B, p = roots[0].bits, prec.bits()
+    if curve.delta > 0:
+        e3, e2, e1 = (r.x for r in roots)
+        t = max((B + 1) // 2, (2 * p + 44 + B - min(e1 - e2, e2 - e3).bit_length()) // 2)
+        r13, r12, r23 = (math.isqrt(d << 2 * t - B) for d in (e1 - e3, e1 - e2, e2 - e3))
+        m1, m2 = analytic._agm(r13, r12), analytic._agm(r13, r23)
+        half, den = 0, m2
+    else:
+        u, v = roots[0].x - roots[1].x, roots[1].y
+        t = max((B + 1) // 2, (2 * p + 48 + B + max(abs(u), v).bit_length()) // 2 - v.bit_length())
+        u, v = u << 2 * t - B, v << 2 * t - B
+        w = math.isqrt(u * u + v * v)
+        big, root = math.isqrt((w + abs(u)) >> 1), math.isqrt(w)
+        small = (v + big) // (2 * big)
+        m1, m2 = analytic._agm(big if u >= 0 else small, root), analytic._agm(small if u >= 0 else big, root)
+        half, den = 1, 2 * m2
+    bits = p + 40 + 2 * max(0, den.bit_length() - m1.bit_length() + 1)
+    tau = analytic._reduce_fixed(half << (bits - 1), (2 * (m1 << bits) + den) // (2 * den), bits)
+    return analytic.PeriodData(tau, m1, m2, t + 1, curve.delta > 0)
+
+
+def near_real_pair(c, e, d):
+    # y^2 = (x - c)((x - e)^2 + d^2): a near-real conjugate pair beside a
+    # far real root, whose cubics all took the Gaussian-integer polish of
+    # arith.poly_roots
+    return (0, -(c + 2 * e), 0, 2 * c * e + e * e + d * d, -c * (e * e + d * d))
+
+
+def near_real_pair_curves():
+    return st.builds(near_real_pair, st.integers(-50, 50), st.integers(-(10**18), 10**18), st.integers(1, 5))
+
+
+class TestRealRootPeriods:
+    @settings(max_examples=100)
+    @given(st.one_of(near_double_curves(), near_real_pair_curves()), st.sampled_from((80, 200)))
+    @example((0, 10**12, 0, 0, -1), 80)  # a real pair 2e-6 apart
+    @example((0, 10**40, 0, 0, 1), 80)  # refined twice
+    @example((0, 4837524, 0, 4370704371045, 1107056591882813640), 80)  # a real pair 0.0035 apart at -543265, unsplit in doubles
+    def test_bit_identical_to_the_all_roots_path(self, a, bits):
+        # h+ and both doubles of tau.  On a rhombic lattice with j = 1728,
+        # tau = i, and each path reads Re tau = 0 as rounding noise
+        from arithinv import ellcurve as ec
+
+        curve = curve_stub(*a)
+        assume(curve.delta != 0)
+        before = prec.bits()
+        try:
+            prec.set_precision(bits)
+            got, want = analytic.agm_periods(curve), periods_from_all_roots(curve)
+            assert ec.faltings_height_plus(got).hex() == ec.faltings_height_plus(want).hex()
+            assert float(got.tau.im).hex() == float(want.tau.im).hex()
+            if curve.c6 == 0 and curve.delta < 0:
+                assert max(abs(got.tau.re), abs(want.tau.re)) <= 2.0 ** -(bits + 20)
+            else:
+                assert float(got.tau.re).hex() == float(want.tau.re).hex()
+        finally:
+            prec.set_precision(before)
+
+    def test_no_curve_reaches_the_complex_root_finder(self, bundled, monkeypatch):
+        from arithinv import corpus
+
+        def forbidden(*args):
+            raise AssertionError("agm_periods reached the complex root finder")
+
+        monkeypatch.setattr(arith, "poly_roots", forbidden)
+        monkeypatch.setattr(arith, "_durand_kerner_complex", forbidden)
+        hard = corpus.load_corpus(Path(__file__).resolve().parent / "data" / "hard_curves.txt")
+        curves = [corpus.build_curve_data(c, label)[1].curve for c in (bundled, hard) for label in c.curves]
+        for a in ((0, 10**40, 0, 0, 1), (0, 10**12, 0, 0, -1), near_real_pair(-3, 5 * 10**17, 1)):
+            curves.append(curve_stub(*a))
+        for curve in curves:
+            analytic.agm_periods(curve)
 
 
 def rho_at(re, im):

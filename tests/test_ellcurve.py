@@ -1057,6 +1057,18 @@ class TestArchSeries:
             got -= mpmath.log(x0.denominator)
             assert abs(got - reference_arch_series(hd, x0, 20)) <= mpf(2) ** -prec.bits()
 
+    def test_x_and_z_beyond_the_working_precision(self):
+        # X and Z of 191 bits at 120: Z keeps 120 bits through the first
+        # truncation, and x0 near the x of (1, 0) on 389a (b2 = 4) keeps the
+        # orbit where each Z-term of _forms counts
+        x0 = Fraction(3**120 + 7, 3**120)
+        hd = ec._height_data(E389)
+        with prec.working(40):
+            got = ec._arch_series(hd, x0.numerator, x0.denominator, 20)
+        with mpmath.workprec(400):
+            got -= mpmath.log(x0.denominator)
+            assert abs(got - reference_arch_series(hd, x0, 20)) <= mpf(2) ** -prec.bits()
+
     def test_two_torsion_orbit_is_rejected(self):
         # x = -1 on y^2 = x^3 + 1 doubles to the point at infinity
         with pytest.raises(NoConvergence):
@@ -1223,8 +1235,9 @@ class TestOracle:
         assert abs(moved_value - value) <= bound + moved_bound
 
     def test_egg_point(self):
-        # 37a has delta > 0; (0, 0) lies on the bounded real component
-        roots = analytic.agm_periods(E37).roots
+        # 37a has delta > 0; (0, 0) lies on the bounded real component, the
+        # oracle's roots of the 2-division cubic being e3 < 0 < e2
+        roots = arith.poly_roots([E37.b6, 2 * E37.b4, E37.b2, 4])
         assert E37.delta > 0 and roots[0].real < 0 < roots[1].real
         value, bound = assert_paths_agree(E37, P37)
         assert abs(value - HHAT_37A) <= bound
@@ -1232,9 +1245,13 @@ class TestOracle:
             assert_paths_agree(E37, ec.scalar_mul(E37, k, P37))
 
     def test_negative_discriminant(self):
-        assert EX3M2.delta < 0 and len([r for r in analytic.agm_periods(EX3M2).roots if r.imag == 0]) == 1
-        for k in (1, -2, 7):
-            assert_paths_agree(EX3M2, ec.scalar_mul(EX3M2, k, ec.Point.of(3, 5)))
+        # y^2 = x^3 - 2 (b2 = 0) and 43a (b2 = 4), each with one real root
+        e43 = ec.weierstrass_curve(0, 1, 1, 0, 0)
+        for curve, point in ((EX3M2, ec.Point.of(3, 5)), (e43, ec.Point.of(0, 0))):
+            roots = arith.poly_roots([curve.b6, 2 * curve.b4, curve.b2, 4])
+            assert curve.delta < 0 and len([r for r in roots if r.imag == 0]) == 1
+            for k in (1, -2, 7):
+                assert_paths_agree(curve, ec.scalar_mul(curve, k, point))
 
     def test_denominator_divisible_by_bad_prime(self):
         q = ec.scalar_mul(E37, 38, P37)

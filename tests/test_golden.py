@@ -10,7 +10,9 @@ refactor.  invariant_pins.json holds, to the last bit, h+ of every
 bundled, hard and `family ep --pmax 4000` curve and the regulators of
 the bundled fields and of the real quadratic fields Q(sqrt m), m < 1000,
 as written by the code before h+ was read from the lattice covolume and
-the regulator rounded once.  To rewrite them from the source on the path
+the regulator rounded once; and the reduced tau of each of those curves,
+as written by the code before the periods were read from the real roots
+alone.  To rewrite them from the source on the path
 (only when a change to the printed or pinned numbers is intended):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -98,10 +100,11 @@ def test_benchmark_reference_matches(monkeypatch):
 
 
 def _invariant_pins():
-    """float.hex of h+ at 80 and 200 bits for every bundled, hard and
-    `family ep --pmax 4000` curve; of R at 80 and 200 bits for every
-    bundled field of unit rank >= 1; and of R at 80 bits for every Q(sqrt
-    m), m < 1000 squarefree, whose Pell unit and regulator build there."""
+    """float.hex of h+ and of Re tau and Im tau at 80 and 200 bits for every
+    bundled, hard and `family ep --pmax 4000` curve; of R at 80 and 200
+    bits for every bundled field of unit rank >= 1; and of R at 80 bits for
+    every Q(sqrt m), m < 1000 squarefree, whose Pell unit and regulator
+    build there."""
     curves = {}
     for name, path in (("bundled", None), ("hard", DATA / "hard_curves.txt")):
         corp = corpus.load_corpus(path)
@@ -116,9 +119,12 @@ def _invariant_pins():
     try:
         for bits in (80, 200):
             prec.set_precision(bits)
+            periods = {label: analytic.agm_periods(mm.curve) for label, mm in curves.items()}
             pins["h_plus_%d" % bits] = {
-                label: ellcurve.faltings_height_plus(analytic.agm_periods(mm.curve)).hex()
-                for label, mm in curves.items()
+                label: ellcurve.faltings_height_plus(pd).hex() for label, pd in periods.items()
+            }
+            pins["tau_%d" % bits] = {
+                label: [float(pd.tau.re).hex(), float(pd.tau.im).hex()] for label, pd in periods.items()
             }
             pins["regulator_%d" % bits] = {
                 r.field.label: numfield.field_regulator(r).hex() for r in records
