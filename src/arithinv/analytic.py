@@ -187,18 +187,16 @@ def _cubic(b, x, k):
     return (q + b4k) * x + (b[2] << 3 * k), 3 * q - b2k * x + b4k
 
 
-def _double_roots(scaled, three):
-    # the real roots in doubles of y^3 + c2 y^2 + c1 y + c0 (all in |y| < 1)
-    # by Newton from -1 and 1, where p p'' > 0, and from the inflection point
-    # -c2 / 3 for a middle root; a lone root from the end on its side of the
-    # inflection point.  Each run is monotone and ends on its own root.
-    c2, c1, c0 = scaled
-    m = -c2 / 3
-    ys = [-1.0, m, 1.0] if three else [-1.0 if ((m + c2) * m + c1) * m + c0 > 0 else 1.0]
+def _double_roots(c1, c0, three):
+    # the real roots in doubles of y^3 + c1 y + c0 (all in |y| < 1) by Newton
+    # from -1 and 1, where p p'' > 0, and from the inflection point 0 for a
+    # middle root; a lone root from the end on its side of 0.  Each run is
+    # monotone and ends on its own root.
+    ys = [-1.0, 0.0, 1.0] if three else [-1.0 if c0 > 0 else 1.0]
     for i, y in enumerate(ys):
         for _ in range(100):
-            d = (3 * y + 2 * c2) * y + c1
-            y -= (step := (((y + c2) * y + c1) * y + c0) / d if d else 0.0)
+            d = 3 * y * y + c1
+            y -= (step := ((y * y + c1) * y + c0) / d if d else 0.0)
             if abs(step) <= 2.0**-48 * abs(y):
                 break
         ys[i] = y
@@ -223,25 +221,34 @@ def _root(b, lo, hi, sign, x, k, bits):
         lo, hi = X if v <= 0 else lo, X if v >= 0 else hi
         if hi - lo <= 2:
             return (lo + hi) >> 1
-        step = (2 * v + d) // (2 * d) if d > 0 else 0
-        x -= step if k < bits or abs(step) > 1 else step + (1 if v > 0 else -1)
         shift = min(bits - k, max(x.bit_length(), 1))
+        step = ((v << shift + 1) + d) // (2 * d) if d > 0 else 0
         x, k = x << shift, k + shift
+        x -= step if last < bits or abs(step) > 1 else step + (1 if v > 0 else -1)
     raise AgmNoConvergence("2-division root did not converge")
 
 
 def _real_roots(b, three, seeds, bits, s):
     # The real roots of p at 2^-bits, ascending, each by _root from its seed
-    # in its bracket: (-2^s, 2^s), split for Delta > 0 by the critical points
-    # c- < c+ of p, once p(c-) > 0 > p(c+) is checked; [] if not.
-    bound = 1 << s + bits
+    # in its bracket: (-2^t, 2^t), 2^t > (2^s + |b2|) / 12 as each root's Y =
+    # 12 x + b2 lies in (-2^s, 2^s), split for Delta > 0 by the critical
+    # points c- < c+ of p, once p(c-) > 0 > p(c+) is checked; [] if not.  The
+    # pair beside c starts at m -+ h, where p's Taylor expansion at c vanishes
+    # (h^2 = 2 |p(c)| / |p''(c)|, m = c - 4 h^2 / p''(c), |p''(c)| = 2r), if
+    # h < 2^(s - 28), closer than the doubles split, or a seed lies beyond c.
+    bound = 1 << max(s, abs(b[0]).bit_length()) - 2 + bits
     ends = ((-bound, bound, 1),)
     if three:
         r = math.isqrt((b[0] * b[0] - 24 * b[1]) << 2 * bits)
         lo, hi = (-(b[0] << bits) - r) // 12, (r - (b[0] << bits)) // 12
-        if not _cubic(b, lo, bits)[0] > 0 > _cubic(b, hi, bits)[0]:
+        if not (p_lo := _cubic(b, lo, bits)[0]) > 0 > (p_hi := _cubic(b, hi, bits)[0]):
             return []
         ends = ((-bound, lo, 1), (lo, hi, -1), (hi, bound, 1))
+        xs, seeds = [x << bits - k for x, k in seeds], list(seeds)
+        for i, c, h in ((0, lo, math.isqrt(p_lo // r)), (1, hi, math.isqrt(-p_hi // r))):
+            if h >> s + bits - 28 == 0 or not xs[i] < c < xs[i + 1]:
+                m = c - (2 * i - 1) * (2 * h * h // r)
+                seeds[i : i + 2] = (m - h, bits), (m + h, bits)
     return [_root(b, *e, x, k, bits) for e, (x, k) in zip(ends, seeds)]
 
 
@@ -256,14 +263,15 @@ def agm_periods(curve):
     Only the real roots of p = 4x^3 + b2 x^2 + 2 b4 x + b6 are solved for,
     as e1 + 2 Re e2 = -b2 / 4 and |w|^2 = p'(e1) / 4 give 8 Re w = 12 e1 +
     b2 and 64 (Im w)^2 = 48 e1^2 + 8 b2 e1 + 32 b4 - b2^2.  Each root is
-    seeded in doubles on the Fujiwara-scaled cubic, refined by integer
-    Newton in its bracket between the critical points of p and certified,
+    seeded in doubles on Y^3 - 3 c4 Y - 2 c6 = 432 p(x), Y = 12 x + b2,
+    centred at p's inflection point, refined by integer Newton in its
+    bracket between the critical points of p (_real_roots) and certified,
     at 2^-B, by a sign change of p across it +- 1 (_root).  At run time the
     root differences (Delta > 0) or (Im w)^2 (Delta < 0, where |w| >= 1/2
     as |Delta| = 64 |w|^4 (Im w)^2 >= 1) must be known to 2^-(prec + 62)
-    relative, so that the AGM inputs carry prec + 60 bits; where a
-    near-double or a near-real pair cancels, B = prec + 64 grows by the
-    bits missing and the roots are refined once more.  All runs on
+    relative, so that the AGM inputs carry prec + 60 bits.  B = prec + 64,
+    plus the bits a real pair about 4 sqrt(Delta) / c4 apart lacks, grows by
+    the bits still missing, and the roots are refined once more.  All runs on
     integers, the smaller AGM input at 2^(prec.bits() + 21) units or more;
     the larger of Re sqrt(+-w) = sqrt((|w| +- Re w) / 2) is an isqrt, the
     other |Im w| / 2 over it.  The periods are formed only when read.
@@ -282,11 +290,14 @@ def agm_periods(curve):
     """
     b = b2, b4, b6 = curve.b2, curve.b4, curve.b6
     p, B, three = prec.bits(), prec.bits() + 64, curve.delta > 0
-    s, scaled = arith._fujiwara_scaled([b6, 2 * b4, b2, 4])
+    c4, c6 = b2 * b2 - 24 * b4, 36 * b2 * b4 - b2**3 - 216 * b6
+    if three:
+        B += max(0, c4.bit_length() - curve.delta.bit_length() // 2)
+    s, (_, c1, c0) = arith._fujiwara_scaled([-2 * c6, -3 * c4, 0, 1])  # 432 p((Y - b2) / 12)
     seeds = []
-    for y in _double_roots(scaled, three):  # each to about 50 bits
+    for y in _double_roots(c1, c0, three):  # each Y = 12 x + b2 to about 50 bits
         k = min(B, max(0, 50 - s - math.frexp(y)[1]))
-        seeds.append((arith.to_fixed(y, s + k), k))
+        seeds.append(((arith.to_fixed(y, s + k) - (b2 << k)) // 12, k))
     for _ in range(8):  # known: the least checked value over its error bound
         roots, known = _real_roots(b, three, seeds, B, s), 0
         if roots and three:

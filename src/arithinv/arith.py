@@ -11,15 +11,16 @@ resultant: norms and discriminants are determinants of multiplication
 matrices in :mod:`arithinv.numfield`.  ``fractions.Fraction`` carries
 only exact inputs and results.
 Approximate work runs on fixed-point integers where it loops (root
-polishing here, the AGM in :mod:`arithinv.analytic`), with precisions
-from :mod:`arithinv.prec`; mpmath values and the double-precision root
-seeds, found on the Sturm count's split into real roots and conjugate
-pairs, enter exactly, and the roots leave as integers.
+polishing and the logarithm here, the AGM in :mod:`arithinv.analytic`),
+with precisions from :mod:`arithinv.prec`; mpmath values and the double
+root seeds, found on the Sturm count's split into real roots and conjugate
+pairs, enter exactly, and the roots and logarithms leave as integers.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -125,6 +126,48 @@ def from_fixed_pair(x, y, bits):
     return mpmath.mp.make_mpc(
         (mpmath.libmp.from_man_exp(x, -bits), mpmath.libmp.from_man_exp(y, -bits))
     )
+
+
+def _atanh2(t, w):
+    # 2 atanh(t 2^-w) 2^w for 0 <= t <= 2^w / 3 in K terms, each product and
+    # quotient rounded down: short by less than 2K + 10 + 2.25 ln 2K units
+    t2, s, k = t * t >> w, 0, 1
+    while t:
+        s, t, k = s + t // k, t * t2 >> w, k + 2
+    return 2 * s
+
+
+@functools.lru_cache(maxsize=None)
+def _ln2(block):
+    # ln 2 = 2 atanh(1/3) at 2^-(64 block) within one unit, one per block
+    w = 64 * block
+    g = w.bit_length() + 6
+    return _atanh2((1 << w + g) // 3, w + g) + (1 << g - 1) >> g
+
+
+def log_fixed(n, e, bits):
+    """The int L with |L - 2^bits log(n 2^e)| < 1/2 + 1/32 for ints n > 0, e
+    and bits >= 16, and < 1 for any bits.
+
+    n 2^e = x 2^c, x in [1/sqrt 2, sqrt 2] from n's leading bits; log x = 2
+    atanh((x - 1)/(x + 1)) in K <= w/5 + 2 terms at 2^-w, w = bits + g, g =
+    bits.bit_length() + 6, plus c ln 2 from `_ln2`, which depends on bits and
+    c alone.  At 2^-w the errors are below 1 (n cut), 2.1 (the rounded atanh
+    argument), 2K + 10 + 2.25 ln 2K (the series) and 2 (c ln 2): less than
+    2^(g - 5) for bits >= 16 and 2^(g - 1) for any, and rounding adds 1/2.
+    """
+    if n <= 0:
+        raise ValueError("log of %d" % n)  # where the series would not end
+    g = bits.bit_length() + 6
+    w, m = bits + g, n.bit_length()
+    x = (n << w + 1) >> m  # in [2^w, 2^(w+1))
+    c, one = e + m - 1, 1 << w
+    if x * x > one << w + 1:  # x > sqrt 2: read it as x/2 2^(c+1)
+        one, c = one << 1, c + 1
+    t = ((x - one) << w) // (x + one)
+    s = _atanh2(t, w) if t >= 0 else -_atanh2(-t, w)
+    block = -(-(w + c.bit_length()) // 64)
+    return s + (c * _ln2(block) >> 64 * block - w) + (1 << g - 1) >> g
 
 
 # ---------------------------------------------------------------------------

@@ -516,18 +516,18 @@ def _forms(F, G, X, Z):
     return f, xz * (g3 * xx + g2 * xz) + zz * (g1 * xz + g0 * zz)
 
 
-def _arch_series(hd, X, D, terms):
+def _arch_series(hd, X, D, terms, bits):
     """log max(1,|x_0|) + sum_(n<terms) 4^-(n+1) log(max(|F|,|G|)(x_n) / max(1,|x_n|)^4), plus log D.
 
     With x_n = X_n/Z_n, x_0 = X/D in lowest terms, and (X_(n+1), Z_(n+1))
     = (F_h, G_h)(X_n, Z_n) unreduced, the n-th summand is 4^-(n+1) log
     M_(n+1) - 4^-n log M_n for M_n = max(|X_n|, |Z_n|), so the sum plus
     log D, which the valuations in `canonical_height` cancel, telescopes
-    to 4^-terms log M_terms.  X and Z are integers truncated to the working
-    precision times a shared 2^e; F_h and G_h are quartic, so e becomes 4
-    (e + shift).  A Z truncated to 0 is x = infinity, which doubles to itself.
+    to 4^-terms log M_terms, returned as the int `arith.log_fixed` of M_terms
+    at 2^-(bits + 2 terms).  X and Z are integers truncated to bits bits times
+    a shared 2^e; F_h and G_h are quartic, so e becomes 4 (e + shift).  A Z
+    truncated to 0 is x = infinity, which doubles to itself.
     """
-    bits = mpmath.mp.prec
     Z, e = D, 0
     for _ in range(terms):
         shift = max(max(abs(X), abs(Z)).bit_length() - bits, 0)
@@ -538,7 +538,7 @@ def _arch_series(hd, X, D, terms):
                 "hit a two-torsion x-coordinate numerically" if f else "degenerate duplication orbit"
             )
         X, Z, e = f, g, 4 * (e + shift)
-    return mpmath.ldexp(mpmath.log(mpmath.ldexp(max(abs(X), abs(Z)), e)), -2 * terms)
+    return arith.log_fixed(max(abs(X), abs(Z)), e, bits)
 
 
 def _orbit_valuations(hd, X, D, p, R, terms):
@@ -592,7 +592,10 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
     is 4^-N log M_N - log D, D = Z^2 the denominator of x, each bad prime
     p adds the valuation series (v_p(D) - s_p) log p, and D's part d prime
     to delta adds log d.  As D = d prod_p p^v_p(D), this is 4^-N log M_N -
-    sum_p s_p log p: one log, plus one per bad prime with s_p != 0.
+    sum_p s_p log p: one log, plus one per bad prime with s_p != 0.  Each is
+    `arith.log_fixed` at W = prec + 3N + 60 bits, within 2^-W, and s_p 4^-T_p
+    < R_p / 3, so the logs add less than 2^-W (1 + sum_p R_p / 3) to the
+    series' tails; their sum, exact at one power of 2, is rounded once.
     """
     if point.is_infinity or is_torsion(curve, point):  # is_torsion checks the point
         return 0.0
@@ -603,14 +606,15 @@ def canonical_height(curve, point, tol=DEFAULT_TOL):
     terms_inf = max(
         5, math.ceil(math.log(max(hd.mu_bound_inf, 1e-9) / (3 * tail_each)) / math.log(4))
     )
-    with prec.working(3 * terms_inf + 60):
-        total = _arch_series(hd, X, D, terms_inf)
-        for p, R in hd.bad:
-            terms_p = max(5, math.ceil(math.log(R * math.log(p) / (3 * tail_each)) / math.log(4)))
-            s = _padic_series(hd, X, D, p, R, terms_p)
-            if s:
-                total -= mpmath.ldexp(s, -2 * terms_p) * mpmath.log(p)
-        return float(total)
+    bits = prec.bits() + 3 * terms_inf + 60
+    total, scale = _arch_series(hd, X, D, terms_inf, bits), 2 * terms_inf  # at 2^-(bits + scale)
+    for p, R in hd.bad:
+        terms_p = max(5, math.ceil(math.log(R * math.log(p) / (3 * tail_each)) / math.log(4)))
+        s = _padic_series(hd, X, D, p, R, terms_p)
+        if s:
+            total = (total << 2 * terms_p) - (s * arith.log_fixed(p, 0, bits) << scale)
+            scale += 2 * terms_p
+    return total / (1 << bits + scale)
 
 
 def _bad_local_height(curve, point, row):
@@ -816,13 +820,12 @@ def faltings_height_plus(periods):
     Error budget, in units of 2^-prec.bits(): each AGM stops once its
     iterates agree to 2^-(prec + 12) relative, on inputs of at least prec
     + 20 bits, so m1 and m2 are within 2^-11 relative and h+ within 2^-11;
-    rounding m1 m2 and its log adds 2^-30 (1 + h+).  In all about 2^-(prec
-    + 10), with the AGM inputs at prec + 60 correct bits, which
+    the log of the exact m1 m2 (`arith.log_fixed`) adds 2^-31.  In all about
+    2^-(prec + 10), with the AGM inputs at prec + 60 correct bits, which
     analytic.agm_periods checks at run time.
     """
-    k = 1 if periods.rectangular else 2
-    with prec.working(30):
-        return float(mpmath.log(mpmath.ldexp(periods.m1 * periods.m2, k - 2 * periods.scale)) / 2)
+    k, bits = 1 if periods.rectangular else 2, prec.bits() + 30
+    return arith.log_fixed(periods.m1 * periods.m2, k - 2 * periods.scale, bits) / (1 << bits + 1)
 
 
 # ---------------------------------------------------------------------------

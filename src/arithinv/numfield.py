@@ -164,15 +164,18 @@ def element_charpoly(field, coeffs):
 
 
 def log_embedding(field, coeffs):
-    """The weighted log map: log|s(alpha)| per real place, twice that per pair."""
+    """The weighted log map: log|s(alpha)| per real place, twice that per pair,
+    as the exact mpf `arith.log_fixed` of s(alpha) in mpf, both at prec + 20."""
     c = _as_coeffs(field, coeffs)
     if all(x == 0 for x in c):
         raise ZeroElement("log embedding of 0")
-    out, roots = [], field.embeddings
+    out, roots, bits = [], field.embeddings, prec.bits() + 20
     with prec.working(20):  # one root per place: the r1 reals, then each pair's Im > 0 member
         for i, place in enumerate(roots[: field.r1] + roots[field.r1 :: 2]):
             val = arith.poly_eval([mpf(x.numerator) / x.denominator for x in c], place.value)
-            out.append((1 if i < field.r1 else 2) * mpmath.log(abs(val)))
+            _, man, exp, _ = abs(val)._mpf_  # a value that cancels to 0 logs as -inf
+            log = (1 if i < field.r1 else 2) * arith.log_fixed(man, exp, bits) if man else None
+            out.append(mpmath.ninf if log is None else arith.from_fixed(log, bits))
     return out
 
 

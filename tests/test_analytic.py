@@ -738,6 +738,51 @@ class TestRealRootPeriods:
             analytic.agm_periods(curve)
 
 
+def moved_close_pair(A, B, T):
+    # y^2 = x^3 + A x^2 + B with AB < 0, a real pair about 2 sqrt(-B/A)
+    # apart at 0, moved to x = -T
+    return (0, 3 * T + A, 0, 3 * T * T + 2 * A * T, T**3 + A * T * T + B)
+
+
+class TestCloseRealPair:
+    def test_few_cubic_evaluations_at_a_far_centre(self, monkeypatch):
+        # a close real pair at a centre up to 10^15, which the doubles cannot
+        # split, starts from p's Taylor expansion at its critical point with
+        # its bits known up front: no root falls back to bisection or to the
+        # linear phase of Newton at a double root
+        rng = random.Random(45)
+        curves = [(0, 4837524, 0, 4370704371045, 1107056591882813640)]
+        while len(curves) < 100:
+            sign = rng.choice((1, -1))
+            a = moved_close_pair(sign * rng.randint(1, 10**12), -sign * rng.randint(1, 20), rng.randint(-(10**15), 10**15))
+            if curve_stub(*a).delta > 0:
+                curves.append(a)
+        calls, counts, cubic = [], [], analytic._cubic
+        monkeypatch.setattr(analytic, "_cubic", lambda *args: calls.append(1) or cubic(*args))
+        before = prec.bits()
+        try:
+            for bits in (80, 200):
+                prec.set_precision(bits)
+                for a in curves:
+                    del calls[:]
+                    analytic.agm_periods(curve_stub(*a))
+                    counts.append(len(calls))
+        finally:
+            prec.set_precision(before)
+        assert sorted(counts)[len(counts) // 2] <= 15, sorted(counts)
+
+    def test_bit_identical_to_the_all_roots_path(self):
+        from arithinv import ellcurve as ec
+
+        rng = random.Random(46)
+        for _ in range(10):
+            sign = rng.choice((1, -1))
+            a = moved_close_pair(sign * rng.randint(1, 10**12), -sign * rng.randint(1, 20), rng.randint(-(10**15), 10**15))
+            got, want = analytic.agm_periods(curve_stub(*a)), periods_from_all_roots(curve_stub(*a))
+            assert ec.faltings_height_plus(got).hex() == ec.faltings_height_plus(want).hex(), a
+            assert float(got.tau.im).hex() == float(want.tau.im).hex(), a
+
+
 def rho_at(re, im):
     """The injectivity diameter of the ReducedTau of re + i im."""
     return analytic.injectivity_diameter(reduce_tau(mpmath.mpc(re, im)))

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -187,6 +191,66 @@ def test_any_float_seed_to_fixed_is_exact(y, s, bits):
 def test_float_seed_halves_round_magnitude_up():
     for y, fixed in ((0.5, 1), (-0.5, -1), (2.5, 3), (-2.5, -3), (0.25, 0), (-0.75, -1)):
         assert arith.to_fixed(math.ldexp(y, -70), 70) == fixed
+
+
+class TestLogFixed:
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 2**4000),
+        st.integers(-(2**100), 2**100),
+        st.integers(60, 600),
+    )
+    @example(1, 0, 60)
+    @example(2**4000, -(2**100), 600)
+    @example(3, 2**100, 60)
+    def test_within_its_bound_of_the_reference(self, n, e, bits):
+        # the docstring's bound, against mpmath with 400 bits beyond the
+        # value's 2^bits |log(n 2^e)|
+        got = arith.log_fixed(n, e, bits)
+        with mpmath.workprec(400 + bits + e.bit_length() + 12):
+            want = mpmath.ldexp(mpmath.log(n) + e * mpmath.ln2, bits)
+            assert abs(got - want) < 0.5 + 1 / 32, (n, e, bits)
+
+    @pytest.mark.parametrize("bits", [1, 60, 61, 64, 200, 601])
+    def test_powers_of_two(self, bits):
+        # log 2^k reads ln 2 alone, however 2^k is split between n and e
+        assert arith.log_fixed(1, 0, bits) == 0
+        for k in (1, -1, 63, 64, 1000, -(2**90)):
+            got = arith.log_fixed(1, k, bits)
+            for j in (1, 5, 700):
+                assert arith.log_fixed(2**j, k - j, bits) == got, (k, j)
+            with mpmath.workprec(400 + bits + k.bit_length()):
+                assert abs(got - mpmath.ldexp(k * mpmath.ln2, bits)) < (1 if bits < 16 else 0.5 + 1 / 32), k
+
+    @pytest.mark.parametrize("n", [0, -1, -(2**70)])
+    def test_nonpositive_argument_raises(self, n):
+        with pytest.raises(ValueError):
+            arith.log_fixed(n, 0, 80)
+
+    def test_values_do_not_depend_on_the_ln2_cache(self):
+        # h+, hhat, R and some logs in a fresh interpreter, and after a
+        # 600-bit log has filled ln 2 blocks above theirs, equal to the bit
+        script = (
+            "import sys\n"
+            "from arithinv import analytic, arith, ellcurve as ec, numfield\n"
+            "if sys.argv[1] == 'warm':\n"
+            "    arith.log_fixed(3, 2**90, 600)\n"
+            "curve = ec.weierstrass_curve(0, 0, 1, -7, 6)\n"
+            "K = numfield.number_field('Q_sqrt7', [-7, 0, 1])\n"
+            "print(ec.faltings_height_plus(analytic.agm_periods(curve)).hex(),"
+            " ec.canonical_height(curve, ec.Point.of(-2, 3)).hex(),"
+            " numfield.field_regulator(numfield.FieldRecord(K)).hex(),"
+            " [arith.log_fixed(3**k, -k, bits) for k in (1, 40, 400) for bits in (60, 110, 200)])\n"
+        )
+        src = str(Path(arith.__file__).resolve().parents[1])
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script, mode],
+                capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+            ).stdout
+            for mode in ("fresh", "warm")
+        ]
+        assert runs[0] == runs[1] and runs[0].count("0x") == 3, runs
 
 
 def near_cluster(E, d, s, d2, far=(1,)):

@@ -425,6 +425,15 @@ class TestOnePass:
         assert err.rstrip().endswith(": 278354373650 19162705353"), err
         assert "Fraction(" not in err
 
+    def test_unit_conjugate_cancelled_to_zero_is_an_error_row(self, tmp_path, capsys):
+        # at 80 bits the Pell unit's small conjugate evaluates to exactly 0:
+        # its log is -inf and the row sum fails, rather than an endless series
+        path = tmp_path / "corpus.txt"
+        path.write_text("field Qr331\npoly = -331 0 1\n")
+        assert cli.main(["field", "Qr331", "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: field 'Qr331': unit log row does not sum to 0: 2785589801443970 153109862634573\n"
+
     @pytest.mark.parametrize(
         "argv", [["curve", "37a"], ["verify"]], ids=["curve", "verify"]
     )
