@@ -8,12 +8,14 @@ the rhombic case reduces to two real AGMs after one complex square root.
 Only the real roots of the 2-division cubic are solved for, by certified
 integer Newton (Cremona, Sec. 3.7), and from them to tau (AGM inputs,
 AGM, tau and its reduction) the lattice runs on fixed-point integers, so
-no series is summed at the working precision.  The lattice is checked by its discriminant in double
-precision: 12 log(2 pi / omega1') + log delta(tau) must give log Delta of
-the model mod 2 pi i, with log omega1' read from the integer AGM means,
-so no magnitude is converted to a float.  h+ needs neither: it is read
-from the lattice covolume, that is from the AGM means alone
-(ellcurve.faltings_height_plus).
+no series is summed at the working precision.  The lattice is checked by
+its discriminant in double precision: 12 log(2 pi / omega1') + log
+delta(tau) must give log Delta of the model mod 2 pi i, with log omega1'
+read from the integer AGM means, so no magnitude is converted to a float.
+h+ needs neither: it is read from the lattice covolume, that is from the
+AGM means alone (ellcurve.faltings_height_plus).  No mpmath is called:
+tau is read as doubles, and only the Silverman height oracle forms tau
+and the periods in mpmath, from the integers.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from typing import NamedTuple
-
-import mpmath
-from mpmath import mpc
 
 from . import arith, prec
 from .errors import AgmNoConvergence, NotUpperHalfPlane, TauNotReduced
@@ -33,16 +32,17 @@ BOUNDARY_EPS = 1e-12
 
 
 class ReducedTau(NamedTuple):
-    value: mpc
-    transform: tuple  # ((a, b), (c, d)) with det 1, value = (a*orig + b)/(c*orig + d)
+    """tau = (x + iy) 2^-bits, reduced, and the transform ((a, b), (c, d)),
+    det 1, with tau = (a tau0 + b) / (c tau0 + d); re and im are the parts
+    rounded once to doubles, formed when read."""
 
-    @property
-    def im(self):
-        return mpmath.im(self.value)
+    x: int
+    y: int
+    bits: int
+    transform: tuple
 
-    @property
-    def re(self):
-        return mpmath.re(self.value)
+    re = property(lambda self: self.x / (1 << self.bits))
+    im = property(lambda self: self.y / (1 << self.bits))
 
 
 def _matmul(m1, m2):
@@ -82,7 +82,7 @@ def _reduce_fixed(x, y, bits):
     if on_circle and x * den < -(num << bits):  # Re < -eps
         x, y = ((-x << 2 * bits + 1) + r) // (2 * r), ((y << 2 * bits + 1) + r) // (2 * r)
         mat = _matmul(((0, -1), (1, 0)), mat)
-    return ReducedTau(arith.from_fixed_pair(x, y, bits), mat)
+    return ReducedTau(x, y, bits, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def log_delta(tau):
     1e-25 + 2^-50 (2 pi |Re tau| + 1) of 2 pi Re tau + 24 arg prod (1 -
     q^n); the imaginary part is not reduced mod 2 pi.
     """
-    z = complex(tau.value if isinstance(tau, ReducedTau) else tau)
+    z = complex(tau.re, tau.im) if isinstance(tau, ReducedTau) else complex(tau)
     if not z.imag > 0:
         raise NotUpperHalfPlane("Im tau must be positive")
     if not z.imag >= SQRT3_HALF - BOUNDARY_EPS:
@@ -116,7 +116,7 @@ def log_delta(tau):
 
 def injectivity_diameter(tau):
     """(Im tau)^(-1/2) for a ReducedTau."""
-    return float(1 / mpmath.sqrt(tau.im))
+    return 1 / math.sqrt(tau.im)
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +137,13 @@ def _agm(a, b):
 
 class PeriodData(NamedTuple):
     """The checked lattice of agm_periods, read from the real roots alone:
-    the reduced tau and the integer AGM means."""
+    the reduced tau and the integer AGM means M1, M2 (omega1 = pi / M1)."""
 
     tau: ReducedTau
     m1: int  # the AGM means M1, M2 of agm_periods as fixed-point integers at 2^-scale
     m2: int
     scale: int
     rectangular: bool  # Delta > 0: two real components
-
-    @property
-    def omega1(self):
-        """The real period pi / M1, formed when read."""
-        with prec.working(20):
-            return mpmath.pi / arith.from_fixed(self.m1, self.scale)
-
-    @property
-    def omega2(self):
-        """The second basis period, Im(omega2 / omega1) > 0: i pi / M2, or
-        (omega1 + i pi / M2) / 2 for a rhombic lattice; formed when read."""
-        with prec.working(20):
-            g = mpmath.pi / arith.from_fixed(self.m2, self.scale)
-            return mpc(0, g) if self.rectangular else mpc(self.omega1, g) / 2
 
 
 def _lattice_residual(periods, model_delta):
@@ -274,7 +260,7 @@ def agm_periods(curve):
     the bits still missing, and the roots are refined once more.  All runs on
     integers, the smaller AGM input at 2^(prec.bits() + 21) units or more;
     the larger of Re sqrt(+-w) = sqrt((|w| +- Re w) / 2) is an isqrt, the
-    other |Im w| / 2 over it.  The periods are formed only when read.
+    other |Im w| / 2 over it.  tau and h+ need only the means, no period.
 
     The lattice is checked by its discriminant: 12 log(2 pi / omega1') +
     log delta(tau) must match log Delta of the model mod 2 pi i to 1e-6, in

@@ -121,13 +121,6 @@ def from_fixed(n, bits):
     return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(n, -bits))
 
 
-def from_fixed_pair(x, y, bits):
-    """The mpc (x + iy) 2^-bits, exactly, whatever the working precision."""
-    return mpmath.mp.make_mpc(
-        (mpmath.libmp.from_man_exp(x, -bits), mpmath.libmp.from_man_exp(y, -bits))
-    )
-
-
 def _atanh2(t, w):
     # 2 atanh(t 2^-w) 2^w for 0 <= t <= 2^w / 3 in K terms, each product and
     # quotient rounded down: short by less than 2K + 10 + 2.25 ln 2K units

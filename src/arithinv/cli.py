@@ -173,7 +173,7 @@ def cmd_curve(args):
     rows += [
         "  N0 / Nst / Nuns %d / %d / %d" % (red.n0, red.n_stable, red.n_unstable),
         "  semistable      %s" % ("yes" if red.semistable else "no"),
-        "  tau (reduced)   %s + %si" % (_fmt(float(tau.re)), _fmt(float(tau.im))),
+        "  tau (reduced)   %s + %si" % (_fmt(tau.re), _fmt(tau.im)),
         "  rho             %s" % _fmt(analytic.injectivity_diameter(tau)),
         "  h_F+            %s" % _fmt(s.h_faltings),
         "  rank            %d" % s.rank,

@@ -389,7 +389,7 @@ def curve_stats_one(corpus, label):
         label=label,
         n0=reduction.n0,
         semistable=reduction.semistable,
-        tau_im=float(periods.tau.im),
+        tau_im=periods.tau.im,
         h_faltings=h_plus,
         rank=rank,
         gram=mw.gram,

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mpf
+from mpmath import mpc, mpf
 
 from . import analytic, arith, prec
 from .errors import (
@@ -665,6 +665,12 @@ def _archimedean_local_height(curve, periods, point, tol):
     with prec.working(20):
         pi = mpmath.pi
         eta = mpf(2) ** -prec.bits()  # inputs carry at least prec.bits() + 10 bits
+        # omega1 = pi / M1, omega2 = i pi / M2 or (omega1 + i pi / M2) / 2, and tau
+        omega1 = pi / arith.from_fixed(periods.m1, periods.scale)
+        g = pi / arith.from_fixed(periods.m2, periods.scale)
+        omega2 = mpc(0, g) if periods.rectangular else mpc(omega1, g) / 2
+        tx, ty, bits, ((_, _), (c, d)) = periods.tau
+        tau = mpc(arith.from_fixed(tx, bits), arith.from_fixed(ty, bits))
         x = mpf(point.X) / (point.Z * point.Z)
         if curve.delta > 0:
             e3, e2, e1 = [r.real for r in roots]
@@ -679,16 +685,14 @@ def _archimedean_local_height(curve, periods, point, tol):
         if curve.delta > 0 and x < e1:  # the egg: x(P + T3) - e_i without cancellation
             a1, a2, a3 = args
             args = [(e3 - e1) * a2 / a3, (e3 - e2) * a1 / a3, (e3 - e1) * (e3 - e2) / a3]
-            shift = periods.omega2 / 2
+            shift = omega2 / 2
         z = mpmath.elliprf(*args) + shift
         # first order: sum |a_i dR_F/da_i| <= kappa |R_F| (kappa = 1/2 for
         # positive arguments; a conjugate pair a, conj(a) adds |a| / |Im a|)
         kappa = mpf(1) / 2 if curve.delta > 0 else 1 + abs(args[1]) / abs(mpmath.im(args[1]))
         dz = kappa * rho * abs(z - shift) + eta * abs(shift)
 
-        (_, _), (c, d) = periods.tau.transform
-        w1 = c * periods.omega2 + d * periods.omega1
-        tau = periods.tau.value
+        w1 = c * omega2 + d * omega1
         zt = z / w1
         zt -= mpmath.floor(mpmath.im(zt) / mpmath.im(tau)) * tau
         if mpmath.im(zt) > mpmath.im(tau) / 2:

@@ -274,10 +274,10 @@ class FieldRecord(NamedTuple):
 
 def field_regulator(record):
     """Regulator of a corpus field; real quadratics fall back to Pell units."""
-    field = record.field
-    if unit_rank(field) == 0:
-        return 1.0
-    return regulator(field, pell_unit_system(field) if record.units is None else record.units)
+    field, units = record.field, record.units
+    if units is None and unit_rank(field) > 0:
+        units = pell_unit_system(field)
+    return regulator(field, units)
 
 
 class CmVerdict(NamedTuple):

@@ -33,6 +33,26 @@ def moebius(matrix, z):
     return (a * z + b) / (c * z + d)
 
 
+def fixed_mpc(x, y, bits):
+    """The mpc (x + iy) 2^-bits, exactly, whatever the working precision."""
+    return mpmath.mp.make_mpc((mpmath.libmp.from_man_exp(x, -bits), mpmath.libmp.from_man_exp(y, -bits)))
+
+
+def tau_value(tau):
+    """The exact mpc of a ReducedTau, from its integers."""
+    return fixed_mpc(tau.x, tau.y, tau.bits)
+
+
+def periods(pd):
+    """omega1 = pi / M1 and omega2 = i pi / M2, or (omega1 + i pi / M2) / 2
+    on a rhombic lattice, from the integer means of a PeriodData at the
+    working precision + 20 bits, as the Silverman oracle forms them."""
+    with prec.working(20):
+        omega1 = mpmath.pi / arith.from_fixed(pd.m1, pd.scale)
+        g = mpmath.pi / arith.from_fixed(pd.m2, pd.scale)
+        return omega1, mpmath.mpc(0, g) if pd.rectangular else mpmath.mpc(omega1, g) / 2
+
+
 def _cmul(ar, ai, br, bi, bits):
     # product of two fixed-point Gaussian integers, each part rounded down
     return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
@@ -98,7 +118,7 @@ def delta_q_series(z, bits=400):
     else:
         raise AssertionError("q-series truncation did not converge")
     with mpmath.workprec(bits + 30):
-        return w + 24 * mpmath.log(arith.from_fixed_pair(tr, ti, fixed))
+        return w + 24 * mpmath.log(fixed_mpc(tr, ti, fixed))
 
 
 def delta_at(z, bits=400):
@@ -147,19 +167,19 @@ class TestReduction:
     def test_already_reduced(self):
         red = reduce_tau(mpmath.mpc(0.3, 2))
         assert red.transform == ((1, 0), (0, 1))
-        assert complex(red.value) == complex(0.3, 2)
+        assert complex(tau_value(red)) == complex(0.3, 2)
 
     def test_translation(self):
         red = reduce_tau(mpmath.mpc(5.3, 2))
         assert red.transform == ((1, -5), (0, 1))
-        assert abs(red.value - mpmath.mpc(0.3, 2)) < 1e-12
+        assert abs(tau_value(red) - mpmath.mpc(0.3, 2)) < 1e-12
 
     def test_s_move(self):
         z = -1 / mpmath.mpc(0.3, 2)
         red = reduce_tau(z)
-        assert abs(red.value - mpmath.mpc(0.3, 2)) < 1e-10
+        assert abs(tau_value(red) - mpmath.mpc(0.3, 2)) < 1e-10
         # Moebius identity of the recorded transform
-        assert abs(moebius(red.transform, z) - red.value) < 1e-10
+        assert abs(moebius(red.transform, z) - tau_value(red)) < 1e-10
 
     def test_corner_convention(self):
         # the left corner is moved to the right corner of the circle arc
@@ -174,7 +194,7 @@ class TestReduction:
             mat = random_word(rng, z)
             moved = moebius(mat, z)
             red = reduce_tau(moved)
-            assert abs(red.value - z) < 1e-9
+            assert abs(tau_value(red) - z) < 1e-9
             det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
             assert det == 1
 
@@ -239,7 +259,7 @@ def test_integer_reduction_law(point, shifts):
     assert red.transform == reference_reduce(tau0)[1]
     with mpmath.workprec(400):
         exact = moebius(red.transform, tau0)
-        assert abs(red.value - exact) <= mpmath.mpf(2) ** -prec.bits() * abs(exact)
+        assert abs(tau_value(red) - exact) <= mpmath.mpf(2) ** -prec.bits() * abs(exact)
 
 
 class TestModularDiscriminant:
@@ -344,7 +364,7 @@ def log_scaled_discriminant(tau):
     The real part of log_delta plus 6 log(2 Im tau): within 1e-25 +
     2^-50 (2 pi Im tau + 6 |log(2 Im tau)| + 1) of the exact value.
     """
-    z = complex(tau.value if isinstance(tau, analytic.ReducedTau) else tau)
+    z = complex(tau_value(tau) if isinstance(tau, analytic.ReducedTau) else tau)
     return analytic.log_delta(z).real + 6 * math.log(2 * z.imag)
 
 
@@ -460,18 +480,18 @@ def test_real_agm_matches_mpmath(ratio, exponent):
 class TestPeriods:
     def test_lemniscatic(self):
         pd = analytic.agm_periods(curve_stub(0, 0, 0, 1, 0))
-        assert abs(pd.tau.value - mpmath.mpc(0, 1)) < 1e-8
+        assert abs(tau_value(pd.tau) - mpmath.mpc(0, 1)) < 1e-8
 
     def test_equianharmonic(self):
         pd = analytic.agm_periods(curve_stub(0, 0, 0, 0, 1))
         corner = mpmath.mpc(0.5, math.sqrt(3) / 2)
-        assert abs(pd.tau.value - corner) < 1e-8
+        assert abs(tau_value(pd.tau) - corner) < 1e-8
 
     def test_37a_j_match(self):
         # mpmath's Klein j at the reduced tau, an independent reference
         pd = analytic.agm_periods(curve_stub(0, 0, 1, -1, 0))
         with mpmath.workprec(prec.bits() + 30):
-            j = 1728 * mpmath.kleinj(pd.tau.value)
+            j = 1728 * mpmath.kleinj(tau_value(pd.tau))
             assert abs(j - mpmath.mpf(110592) / 37) < 1e-15 * 2989
 
     def test_real_period_against_quadrature(self):
@@ -479,7 +499,7 @@ class TestPeriods:
         integral = 2 * mpmath.quad(
             lambda x: 1 / mpmath.sqrt(4 * x**3 + 4), [-1, mpmath.inf]
         )
-        assert abs(float(pd.omega1) - float(integral)) < 1e-8
+        assert abs(float(periods(pd)[0]) - float(integral)) < 1e-8
 
 
 def reference_periods(curve, transform):
@@ -534,16 +554,17 @@ def assert_periods_match_reference(curve):
     pd = analytic.agm_periods(curve)
     omega1, omega2, tau, delta = reference_periods(curve, pd.tau.transform)
     eta = mpmath.mpf(2) ** -prec.bits()
-    assert abs(pd.omega1 - omega1) <= eta * abs(omega1)
-    assert abs(pd.omega2 - omega2) <= eta * abs(omega2)
-    assert abs(pd.tau.value - tau) <= eta * abs(tau)
-    log_delta = delta_q_series(pd.tau.value)
+    got1, got2 = periods(pd)
+    assert abs(got1 - omega1) <= eta * abs(omega1)
+    assert abs(got2 - omega2) <= eta * abs(omega2)
+    assert abs(tau_value(pd.tau) - tau) <= eta * abs(tau)
+    log_delta = delta_q_series(tau_value(pd.tau))
     with mpmath.workprec(400):
         diff = log_delta - mpmath.log(delta)
         assert abs(mpmath.mpc(diff.real, math.remainder(diff.imag, 2 * math.pi))) <= 2**8 * eta
     (_, _), (c, d) = pd.tau.transform
     with mpmath.workprec(prec.bits() + 30):
-        val = (2 * mpmath.pi / (c * pd.omega2 + d * pd.omega1)) ** 12 * mpmath.exp(log_delta)
+        val = (2 * mpmath.pi / (c * got2 + d * got1)) ** 12 * mpmath.exp(log_delta)
         assert abs(val - curve.delta) <= 2**8 * eta * abs(curve.delta)
         residual = complex(mpmath.log(val / curve.delta))
     assert abs(analytic._lattice_residual(pd, curve.delta) - residual) <= 1e-9
@@ -579,7 +600,7 @@ def assert_h_plus_matches_oracle(curve):
     pd = analytic.agm_periods(curve)
     h = ec.faltings_height_plus(pd)
     assert ec.faltings_height_plus(pd._replace(tau=None)) == h
-    tau = pd.tau.value
+    tau = tau_value(pd.tau)
     log_delta = delta_q_series(tau)
     with mpmath.workprec(400):
         ref = (mpmath.log(abs(curve.delta)) - log_delta.real - 6 * mpmath.log(2 * tau.imag)) / 12
@@ -657,6 +678,76 @@ def test_faltings_height_plus_on_the_bundled_curves(bundled, bits):
             assert_h_plus_matches_oracle(mm.curve)
     finally:
         prec.set_precision(before)
+
+
+def cm_constant(j):
+    """h+ - (1/12) log |Delta_min| = -2 log |eta(tau)| - log(2 Im tau) / 2 at
+    the reduced tau of j = 0 (rho = 1/2 + i sqrt(3) / 2) or j = 1728 (i), to
+    30 digits by Chowla-Selberg: |eta(rho)| = 3^(1/8) Gamma(1/3)^(3/2) / (2
+    pi) and eta(i) = Gamma(1/4) / (2 pi^(3/4))."""
+    with mpmath.workdps(30):
+        if j == 0:
+            eta = mpmath.mpf(3) ** (mpmath.mpf(1) / 8) * mpmath.gamma(mpmath.mpf(1) / 3) ** 1.5 / (2 * mpmath.pi)
+            im = mpmath.sqrt(3) / 2
+        else:
+            eta, im = mpmath.gamma(mpmath.mpf(1) / 4) / (2 * mpmath.pi**0.75), 1
+        return float(-2 * mpmath.log(eta) - mpmath.log(2 * im) / 2)
+
+
+CM_CONSTANT = {0: cm_constant(0), 1728: cm_constant(1728)}
+
+
+def assert_cm_closed_forms(a_invariants, j):
+    # h+ of the minimal model within 1e-12 of log |Delta_min| / 12 plus the
+    # family's constant, and the reduced tau within 2^-(prec + 20) of its
+    # corner.  h+ is read from the AGM means alone, never from Delta_min
+    from arithinv import ellcurve as ec
+
+    curve = ec.minimal_model(a_invariants).curve
+    pd = analytic.agm_periods(curve)
+    h = ec.faltings_height_plus(pd)
+    assert abs(h - math.log(abs(curve.delta)) / 12 - CM_CONSTANT[j]) <= 1e-12
+    with mpmath.workprec(400):
+        corner = mpmath.mpc(1, mpmath.sqrt(3)) / 2 if j == 0 else mpmath.mpc(0, 1)
+        assert abs(tau_value(pd.tau) - corner) <= mpmath.mpf(2) ** -(prec.bits() + 20)
+
+
+def cm_coefficients():
+    # +- 2^e2 3^e3 5^e5 7^e7 11^e11 13^e13, each e <= 30: up to 30030^30, about 10^134
+    exponents = st.lists(st.integers(0, 30), min_size=6, max_size=6)
+    return st.tuples(st.sampled_from((1, -1)), exponents).map(
+        lambda t: t[0] * math.prod(p**e for p, e in zip((2, 3, 5, 7, 11, 13), t[1]))
+    )
+
+
+class TestCmFamilies:
+    """y^2 = x^3 + k has j = 0 and y^2 = x^3 + kx has j = 1728: tau is a
+    corner of the fundamental domain and h+ - (1/12) log |Delta_min| one
+    constant per family, whatever k."""
+
+    @pytest.mark.parametrize("j", [0, 1728])
+    @settings(max_examples=100)
+    @given(k=cm_coefficients(), bits=st.sampled_from((80, 200)))
+    def test_law(self, j, k, bits):
+        before = prec.bits()
+        try:
+            prec.set_precision(bits)
+            assert_cm_closed_forms((0, 0, 0, 0, k) if j == 0 else (0, 0, 0, k, 0), j)
+        finally:
+            prec.set_precision(before)
+
+    @pytest.mark.parametrize("bits", [80, 200])
+    def test_bundled_cm_curves(self, bundled, bits):
+        from arithinv import corpus
+
+        before = prec.bits()
+        try:
+            prec.set_precision(bits)
+            for label in ("x3+1", "x3+x", "Ep5", "Ep23", "Ep41", "Ep59"):
+                _, mm, _, _ = corpus.build_curve_data(bundled, label)
+                assert_cm_closed_forms(mm.curve.a_invariants, 1728 if label == "x3+x" else 0)
+        finally:
+            prec.set_precision(before)
 
 
 def periods_from_all_roots(curve):
@@ -819,9 +910,10 @@ class TestLatticeDiscriminantIdentity:
         for a in cases:
             curve = ec.weierstrass_curve(*a)
             pd = analytic.agm_periods(curve)
-            tau0 = pd.omega2 / pd.omega1
+            omega1, omega2 = periods(pd)
+            tau0 = omega2 / omega1
             with mpmath.workprec(100):
-                val = mpmath.exp(delta_q_series(tau0)) * (2 * mpmath.pi / pd.omega1) ** 12
+                val = mpmath.exp(delta_q_series(tau0)) * (2 * mpmath.pi / omega1) ** 12
             target = int(curve.delta)
             assert abs(val - target) <= 1e-12 * abs(target)
 

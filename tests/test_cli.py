@@ -922,6 +922,9 @@ BUILD_ERRORS = {
         Q_SQRT2 + "field Q_sqrt3\npoly = -3 0 1\nsubfield = Q_sqrt2\n",
         "field 'Q_sqrt3': subfield Q_sqrt2 has degree 2, not a proper divisor of 2",
     ),
+    # units on a field of unit rank 0: i and -1 on Q(i), and 1 on Q
+    "Ki": ("field Ki\npoly = 1 0 1\nunits = 0 1 ; -1\n", "field 'Ki': expected 0 independent units, got 2"),
+    "Q": ("field Q\npoly = 0 1\nunits = 1\n", "field 'Q': expected 0 independent units, got 1"),
     "sing": ("curve sing\na = 0 0 0 0 0\nrank = 0\n", "curve 'sing': discriminant vanishes"),
     "off": ("curve off\na = 0 0 1 -1 0\nrank = 1\ngens = 1,1\n", "curve 'off': generator 1,1 is not on the curve"),
     "dep": (

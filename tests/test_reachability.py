@@ -29,8 +29,6 @@ HARD_CURVES = Path(__file__).resolve().parent / "data" / "hard_curves.txt"
 
 # "module.qualname" -> the open item that removes it from src/
 ALLOWED = {
-    "analytic.PeriodData.omega1": "item 4: only the tests' Silverman oracle reads the periods",
-    "analytic.PeriodData.omega2": "item 4: only the tests' Silverman oracle reads the periods",
     "ellcurve.canonical_height_doubling": "item 4: Silverman's sum moves into the tests as the oracle",
     "ellcurve._bad_local_height.v": "item 4: Silverman's sum moves into the tests as the oracle",
     "ellcurve._archimedean_local_height": "item 4: Silverman's sum moves into the tests as the oracle",
@@ -173,3 +171,45 @@ def test_every_def_is_entered_or_owned(tmp_path):
     missed = {name for key, name in defs.items() if key not in entered}
     assert sorted(missed - set(ALLOWED)) == [], "entered by no inv command and owned by no item"
     assert sorted(set(ALLOWED) - missed) == [], "allow-listed, but an inv command enters it"
+
+
+# The child of the mpmath gate: the hook goes in after the package and
+# mpmath are imported, and records each mpmath function a command enters.
+MPMATH_CHILD = """
+import collections, contextlib, io, json, os, sys
+import mpmath
+from arithinv import cli
+root = os.path.dirname(mpmath.__file__) + os.sep
+entered = collections.Counter()
+def hook(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(root):
+        entered[os.path.relpath(frame.f_code.co_filename, root) + ":" + frame.f_code.co_name] += 1
+codes = []
+sys.setprofile(hook)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": entered.most_common()}))
+"""
+
+
+def test_the_curve_commands_call_no_mpmath(tmp_path):
+    # h+ and tau come from the AGM means on integers, log delta(tau) and
+    # rho from doubles, the regulator from exact heights: `inv curve` on
+    # every bundled and hard curve, and `inv verify` on the hard set, enter
+    # no function of mpmath
+    hard = str(HARD_CURVES)
+    runs = [["curve", label] for label in corpus.load_corpus().curves]
+    runs += [["curve", label, "--corpus", hard] for label in corpus.load_corpus(hard).curves]
+    runs.append(["verify", "--corpus", hard])
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", MPMATH_CHILD, json.dumps(runs)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["codes"] == [0] * len(runs)
+    calls = sum(count for _, count in result["entered"])
+    assert calls == 0, "%d calls into mpmath, the most frequent: %s" % (calls, result["entered"][:5])
